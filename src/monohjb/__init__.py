@@ -9,6 +9,7 @@ from .errors import (
     BudgetExceededError,
     ConfigurationError,
     DimensionMismatchError,
+    InvalidProblemDataError,
     MeshConstructionError,
     NonConvergenceError,
     OutOfDomainError,

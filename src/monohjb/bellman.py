@@ -13,12 +13,11 @@ Ties in the minimum always resolve to the smallest admissible b.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfDomainError
+from .errors import ConfigurationError, InvalidProblemDataError, OutOfDomainError
 from .fespace import ControlGrid, GridFunction, evaluate
 from .mesh import Triangulation, locate_many
 from .problem import ProblemSpec
@@ -55,6 +54,18 @@ def _check_step(h: float, lam: float):
         )
 
 
+def _require_finite(data: np.ndarray, what: str, ai: int, a: float):
+    """Raise InvalidProblemDataError at the first node whose row is not finite."""
+    bad = ~np.isfinite(data)
+    if bad.any():
+        node = int(np.argwhere(bad)[0][0])
+        raise InvalidProblemDataError(
+            f"{what} of node {node} under control level {ai} (a={a}) is not "
+            f"finite: {data[node]}",
+            node=node, level=ai, value=data[node],
+        )
+
+
 def build_table(
     spec: ProblemSpec,
     tri: Triangulation,
@@ -66,7 +77,8 @@ def build_table(
 
     Image points outside the mesh are a hard error naming the node and
     control; clamp=True instead projects them onto the inner box (this
-    changes the scheme and is off by default).
+    changes the scheme and is off by default).  A non-finite image or stage
+    cost raises InvalidProblemDataError naming the node and level.
     """
     _check_step(h, spec.discount)
     N = tri.n_vertices
@@ -81,6 +93,9 @@ def build_table(
             [tri.vertices[i] + h * np.asarray(spec.dynamics(tri.vertices[i], a), dtype=float)
              for i in range(N)]
         )
+        stage[:, ai] = [spec.cost(tri.vertices[i], a) for i in range(N)]
+        _require_finite(images, "Euler image", ai, a)
+        _require_finite(stage[:, ai], "stage cost", ai, a)
         if clamp:
             images = np.clip(images, tri.lower, tri.upper)
         try:
@@ -96,7 +111,6 @@ def build_table(
             ) from exc
         indices[ai] = idx
         weights[ai] = w
-        stage[:, ai] = [spec.cost(tri.vertices[i], a) for i in range(N)]
     return TransitionTable(
         indices=indices, weights=weights, stage_cost=stage, h=h, discount=spec.discount
     )
@@ -161,8 +175,9 @@ def apply(
 ) -> tuple[GridFunction, PolicyField]:
     """Full Jacobi sweep of the Bellman operator; returns (new values, argmin).
 
-    Reads only the input iterate, so output is independent of the worker
-    count (workers parallelize over control levels into disjoint columns).
+    `workers` is accepted and ignored: the level-parallel thread pool it
+    selected was slower than the serial sweep, and the argument goes away
+    in a later release.
     """
     if table is None:
         table = build_table(spec, tri, grid, h)
@@ -171,16 +186,8 @@ def apply(
         raise ConfigurationError("grid function shape does not match mesh/control grid")
     out_vals = np.empty_like(values)
     out_pol = np.empty(values.shape, dtype=int)
-    nl = grid.n_levels
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(
-                lambda ai: _sweep_level(values, table, ai, out_vals, out_pol),
-                range(nl),
-            ))
-    else:
-        for ai in range(nl):
-            _sweep_level(values, table, ai, out_vals, out_pol)
+    for ai in range(grid.n_levels):
+        _sweep_level(values, table, ai, out_vals, out_pol)
     return GridFunction(out_vals), PolicyField(out_pol)
 
 
@@ -197,14 +204,26 @@ def greedy_policy(
     return pol
 
 
-def apply_policy(values: np.ndarray, policy: PolicyField, table: TransitionTable) -> np.ndarray:
-    """One policy-evaluation sweep: the operator with the min frozen at the policy."""
+def policy_index(policy: PolicyField, table: TransitionTable) -> np.ndarray:
+    """Gather index of a frozen policy into level-major values, (n_levels, N, nu+1).
+
+    Row (a, i) of the frozen operator reads the stencil indices[a, i, :] at
+    column level b = policy.choice[i, a]; in a level-major vector of length
+    n_levels*N, node j at level b sits at b*N + j.
+    """
+    n_nodes = table.stage_cost.shape[0]
+    return table.indices + policy.choice.T[:, :, None] * n_nodes
+
+
+def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) -> np.ndarray:
+    """One policy-evaluation sweep: the operator with the min frozen at a policy.
+
+    `values` and the result are level-major (n_levels*N,) vectors, that is
+    GridFunction values transposed and flattened; `index` is the frozen
+    policy's policy_index.
+    """
     beta = 1.0 - table.discount * table.h
-    out = np.empty_like(values)
-    for ai in range(values.shape[1]):
-        idx = table.indices[ai]
-        wts = table.weights[ai]
-        b = policy.choice[:, ai]
-        gathered = values[idx, b[:, None]]
-        out[:, ai] = beta * np.einsum("ij,ij->i", wts, gathered) + table.h * table.stage_cost[:, ai]
-    return out
+    out = np.einsum("aij,aij->ai", table.weights, values[index])
+    out *= beta
+    out += table.h * table.stage_cost.T
+    return out.ravel()

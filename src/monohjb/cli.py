@@ -2,8 +2,8 @@
 
 Commands: solve | simulate | sweep | check-mesh | oracle-check | bounds.
 All runs are driven by a YAML config file; unknown keys are hard errors.
-Exit codes: 0 success, 1 config/usage error, 2 numerical non-convergence or
-failed check, 3 I/O error.
+Exit codes: 0 success, 1 config/usage error, 2 numerical non-convergence,
+non-finite problem data or failed check, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from . import __version__
 from .errors import (
     BudgetExceededError,
     ConfigurationError,
+    InvalidProblemDataError,
     MeshConstructionError,
     NonConvergenceError,
     OutOfDomainError,
@@ -46,7 +46,7 @@ from .solver import SolveOptions, solve, solve_finite_horizon
 
 _TOP_KEYS = {
     "problem", "k", "h", "method", "stop_rule", "target", "max_iterations",
-    "eval_tolerance", "clamp", "simulate", "sweep", "oracle_check", "bounds", "mesh",
+    "simulate", "sweep", "oracle_check", "bounds", "mesh",
 }
 _SECTION_KEYS = {
     "simulate": {"x0", "a0", "steps"},
@@ -102,7 +102,7 @@ def _setup(cfg: dict, snap_k: bool):
     return spec, k, h, tri, grid
 
 
-def _options(cfg: dict, h: float, workers: int) -> SolveOptions:
+def _options(cfg: dict, h: float) -> SolveOptions:
     stop = cfg.get("stop_rule", "paper")
     target = cfg.get("target")
     if isinstance(stop, dict):
@@ -114,8 +114,6 @@ def _options(cfg: dict, h: float, workers: int) -> SolveOptions:
         stop_rule=str(stop),
         target=None if target is None else float(target),
         max_iterations=int(cfg.get("max_iterations", 10_000)),
-        eval_tolerance=cfg.get("eval_tolerance"),
-        workers=workers,
     )
 
 
@@ -135,9 +133,9 @@ def _report_header(cfg: dict, extra: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_solve(cfg, out_dir, workers, snap_k) -> int:
+def cmd_solve(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
-    opts = _options(cfg, h, workers)
+    opts = _options(cfg, h)
     try:
         u, policy, report = solve(spec, tri, grid, opts)
         code = 0
@@ -163,13 +161,13 @@ def cmd_solve(cfg, out_dir, workers, snap_k) -> int:
     return code
 
 
-def cmd_simulate(cfg, out_dir, workers, snap_k) -> int:
+def cmd_simulate(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     sub = _require(cfg, "simulate")
     x0 = np.asarray(_require(sub, "x0"), dtype=float)
     a0 = level_index(grid, float(_require(sub, "a0")))
     steps = int(_require(sub, "steps"))
-    opts = _options(cfg, h, workers)
+    opts = _options(cfg, h)
     u, _, report = solve(spec, tri, grid, opts)
     traj = simulate(spec, tri, grid, u, x0, a0, h, steps)
     gap = cost_consistency(spec, tri, grid, u, traj, h)
@@ -184,7 +182,7 @@ def cmd_simulate(cfg, out_dir, workers, snap_k) -> int:
     return 0
 
 
-def cmd_sweep(cfg, out_dir, workers, snap_k) -> int:
+def cmd_sweep(cfg, out_dir, snap_k) -> int:
     spec = builtin(str(_require(cfg, "problem")))
     sub = _require(cfg, "sweep")
     k_list = [float(k) for k in _require(sub, "k_list")]
@@ -196,7 +194,6 @@ def cmd_sweep(cfg, out_dir, workers, snap_k) -> int:
         spec, k_list, coupling=coupling, c=c,
         method=str(cfg.get("method", "picard")),
         max_iterations=int(cfg.get("max_iterations", 10_000)),
-        workers=workers,
     )
     use = "analytic" if spec.analytic_top_slice is not None else "reference"
     try:
@@ -212,7 +209,7 @@ def cmd_sweep(cfg, out_dir, workers, snap_k) -> int:
     return 0 if all(r.converged for r in rows) else 2
 
 
-def cmd_check_mesh(cfg, out_dir, workers, snap_k) -> int:
+def cmd_check_mesh(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     sub = cfg.get("mesh") or {}
     compact = sub.get("compact")
@@ -233,7 +230,7 @@ def cmd_check_mesh(cfg, out_dir, workers, snap_k) -> int:
     return 0 if ok else 2
 
 
-def cmd_oracle_check(cfg, out_dir, workers, snap_k) -> int:
+def cmd_oracle_check(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     sub = _require(cfg, "oracle_check")
     mu = int(_require(sub, "mu"))
@@ -250,7 +247,7 @@ def cmd_oracle_check(cfg, out_dir, workers, snap_k) -> int:
     return 0 if ok else 2
 
 
-def cmd_bounds(cfg, out_dir, workers, snap_k) -> int:
+def cmd_bounds(cfg, out_dir, snap_k) -> int:
     spec = builtin(str(_require(cfg, "problem")))
     sub = _require(cfg, "bounds")
     T = float(_require(sub, "T"))
@@ -293,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted and ignored; removed in a later release")
         p.add_argument("--snap-k", action="store_true",
                        help="round k to the nearest commensurate value")
     return parser
@@ -303,11 +301,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, Path(args.out), args.workers, args.snap_k)
+        return _COMMANDS[args.command](cfg, Path(args.out), args.snap_k)
     except (ConfigurationError, UnknownProblemError, MeshConstructionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergenceError, OutOfDomainError, BudgetExceededError) as exc:
+    except (NonConvergenceError, OutOfDomainError, InvalidProblemDataError,
+            BudgetExceededError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -23,6 +23,16 @@ class OutOfDomainError(ValueError):
         self.context = context
 
 
+class InvalidProblemDataError(ValueError):
+    """A problem callable returned a non-finite value at a mesh node."""
+
+    def __init__(self, message, node=None, level=None, value=None):
+        super().__init__(message)
+        self.node = node
+        self.level = level
+        self.value = value
+
+
 class DimensionMismatchError(ValueError):
     """Grid functions or arrays with incompatible shapes."""
 

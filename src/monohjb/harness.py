@@ -133,7 +133,8 @@ def run_sweep(
     error_vs_reference compares each solution against the finest-k run at the
     coarse nodes and at control levels shared by both grids;
     error_vs_analytic compares the a=1 slice against the problem's closed
-    form when one is registered.
+    form when one is registered.  `workers` is accepted and ignored; it goes
+    away in a later release.
     """
     if not k_list:
         raise ConfigurationError("k_list must be nonempty")
@@ -144,7 +145,7 @@ def run_sweep(
         h = _coupled_h(k, coupling, c)
         tri = build_uniform(spec.domain, k)
         grid = control_grid(h)
-        opts = SolveOptions(h=h, method=method, max_iterations=max_iterations, workers=workers)
+        opts = SolveOptions(h=h, method=method, max_iterations=max_iterations)
         try:
             u, _, report = solve(spec, tri, grid, opts)
             converged = True

@@ -2,7 +2,8 @@
 
 Picard iteration applies the contractive Bellman operator from the zero
 function until the residual passes the stop rule; Howard iteration alternates
-policy evaluation at a frozen policy with greedy improvement.  Both return a
+policy evaluation at a frozen policy, carried as far as the stop rule needs,
+with greedy improvement.  Both return a
 posteriori guaranteed error bounds from the geometric-series contraction
 estimate: ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
 """
@@ -15,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bellman import PolicyField, TransitionTable, apply, apply_policy, build_table
+from .bellman import (
+    PolicyField, TransitionTable, apply, apply_policy, build_table, policy_index,
+)
 from .errors import ConfigurationError, NonConvergenceError
 from .fespace import ControlGrid, GridFunction, sup_norm_diff
 from .mesh import Triangulation
@@ -29,8 +32,7 @@ class SolveOptions:
     stop_rule: str = "paper"          # "paper" (Delta <= h^2) | "target_bound"
     target: Optional[float] = None    # guaranteed-error target for target_bound
     max_iterations: int = 10_000
-    eval_tolerance: Optional[float] = None  # Howard inner loop; default h^2/10
-    workers: int = 1
+    workers: int = 1                  # accepted and ignored; removed in a later release
 
     def validate(self, discount: float):
         if not 0.0 < self.h < 1.0 / discount:
@@ -52,9 +54,6 @@ class SolveOptions:
         # guaranteed_error = Delta * (1 - lambda h)/(lambda h) <= target
         lam_h = discount * self.h
         return self.target * lam_h / (1.0 - lam_h)
-
-    def inner_tolerance(self) -> float:
-        return self.eval_tolerance if self.eval_tolerance is not None else self.h ** 2 / 10.0
 
 
 @dataclass
@@ -92,7 +91,7 @@ def solve_picard(
     report = SolveReport(iterations=0, method="picard")
     policy = None
     for n in range(1, opts.max_iterations + 1):
-        u_next, policy = apply(u, spec, tri, grid, opts.h, table=table, workers=opts.workers)
+        u_next, policy = apply(u, spec, tri, grid, opts.h, table=table)
         delta = sup_norm_diff(u_next, u)
         report.residual_history.append(delta)
         report.iterations = n
@@ -121,39 +120,42 @@ def solve_howard(
 ) -> tuple[GridFunction, PolicyField, SolveReport]:
     """Policy iteration: evaluate a frozen policy, then improve greedily.
 
-    Stops once the greedy policy is stable and the Picard-style residual of
-    the evaluated value meets the stop rule, so the returned value carries the
-    same guaranteed-error contract as the Picard solver.
+    Each policy is evaluated by frozen-policy sweeps, warm-started from the
+    last greedy value, until a sweep changes the value by at most
+    threshold * lambda*h, so the evaluation error is at most
+    threshold * (1 - lambda h).  Stops once the greedy policy is stable and
+    the Picard-style residual of the evaluated value meets the stop rule, so
+    the returned value carries the same guaranteed-error contract as the
+    Picard solver.  max_iterations caps the outer iterations and the sweeps
+    of each evaluation.
     """
     opts.validate(spec.discount)
     if table is None:
         table = build_table(spec, tri, grid, opts.h)
     threshold = opts.residual_threshold(spec.discount)
-    inner_tol = opts.inner_tolerance()
+    eval_tolerance = threshold * spec.discount * opts.h
     t0 = time.perf_counter()
 
-    values = np.zeros((tri.n_vertices, grid.n_levels))
-    _, policy = apply(GridFunction(values), spec, tri, grid, opts.h, table=table)
+    u = GridFunction.zeros(tri, grid)
+    _, policy = apply(u, spec, tri, grid, opts.h, table=table)
     report = SolveReport(iterations=0, method="howard")
-    u = GridFunction(values)
     for n in range(1, opts.max_iterations + 1):
-        # policy evaluation: contraction at frozen policy
-        w = values
-        for _ in range(100_000):
-            w_next = apply_policy(w, policy, table)
+        # policy evaluation on level-major vectors: one flat gather per sweep
+        index = policy_index(policy, table)
+        w = u.values.T.ravel()
+        for _ in range(opts.max_iterations):
+            w_next = apply_policy(w, index, table)
             change = float(np.abs(w_next - w).max())
             w = w_next
-            if change <= inner_tol:
+            if change <= eval_tolerance:
                 break
+        w = w.reshape(grid.n_levels, tri.n_vertices).T.copy()
         # improvement step doubles as the residual check
-        u_next, policy_next = apply(
-            GridFunction(w), spec, tri, grid, opts.h, table=table, workers=opts.workers
-        )
+        u_next, policy_next = apply(GridFunction(w), spec, tri, grid, opts.h, table=table)
         delta = float(np.abs(u_next.values - w).max())
         report.residual_history.append(delta)
         report.iterations = n
         stable = bool(np.array_equal(policy_next.choice, policy.choice))
-        values = u_next.values
         u = u_next
         policy = policy_next
         if stable and delta <= threshold:

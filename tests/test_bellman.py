@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from monohjb import (
     ConfigurationError,
     GridFunction,
+    InvalidProblemDataError,
     OutOfDomainError,
     apply,
     apply_fixed_control,
@@ -124,6 +128,43 @@ class TestApply:
         out8, pol8 = apply(gf, paper, tri, grid, 0.1, table=table, workers=8)
         np.testing.assert_array_equal(out1.values, out8.values)
         np.testing.assert_array_equal(pol1.choice, pol8.choice)
+
+
+class TestNonFiniteProblemData:
+    """build_table stops at the first non-finite image or cost, before locating it."""
+
+    def build_strict(self, spec, coarse):
+        tri, grid = coarse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblemDataError) as exc:
+                build_table(spec, tri, grid, 0.5)
+        return exc.value
+
+    def test_nan_image(self, paper, coarse):
+        tri, _ = coarse
+        bad = tri.vertices[4]
+
+        def dynamics(x, a):
+            if a == 0.5 and np.array_equal(x, bad):
+                return np.array([np.nan, 0.0])
+            return paper.dynamics(x, a)
+
+        err = self.build_strict(dataclasses.replace(paper, dynamics=dynamics), coarse)
+        assert (err.node, err.level) == (4, 1)
+        assert np.isnan(err.value[0])
+        assert "node 4" in str(err) and "level 1" in str(err)
+
+    def test_inf_cost(self, paper, coarse):
+        tri, _ = coarse
+        bad = tri.vertices[7]
+
+        def cost(x, a):
+            return np.inf if a == 1.0 and np.array_equal(x, bad) else paper.cost(x, a)
+
+        err = self.build_strict(dataclasses.replace(paper, cost=cost), coarse)
+        assert (err.node, err.level, err.value) == (7, 2, np.inf)
+        assert "node 7" in str(err) and "level 2" in str(err)
 
 
 class TestOperatorProperties:

@@ -45,6 +45,30 @@ def test_unknown_config_key(tmp_path):
     assert run("solve", cfg, tmp_path / "out") == 1
 
 
+@pytest.mark.parametrize("key,value", [("eval_tolerance", 1e-6), ("clamp", True)])
+def test_removed_keys_are_unknown(tmp_path, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert run("solve", cfg, tmp_path / "out") == 1
+
+
+def test_non_finite_problem_data_exit_code(tmp_path, monkeypatch):
+    import dataclasses
+
+    import numpy as np
+
+    from monohjb import builtin
+    from monohjb.problem import BUILTIN_PROBLEMS
+
+    def nan_dynamics():
+        return dataclasses.replace(
+            builtin("paper_example_2d"), dynamics=lambda x, a: np.full(2, np.nan)
+        )
+
+    monkeypatch.setitem(BUILTIN_PROBLEMS, "nan_test", nan_dynamics)
+    cfg = write_config(tmp_path, problem="nan_test")
+    assert run("solve", cfg, tmp_path / "out") == 2
+
+
 def test_unknown_problem(tmp_path):
     cfg = write_config(tmp_path, problem="nope")
     assert run("solve", cfg, tmp_path / "out") == 1

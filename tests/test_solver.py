@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monohjb import (
     ConfigurationError,
     GridFunction,
     NonConvergenceError,
+    PolicyField,
     SolveOptions,
     apply,
     build_table,
@@ -17,6 +20,7 @@ from monohjb import (
     sup_norm_diff,
     tail_bound,
 )
+from monohjb.bellman import apply_policy, policy_index
 
 
 def setup(spec, hk):
@@ -115,6 +119,63 @@ class TestHoward:
         au, _ = apply(u, paper, tri, grid, 0.2, table=table)
         # one more sweep contracts, so the residual certifies the bound
         assert sup_norm_diff(au, u) <= report.final_residual + 1e-12
+
+
+    def test_certified_target_in_few_outer_iterations(self, paper):
+        tri, grid = setup(paper, 0.05)
+        opts = SolveOptions(h=0.05, method="howard", stop_rule="target_bound", target=1e-8)
+        _, _, report = solve_howard(paper, tri, grid, opts)
+        assert report.converged
+        assert report.iterations <= 3  # observed: 2
+        assert report.guaranteed_error <= 5e-10  # observed: 4.2e-10
+
+
+def test_apply_policy_matches_node_loop(paper):
+    hk = 0.25
+    tri, grid = setup(paper, hk)
+    table = build_table(paper, tri, grid, hk)
+    n_nodes, nl = tri.n_vertices, grid.n_levels
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(n_nodes, nl))
+    choice = np.array([[rng.integers(a, nl) for a in range(nl)] for _ in range(n_nodes)])
+    policy = PolicyField(choice)
+    flat = apply_policy(values.T.ravel(), policy_index(policy, table), table)
+    got = flat.reshape(nl, n_nodes).T
+    beta = 1.0 - paper.discount * hk
+    expected = np.empty_like(values)
+    for i in range(n_nodes):
+        for a in range(nl):
+            b = choice[i, a]
+            interp = sum(
+                table.weights[a, i, j] * values[table.indices[a, i, j], b]
+                for j in range(tri.dim + 1)
+            )
+            expected[i, a] = beta * interp + hk * table.stage_cost[i, a]
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.fixture(scope="module")
+def tight_picard(paper):
+    """Picard solutions certified to 1e-12, keyed by k = h."""
+    out = {}
+    for hk in (0.5, 0.25, 0.2):
+        tri, grid = setup(paper, hk)
+        table = build_table(paper, tri, grid, hk)
+        opts = SolveOptions(h=hk, stop_rule="target_bound", target=1e-12)
+        u, _, report = solve_picard(paper, tri, grid, opts, table=table)
+        out[hk] = (tri, grid, table, u, report)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(hk=st.sampled_from([0.5, 0.25, 0.2]), target=st.floats(1e-10, 1e-4))
+def test_howard_certificate_against_tight_picard(paper, tight_picard, hk, target):
+    tri, grid, table, up, rp = tight_picard[hk]
+    opts = SolveOptions(h=hk, method="howard", stop_rule="target_bound", target=target)
+    uh, _, rh = solve_howard(paper, tri, grid, opts, table=table)
+    assert rh.converged
+    assert rh.guaranteed_error <= target
+    assert sup_norm_diff(uh, up) <= rh.guaranteed_error + rp.guaranteed_error
 
 
 class TestFiniteHorizon:
