@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidProblemDataError, OutOfDomainError
+from .errors import ConfigurationError, OutOfDomainError
 from .fespace import ControlGrid, GridFunction, evaluate
 from .mesh import Triangulation, locate_many
-from .problem import ProblemSpec
+from .problem import ProblemSpec, level_data
 
 
 @dataclass(eq=False)
@@ -54,18 +54,6 @@ def _check_step(h: float, lam: float):
         )
 
 
-def _require_finite(data: np.ndarray, what: str, ai: int, a: float):
-    """Raise InvalidProblemDataError at the first node whose row is not finite."""
-    bad = ~np.isfinite(data)
-    if bad.any():
-        node = int(np.argwhere(bad)[0][0])
-        raise InvalidProblemDataError(
-            f"{what} of node {node} under control level {ai} (a={a}) is not "
-            f"finite: {data[node]}",
-            node=node, level=ai, value=data[node],
-        )
-
-
 def build_table(
     spec: ProblemSpec,
     tri: Triangulation,
@@ -77,8 +65,10 @@ def build_table(
 
     Image points outside the mesh are a hard error naming the node and
     control; clamp=True instead projects them onto the inner box (this
-    changes the scheme and is off by default).  A non-finite image or stage
-    cost raises InvalidProblemDataError naming the node and level.
+    changes the scheme and is off by default).  The problem callables are
+    called once per level on all nodes (see `problem.level_data`); a
+    non-finite velocity or stage cost raises InvalidProblemDataError naming
+    the node and level.
     """
     _check_step(h, spec.discount)
     N = tri.n_vertices
@@ -89,13 +79,8 @@ def build_table(
     stage = np.empty((N, nl))
     for ai, a in enumerate(grid.levels):
         a = float(a)
-        images = np.array(
-            [tri.vertices[i] + h * np.asarray(spec.dynamics(tri.vertices[i], a), dtype=float)
-             for i in range(N)]
-        )
-        stage[:, ai] = [spec.cost(tri.vertices[i], a) for i in range(N)]
-        _require_finite(images, "Euler image", ai, a)
-        _require_finite(stage[:, ai], "stage cost", ai, a)
+        g, stage[:, ai] = level_data(spec, tri.vertices, a, ai)
+        images = tri.vertices + h * g
         if clamp:
             images = np.clip(images, tri.lower, tri.upper)
         try:
@@ -134,7 +119,8 @@ def apply_fixed_control(
         )
     x = tri.vertices[node_index]
     a = float(grid.levels[a_index])
-    image = x + h * np.asarray(spec.dynamics(x, a), dtype=float)
+    (g,), (f,) = level_data(spec, x[None, :], a, a_index, point=f"node {node_index}")
+    image = x + h * g
     try:
         interp = evaluate(gf, tri, image, b_index)
     except OutOfDomainError as exc:
@@ -144,7 +130,7 @@ def apply_fixed_control(
             axis=exc.axis,
             context=(node_index, a_index),
         ) from exc
-    return (1.0 - spec.discount * h) * interp + h * float(spec.cost(x, a))
+    return (1.0 - spec.discount * h) * interp + h * float(f)
 
 
 def _sweep_level(values, table, ai, out_vals, out_pol):

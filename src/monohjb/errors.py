@@ -24,7 +24,8 @@ class OutOfDomainError(ValueError):
 
 
 class InvalidProblemDataError(ValueError):
-    """A problem callable returned a non-finite value at a mesh node."""
+    """A problem callable returned a result of the wrong shape, or a
+    non-finite value at a mesh node or point."""
 
     def __init__(self, message, node=None, level=None, value=None):
         super().__init__(message)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, OutOfDomainError
 from .fespace import ControlGrid, GridFunction, evaluate
 from .mesh import Triangulation, locate
-from .problem import ProblemSpec
+from .problem import ProblemSpec, level_data
 
 
 @dataclass(eq=False)
@@ -66,8 +66,9 @@ def simulate(
     a = a0_index
     for j in range(steps):
         a_val = float(grid.levels[a])
-        f_cur = float(spec.cost(y, a_val))
-        y_next = y + h * np.asarray(spec.dynamics(y, a_val), dtype=float)
+        (g,), (f_cur,) = level_data(spec, y[None, :], a_val, a, point=f"step {j}")
+        f_cur = float(f_cur)
+        y_next = y + h * g
         try:
             bc = locate(tri, y_next)
         except OutOfDomainError as exc:

@@ -12,6 +12,7 @@ identifies the Kuhn simplex and yields the barycentric weights directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MeshConstructionError, OutOfDomainError
-from .problem import ProblemSpec
+from .problem import ProblemSpec, level_data
 
 _COMMENSURATE_TOL = 1e-9
 
@@ -110,21 +111,15 @@ def build_uniform(domain, k: float) -> Triangulation:
     grids = np.meshgrid(*axes, indexing="ij")
     vertices = np.stack([g.ravel(order="C") for g in grids], axis=1)
 
-    nodes_shape = tuple(int(c) + 1 for c in cells)
-    perms = list(itertools.permutations(range(nu)))
-    simplices = []
-    for cell in np.ndindex(*[int(c) for c in cells]):
-        base = np.array(cell, dtype=int)
-        for perm in perms:
-            verts = [base.copy()]
-            v = base.copy()
-            for ax in perm:
-                v = v.copy()
-                v[ax] += 1
-                verts.append(v)
-            simplices.append(
-                [int(np.ravel_multi_index(tuple(v), nodes_shape)) for v in verts]
-            )
+    # Kuhn simplices: the cell's base node, then one unit step along each axis
+    # of a permutation in turn; cells in C order, permutations in
+    # itertools order.  Flat node ids are C-order strides.
+    strides = _c_strides(tuple(int(c) + 1 for c in cells))
+    base = np.indices(tuple(int(c) for c in cells)).reshape(nu, -1).T @ strides
+    steps = strides[np.array(list(itertools.permutations(range(nu))))]
+    offsets = np.zeros((len(steps), nu + 1), dtype=int)
+    offsets[:, 1:] = steps.cumsum(axis=1)
+    simplices = (base[:, None, None] + offsets[None]).reshape(-1, nu + 1)
 
     return Triangulation(
         k=float(k),
@@ -133,7 +128,7 @@ def build_uniform(domain, k: float) -> Triangulation:
         upper=om_upper,
         cells_per_axis=cells,
         vertices=vertices,
-        simplices=np.asarray(simplices, dtype=int),
+        simplices=simplices,
     )
 
 
@@ -178,25 +173,37 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     W[:, nu] = s_sorted[:, -1]
     np.clip(W, 0.0, None, out=W)
 
-    V = np.empty((M, nu + 1, nu), dtype=int)
-    V[:, 0] = cell
-    rows = np.arange(M)
-    for j in range(nu):
-        V[:, j + 1] = V[:, j]
-        V[rows, j + 1, order[:, j]] += 1
-    idx = np.ravel_multi_index(tuple(np.moveaxis(V, 2, 0)), tri.nodes_per_axis)
+    # the simplex walks from the cell's base node one unit step along each
+    # axis in `order`; flat ids are C-order strides
+    strides = _c_strides(tri.nodes_per_axis)
+    idx = np.empty((M, nu + 1), dtype=int)
+    idx[:, 0] = cell @ strides
+    np.cumsum(strides[order], axis=1, out=idx[:, 1:])
+    idx[:, 1:] += idx[:, :1]
 
-    perm_rank = _perm_ranks(nu)
-    ranks = np.array([perm_rank[tuple(o)] for o in order], dtype=int)
-    cell_flat = np.ravel_multi_index(
-        tuple(cell.T), tuple(int(c) for c in tri.cells_per_axis)
-    )
-    simplex_ids = cell_flat * math.factorial(nu) + ranks
+    codes, ranks = _perm_ranks(nu)
+    cell_flat = cell @ _c_strides(tuple(int(c) for c in tri.cells_per_axis))
+    simplex_ids = cell_flat * math.factorial(nu) + ranks[order @ codes]
     return idx, W, simplex_ids
 
 
-def _perm_ranks(nu: int) -> dict:
-    return {p: r for r, p in enumerate(itertools.permutations(range(nu)))}
+def _c_strides(shape: tuple) -> np.ndarray:
+    """Flat-index strides of a C-order array of this shape."""
+    return np.array([math.prod(shape[ax + 1:]) for ax in range(len(shape))])
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_ranks(nu: int):
+    """Mixed-radix weights nu^(nu-1), ..., 1 and a table, indexed by a
+    permutation's code (its entries as base-nu digits), of its rank in
+    itertools.permutations order; read-only."""
+    codes = nu ** np.arange(nu - 1, -1, -1)
+    perms = np.array(list(itertools.permutations(range(nu))))
+    ranks = np.zeros(nu ** nu, dtype=int)
+    ranks[perms @ codes] = np.arange(len(perms))
+    codes.flags.writeable = False
+    ranks.flags.writeable = False
+    return codes, ranks
 
 
 def locate(tri: Triangulation, p) -> BarycentricCoords:
@@ -241,10 +248,13 @@ def check_hypotheses(
 
     hip2_ok tests exactly the points the Bellman operator evaluates: every
     vertex pushed one Euler step under every control level must stay inside
-    the inner box.  hip3_margin is the distance from a user-supplied compact
-    box to the inner-box boundary (by default the domain shrunk by the mesh
-    inset, giving margin 0 at the limit; with no compact given we report the
-    inset k itself, the distance from the inner box to the domain boundary).
+    the inner box; the problem callables are called once per level (see
+    `problem.level_data`), and a non-finite velocity or cost raises
+    InvalidProblemDataError naming the node and level.  hip3_margin is the
+    distance from a user-supplied compact box to the inner-box boundary (by
+    default the domain shrunk by the mesh inset, giving margin 0 at the
+    limit; with no compact given we report the inset k itself, the distance
+    from the inner box to the domain boundary).
     """
     if h <= 0:
         raise MeshConstructionError(f"time step must be positive, got {h}")
@@ -253,11 +263,9 @@ def check_hypotheses(
 
     eps = tri.snap_tolerance
     hip2_ok = True
-    for a in np.asarray(control_levels, dtype=float):
-        images = np.array(
-            [tri.vertices[i] + h * np.asarray(spec.dynamics(tri.vertices[i], float(a)), dtype=float)
-             for i in range(tri.n_vertices)]
-        )
+    for ai, a in enumerate(np.asarray(control_levels, dtype=float)):
+        g, _ = level_data(spec, tri.vertices, float(a), ai)
+        images = tri.vertices + h * g
         if np.any(images < tri.lower - eps) or np.any(images > tri.upper + eps):
             hip2_ok = False
             break

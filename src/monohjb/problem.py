@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, UnknownProblemError
+from .errors import ConfigurationError, InvalidProblemDataError, UnknownProblemError
 
 Vector = np.ndarray
 
@@ -22,13 +22,18 @@ Vector = np.ndarray
 class ProblemSpec:
     """Immutable problem definition.
 
-    dynamics(x, a) -> velocity vector, cost(x, a) -> scalar running cost.
-    Both must be defined on the closed domain box times [0,1].  The declared
-    constants are authoritative; `estimate_constants` only cross-checks them.
+    The callables take a batch of points at one control level:
+    dynamics(X, a) gets X of shape (M, nu) and a float a, and returns the
+    velocities as an (M, nu) array; cost(X, a) returns the running costs as
+    an (M,) array.  A single point is passed as an (1, nu) batch.  Results
+    must have exactly these shapes: they are never broadcast, and any other
+    shape raises InvalidProblemDataError (see `level_data`).  Both must be
+    defined on the closed domain box times [0,1].  The declared constants
+    are authoritative; `estimate_constants` only cross-checks them.
     """
 
     dynamics: Callable[[Vector, float], Vector]
-    cost: Callable[[Vector, float], float]
+    cost: Callable[[Vector, float], Vector]
     discount: float
     domain: tuple[Vector, Vector]
     lip_g: float
@@ -59,6 +64,39 @@ class ProblemSpec:
     @property
     def dim(self) -> int:
         return self.domain[0].shape[0]
+
+
+def _control(level, a) -> str:
+    return f"control a={a}" if level is None else f"control level {level} (a={a})"
+
+
+def level_data(spec: ProblemSpec, X: np.ndarray, a: float, level=None, point=None):
+    """Velocities dynamics(X, a), (M, nu), and running costs cost(X, a), (M,).
+
+    X is an (M, nu) batch of points and a one control value; `level` is its
+    index in the control grid, named in error messages.  A result of any
+    other shape raises InvalidProblemDataError naming the callable, the level
+    and both shapes; a non-finite entry raises it naming the first such row
+    of X (the node) and the level, or `point` when X is one labelled point.
+    """
+    g = np.asarray(spec.dynamics(X, a), dtype=float)
+    f = np.asarray(spec.cost(X, a), dtype=float)
+    for name, out, shape in (("dynamics", g, X.shape), ("cost", f, X.shape[:1])):
+        if out.shape != shape:
+            raise InvalidProblemDataError(
+                f"{name} under {_control(level, a)} returned shape {out.shape} for "
+                f"points of shape {X.shape}; expected {shape} (results are never "
+                f"broadcast)",
+                level=level,
+            )
+        if not np.isfinite(out).all():
+            node = int(np.argwhere(~np.isfinite(out))[0][0])
+            raise InvalidProblemDataError(
+                f"{name} of {point or f'node {node}'} under {_control(level, a)} "
+                f"is not finite: {out[node]}",
+                node=None if point else node, level=level, value=out[node],
+            )
+    return g, f
 
 
 def holder_exponent(spec: ProblemSpec) -> float:
@@ -118,11 +156,10 @@ def estimate_constants(spec: ProblemSpec, samples: int, seed: int = 0) -> Consta
     abars = raw[:, 2 * nu + 1]
 
     lg = mg = lf = mf = 0.0
-    for x, xb, a, ab in zip(xs, xbars, avals, abars):
-        gx = np.asarray(spec.dynamics(x, a), dtype=float)
-        gxb = np.asarray(spec.dynamics(xb, ab), dtype=float)
-        fx = float(spec.cost(x, a))
-        fxb = float(spec.cost(xb, ab))
+    for s, (x, xb, a, ab) in enumerate(zip(xs, xbars, avals, abars)):
+        (gx,), (fx,) = level_data(spec, x[None, :], float(a), point=f"sample {s}")
+        (gxb,), (fxb,) = level_data(spec, xb[None, :], float(ab), point=f"sample {s}")
+        fx, fxb = float(fx), float(fxb)
         mg = max(mg, float(np.linalg.norm(gx)), float(np.linalg.norm(gxb)))
         mf = max(mf, abs(fx), abs(fxb))
         denom = float(np.linalg.norm(x - xb)) + abs(a - ab)
@@ -149,12 +186,13 @@ def estimate_constants(spec: ProblemSpec, samples: int, seed: int = 0) -> Consta
 
 
 def _paper_example_2d() -> ProblemSpec:
+    # x is one point (2,) or a batch (M, 2)
     def dynamics(x, a):
         return -(a + 1.0) * np.asarray(x, dtype=float)
 
     def cost(x, a):
         x = np.asarray(x, dtype=float)
-        return a * (0.25 - float(x[0] * x[0] + x[1] * x[1]))
+        return a * (0.25 - (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]))
 
     def top_slice(x):
         x = np.asarray(x, dtype=float)

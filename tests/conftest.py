@@ -20,7 +20,7 @@ def make_toy_1d() -> ProblemSpec:
         return -0.5 * (1.0 + a) * np.asarray(x, dtype=float)
 
     def cost(x, a):
-        x0 = float(np.asarray(x, dtype=float)[0])
+        x0 = np.asarray(x, dtype=float)[..., 0]
         return (x0 - 0.2) ** 2 + 0.3 * a * (1.0 - x0)
 
     return ProblemSpec(
@@ -42,7 +42,7 @@ def make_zero_cost_2d() -> ProblemSpec:
     base = builtin("paper_example_2d")
     return ProblemSpec(
         dynamics=base.dynamics,
-        cost=lambda x, a: 0.0,
+        cost=lambda x, a: np.zeros(len(x)),
         discount=1.0,
         domain=base.domain,
         lip_g=2.0,
@@ -56,8 +56,8 @@ def make_zero_cost_2d() -> ProblemSpec:
 def make_frozen_2d() -> ProblemSpec:
     """No motion, no cost: trajectories are stationary."""
     return ProblemSpec(
-        dynamics=lambda x, a: np.zeros(2),
-        cost=lambda x, a: 0.0,
+        dynamics=lambda x, a: np.zeros_like(x),
+        cost=lambda x, a: np.zeros(len(x)),
         discount=1.0,
         domain=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         lip_g=0.0,

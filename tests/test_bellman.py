@@ -19,6 +19,7 @@ from monohjb import (
     greedy_policy,
     sup_norm_diff,
 )
+from monohjb.mesh import locate_many
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ class TestApply:
         tri, grid = coarse
         expanding = ProblemSpec(
             dynamics=lambda x, a: 3.0 * np.asarray(x, dtype=float),
-            cost=lambda x, a: 0.0,
+            cost=lambda x, a: np.zeros(len(x)),
             discount=1.0,
             domain=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
             lip_g=3.0, bound_g=4.3, lip_f=0.0, bound_f=0.0,
@@ -146,9 +147,10 @@ class TestNonFiniteProblemData:
         bad = tri.vertices[4]
 
         def dynamics(x, a):
-            if a == 0.5 and np.array_equal(x, bad):
-                return np.array([np.nan, 0.0])
-            return paper.dynamics(x, a)
+            g = paper.dynamics(x, a)
+            if a == 0.5:
+                g[np.all(x == bad, axis=1)] = [np.nan, 0.0]
+            return g
 
         err = self.build_strict(dataclasses.replace(paper, dynamics=dynamics), coarse)
         assert (err.node, err.level) == (4, 1)
@@ -160,11 +162,65 @@ class TestNonFiniteProblemData:
         bad = tri.vertices[7]
 
         def cost(x, a):
-            return np.inf if a == 1.0 and np.array_equal(x, bad) else paper.cost(x, a)
+            f = paper.cost(x, a)
+            if a == 1.0:
+                f[np.all(x == bad, axis=1)] = np.inf
+            return f
 
         err = self.build_strict(dataclasses.replace(paper, cost=cost), coarse)
         assert (err.node, err.level, err.value) == (7, 2, np.inf)
         assert "node 7" in str(err) and "level 2" in str(err)
+
+
+class TestBatchCallbacks:
+    """build_table calls each problem callable once per level on all nodes."""
+
+    @pytest.mark.parametrize("name,hk", [("paper", 0.1), ("toy_1d", 0.05)])
+    def test_table_matches_node_loop(self, request, name, hk):
+        spec = request.getfixturevalue(name)
+        tri = build_uniform(spec.domain, hk)
+        grid = control_grid(hk)
+        table = build_table(spec, tri, grid, hk)
+        for ai, a in enumerate(grid.levels):
+            images = np.array([x + hk * spec.dynamics(x, a) for x in tri.vertices])
+            idx, w, _ = locate_many(tri, images)
+            np.testing.assert_array_equal(table.indices[ai], idx)
+            np.testing.assert_array_equal(table.weights[ai], w)
+            np.testing.assert_array_equal(
+                table.stage_cost[:, ai], [spec.cost(x, a) for x in tri.vertices]
+            )
+
+    def test_one_call_per_level(self, paper):
+        calls = {"dynamics": [], "cost": []}
+
+        def counted(name):
+            fn = getattr(paper, name)
+
+            def wrapper(x, a):
+                calls[name].append(x.shape)
+                return fn(x, a)
+            return wrapper
+
+        spec = dataclasses.replace(paper, dynamics=counted("dynamics"), cost=counted("cost"))
+        tri = build_uniform(paper.domain, 0.1)
+        grid = control_grid(0.1)
+        build_table(spec, tri, grid, 0.1)
+        assert calls["dynamics"] == [tri.vertices.shape] * grid.n_levels
+        assert calls["cost"] == [tri.vertices.shape] * grid.n_levels
+
+    @pytest.mark.parametrize("field,result,shapes", [
+        ("dynamics", lambda x, a: np.zeros(2), ["(2,)", "(9, 2)"]),
+        ("cost", lambda x, a: 0.0, ["()", "(9,)"]),
+        ("cost", lambda x, a: np.zeros((len(x), 1)), ["(9, 1)", "(9,)"]),
+    ])
+    def test_wrong_shape_is_not_broadcast(self, paper, coarse, field, result, shapes):
+        tri, grid = coarse
+        spec = dataclasses.replace(paper, **{field: result})
+        with pytest.raises(InvalidProblemDataError) as exc:
+            build_table(spec, tri, grid, 0.5)
+        message = str(exc.value)
+        assert field in message and "level 0" in message
+        assert all(shape in message for shape in shapes)
 
 
 class TestOperatorProperties:

@@ -51,7 +51,7 @@ def test_removed_keys_are_unknown(tmp_path, key, value):
     assert run("solve", cfg, tmp_path / "out") == 1
 
 
-def test_non_finite_problem_data_exit_code(tmp_path, monkeypatch):
+def _register_nan_dynamics(monkeypatch):
     import dataclasses
 
     import numpy as np
@@ -61,12 +61,23 @@ def test_non_finite_problem_data_exit_code(tmp_path, monkeypatch):
 
     def nan_dynamics():
         return dataclasses.replace(
-            builtin("paper_example_2d"), dynamics=lambda x, a: np.full(2, np.nan)
+            builtin("paper_example_2d"), dynamics=lambda x, a: np.full_like(x, np.nan)
         )
 
     monkeypatch.setitem(BUILTIN_PROBLEMS, "nan_test", nan_dynamics)
+
+
+def test_non_finite_problem_data_exit_code(tmp_path, monkeypatch):
+    _register_nan_dynamics(monkeypatch)
     cfg = write_config(tmp_path, problem="nan_test")
     assert run("solve", cfg, tmp_path / "out") == 2
+
+
+def test_check_mesh_non_finite_dynamics_exit_code(tmp_path, monkeypatch):
+    _register_nan_dynamics(monkeypatch)
+    cfg = write_config(tmp_path, problem="nan_test")
+    assert run("check-mesh", cfg, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "mesh_report.txt").exists()
 
 
 def test_unknown_problem(tmp_path):
@@ -148,7 +159,7 @@ def test_check_mesh_fail(tmp_path, monkeypatch):
     def expanding():
         return ProblemSpec(
             dynamics=lambda x, a: 2.0 * np.asarray(x, dtype=float),
-            cost=lambda x, a: 0.0,
+            cost=lambda x, a: np.zeros(len(x)),
             discount=1.0,
             domain=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
             lip_g=2.0, bound_g=2.9, lip_f=0.0, bound_f=0.0,

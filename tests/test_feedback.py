@@ -90,7 +90,7 @@ def test_cost_consistency_near_fixed_point(paper, solved):
 def test_trajectory_exits_domain():
     expanding = ProblemSpec(
         dynamics=lambda x, a: 2.0 * np.asarray(x, dtype=float),
-        cost=lambda x, a: 0.0,
+        cost=lambda x, a: np.zeros(len(x)),
         discount=1.0,
         domain=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         lip_g=2.0, bound_g=2.9, lip_f=0.0, bound_f=0.0,
@@ -111,3 +111,25 @@ def test_trajectory_csv_layout(paper, solved):
     assert len(lines) == 6
     last = lines[-1].split(",")
     assert float(last[-1]) == pytest.approx(traj.discounted_total, rel=1e-12)
+
+
+def test_non_finite_cost_names_the_step(paper):
+    """A cost that turns NaN off the mesh nodes stops the rollout at that step."""
+    import dataclasses
+
+    from monohjb import InvalidProblemDataError
+
+    def cost(x, a):
+        f = paper.cost(x, a)
+        f[np.abs(x[:, 0]) < 0.2] = np.nan
+        return f
+
+    spec = dataclasses.replace(paper, cost=cost)
+    tri = build_uniform(paper.domain, 0.1)
+    grid = control_grid(0.1)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(InvalidProblemDataError) as exc:
+        simulate(spec, tri, grid, value, np.array([0.5, 0.5]), grid.m, 0.1, 20)
+    # x1 = 0.5 * 0.8^j first drops below 0.2 at step 5
+    assert "cost of step 5 under control level 10" in str(exc.value)
+    assert exc.value.level == grid.m

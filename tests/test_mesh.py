@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monohjb import (
+    InvalidProblemDataError,
     MeshConstructionError,
     OutOfDomainError,
     build_uniform,
@@ -148,3 +151,72 @@ def test_dump_format():
     assert lines[0].split()[0] == "0"
     assert len(lines[0].split()) == 3   # i x1 x2
     assert len(lines[9].split()) == 4   # j v0 v1 v2
+
+
+def _loop_simplices(cells):
+    """Kuhn simplices built one cell and one permutation at a time."""
+    nodes_shape = tuple(c + 1 for c in cells)
+    out = []
+    for cell in np.ndindex(*cells):
+        for perm in itertools.permutations(range(len(cells))):
+            v = np.array(cell)
+            verts = [np.ravel_multi_index(tuple(v), nodes_shape)]
+            for ax in perm:
+                v[ax] += 1
+                verts.append(np.ravel_multi_index(tuple(v), nodes_shape))
+            out.append(verts)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim,k", [(1, 0.1), (2, 0.25), (3, 0.25)])
+def test_simplices_match_loop_construction(dim, k):
+    tri = build_uniform((-np.ones(dim), np.ones(dim)), k)
+    expected = _loop_simplices(tuple(int(c) for c in tri.cells_per_axis))
+    np.testing.assert_array_equal(tri.simplices, expected)
+
+
+def test_locate_many_3d_matches_brute_force():
+    """Simplex ids, vertices and weights against barycentric coordinates in
+    every simplex of a 3-D mesh (6 Kuhn simplices per cell)."""
+    tri = build_uniform((-np.ones(3), np.ones(3)), 0.4)
+    rng = np.random.default_rng(3)
+    points = rng.uniform(tri.lower, tri.upper, size=(200, 3))
+    idx, wts, sids = locate_many(tri, points)
+    verts = tri.vertices[tri.simplices]                          # (S, 4, 3)
+    # barycentric coordinates solve [vertices^T; 1 ... 1] bary = [p; 1]
+    lhs = np.concatenate([verts.transpose(0, 2, 1), np.ones((len(verts), 1, 4))], axis=1)
+    inverse = np.linalg.inv(lhs)
+    for p, i, w, sid in zip(points, idx, wts, sids):
+        bary = inverse @ np.append(p, 1.0)
+        inside = np.flatnonzero(np.all(bary >= -1e-12, axis=1))
+        assert inside.tolist() == [sid]
+        np.testing.assert_array_equal(np.sort(i), np.sort(tri.simplices[sid]))
+        expected = dict(zip(tri.simplices[sid], bary[sid]))
+        np.testing.assert_allclose(w, [expected[v] for v in i], atol=1e-12)
+
+
+def test_check_hypotheses_calls_dynamics_once_per_level(paper):
+    calls = []
+
+    def dynamics(x, a):
+        calls.append(a)
+        return paper.dynamics(x, a)
+
+    tri = build_uniform(paper.domain, 0.1)
+    grid = control_grid(0.1)
+    spec = dataclasses.replace(paper, dynamics=dynamics)
+    assert check_hypotheses(tri, spec, 0.1, grid.levels).hip2_ok
+    assert 1 <= len(calls) <= grid.n_levels
+
+
+def test_check_hypotheses_rejects_nan_images(paper):
+    def dynamics(x, a):
+        g = paper.dynamics(x, a)
+        g[5] = np.nan
+        return g
+
+    tri = build_uniform(paper.domain, 0.5)
+    spec = dataclasses.replace(paper, dynamics=dynamics)
+    with pytest.raises(InvalidProblemDataError) as exc:
+        check_hypotheses(tri, spec, 0.5, control_grid(0.5).levels)
+    assert (exc.value.node, exc.value.level) == (5, 0)

@@ -51,8 +51,8 @@ def test_builtin_cost_affine_in_control(x1, x2, a):
 
 def _spec_with(lam, lg, gamma=None):
     return ProblemSpec(
-        dynamics=lambda x, a: np.zeros(1),
-        cost=lambda x, a: 0.0,
+        dynamics=lambda x, a: np.zeros_like(x),
+        cost=lambda x, a: np.zeros(len(x)),
         discount=lam,
         domain=(np.array([0.0]), np.array([1.0])),
         lip_g=lg,
@@ -85,8 +85,8 @@ def test_spec_validation():
         _spec_with(0.0, 1.0)
     with pytest.raises(ConfigurationError):
         ProblemSpec(
-            dynamics=lambda x, a: np.zeros(1),
-            cost=lambda x, a: 0.0,
+            dynamics=lambda x, a: np.zeros_like(x),
+            cost=lambda x, a: np.zeros(len(x)),
             discount=1.0,
             domain=(np.array([1.0]), np.array([0.0])),
             lip_g=1.0, bound_g=1.0, lip_f=1.0, bound_f=1.0,
@@ -104,8 +104,8 @@ class TestEstimateConstants:
 
     def test_constant_dynamics_zero_lipschitz(self):
         spec = ProblemSpec(
-            dynamics=lambda x, a: np.array([0.3]),
-            cost=lambda x, a: 1.0,
+            dynamics=lambda x, a: np.full_like(x, 0.3),
+            cost=lambda x, a: np.ones(len(x)),
             discount=1.0,
             domain=(np.array([-1.0]), np.array([1.0])),
             lip_g=0.0, bound_g=0.3, lip_f=0.0, bound_f=1.0,

@@ -129,6 +129,22 @@ class TestHoward:
         assert report.iterations <= 3  # observed: 2
         assert report.guaranteed_error <= 5e-10  # observed: 4.2e-10
 
+    def test_paper_rule_stops_on_residual_alone(self, paper):
+        """The paper rule stops at the first residual below h^2, settled
+        policy or not, and the certificate still bounds the distance to a
+        tightly certified solution (Howard's, itself checked against tight
+        Picard in test_howard_certificate_against_tight_picard)."""
+        hk = 0.05
+        tri, grid = setup(paper, hk)
+        table = build_table(paper, tri, grid, hk)
+        uh, _, rh = solve_howard(paper, tri, grid, SolveOptions(h=hk, method="howard"),
+                                 table=table)
+        assert rh.converged
+        assert rh.iterations <= 3  # observed: 2
+        tight = SolveOptions(h=hk, method="howard", stop_rule="target_bound", target=1e-10)
+        ut, _, rt = solve_howard(paper, tri, grid, tight, table=table)
+        assert sup_norm_diff(uh, ut) <= rh.guaranteed_error + rt.guaranteed_error
+
 
 def test_apply_policy_matches_node_loop(paper):
     hk = 0.25
@@ -175,6 +191,15 @@ def test_howard_certificate_against_tight_picard(paper, tight_picard, hk, target
     uh, _, rh = solve_howard(paper, tri, grid, opts, table=table)
     assert rh.converged
     assert rh.guaranteed_error <= target
+    assert sup_norm_diff(uh, up) <= rh.guaranteed_error + rp.guaranteed_error
+
+
+@pytest.mark.parametrize("hk", [0.5, 0.25, 0.2])
+def test_howard_paper_rule_certificate_against_tight_picard(paper, tight_picard, hk):
+    tri, grid, table, up, rp = tight_picard[hk]
+    uh, _, rh = solve_howard(paper, tri, grid, SolveOptions(h=hk, method="howard"),
+                             table=table)
+    assert rh.converged
     assert sup_norm_diff(uh, up) <= rh.guaranteed_error + rp.guaranteed_error
 
 
