@@ -2,18 +2,22 @@
 
 For each node x^i and control level a, one Euler step of the dynamics gives an
 image point whose interpolation weights are fixed throughout a solve.  The
-TransitionTable caches those weights, turning each operator sweep into a small
-number of gather-and-reduce passes: for every level a the new value is
+TransitionTable caches those weights; the new value at level a is
 
     min over b >= a of  (1 - lambda*h) * interp(w(., b), x^i + h g(x^i, a))
                         + h * f(x^i, a)
 
-Ties in the minimum always resolve to the smallest admissible b.
+One kernel, `sweep`, computes it on level-major values (n_levels, N): it
+walks the column level b from the top down, interpolates column b at the
+images of every row (a, i) with a <= b (the first (b+1)*N rows in level-major
+order) in one product-sum per stencil vertex, and folds the result into a
+running minimum.  Ties in the minimum always resolve to the smallest
+admissible b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +42,42 @@ class PolicyField:
 
 @dataclass(eq=False)
 class TransitionTable:
-    """Interpolation stencils of the Euler images, per control level."""
+    """Interpolation stencils of the Euler images, per control level.
+
+    The stencils are stored stencil-major: row j of `flat_indices` and
+    `flat_weights`, shape (nu+1, n_levels*N), lists the j-th stencil vertex
+    of every (a, i) in level-major order (row a*N + i).  `indices` and
+    `weights` are (n_levels, N, nu+1) views of the same buffers, and
+    `stage_cost` is an (N, n_levels) view of `flat_stage_cost`, the costs in
+    level-major order.
+    """
 
     indices: np.ndarray     # (n_levels, N, nu+1) int
     weights: np.ndarray     # (n_levels, N, nu+1) float
     stage_cost: np.ndarray  # (N, n_levels) values of f at the nodes
     h: float
     discount: float
+    flat_indices: np.ndarray = field(init=False, repr=False)
+    flat_weights: np.ndarray = field(init=False, repr=False)
+    flat_stage_cost: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nl, n_nodes, stencil = self.indices.shape
+        self.flat_indices = _stencil_major(self.indices)
+        self.flat_weights = _stencil_major(self.weights)
+        # the sweeps gather with mode="clip", which would hide a bad index
+        if self.flat_indices.min() < 0 or self.flat_indices.max() >= n_nodes:
+            raise ConfigurationError(f"stencil index outside the nodes 0..{n_nodes - 1}")
+        self.indices = self.flat_indices.reshape(stencil, nl, n_nodes).transpose(1, 2, 0)
+        self.weights = self.flat_weights.reshape(stencil, nl, n_nodes).transpose(1, 2, 0)
+        self.flat_stage_cost = np.ascontiguousarray(self.stage_cost.T).ravel()
+        self.stage_cost = self.flat_stage_cost.reshape(nl, n_nodes).T
+
+
+def _stencil_major(a: np.ndarray) -> np.ndarray:
+    """(n_levels, N, nu+1) -> contiguous (nu+1, n_levels*N); no copy if the
+    array is already a view of stencil-major storage."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(a.shape[2], -1)
 
 
 def _check_step(h: float, lam: float):
@@ -74,12 +107,12 @@ def build_table(
     N = tri.n_vertices
     nl = grid.n_levels
     nu = tri.dim
-    indices = np.empty((nl, N, nu + 1), dtype=int)
-    weights = np.empty((nl, N, nu + 1))
-    stage = np.empty((N, nl))
+    indices = np.empty((nu + 1, nl, N), dtype=int)
+    weights = np.empty((nu + 1, nl, N))
+    stage = np.empty((nl, N))
     for ai, a in enumerate(grid.levels):
         a = float(a)
-        g, stage[:, ai] = level_data(spec, tri.vertices, a, ai)
+        g, stage[ai] = level_data(spec, tri.vertices, a, ai)
         images = tri.vertices + h * g
         if clamp:
             images = np.clip(images, tri.lower, tri.upper)
@@ -94,10 +127,11 @@ def build_table(
                 axis=exc.axis,
                 context=(exc.context, ai),
             ) from exc
-        indices[ai] = idx
-        weights[ai] = w
+        indices[:, ai] = idx.T
+        weights[:, ai] = w.T
     return TransitionTable(
-        indices=indices, weights=weights, stage_cost=stage, h=h, discount=spec.discount
+        indices=indices.transpose(1, 2, 0), weights=weights.transpose(1, 2, 0),
+        stage_cost=stage.T, h=h, discount=spec.discount,
     )
 
 
@@ -133,21 +167,65 @@ def apply_fixed_control(
     return (1.0 - spec.discount * h) * interp + h * float(f)
 
 
-def _sweep_level(values, table, ai, out_vals, out_pol):
+def _interpolate(column, idx, wts, out, tmp):
+    """out = sum_j column[idx[j]] * wts[j]: one product-sum per stencil vertex.
+
+    The indices are in range by construction; mode="clip" only skips the
+    bounds check of the default mode.
+    """
+    np.take(column, idx[0], out=out, mode="clip")
+    out *= wts[0]
+    for j in range(1, len(idx)):
+        np.take(column, idx[j], out=tmp, mode="clip")
+        tmp *= wts[j]
+        out += tmp
+    return out
+
+
+def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
+    """One Bellman sweep on level-major values (n_levels, N).
+
+    Returns the new level-major values; with policy=True returns
+    (values, choice), where choice[a, i] is the minimizing column level b,
+    the smallest admissible one on ties.  The value-only path applies
+    v -> (1 - lambda h) v + h f once, after the minimum over b; that map is
+    monotone in floating point, so both paths give identical values.
+    """
+    nl, n_nodes = table.indices.shape[:2]
+    if values.shape != (nl, n_nodes):
+        raise ConfigurationError(
+            f"values of shape {values.shape} do not match the table's {(nl, n_nodes)}"
+        )
     beta = 1.0 - table.discount * table.h
-    idx = table.indices[ai]
-    wts = table.weights[ai]
-    base = table.h * table.stage_cost[:, ai]
-    nl = values.shape[1]
-    best = beta * np.einsum("ij,ij->i", wts, values[idx, ai]) + base
-    arg = np.full(values.shape[0], ai, dtype=int)
-    for b in range(ai + 1, nl):
-        cand = beta * np.einsum("ij,ij->i", wts, values[idx, b]) + base
-        better = cand < best
-        best = np.where(better, cand, best)
-        arg[better] = b
-    out_vals[:, ai] = best
-    out_pol[:, ai] = arg
+    idx, wts = table.flat_indices, table.flat_weights
+    best = np.empty(nl * n_nodes)
+    cand = np.empty(nl * n_nodes)
+    tmp = np.empty(nl * n_nodes)
+    if policy:
+        step = table.h * table.flat_stage_cost
+        choice = np.full(nl * n_nodes, nl - 1)
+        take = np.empty(nl * n_nodes, dtype=bool)
+    for b in range(nl - 1, -1, -1):
+        # rows (a, i) with a <= b are the first (b+1)*N in level-major order
+        n = (b + 1) * n_nodes
+        top = b == nl - 1
+        c = _interpolate(values[b], idx[:, :n], wts[:, :n],
+                         best if top else cand[:n], tmp[:n])
+        if policy:
+            c *= beta
+            c += step[:n]
+        if top:
+            continue
+        if policy:
+            # choice = b where c <= best; b descends, so ties keep the smallest b
+            np.less_equal(c, best[:n], out=take[:n])
+            np.copyto(choice[:n], b, where=take[:n])
+        np.minimum(best[:n], c, out=best[:n])
+    if policy:
+        return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
+    best *= beta
+    best += np.multiply(table.h, table.flat_stage_cost, out=tmp)
+    return best.reshape(nl, n_nodes)
 
 
 def apply(
@@ -157,24 +235,15 @@ def apply(
     grid: ControlGrid,
     h: float,
     table: TransitionTable | None = None,
-    workers: int = 1,
 ) -> tuple[GridFunction, PolicyField]:
-    """Full Jacobi sweep of the Bellman operator; returns (new values, argmin).
-
-    `workers` is accepted and ignored: the level-parallel thread pool it
-    selected was slower than the serial sweep, and the argument goes away
-    in a later release.
-    """
+    """Full Jacobi sweep of the Bellman operator; returns (new values, argmin)."""
     if table is None:
         table = build_table(spec, tri, grid, h)
     values = gf.values
     if values.shape != (tri.n_vertices, grid.n_levels):
         raise ConfigurationError("grid function shape does not match mesh/control grid")
-    out_vals = np.empty_like(values)
-    out_pol = np.empty(values.shape, dtype=int)
-    for ai in range(grid.n_levels):
-        _sweep_level(values, table, ai, out_vals, out_pol)
-    return GridFunction(out_vals), PolicyField(out_pol)
+    new, choice = sweep(np.ascontiguousarray(values.T), table, policy=True)
+    return GridFunction(new.T.copy()), PolicyField(choice.T.copy())
 
 
 def greedy_policy(
@@ -191,14 +260,16 @@ def greedy_policy(
 
 
 def policy_index(policy: PolicyField, table: TransitionTable) -> np.ndarray:
-    """Gather index of a frozen policy into level-major values, (n_levels, N, nu+1).
+    """Stencil-major gather index of a frozen policy, (nu+1, n_levels*N).
 
-    Row (a, i) of the frozen operator reads the stencil indices[a, i, :] at
-    column level b = policy.choice[i, a]; in a level-major vector of length
-    n_levels*N, node j at level b sits at b*N + j.
+    Row (a, i) of the frozen operator reads its stencil at column level
+    b = policy.choice[i, a]; in a level-major vector of length n_levels*N,
+    node j at level b sits at b*N + j.
     """
-    n_nodes = table.stage_cost.shape[0]
-    return table.indices + policy.choice.T[:, :, None] * n_nodes
+    nl, n_nodes = table.indices.shape[:2]
+    if policy.choice.shape != (n_nodes, nl) or policy.choice.max() >= nl:
+        raise ConfigurationError("policy does not fit the table's nodes and levels")
+    return table.flat_indices + policy.choice.T.ravel() * n_nodes
 
 
 def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) -> np.ndarray:
@@ -208,8 +279,8 @@ def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) 
     GridFunction values transposed and flattened; `index` is the frozen
     policy's policy_index.
     """
-    beta = 1.0 - table.discount * table.h
-    out = np.einsum("aij,aij->ai", table.weights, values[index])
-    out *= beta
-    out += table.h * table.stage_cost.T
-    return out.ravel()
+    tmp = np.empty(len(values))
+    out = _interpolate(values, index, table.flat_weights, np.empty(len(values)), tmp)
+    out *= 1.0 - table.discount * table.h
+    out += np.multiply(table.h, table.flat_stage_cost, out=tmp)
+    return out

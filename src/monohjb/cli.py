@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted and ignored; removed in a later release")
         p.add_argument("--snap-k", action="store_true",
                        help="round k to the nearest commensurate value")
     return parser

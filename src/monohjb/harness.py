@@ -126,15 +126,13 @@ def run_sweep(
     c: float = 1.0,
     method: str = "picard",
     max_iterations: int = 10_000,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Solve over a ladder of mesh sizes and tabulate errors.
 
     error_vs_reference compares each solution against the finest-k run at the
     coarse nodes and at control levels shared by both grids;
     error_vs_analytic compares the a=1 slice against the problem's closed
-    form when one is registered.  `workers` is accepted and ignored; it goes
-    away in a later release.
+    form when one is registered.
     """
     if not k_list:
         raise ConfigurationError("k_list must be nonempty")

@@ -137,15 +137,16 @@ def locate_many(tri: Triangulation, points: np.ndarray):
 
     Returns (vertex index array (M, nu+1), weight array (M, nu+1),
     simplex id array (M,)).  Points within the snap tolerance outside the
-    inner box are clamped; anything farther raises OutOfDomainError naming
-    the offending coordinate.
+    inner box are clamped; anything farther, or NaN, raises OutOfDomainError
+    naming the offending coordinate.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     nu = tri.dim
     eps = tri.snap_tolerance
     below = tri.lower - P
     above = P - tri.upper
-    bad = (below > eps) | (above > eps)
+    # written so that NaN coordinates count as outside
+    bad = ~((below <= eps) & (above <= eps))
     if bad.any():
         row, ax = np.argwhere(bad)[0]
         raise OutOfDomainError(

@@ -17,10 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .bellman import (
-    PolicyField, TransitionTable, apply, apply_policy, build_table, policy_index,
+    PolicyField, TransitionTable, apply, apply_policy, build_table, policy_index, sweep,
 )
 from .errors import ConfigurationError, NonConvergenceError
-from .fespace import ControlGrid, GridFunction, sup_norm_diff
+# sup_norm_diff is no longer called here but stays a module attribute:
+# perfbench/spans.py traces it under this name.
+from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
 from .mesh import Triangulation
 from .problem import ProblemSpec
 
@@ -32,7 +34,6 @@ class SolveOptions:
     stop_rule: str = "paper"          # "paper" (Delta <= h^2) | "target_bound"
     target: Optional[float] = None    # guaranteed-error target for target_bound
     max_iterations: int = 10_000
-    workers: int = 1                  # accepted and ignored; removed in a later release
 
     def validate(self, discount: float):
         if not 0.0 < self.h < 1.0 / discount:
@@ -81,24 +82,28 @@ def solve_picard(
     opts: SolveOptions,
     table: TransitionTable | None = None,
 ) -> tuple[GridFunction, PolicyField, SolveReport]:
-    """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the stop rule fires."""
+    """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the stop rule fires.
+
+    The iterates are value-only sweeps on level-major vectors; the returned
+    policy is the argmin of the last sweep, from one policy sweep of the
+    previous iterate (whose values equal the last iterate exactly).
+    """
     opts.validate(spec.discount)
     if table is None:
         table = build_table(spec, tri, grid, opts.h)
     threshold = opts.residual_threshold(spec.discount)
     t0 = time.perf_counter()
-    u = GridFunction.zeros(tri, grid)
+    u = np.zeros((grid.n_levels, tri.n_vertices))
     report = SolveReport(iterations=0, method="picard")
-    policy = None
     for n in range(1, opts.max_iterations + 1):
-        u_next, policy = apply(u, spec, tri, grid, opts.h, table=table)
-        delta = sup_norm_diff(u_next, u)
+        prev, u = u, sweep(u, table)
+        delta = float(np.abs(u - prev).max())
         report.residual_history.append(delta)
         report.iterations = n
-        u = u_next
         if delta <= threshold:
             report.converged = True
             break
+    value, policy = apply(GridFunction(prev.T), spec, tri, grid, opts.h, table=table)
     report.guaranteed_error = _guaranteed(report.final_residual, spec.discount, opts.h)
     report.wall_time = time.perf_counter() - t0
     if not report.converged:
@@ -106,9 +111,9 @@ def solve_picard(
             f"Picard iteration did not meet the stop rule within "
             f"{opts.max_iterations} iterations (last residual "
             f"{report.final_residual:.3e}, threshold {threshold:.3e})",
-            value=u, policy=policy, report=report,
+            value=value, policy=policy, report=report,
         )
-    return u, policy, report
+    return value, policy, report
 
 
 def solve_howard(
@@ -137,30 +142,29 @@ def solve_howard(
     eval_tolerance = threshold * spec.discount * opts.h
     t0 = time.perf_counter()
 
-    u = GridFunction.zeros(tri, grid)
-    _, policy = apply(u, spec, tri, grid, opts.h, table=table)
+    u = np.zeros((grid.n_levels, tri.n_vertices))
+    _, choice = sweep(u, table, policy=True)
     report = SolveReport(iterations=0, method="howard")
     for n in range(1, opts.max_iterations + 1):
         # policy evaluation on level-major vectors: one flat gather per sweep
-        index = policy_index(policy, table)
-        w = u.values.T.ravel()
+        index = policy_index(PolicyField(choice.T), table)
+        w = u.ravel()
         for _ in range(opts.max_iterations):
             w_next = apply_policy(w, index, table)
             change = float(np.abs(w_next - w).max())
             w = w_next
             if change <= eval_tolerance:
                 break
-        w = w.reshape(grid.n_levels, tri.n_vertices).T.copy()
+        w = w.reshape(u.shape)
         # improvement step doubles as the residual check
-        u_next, policy_next = apply(GridFunction(w), spec, tri, grid, opts.h, table=table)
-        delta = float(np.abs(u_next.values - w).max())
+        u, choice = sweep(w, table, policy=True)
+        delta = float(np.abs(u - w).max())
         report.residual_history.append(delta)
         report.iterations = n
-        u = u_next
-        policy = policy_next
         if delta <= threshold:
             report.converged = True
             break
+    u, policy = GridFunction(u.T.copy()), PolicyField(choice.T.copy())
     report.guaranteed_error = _guaranteed(report.final_residual, spec.discount, opts.h)
     report.wall_time = time.perf_counter() - t0
     if not report.converged:
@@ -196,7 +200,7 @@ def solve_finite_horizon(
         raise ConfigurationError(f"step count must be nonnegative, got {mu}")
     if table is None and mu > 0:
         table = build_table(spec, tri, grid, h)
-    u = GridFunction.zeros(tri, grid)
+    u = np.zeros((grid.n_levels, tri.n_vertices))
     for _ in range(mu):
-        u, _ = apply(u, spec, tri, grid, h, table=table)
-    return u
+        u = sweep(u, table)
+    return GridFunction(u.T.copy())

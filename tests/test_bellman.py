@@ -11,6 +11,7 @@ from monohjb import (
     GridFunction,
     InvalidProblemDataError,
     OutOfDomainError,
+    ProblemSpec,
     apply,
     apply_fixed_control,
     build_table,
@@ -19,6 +20,7 @@ from monohjb import (
     greedy_policy,
     sup_norm_diff,
 )
+from monohjb.bellman import PolicyField, TransitionTable, policy_index, sweep
 from monohjb.mesh import locate_many
 
 
@@ -121,15 +123,14 @@ class TestApply:
         table = build_table(expanding, tri, grid, 0.5, clamp=True)
         assert np.all(table.weights >= 0)
 
-    def test_workers_bit_identical(self, paper, medium):
+    def test_repeat_sweep_bit_identical(self, paper, medium):
         tri, grid, table = medium
         rng = np.random.default_rng(11)
         gf = GridFunction(rng.normal(size=(tri.n_vertices, grid.n_levels)))
-        out1, pol1 = apply(gf, paper, tri, grid, 0.1, table=table, workers=1)
-        out8, pol8 = apply(gf, paper, tri, grid, 0.1, table=table, workers=8)
-        np.testing.assert_array_equal(out1.values, out8.values)
-        np.testing.assert_array_equal(pol1.choice, pol8.choice)
-
+        out1, pol1 = apply(gf, paper, tri, grid, 0.1, table=table)
+        out2, pol2 = apply(gf, paper, tri, grid, 0.1)
+        np.testing.assert_array_equal(out1.values, out2.values)
+        np.testing.assert_array_equal(pol1.choice, pol2.choice)
 
 class TestNonFiniteProblemData:
     """build_table stops at the first non-finite image or cost, before locating it."""
@@ -221,6 +222,128 @@ class TestBatchCallbacks:
         message = str(exc.value)
         assert field in message and "level 0" in message
         assert all(shape in message for shape in shapes)
+
+
+def make_contracting_3d() -> ProblemSpec:
+    """3-D problem with nu! = 6 Kuhn simplices per cell; images stay inside."""
+    return ProblemSpec(
+        dynamics=lambda x, a: -(0.5 + a) * x + 0.1 * np.sin(3.0 * x[:, ::-1]),
+        cost=lambda x, a: (x * x).sum(-1) - 0.4 * a * x[:, 0],
+        discount=1.0,
+        domain=(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])),
+        lip_g=1.8, bound_g=1.8, lip_f=2.4, bound_f=3.4,
+        name="contracting_3d",
+    )
+
+
+def reference_sweep(values, table):
+    """Per-node loop over table.indices[a, i, j]; level-major values in and
+    out, smallest b on ties."""
+    nl, n_nodes = values.shape
+    beta = 1.0 - table.discount * table.h
+    out = np.empty_like(values)
+    choice = np.empty(values.shape, dtype=int)
+    for a in range(nl):
+        for i in range(n_nodes):
+            best, arg = np.inf, -1
+            for b in range(a, nl):
+                interp = 0.0
+                for j in range(table.indices.shape[2]):
+                    interp += table.weights[a, i, j] * values[b, table.indices[a, i, j]]
+                cand = beta * interp + table.h * table.stage_cost[i, a]
+                if cand < best:
+                    best, arg = cand, b
+            out[a, i], choice[a, i] = best, arg
+    return out, choice
+
+
+@pytest.fixture(scope="module", params=["toy_1d", "paper", "contracting_3d"])
+def kernel_case(request):
+    if request.param == "contracting_3d":
+        spec, k, h = make_contracting_3d(), 0.5, 0.25
+    else:
+        spec, k, h = request.getfixturevalue(request.param), 0.25, 0.25
+    tri = build_uniform(spec.domain, k)
+    grid = control_grid(h)
+    return spec, tri, grid, h, build_table(spec, tri, grid, h)
+
+
+class TestSweepKernel:
+    """The level-major kernel against a per-node loop, in 1-, 2- and 3-D."""
+
+    def test_matches_node_loop(self, kernel_case):
+        spec, tri, grid, h, table = kernel_case
+        values = np.random.default_rng(3).uniform(-1, 1, size=(grid.n_levels, tri.n_vertices))
+        expected, expected_choice = reference_sweep(values, table)
+        got, choice = sweep(values, table, policy=True)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(choice, expected_choice)
+        np.testing.assert_allclose(sweep(values, table), expected, rtol=0, atol=1e-15)
+        gf, pol = apply(GridFunction(values.T), spec, tri, grid, h, table=table)
+        np.testing.assert_allclose(gf.values, expected.T, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(pol.choice, expected_choice.T)
+
+    def test_constant_values_pick_current_level(self, kernel_case):
+        _, tri, grid, _, table = kernel_case
+        values = np.full((grid.n_levels, tri.n_vertices), 0.3)
+        _, choice = sweep(values, table, policy=True)
+        np.testing.assert_array_equal(
+            choice, np.repeat(np.arange(grid.n_levels)[:, None], tri.n_vertices, axis=1)
+        )
+
+    def test_table_views_keep_shape_and_values(self, kernel_case):
+        _, tri, grid, _, table = kernel_case
+        nl, n_nodes = grid.n_levels, tri.n_vertices
+        assert table.indices.shape == table.weights.shape == (nl, n_nodes, tri.dim + 1)
+        assert table.stage_cost.shape == (n_nodes, nl)
+        assert np.shares_memory(table.indices, table.flat_indices)
+        assert np.shares_memory(table.weights, table.flat_weights)
+        assert np.shares_memory(table.stage_cost, table.flat_stage_cost)
+        for a in range(nl):
+            rows = slice(a * n_nodes, (a + 1) * n_nodes)
+            np.testing.assert_array_equal(table.flat_indices[:, rows], table.indices[a].T)
+            np.testing.assert_array_equal(table.flat_weights[:, rows], table.weights[a].T)
+            np.testing.assert_array_equal(table.flat_stage_cost[rows], table.stage_cost[:, a])
+
+    def test_mismatched_inputs_are_rejected(self, kernel_case):
+        _, tri, grid, _, table = kernel_case
+        with pytest.raises(ConfigurationError):
+            sweep(np.zeros((grid.n_levels, tri.n_vertices + 1)), table)
+        bad = table.indices.copy()
+        bad[0, 0, 0] = tri.n_vertices
+        with pytest.raises(ConfigurationError):
+            TransitionTable(indices=bad, weights=table.weights, stage_cost=table.stage_cost,
+                            h=table.h, discount=table.discount)
+        choice = np.full((tri.n_vertices, grid.n_levels), grid.n_levels)
+        with pytest.raises(ConfigurationError):
+            policy_index(PolicyField(choice), table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+    )
+    def test_value_and_policy_paths_agree(self, seed, nl, n_nodes, stencil, h):
+        rng = np.random.default_rng(seed)
+        weights = rng.random((nl, n_nodes, stencil))
+        weights /= weights.sum(axis=2, keepdims=True)
+        table = TransitionTable(
+            indices=rng.integers(0, n_nodes, size=(nl, n_nodes, stencil)),
+            weights=weights,
+            stage_cost=rng.normal(size=(n_nodes, nl)),
+            h=h,
+            discount=1.0,
+        )
+        # few distinct values, so that exact ties occur
+        values = rng.integers(-2, 3, size=(nl, n_nodes)) * rng.choice([1.0, 0.1])
+        with_policy, choice = sweep(values, table, policy=True)
+        np.testing.assert_array_equal(sweep(values, table), with_policy)
+        expected, expected_choice = reference_sweep(values, table)
+        np.testing.assert_allclose(with_policy, expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(choice, expected_choice)
 
 
 class TestOperatorProperties:

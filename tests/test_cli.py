@@ -106,11 +106,12 @@ def test_idempotent_csv(tmp_path):
     assert (tmp_path / "a" / "policy.csv").read_bytes() == (tmp_path / "b" / "policy.csv").read_bytes()
 
 
-def test_worker_count_invariance(tmp_path):
+def test_workers_flag_rejected(tmp_path):
     cfg = write_config(tmp_path, k=0.1, h=0.1)
-    run("solve", cfg, tmp_path / "w1", "--workers", "1")
-    run("solve", cfg, tmp_path / "w8", "--workers", "8")
-    assert (tmp_path / "w1" / "value.csv").read_bytes() == (tmp_path / "w8" / "value.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run("solve", cfg, tmp_path / "w1", "--workers", "1")
+    assert exc.value.code == 2
+    assert not (tmp_path / "w1").exists()
 
 
 def test_config_round_trip(tmp_path):

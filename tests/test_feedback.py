@@ -103,6 +103,15 @@ def test_trajectory_exits_domain():
     assert exc.value.context == 0  # leaves at the first step
 
 
+def test_nan_start_is_out_of_domain(paper):
+    tri = build_uniform(paper.domain, 0.5)
+    grid = control_grid(0.5)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(OutOfDomainError) as exc:
+        simulate(paper, tri, grid, value, np.array([0.0, np.nan]), 0, 0.5, 5)
+    assert exc.value.axis == 1
+
+
 def test_trajectory_csv_layout(paper, solved):
     tri, grid, u = solved
     traj = simulate(paper, tri, grid, u, np.array([0.5, 0.5]), 0, 0.1, 5)

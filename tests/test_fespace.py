@@ -14,6 +14,7 @@ from monohjb import (
     level_index,
     sup_norm_diff,
 )
+from monohjb.fespace import nodal_csv
 
 BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
@@ -124,3 +125,28 @@ def test_interpolation_monotone_in_values(seed):
         assert evaluate(GridFunction(low), tri, p, lvl) <= evaluate(
             GridFunction(high), tri, p, lvl
         ) + 1e-12
+
+
+def reference_nodal_csv(gf, tri, grid):
+    """One formatted line per (node, level), coordinates formatted each time."""
+    coord_names = ",".join(f"x{i + 1}" for i in range(tri.dim))
+    lines = [f"node,{coord_names},a,value\n"]
+    for i, x in enumerate(tri.vertices):
+        coords = ",".join(f"{c:.17g}" for c in x)
+        for j, a in enumerate(grid.levels):
+            lines.append(f"{i},{coords},{a:.17g},{gf.values[i, j]:.17g}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("box,k,h", [
+    (BOX, 0.1, 0.1),
+    (BOX, 0.05, 0.05),
+    ((np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 1.0])), 0.25, 0.25),
+])
+def test_nodal_csv_matches_line_loop(box, k, h):
+    tri = build_uniform(box, k)
+    grid = control_grid(h)
+    rng = np.random.default_rng(4)
+    shape = (tri.n_vertices, grid.n_levels)
+    gf = GridFunction(rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
+    assert nodal_csv(gf, tri, grid).encode() == reference_nodal_csv(gf, tri, grid).encode()

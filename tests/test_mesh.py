@@ -91,6 +91,14 @@ class TestLocate:
             locate(tri, np.array([0.6, 0.0]))
         assert exc.value.axis == 0
 
+    @pytest.mark.parametrize("point,axis", [([np.nan, 0.0], 0), ([0.0, np.nan], 1)])
+    def test_nan_coordinate_is_out_of_domain(self, point, axis):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(OutOfDomainError) as exc:
+            locate(tri, np.array(point))
+        assert exc.value.axis == axis
+        assert f"axis {axis}" in str(exc.value)
+
     def test_snap_within_tolerance(self):
         tri = build_uniform(BOX, 0.5)
         bc = locate(tri, np.array([0.5 + 1e-11, 0.0]))

@@ -93,6 +93,35 @@ class TestPicard:
         assert report.guaranteed_error <= target
 
 
+@pytest.mark.parametrize("hk,paper_rule,tight", [
+    (0.5, 1, 25), (0.25, 3, 60), (0.2, 3, 77), (0.1, 10, 162), (0.05, 33, 333),
+])
+def test_picard_iteration_counts_pinned(paper, hk, paper_rule, tight):
+    tri, grid = setup(paper, hk)
+    table = build_table(paper, tri, grid, hk)
+    _, _, report = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+    assert report.iterations == paper_rule
+    opts = SolveOptions(h=hk, stop_rule="target_bound", target=1e-8)
+    _, _, report = solve_picard(paper, tri, grid, opts, table=table)
+    assert report.iterations == tight
+    assert report.guaranteed_error <= 1e-8
+
+
+def test_picard_returns_last_sweep_and_its_argmin(paper):
+    hk = 0.1
+    tri, grid = setup(paper, hk)
+    table = build_table(paper, tri, grid, hk)
+    u, policy, report = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+    short = SolveOptions(h=hk, max_iterations=report.iterations - 1)
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_picard(paper, tri, grid, short, table=table)
+    # u is the iterate whose residual the report certifies
+    assert sup_norm_diff(u, exc.value.value) == report.final_residual
+    last, last_policy = apply(exc.value.value, paper, tri, grid, hk, table=table)
+    np.testing.assert_array_equal(u.values, last.values)
+    np.testing.assert_array_equal(policy.choice, last_policy.choice)
+
+
 class TestHoward:
     def test_zero_cost_converges_to_zero(self, zero_cost_2d):
         tri, grid = setup(zero_cost_2d, 0.5)
@@ -216,6 +245,17 @@ class TestFiniteHorizon:
             [[0.5 * paper.cost(x, a) for a in grid.levels] for x in tri.vertices]
         )
         np.testing.assert_allclose(u.values, expected, atol=1e-14)
+
+    def test_matches_apply_loop(self, paper):
+        hk, mu = 0.1, 10
+        tri, grid = setup(paper, hk)
+        table = build_table(paper, tri, grid, hk)
+        got = solve_finite_horizon(paper, tri, grid, hk, mu, table=table)
+        u = GridFunction.zeros(tri, grid)
+        for _ in range(mu):
+            u, _ = apply(u, paper, tri, grid, hk, table=table)
+        assert got.values.flags.c_contiguous
+        np.testing.assert_allclose(got.values, u.values, rtol=0, atol=1e-13)
 
     def test_negative_steps_rejected(self, paper):
         tri, grid = setup(paper, 0.5)
