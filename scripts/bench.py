@@ -1,13 +1,13 @@
 """Layer timings of the monohjb pipeline on the built-in 2-D example.
 
-For each resolution k = h it times, as the median of several runs: the mesh
+For each resolution k = h it times, as the median of five runs: the mesh
 build, the transition table, one Bellman sweep value-only and with the
 argmin policy, Picard under the paper stop rule and to a 1e-8 certified
 error (with their iteration counts and certificates), and the nodal CSV.
 Prints one line per layer and writes all of it, with nproc and the numpy
 version, as JSON.
 
-Usage: python3 scripts/bench.py [--out bench.json] [--repeats 5]
+Usage: python3 scripts/bench.py [--out bench.json]
 
 At k = h = 0.025 Picard is skipped at 1e-8 (about 700 sweeps, over 30 s a
 run), so the default run stays under 60 s.
@@ -29,31 +29,30 @@ from monohjb.fespace import nodal_csv
 
 SIZES = (0.1, 0.05, 0.025)
 TIGHT = 1e-8
-# (k, layer) -> runs, for the layers too slow to repeat at that size
-RUNS = {(0.025, "picard_1e-8"): 0}
+REPEATS = 5
 
 
-def timed(fn, runs):
-    """Median wall time of `runs` calls, and the last result."""
+def timed(fn):
+    """Median wall time of REPEATS calls, and the last result."""
     times = []
-    for _ in range(runs):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), out
 
 
-def bench_size(spec, k, repeats):
+def bench_size(spec, k):
     rows = {}
 
     def layer(name, fn):
-        runs = RUNS.get((k, name), repeats)
-        if runs == 0:
-            rows[name] = {"seconds": None, "runs": 0}
+        # about 700 sweeps at the finest size, over 30 s a run
+        if name == "picard_1e-8" and k == SIZES[-1]:
+            rows[name] = {"seconds": None}
             print(f"k=h={k:<6g} {name:<16} skipped")
             return None
-        seconds, out = timed(fn, runs)
-        rows[name] = {"seconds": seconds, "runs": runs}
+        seconds, out = timed(fn)
+        rows[name] = {"seconds": seconds}
         print(f"k=h={k:<6g} {name:<16} {seconds * 1e3:10.2f} ms")
         return out
 
@@ -82,14 +81,13 @@ def bench_size(spec, k, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="bench.json", help="JSON output path")
-    parser.add_argument("--repeats", type=int, default=5, help="runs per layer")
     args = parser.parse_args()
     spec = builtin("paper_example_2d")
     t0 = time.perf_counter()
-    sizes = {str(k): bench_size(spec, k, args.repeats) for k in SIZES}
+    sizes = {str(k): bench_size(spec, k) for k in SIZES}
     record = {
         "problem": "paper_example_2d",
-        "statistic": f"median of {args.repeats} runs unless 'runs' says otherwise",
+        "statistic": f"median of {REPEATS} runs; null seconds = skipped",
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),

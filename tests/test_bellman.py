@@ -132,6 +132,7 @@ class TestApply:
         np.testing.assert_array_equal(out1.values, out2.values)
         np.testing.assert_array_equal(pol1.choice, pol2.choice)
 
+
 class TestNonFiniteProblemData:
     """build_table stops at the first non-finite image or cost, before locating it."""
 
