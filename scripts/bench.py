@@ -3,9 +3,11 @@
 For each resolution k = h it times, as the median of five runs: the mesh
 build, the transition table, one Bellman sweep value-only and with the
 argmin policy, Picard under the paper stop rule and to a 1e-8 certified
-error (with their iteration counts and certificates), and the nodal CSV.
-Prints one line per layer and writes all of it, with nproc and the numpy
-version, as JSON.
+error (with their iteration counts and certificates), the nodal CSV, and
+the rollout layers: one-point `locate` over a fixed set of points (also as
+microseconds per call) and one 100-step `simulate` from a fixed start under
+the paper-rule value.  Prints one line per layer and writes all of it, with
+nproc and the numpy version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
@@ -23,13 +25,25 @@ from pathlib import Path
 
 import numpy as np
 
-from monohjb import SolveOptions, build_table, build_uniform, builtin, control_grid, solve_picard
+from monohjb import (
+    SolveOptions,
+    build_table,
+    build_uniform,
+    builtin,
+    control_grid,
+    locate,
+    simulate,
+    solve_picard,
+)
 from monohjb.bellman import sweep
 from monohjb.fespace import nodal_csv
 
 SIZES = (0.1, 0.05, 0.025)
 TIGHT = 1e-8
 REPEATS = 5
+LOCATE_POINTS = 2000
+ROLLOUT_START = (0.5, 0.5)
+ROLLOUT_STEPS = 100
 
 
 def timed(fn):
@@ -75,6 +89,14 @@ def bench_size(spec, k):
             if solved is None:
                 solved = u
     layer("nodal_csv", lambda: nodal_csv(solved, tri, grid))
+    points = np.random.default_rng(1).uniform(tri.lower, tri.upper, size=(LOCATE_POINTS, tri.dim))
+    layer("locate", lambda: [locate(tri, p) for p in points])
+    rows["locate"].update(points=LOCATE_POINTS,
+                          us_per_call=rows["locate"]["seconds"] / LOCATE_POINTS * 1e6)
+    print(f"k=h={k:<6g} {'':<16} {rows['locate']['us_per_call']:10.2f} us per point")
+    x0 = np.array(ROLLOUT_START)
+    layer("simulate", lambda: simulate(spec, tri, grid, solved, x0, 0, k, ROLLOUT_STEPS))
+    rows["simulate"].update(steps=ROLLOUT_STEPS, start=list(ROLLOUT_START), a0_index=0)
     return {"nodes": tri.n_vertices, "levels": grid.n_levels, "layers": rows}
 
 

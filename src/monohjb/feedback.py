@@ -53,9 +53,13 @@ def simulate(
         raise ConfigurationError(f"initial control index {a0_index} outside the grid")
     if value.values.shape != (tri.n_vertices, grid.n_levels):
         raise ConfigurationError("value function shape does not match mesh/control grid")
+    y = np.asarray(x0, dtype=float)
+    if y.shape != (tri.dim,):
+        raise ConfigurationError(
+            f"x0 must have shape ({tri.dim},) on this {tri.dim}-D mesh, got shape {y.shape}"
+        )
     lam = spec.discount
     beta = 1.0 - lam * h
-    y = np.asarray(x0, dtype=float)
     locate(tri, y)  # raises if the start is outside the mesh
 
     states = [y.copy()]

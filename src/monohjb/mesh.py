@@ -8,6 +8,10 @@ the uniform grid has diameter exactly k.
 
 Point location is O(1): cell arithmetic plus a coordinate sort that
 identifies the Kuhn simplex and yields the barycentric weights directly.
+One point, `locate(tri, p)`, takes a scalar path in Python floats and ints;
+a batch, `locate_many(tri, points)`, takes the vectorized one.  Both read
+the mesh constants cached on the `Triangulation` (`Triangulation.constants`)
+and return the same simplex, vertex ids and weights, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,14 +20,35 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MeshConstructionError, OutOfDomainError
+from .errors import DimensionMismatchError, MeshConstructionError, OutOfDomainError
 from .problem import ProblemSpec, level_data
 
 _COMMENSURATE_TOL = 1e-9
+
+
+class MeshConstants(NamedTuple):
+    """Per-mesh constants of point location, as Python numbers for the
+    one-point path and as arrays for the batch path."""
+
+    nu: int
+    lower: list               # inner-box corners, floats
+    upper: list
+    k: float
+    eps: float                # snap tolerance
+    max_cell: list            # cells_per_axis - 1, ints
+    node_strides: list        # C-order flat-id strides of the nodes
+    cell_strides: list        # ... and of the cells
+    node_strides_array: np.ndarray
+    cell_strides_array: np.ndarray
+    codes: list               # permutation code weights, see _perm_ranks
+    ranks: list               # permutation rank by code
+    codes_array: np.ndarray
+    ranks_array: np.ndarray
+    n_perms: int              # nu!, simplices per cell
 
 
 @dataclass(eq=False)
@@ -51,6 +76,32 @@ class Triangulation:
     @property
     def snap_tolerance(self) -> float:
         return 1e-9 * self.k
+
+    @functools.cached_property
+    def constants(self) -> MeshConstants:
+        """Point-location constants, computed on first use and kept on the
+        mesh (the mesh arrays are not modified after construction)."""
+        nu = self.dim
+        node_strides = _c_strides(self.nodes_per_axis)
+        cell_strides = _c_strides(tuple(int(c) for c in self.cells_per_axis))
+        codes, ranks = _perm_ranks(nu)
+        return MeshConstants(
+            nu=nu,
+            lower=self.lower.tolist(),
+            upper=self.upper.tolist(),
+            k=float(self.k),
+            eps=self.snap_tolerance,
+            max_cell=(self.cells_per_axis - 1).tolist(),
+            node_strides=node_strides.tolist(),
+            cell_strides=cell_strides.tolist(),
+            node_strides_array=node_strides,
+            cell_strides_array=cell_strides,
+            codes=codes.tolist(),
+            ranks=ranks.tolist(),
+            codes_array=codes,
+            ranks_array=ranks,
+            n_perms=math.factorial(nu),
+        )
 
 
 @dataclass
@@ -133,32 +184,32 @@ def build_uniform(domain, k: float) -> Triangulation:
 
 
 def locate_many(tri: Triangulation, points: np.ndarray):
-    """Vectorized point location.
+    """Vectorized point location of a batch of points, shape (M, nu) (or
+    one point of shape (nu,), located as a batch of one).
 
     Returns (vertex index array (M, nu+1), weight array (M, nu+1),
     simplex id array (M,)).  Points within the snap tolerance outside the
     inner box are clamped; anything farther, or NaN, raises OutOfDomainError
-    naming the offending coordinate.
+    naming the offending coordinate.  A last axis other than nu raises
+    DimensionMismatchError.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    nu = tri.dim
-    eps = tri.snap_tolerance
+    c = tri.constants
+    nu = c.nu
+    if P.ndim != 2:
+        raise DimensionMismatchError(f"points must have shape (M, {nu}), got shape {P.shape}")
+    if P.shape[1] != nu:
+        raise DimensionMismatchError(f"points have {P.shape[1]} coordinates; the mesh has {nu}")
+    eps = c.eps
     below = tri.lower - P
     above = P - tri.upper
     # written so that NaN coordinates count as outside
     bad = ~((below <= eps) & (above <= eps))
     if bad.any():
         row, ax = np.argwhere(bad)[0]
-        raise OutOfDomainError(
-            f"point {P[row]} lies outside the mesh box on axis {ax}: "
-            f"coordinate {P[row, ax]!r} not in "
-            f"[{tri.lower[ax]!r}, {tri.upper[ax]!r}]",
-            point=P[row].copy(),
-            axis=int(ax),
-            context=int(row),
-        )
+        raise _out_of_domain(tri, P[row], int(ax), int(row))
     Pc = np.clip(P, tri.lower, tri.upper)
-    q = (Pc - tri.lower) / tri.k
+    q = (Pc - tri.lower) / c.k
     cell = np.floor(q).astype(int)
     np.clip(cell, 0, tri.cells_per_axis - 1, out=cell)
     s = q - cell
@@ -176,16 +227,86 @@ def locate_many(tri: Triangulation, points: np.ndarray):
 
     # the simplex walks from the cell's base node one unit step along each
     # axis in `order`; flat ids are C-order strides
-    strides = _c_strides(tri.nodes_per_axis)
+    strides = c.node_strides_array
     idx = np.empty((M, nu + 1), dtype=int)
     idx[:, 0] = cell @ strides
     np.cumsum(strides[order], axis=1, out=idx[:, 1:])
     idx[:, 1:] += idx[:, :1]
 
-    codes, ranks = _perm_ranks(nu)
-    cell_flat = cell @ _c_strides(tuple(int(c) for c in tri.cells_per_axis))
-    simplex_ids = cell_flat * math.factorial(nu) + ranks[order @ codes]
+    simplex_ids = (cell @ c.cell_strides_array) * c.n_perms + c.ranks_array[order @ c.codes_array]
     return idx, W, simplex_ids
+
+
+def locate(tri: Triangulation, p) -> BarycentricCoords:
+    """Locate one point, shape (nu,), in plain float and int arithmetic.
+
+    Returns what row 0 of `locate_many(tri, [p])` holds, bit for bit: the
+    same clamping (numpy's `clip` keeps the bound on a tie, so signed zeros
+    come out alike), the same floor and subtraction, a stable descending
+    sort of the in-cell offsets, and the same weight clip.  Raises the same
+    OutOfDomainError, and DimensionMismatchError for any other shape.
+    """
+    x = np.asarray(p, dtype=float)
+    c = tri.constants
+    if x.ndim != 1:
+        raise DimensionMismatchError(
+            f"locate takes one point of shape ({c.nu},), got shape {x.shape}"
+            " (locate_many takes a batch)"
+        )
+    if x.shape[0] != c.nu:
+        raise DimensionMismatchError(f"point has {x.shape[0]} coordinates; the mesh has {c.nu}")
+    eps = c.eps
+    k = c.k
+    s = []
+    base = 0
+    cell_flat = 0
+    for ax, xa in enumerate(x.tolist()):
+        lo = c.lower[ax]
+        hi = c.upper[ax]
+        # written so that NaN coordinates count as outside
+        if not (lo - xa <= eps and xa - hi <= eps):
+            raise _out_of_domain(tri, x, ax, 0)
+        xa = xa if xa > lo else lo
+        xa = xa if xa < hi else hi
+        q = (xa - lo) / k
+        ci = math.floor(q)
+        if ci < 0:
+            ci = 0
+        elif ci > c.max_cell[ax]:
+            ci = c.max_cell[ax]
+        s.append(q - ci)
+        base += ci * c.node_strides[ax]
+        cell_flat += ci * c.cell_strides[ax]
+
+    # descending, ties in axis order (Python's sort stays stable reversed)
+    order = sorted(range(c.nu), key=s.__getitem__, reverse=True)
+    weights = [1.0 - s[order[0]]]
+    weights += [s[i] - s[j] for i, j in zip(order, order[1:])]
+    weights.append(s[order[-1]])
+    weights = [w if w > 0.0 else 0.0 for w in weights]
+
+    ids = [base]
+    code = 0
+    for ax, cw in zip(order, c.codes):
+        base += c.node_strides[ax]
+        ids.append(base)
+        code += ax * cw
+    return BarycentricCoords(
+        simplex=cell_flat * c.n_perms + c.ranks[code],
+        vertex_indices=np.array(ids),
+        weights=np.array(weights),
+    )
+
+
+def _out_of_domain(tri: Triangulation, point: np.ndarray, ax: int, row: int) -> OutOfDomainError:
+    return OutOfDomainError(
+        f"point {point} lies outside the mesh box on axis {ax}: "
+        f"coordinate {point[ax]!r} not in "
+        f"[{tri.lower[ax]!r}, {tri.upper[ax]!r}]",
+        point=point.copy(),
+        axis=ax,
+        context=row,
+    )
 
 
 def _c_strides(shape: tuple) -> np.ndarray:
@@ -205,11 +326,6 @@ def _perm_ranks(nu: int):
     codes.flags.writeable = False
     ranks.flags.writeable = False
     return codes, ranks
-
-
-def locate(tri: Triangulation, p) -> BarycentricCoords:
-    idx, w, sid = locate_many(tri, np.asarray(p, dtype=float)[None, :])
-    return BarycentricCoords(simplex=int(sid[0]), vertex_indices=idx[0], weights=w[0])
 
 
 def _max_norm_diameters(tri: Triangulation) -> np.ndarray:

@@ -138,6 +138,14 @@ def test_simulate(tmp_path):
     assert len(lines) == 51
 
 
+@pytest.mark.parametrize("x0", [[0.3], [0.3, 0.3, 0.3]])
+def test_simulate_wrong_start_size(tmp_path, capsys, x0):
+    cfg = write_config(tmp_path, simulate={"x0": x0, "a0": 0.0, "steps": 5})
+    assert run("simulate", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("config error: x0 must have shape (2,)")
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_sweep(tmp_path):
     cfg = write_config(tmp_path, sweep={"k_list": [0.5, 0.25], "coupling": "h=k"})
     assert run("sweep", cfg, tmp_path / "out") == 0

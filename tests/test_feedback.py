@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monohjb import (
+    ConfigurationError,
     GridFunction,
     OutOfDomainError,
     ProblemSpec,
@@ -12,7 +13,9 @@ from monohjb import (
     simulate,
     solve_picard,
 )
+from monohjb import feedback
 from monohjb.feedback import trajectory_csv
+from monohjb.mesh import BarycentricCoords, locate_many
 
 
 def test_frozen_system_stationary(frozen_2d):
@@ -142,3 +145,36 @@ def test_non_finite_cost_names_the_step(paper):
     # x1 = 0.5 * 0.8^j first drops below 0.2 at step 5
     assert "cost of step 5 under control level 10" in str(exc.value)
     assert exc.value.level == grid.m
+
+
+@pytest.mark.parametrize("x0", [[0.3], [0.3, 0.3, 0.3], 0.3, [[0.3, 0.3]]])
+def test_start_of_wrong_shape_is_config_error(paper, x0):
+    tri = build_uniform(paper.domain, 0.5)
+    grid = control_grid(0.5)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(ConfigurationError, match=r"x0 must have shape \(2,\)"):
+        simulate(paper, tri, grid, value, x0, 0, 0.5, 5)
+
+
+def _batch_row_locate(tri, p):
+    """Row 0 of the vectorized locator, as the one-point locator returns it."""
+    idx, w, sid = locate_many(tri, np.asarray(p, dtype=float)[None, :])
+    return BarycentricCoords(simplex=int(sid[0]), vertex_indices=idx[0], weights=w[0])
+
+
+def test_trajectories_match_batch_locator(paper, solved, monkeypatch):
+    """The scalar locator leaves every rollout exactly as the batch path
+    gives it: several starts, every initial level, at k = h = 0.1."""
+    tri, grid, u = solved
+    rng = np.random.default_rng(11)
+    starts = [*rng.uniform(tri.lower, tri.upper, size=(4, 2)), tri.vertices[100], np.zeros(2)]
+    runs = [(x0, a0) for x0 in starts for a0 in range(grid.n_levels)]
+    scalar = [simulate(paper, tri, grid, u, x0, a0, 0.1, 40) for x0, a0 in runs]
+    monkeypatch.setattr(feedback, "locate", _batch_row_locate)
+    batch = [simulate(paper, tri, grid, u, x0, a0, 0.1, 40) for x0, a0 in runs]
+    for one, ref in zip(scalar, batch):
+        assert one.states.tobytes() == ref.states.tobytes()
+        np.testing.assert_array_equal(one.control_indices, ref.control_indices)
+        assert one.stage_costs.tobytes() == ref.stage_costs.tobytes()
+        assert one.discounted_total == ref.discounted_total
+        assert one.terminal_control == ref.terminal_control

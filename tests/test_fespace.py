@@ -150,3 +150,11 @@ def test_nodal_csv_matches_line_loop(box, k, h):
     shape = (tri.n_vertices, grid.n_levels)
     gf = GridFunction(rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
     assert nodal_csv(gf, tri, grid).encode() == reference_nodal_csv(gf, tri, grid).encode()
+
+
+@pytest.mark.parametrize("point", [[0.3], [0.3, 0.3, 0.3], 0.3])
+def test_evaluate_rejects_wrong_point_size(point):
+    tri = build_uniform(BOX, 0.5)
+    gf = GridFunction(np.arange(2.0 * tri.n_vertices).reshape(tri.n_vertices, 2))
+    with pytest.raises(DimensionMismatchError):
+        evaluate(gf, tri, point, 0)

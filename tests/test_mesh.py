@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monohjb import (
+    DimensionMismatchError,
     InvalidProblemDataError,
     MeshConstructionError,
     OutOfDomainError,
@@ -228,3 +230,125 @@ def test_check_hypotheses_rejects_nan_images(paper):
     with pytest.raises(InvalidProblemDataError) as exc:
         check_hypotheses(tri, spec, 0.5, control_grid(0.5).levels)
     assert (exc.value.node, exc.value.level) == (5, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_mesh(dim):
+    """Kuhn mesh of [-1, 1]^dim with 2-10 cells per axis."""
+    return build_uniform((-np.ones(dim), np.ones(dim)), {1: 0.1, 2: 0.25, 3: 0.4, 4: 0.5}[dim])
+
+
+@st.composite
+def _mesh_points(draw):
+    """A mesh of dimension 1-4 and a point in its box.  Each coordinate is
+    drawn uniformly, on the half-cell grid (vertices and cell faces), at an
+    offset into its cell shared by all such axes (exact ties on the Kuhn
+    diagonals), or in the snap band around a box face."""
+    tri = _cube_mesh(draw(st.integers(1, 4)))
+    shared = draw(st.floats(0.0, 1.0))
+    eps = tri.snap_tolerance
+    coords = []
+    for lo, hi, n in zip(tri.lower, tri.upper, tri.cells_per_axis):
+        kind = draw(st.sampled_from(["uniform", "grid", "diagonal", "snap"]))
+        if kind == "uniform":
+            coords.append(draw(st.floats(lo, hi)))
+        elif kind == "grid":
+            coords.append(lo + tri.k * draw(st.integers(0, 2 * int(n))) / 2)
+        elif kind == "diagonal":
+            coords.append(lo + tri.k * (draw(st.integers(0, int(n) - 1)) + shared))
+        else:
+            face = draw(st.sampled_from([lo, hi]))
+            coords.append(face + draw(st.floats(-0.99, 0.99)) * eps)
+    return tri, np.array(coords)
+
+
+class TestScalarLocate:
+    """`locate` (one point, scalar arithmetic) against the `locate_many` row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_mesh_points())
+    def test_matches_batch_row_bit_for_bit(self, case):
+        tri, p = case
+        idx, w, sid = locate_many(tri, p[None, :])
+        bc = locate(tri, p)
+        assert type(bc.simplex) is int and bc.simplex == sid[0]
+        assert bc.vertex_indices.dtype == idx.dtype
+        np.testing.assert_array_equal(bc.vertex_indices, idx[0])
+        assert bc.weights.dtype == w.dtype
+        assert bc.weights.tobytes() == w[0].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_mesh_vertices_match_batch(self, dim):
+        tri = _cube_mesh(dim)
+        idx, w, sid = locate_many(tri, tri.vertices)
+        for row, p in enumerate(tri.vertices):
+            bc = locate(tri, p)
+            assert bc.simplex == sid[row]
+            np.testing.assert_array_equal(bc.vertex_indices, idx[row])
+            assert bc.weights.tobytes() == w[row].tobytes()
+
+    def test_signed_zero_on_a_zero_corner(self):
+        # the inner box starts at exactly 0.0, so -0.0 coordinates reach the
+        # clamp and the weight clip as signed zeros
+        tri = build_uniform((np.array([-0.5, -0.5]), np.array([1.5, 1.5])), 0.5)
+        assert tri.lower.tolist() == [0.0, 0.0]
+        points = np.array([[-0.0, 0.3], [0.3, -0.0], [-0.0, -0.0], [-1e-12, 0.0], [1.0, -0.0]])
+        idx, w, sid = locate_many(tri, points)
+        for row, p in enumerate(points):
+            bc = locate(tri, p)
+            assert bc.simplex == sid[row]
+            np.testing.assert_array_equal(bc.vertex_indices, idx[row])
+            assert bc.weights.tobytes() == w[row].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("where", ["below", "above", "nan"])
+    def test_out_of_domain_same_axis(self, dim, where):
+        tri = _cube_mesh(dim)
+        bad = {"below": tri.lower[0] - 2 * tri.snap_tolerance,
+               "above": tri.upper[0] + 2 * tri.snap_tolerance,
+               "nan": np.nan}[where]
+        for ax in range(dim):
+            p = np.zeros(dim)
+            p[ax] = bad
+            if ax + 1 < dim:
+                p[ax + 1] = np.nan  # a later bad axis is not the one reported
+            with pytest.raises(OutOfDomainError) as one:
+                locate(tri, p)
+            with pytest.raises(OutOfDomainError) as many:
+                locate_many(tri, p[None, :])
+            assert one.value.axis == many.value.axis == ax
+            assert str(one.value) == str(many.value)
+            assert one.value.context == many.value.context == 0
+            np.testing.assert_array_equal(one.value.point, many.value.point)
+
+
+class TestPointShape:
+    """A point must have one coordinate per mesh axis; nothing is broadcast."""
+
+    @pytest.mark.parametrize("point,size", [([0.3], 1), ([0.3, 0.3, 0.3], 3)])
+    def test_locate_wrong_coordinate_count(self, point, size):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(DimensionMismatchError, match=f"{size} coordinates; the mesh has 2"):
+            locate(tri, point)
+
+    def test_locate_scalar_point(self):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2,\), got shape \(\)"):
+            locate(tri, 0.3)
+
+    def test_locate_rejects_a_batch(self):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(DimensionMismatchError, match="locate_many"):
+            locate(tri, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("points,size", [(np.zeros((4, 1)), 1), (np.zeros((4, 3)), 3),
+                                             ([0.3], 1), (0.3, 1)])
+    def test_locate_many_wrong_coordinate_count(self, points, size):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(DimensionMismatchError, match=f"{size} coordinates; the mesh has 2"):
+            locate_many(tri, points)
+
+    def test_locate_many_rejects_three_axes(self):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(DimensionMismatchError, match=r"shape \(M, 2\)"):
+            locate_many(tri, np.zeros((2, 3, 2)))
