@@ -2,17 +2,18 @@
 
 For each resolution k = h it times, as the median of five runs: the mesh
 build, the transition table, one Bellman sweep value-only and with the
-argmin policy, Picard under the paper stop rule and to a 1e-8 certified
-error (with their iteration counts and certificates), the nodal CSV, and
-the rollout layers: one-point `locate` over a fixed set of points (also as
-microseconds per call) and one 100-step `simulate` from a fixed start under
-the paper-rule value.  Prints one line per layer and writes all of it, with
-nproc and the numpy version, as JSON.
+argmin policy, Picard and Howard under the paper stop rule and to a 1e-8
+certified error (with their iteration counts and certificates), the nodal
+CSV, and the rollout layers: one-point `locate` over a fixed set of points
+(also as microseconds per call) and one 100-step `simulate` from a fixed
+start under the Picard paper-rule value.  Prints one line per layer and
+writes all of it, with nproc and the numpy version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
-At k = h = 0.025 Picard is skipped at 1e-8 (about 700 sweeps, over 30 s a
-run), so the default run stays under 60 s.
+At k = h = 0.025 both solvers are skipped at 1e-8 (Picard: about 700
+sweeps, over 30 s a run; Howard: over 3 s a run), so the default run stays
+under a minute.
 """
 
 import argparse
@@ -33,7 +34,7 @@ from monohjb import (
     control_grid,
     locate,
     simulate,
-    solve_picard,
+    solve,
 )
 from monohjb.bellman import sweep
 from monohjb.fespace import nodal_csv
@@ -60,8 +61,8 @@ def bench_size(spec, k):
     rows = {}
 
     def layer(name, fn):
-        # about 700 sweeps at the finest size, over 30 s a run
-        if name == "picard_1e-8" and k == SIZES[-1]:
+        # at the finest size: Picard about 700 sweeps (over 30 s), Howard over 3 s
+        if name.endswith("_1e-8") and k == SIZES[-1]:
             rows[name] = {"seconds": None}
             print(f"k=h={k:<6g} {name:<16} skipped")
             return None
@@ -77,11 +78,14 @@ def bench_size(spec, k):
     layer("sweep", lambda: sweep(values, table))
     layer("sweep_policy", lambda: sweep(values, table, policy=True))
     solved = None
+    tight = {"stop_rule": "target_bound", "target": TIGHT}
     for name, opts in (
         ("picard_paper", SolveOptions(h=k)),
-        ("picard_1e-8", SolveOptions(h=k, stop_rule="target_bound", target=TIGHT)),
+        ("picard_1e-8", SolveOptions(h=k, **tight)),
+        ("howard_paper", SolveOptions(h=k, method="howard")),
+        ("howard_1e-8", SolveOptions(h=k, method="howard", **tight)),
     ):
-        out = layer(name, lambda: solve_picard(spec, tri, grid, opts, table=table))
+        out = layer(name, lambda: solve(spec, tri, grid, opts, table=table))
         if out is not None:
             u, _, report = out
             rows[name].update(iterations=report.iterations,

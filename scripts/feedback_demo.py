@@ -15,7 +15,7 @@ from monohjb import (
     control_grid,
     cost_consistency,
     simulate,
-    solve_picard,
+    solve,
 )
 
 
@@ -30,7 +30,7 @@ def main():
     spec = builtin("paper_example_2d")
     tri = build_uniform(spec.domain, args.hk)
     grid = control_grid(args.hk)
-    u, _, report = solve_picard(spec, tri, grid, SolveOptions(h=args.hk))
+    u, _, report = solve(spec, tri, grid, SolveOptions(h=args.hk))
     print(f"solved in {report.iterations} iterations, "
           f"guaranteed error {report.guaranteed_error:.3e}")
 

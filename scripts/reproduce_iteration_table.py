@@ -13,7 +13,7 @@ from monohjb import (
     build_uniform,
     builtin,
     control_grid,
-    solve_picard,
+    solve,
 )
 
 
@@ -25,7 +25,7 @@ def main():
         tri = build_uniform(spec.domain, hk)
         grid = control_grid(hk)
         t0 = time.perf_counter()
-        u, _, report = solve_picard(spec, tri, grid, SolveOptions(h=hk))
+        u, _, report = solve(spec, tri, grid, SolveOptions(h=hk))
         wall = time.perf_counter() - t0
         exact = np.array([spec.analytic_top_slice(x) for x in tri.vertices])
         slice_err = float(np.abs(u.values[:, grid.m] - exact).max())

@@ -58,6 +58,4 @@ from .solver import (
     SolveReport,
     solve,
     solve_finite_horizon,
-    solve_howard,
-    solve_picard,
 )

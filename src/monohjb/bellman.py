@@ -17,6 +17,7 @@ admissible b.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,16 +93,13 @@ def build_table(
     tri: Triangulation,
     grid: ControlGrid,
     h: float,
-    clamp: bool = False,
 ) -> TransitionTable:
     """Precompute interpolation stencils for x^i + h g(x^i, a).
 
     Image points outside the mesh are a hard error naming the node and
-    control; clamp=True instead projects them onto the inner box (this
-    changes the scheme and is off by default).  The problem callables are
-    called once per level on all nodes (see `problem.level_data`); a
-    non-finite velocity or stage cost raises InvalidProblemDataError naming
-    the node and level.
+    control.  The problem callables are called once per level on all nodes
+    (see `problem.level_data`); a non-finite velocity or stage cost raises
+    InvalidProblemDataError naming the node and level.
     """
     _check_step(h, spec.discount)
     N = tri.n_vertices
@@ -113,11 +111,8 @@ def build_table(
     for ai, a in enumerate(grid.levels):
         a = float(a)
         g, stage[ai] = level_data(spec, tri.vertices, a, ai)
-        images = tri.vertices + h * g
-        if clamp:
-            images = np.clip(images, tri.lower, tri.upper)
         try:
-            idx, w, _ = locate_many(tri, images)
+            idx, w, _ = locate_many(tri, tri.vertices + h * g)
         except OutOfDomainError as exc:
             raise OutOfDomainError(
                 f"Euler image of node {exc.context} under control a={a} leaves the "
@@ -133,6 +128,33 @@ def build_table(
         indices=indices.transpose(1, 2, 0), weights=weights.transpose(1, 2, 0),
         stage_cost=stage.T, h=h, discount=spec.discount,
     )
+
+
+def table_for(
+    spec: ProblemSpec,
+    tri: Triangulation,
+    grid: ControlGrid,
+    h: float,
+    table: TransitionTable | None = None,
+) -> TransitionTable:
+    """The transition table of step h for this problem, control grid and mesh.
+
+    A supplied table is used when it was built for this step, discount,
+    level count and node count.  Otherwise, or when none is supplied, the
+    table is built here, with a UserWarning for a supplied table that does
+    not fit: sweeping a table of another step while certifying for h would
+    report a bound that does not hold.
+    """
+    if table is not None:
+        want = (h, spec.discount, grid.n_levels, tri.n_vertices)
+        have = (table.h, table.discount, *table.indices.shape[:2])
+        if have == want:
+            return table
+        warnings.warn(
+            f"transition table built for (h, discount, levels, nodes) = {have} "
+            f"does not fit {want}; building a new one", stacklevel=3,
+        )
+    return build_table(spec, tri, grid, h)
 
 
 def apply_fixed_control(
@@ -237,8 +259,7 @@ def apply(
     table: TransitionTable | None = None,
 ) -> tuple[GridFunction, PolicyField]:
     """Full Jacobi sweep of the Bellman operator; returns (new values, argmin)."""
-    if table is None:
-        table = build_table(spec, tri, grid, h)
+    table = table_for(spec, tri, grid, h, table)
     values = gf.values
     if values.shape != (tri.n_vertices, grid.n_levels):
         raise ConfigurationError("grid function shape does not match mesh/control grid")

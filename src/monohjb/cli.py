@@ -28,7 +28,7 @@ from .errors import (
     UnknownProblemError,
 )
 from .fespace import control_grid, level_index, nodal_csv, sup_norm_diff
-from .feedback import cost_consistency, simulate, trajectory_csv
+from .feedback import check_start, cost_consistency, simulate, trajectory_csv
 from .harness import (
     BoundParams,
     brute_force_oracle,
@@ -61,8 +61,6 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as f:
             cfg = yaml.safe_load(f)
-    except OSError:
-        raise
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -102,16 +100,12 @@ def _setup(cfg: dict, snap_k: bool):
     return spec, k, h, tri, grid
 
 
-def _options(cfg: dict, h: float) -> SolveOptions:
-    stop = cfg.get("stop_rule", "paper")
+def _options(cfg: dict) -> dict:
+    """The SolveOptions fields other than h, read from the config."""
     target = cfg.get("target")
-    if isinstance(stop, dict):
-        target = stop.get("target", target)
-        stop = "target_bound"
-    return SolveOptions(
-        h=h,
+    return dict(
         method=str(cfg.get("method", "picard")),
-        stop_rule=str(stop),
+        stop_rule=str(cfg.get("stop_rule", "paper")),
         target=None if target is None else float(target),
         max_iterations=int(cfg.get("max_iterations", 10_000)),
     )
@@ -135,7 +129,7 @@ def _report_header(cfg: dict, extra: dict) -> str:
 
 def cmd_solve(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
-    opts = _options(cfg, h)
+    opts = SolveOptions(h=h, **_options(cfg))
     try:
         u, policy, report = solve(spec, tri, grid, opts)
         code = 0
@@ -167,8 +161,8 @@ def cmd_simulate(cfg, out_dir, snap_k) -> int:
     x0 = np.asarray(_require(sub, "x0"), dtype=float)
     a0 = level_index(grid, float(_require(sub, "a0")))
     steps = int(_require(sub, "steps"))
-    opts = _options(cfg, h)
-    u, _, report = solve(spec, tri, grid, opts)
+    check_start(tri, grid, x0, a0, steps)
+    u, _, report = solve(spec, tri, grid, SolveOptions(h=h, **_options(cfg)))
     traj = simulate(spec, tri, grid, u, x0, a0, h, steps)
     gap = cost_consistency(spec, tri, grid, u, traj, h)
     _write(out_dir, "trajectory.csv", trajectory_csv(traj, grid, spec.discount, h))
@@ -190,11 +184,7 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
         k_list = [snap_mesh_size(spec.domain, k) for k in k_list]
     coupling = str(sub.get("coupling", "h=k"))
     c = float(sub.get("c", 1.0))
-    rows = run_sweep(
-        spec, k_list, coupling=coupling, c=c,
-        method=str(cfg.get("method", "picard")),
-        max_iterations=int(cfg.get("max_iterations", 10_000)),
-    )
+    rows = run_sweep(spec, k_list, coupling=coupling, c=c, **_options(cfg))
     use = "analytic" if spec.analytic_top_slice is not None else "reference"
     try:
         rate = fit_rate_rows(rows, use=use)

@@ -36,6 +36,23 @@ class Trajectory:
         return grid.levels[self.control_indices]
 
 
+def check_start(tri: Triangulation, grid: ControlGrid, x0, a0_index: int, steps: int):
+    """Validate a rollout's start: steps >= 0, a0_index on the control grid,
+    x0 of shape (nu,) (ConfigurationError) and inside the mesh
+    (OutOfDomainError).  Returns x0 as a float array."""
+    if steps < 0:
+        raise ConfigurationError("steps must be nonnegative")
+    if not 0 <= a0_index <= grid.m:
+        raise ConfigurationError(f"initial control index {a0_index} outside the grid")
+    y = np.asarray(x0, dtype=float)
+    if y.shape != (tri.dim,):
+        raise ConfigurationError(
+            f"x0 must have shape ({tri.dim},) on this {tri.dim}-D mesh, got shape {y.shape}"
+        )
+    locate(tri, y)  # raises if the start is outside the mesh
+    return y
+
+
 def simulate(
     spec: ProblemSpec,
     tri: Triangulation,
@@ -47,20 +64,11 @@ def simulate(
     steps: int,
 ) -> Trajectory:
     """Roll out the greedy policy induced by `value` for a fixed step count."""
-    if steps < 0:
-        raise ConfigurationError("steps must be nonnegative")
-    if not 0 <= a0_index <= grid.m:
-        raise ConfigurationError(f"initial control index {a0_index} outside the grid")
+    y = check_start(tri, grid, x0, a0_index, steps)
     if value.values.shape != (tri.n_vertices, grid.n_levels):
         raise ConfigurationError("value function shape does not match mesh/control grid")
-    y = np.asarray(x0, dtype=float)
-    if y.shape != (tri.dim,):
-        raise ConfigurationError(
-            f"x0 must have shape ({tri.dim},) on this {tri.dim}-D mesh, got shape {y.shape}"
-        )
     lam = spec.discount
     beta = 1.0 - lam * h
-    locate(tri, y)  # raises if the start is outside the mesh
 
     states = [y.copy()]
     controls = []

@@ -69,13 +69,6 @@ class GridFunction:
     def zeros(cls, tri: Triangulation, grid: ControlGrid) -> "GridFunction":
         return cls(np.zeros((tri.n_vertices, grid.n_levels)))
 
-    @classmethod
-    def from_callable(cls, tri: Triangulation, grid: ControlGrid, fn) -> "GridFunction":
-        vals = np.array(
-            [[fn(x, float(a)) for a in grid.levels] for x in tri.vertices]
-        )
-        return cls(vals)
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.values.copy())
 

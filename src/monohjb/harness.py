@@ -20,7 +20,7 @@ import numpy as np
 from .bellman import build_table
 from .errors import BudgetExceededError, ConfigurationError, NonConvergenceError
 from .fespace import GridFunction, control_grid
-from .mesh import build_uniform, snap_mesh_size
+from .mesh import build_uniform, locate_many, snap_mesh_size
 from .problem import ProblemSpec, holder_exponent
 from .solver import SolveOptions, solve, solve_finite_horizon
 
@@ -110,7 +110,7 @@ class SweepRow:
 def _coupled_h(k: float, coupling: str, c: float) -> float:
     if coupling == "h=k":
         h = k
-    elif coupling in ("h=c*k^(2/3)", "k^(2/3)"):
+    elif coupling == "h=c*k^(2/3)":
         h = c * k ** (2.0 / 3.0)
     else:
         raise ConfigurationError(f"unknown coupling rule {coupling!r}")
@@ -125,9 +125,14 @@ def run_sweep(
     coupling: str = "h=k",
     c: float = 1.0,
     method: str = "picard",
+    stop_rule: str = "paper",
+    target: Optional[float] = None,
     max_iterations: int = 10_000,
 ) -> list[SweepRow]:
     """Solve over a ladder of mesh sizes and tabulate errors.
+
+    method, stop_rule, target and max_iterations are the SolveOptions of
+    every solve; h comes from k and the coupling rule.
 
     error_vs_reference compares each solution against the finest-k run at the
     coarse nodes and at control levels shared by both grids;
@@ -143,7 +148,8 @@ def run_sweep(
         h = _coupled_h(k, coupling, c)
         tri = build_uniform(spec.domain, k)
         grid = control_grid(h)
-        opts = SolveOptions(h=h, method=method, max_iterations=max_iterations)
+        opts = SolveOptions(h=h, method=method, stop_rule=stop_rule, target=target,
+                            max_iterations=max_iterations)
         try:
             u, _, report = solve(spec, tri, grid, opts)
             converged = True
@@ -165,8 +171,6 @@ def run_sweep(
 
     ref_k = ks[-1]
     ref_tri, ref_grid, ref_u = solutions[ref_k]
-    from .mesh import locate_many  # local import avoids a cycle at module load
-
     for row in rows:
         tri, grid, u = solutions[row.k]
         if row.k == ref_k:

@@ -1,11 +1,11 @@
 """Fixed-point solvers for the discrete value function.
 
-Picard iteration applies the contractive Bellman operator from the zero
-function until the residual passes the stop rule; Howard iteration alternates
-policy evaluation at a frozen policy, carried as far as the stop rule needs,
-with greedy improvement.  Both return a
-posteriori guaranteed error bounds from the geometric-series contraction
-estimate: ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
+`solve` is the one entry: it validates the options, gets the transition
+table (`bellman.table_for`), runs Picard iteration (the contractive Bellman
+operator from the zero function) or Howard iteration (evaluation of a
+frozen policy, carried as far as the stop rule needs, then greedy
+improvement) as `opts.method` says, and certifies the result with the a
+posteriori bound ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .bellman import (
-    PolicyField, TransitionTable, apply, apply_policy, build_table, policy_index, sweep,
+# apply and sup_norm_diff are not called here but stay module attributes:
+# perfbench/spans.py traces them under these names.
+from .bellman import (  # noqa: F401
+    PolicyField, TransitionTable, _check_step, apply, apply_policy, policy_index, sweep,
+    table_for,
 )
 from .errors import ConfigurationError, NonConvergenceError
-# sup_norm_diff is no longer called here but stays a module attribute:
-# perfbench/spans.py traces it under this name.
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
 from .mesh import Triangulation
 from .problem import ProblemSpec
@@ -36,10 +37,7 @@ class SolveOptions:
     max_iterations: int = 10_000
 
     def validate(self, discount: float):
-        if not 0.0 < self.h < 1.0 / discount:
-            raise ConfigurationError(
-                f"time step must satisfy 0 < h < 1/discount, got h={self.h}"
-            )
+        _check_step(self.h, discount)
         if self.method not in ("picard", "howard"):
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.stop_rule not in ("paper", "target_bound"):
@@ -71,85 +69,49 @@ class SolveReport:
         return self.residual_history[-1] if self.residual_history else float("inf")
 
 
-def _guaranteed(delta: float, lam: float, h: float) -> float:
-    return delta * (1.0 - lam * h) / (lam * h)
-
-
-def solve_picard(
-    spec: ProblemSpec,
-    tri: Triangulation,
-    grid: ControlGrid,
-    opts: SolveOptions,
-    table: TransitionTable | None = None,
-) -> tuple[GridFunction, PolicyField, SolveReport]:
-    """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the stop rule fires.
+def _picard(table: TransitionTable, threshold: float, max_iterations: int):
+    """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the residual is at most
+    threshold.
 
     The iterates are value-only sweeps on level-major vectors; the returned
-    policy is the argmin of the last sweep, from one policy sweep of the
-    previous iterate (whose values equal the last iterate exactly).
+    (values, choice) come from one policy sweep of the previous iterate,
+    whose values equal the last iterate exactly.  Returns level-major
+    (values, choice) and the residual history.
     """
-    opts.validate(spec.discount)
-    if table is None:
-        table = build_table(spec, tri, grid, opts.h)
-    threshold = opts.residual_threshold(spec.discount)
-    t0 = time.perf_counter()
-    u = np.zeros((grid.n_levels, tri.n_vertices))
-    report = SolveReport(iterations=0, method="picard")
-    for n in range(1, opts.max_iterations + 1):
+    u = np.zeros(table.indices.shape[:2])
+    history = []
+    for _ in range(max_iterations):
         prev, u = u, sweep(u, table)
-        delta = float(np.abs(u - prev).max())
-        report.residual_history.append(delta)
-        report.iterations = n
-        if delta <= threshold:
-            report.converged = True
+        history.append(float(np.abs(u - prev).max()))
+        if history[-1] <= threshold:
             break
-    value, policy = apply(GridFunction(prev.T), spec, tri, grid, opts.h, table=table)
-    report.guaranteed_error = _guaranteed(report.final_residual, spec.discount, opts.h)
-    report.wall_time = time.perf_counter() - t0
-    if not report.converged:
-        raise NonConvergenceError(
-            f"Picard iteration did not meet the stop rule within "
-            f"{opts.max_iterations} iterations (last residual "
-            f"{report.final_residual:.3e}, threshold {threshold:.3e})",
-            value=value, policy=policy, report=report,
-        )
-    return value, policy, report
+    u, choice = sweep(prev, table, policy=True)
+    return u, choice, history
 
 
-def solve_howard(
-    spec: ProblemSpec,
-    tri: Triangulation,
-    grid: ControlGrid,
-    opts: SolveOptions,
-    table: TransitionTable | None = None,
-) -> tuple[GridFunction, PolicyField, SolveReport]:
+def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     """Policy iteration: evaluate a frozen policy, then improve greedily.
 
     Each policy is evaluated by frozen-policy sweeps, warm-started from the
     last greedy value, until a sweep changes the value by at most
     threshold * lambda*h, so the evaluation error is at most
     threshold * (1 - lambda h).  Stops once the residual ||A w - w|| of the
-    evaluated value w meets the stop rule and returns A w with its greedy
+    evaluated value w is at most threshold and returns A w with its greedy
     policy, so the returned value carries the same guaranteed-error contract
-    as the Picard solver: the bound holds whether or not the policy has
-    settled, as it does for Picard's returned policy.  max_iterations caps
-    the outer iterations and the sweeps of each evaluation.
+    as Picard's: the bound holds whether or not the policy has settled.
+    max_iterations caps the outer iterations and the sweeps of each
+    evaluation.  Returns level-major (values, choice) and the residual
+    history.
     """
-    opts.validate(spec.discount)
-    if table is None:
-        table = build_table(spec, tri, grid, opts.h)
-    threshold = opts.residual_threshold(spec.discount)
-    eval_tolerance = threshold * spec.discount * opts.h
-    t0 = time.perf_counter()
-
-    u = np.zeros((grid.n_levels, tri.n_vertices))
+    eval_tolerance = threshold * table.discount * table.h
+    u = np.zeros(table.indices.shape[:2])
     _, choice = sweep(u, table, policy=True)
-    report = SolveReport(iterations=0, method="howard")
-    for n in range(1, opts.max_iterations + 1):
+    history = []
+    for _ in range(max_iterations):
         # policy evaluation on level-major vectors: one flat gather per sweep
         index = policy_index(PolicyField(choice.T), table)
         w = u.ravel()
-        for _ in range(opts.max_iterations):
+        for _ in range(max_iterations):
             w_next = apply_policy(w, index, table)
             change = float(np.abs(w_next - w).max())
             w = w_next
@@ -158,22 +120,10 @@ def solve_howard(
         w = w.reshape(u.shape)
         # improvement step doubles as the residual check
         u, choice = sweep(w, table, policy=True)
-        delta = float(np.abs(u - w).max())
-        report.residual_history.append(delta)
-        report.iterations = n
-        if delta <= threshold:
-            report.converged = True
+        history.append(float(np.abs(u - w).max()))
+        if history[-1] <= threshold:
             break
-    u, policy = GridFunction(u.T.copy()), PolicyField(choice.T.copy())
-    report.guaranteed_error = _guaranteed(report.final_residual, spec.discount, opts.h)
-    report.wall_time = time.perf_counter() - t0
-    if not report.converged:
-        raise NonConvergenceError(
-            f"Howard iteration did not converge within {opts.max_iterations} "
-            f"outer iterations (last residual {report.final_residual:.3e})",
-            value=u, policy=policy, report=report,
-        )
-    return u, policy, report
+    return u, choice, history
 
 
 def solve(
@@ -182,9 +132,38 @@ def solve(
     grid: ControlGrid,
     opts: SolveOptions,
     table: TransitionTable | None = None,
-):
-    fn = solve_picard if opts.method == "picard" else solve_howard
-    return fn(spec, tri, grid, opts, table=table)
+) -> tuple[GridFunction, PolicyField, SolveReport]:
+    """Solve for the fixed point with the iteration `opts.method` names.
+
+    A supplied `table` is swept only if it was built for opts.h,
+    spec.discount, this control grid and this mesh; otherwise the table is
+    built here (see `bellman.table_for`).  Returns the value, its greedy
+    policy and a report whose guaranteed_error bounds the sup-norm distance
+    of the value to the fixed point.  If the stop rule is not met within
+    opts.max_iterations, raises NonConvergenceError carrying all three.
+    """
+    opts.validate(spec.discount)
+    table = table_for(spec, tri, grid, opts.h, table)
+    threshold = opts.residual_threshold(spec.discount)
+    t0 = time.perf_counter()
+    loop = _picard if opts.method == "picard" else _howard
+    u, choice, history = loop(table, threshold, opts.max_iterations)
+    value, policy = GridFunction(u.T.copy()), PolicyField(choice.T.copy())
+    lam_h = spec.discount * opts.h
+    report = SolveReport(
+        iterations=len(history), residual_history=history,
+        guaranteed_error=history[-1] * (1.0 - lam_h) / lam_h,
+        wall_time=time.perf_counter() - t0, method=opts.method,
+        converged=history[-1] <= threshold,
+    )
+    if not report.converged:
+        raise NonConvergenceError(
+            f"{opts.method.capitalize()} iteration did not meet the stop rule within "
+            f"{opts.max_iterations} iterations (last residual "
+            f"{report.final_residual:.3e}, threshold {threshold:.3e})",
+            value=value, policy=policy, report=report,
+        )
+    return value, policy, report
 
 
 def solve_finite_horizon(
@@ -198,8 +177,8 @@ def solve_finite_horizon(
     """Backward recursion over horizon T = mu*h from the zero terminal value."""
     if mu < 0:
         raise ConfigurationError(f"step count must be nonnegative, got {mu}")
-    if table is None and mu > 0:
-        table = build_table(spec, tri, grid, h)
+    if mu > 0:
+        table = table_for(spec, tri, grid, h, table)
     u = np.zeros((grid.n_levels, tri.n_vertices))
     for _ in range(mu):
         u = sweep(u, table)

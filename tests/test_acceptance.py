@@ -19,9 +19,8 @@ from monohjb import (
     build_uniform,
     control_grid,
     simulate,
+    solve,
     solve_finite_horizon,
-    solve_howard,
-    solve_picard,
     sup_norm,
     sup_norm_diff,
 )
@@ -44,7 +43,7 @@ def setups(paper):
 def picard(paper, setups):
     out = {}
     for hk, (tri, grid, table) in setups.items():
-        out[hk] = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+        out[hk] = solve(paper, tri, grid, SolveOptions(h=hk), table=table)
     return out
 
 
@@ -146,7 +145,7 @@ def test_criterion_06_analytic_slice_convergence(paper, setups, picard):
 def test_criterion_07_method_agreement(paper, setups, picard):
     tri, grid, table = setups[0.1]
     up, _, rp = picard[0.1]
-    uh, _, rh = solve_howard(
+    uh, _, rh = solve(
         paper, tri, grid, SolveOptions(h=0.1, method="howard"), table=table
     )
     diff = sup_norm_diff(up, uh)
@@ -172,8 +171,8 @@ def test_criterion_08_monotone_feedback(paper, setups, picard):
 
 def test_criterion_09_rerun_determinism(paper, setups):
     tri, grid, table = setups[0.1]
-    u1, _, _ = solve_picard(paper, tri, grid, SolveOptions(h=0.1), table=table)
-    u2, _, _ = solve_picard(paper, tri, grid, SolveOptions(h=0.1))
+    u1, _, _ = solve(paper, tri, grid, SolveOptions(h=0.1), table=table)
+    u2, _, _ = solve(paper, tri, grid, SolveOptions(h=0.1))
     csv1 = nodal_csv(u1, tri, grid)
     csv2 = nodal_csv(u2, tri, grid)
     assert csv1.encode() == csv2.encode()

@@ -120,8 +120,6 @@ class TestApply:
         )
         with pytest.raises(OutOfDomainError):
             build_table(expanding, tri, grid, 0.5)
-        table = build_table(expanding, tri, grid, 0.5, clamp=True)
-        assert np.all(table.weights >= 0)
 
     def test_repeat_sweep_bit_identical(self, paper, medium):
         tri, grid, table = medium

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from monohjb.cli import main
+from monohjb.harness import run_sweep
 
 
 def write_config(tmp_path, name="run.yaml", **overrides):
@@ -146,6 +147,29 @@ def test_simulate_wrong_start_size(tmp_path, capsys, x0):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("start,code", [
+    ({"x0": [0.3]}, 1),
+    ({"x0": [5.0, 0.0]}, 2),
+    ({"a0": 0.3}, 1),
+    ({"steps": -1}, 1),
+])
+def test_simulate_checks_start_before_solving(tmp_path, monkeypatch, start, code):
+    import monohjb.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called before the start was checked")
+
+    monkeypatch.setattr(monohjb.cli, "solve", no_solve)
+    cfg = write_config(tmp_path, simulate={"x0": [0.5, 0.5], "a0": 0.0, "steps": 5, **start})
+    assert run("simulate", cfg, tmp_path / "out") == code
+    assert not (tmp_path / "out").exists()
+
+
+def test_stop_rule_mapping_rejected(tmp_path):
+    cfg = write_config(tmp_path, stop_rule={"target": 1e-3})
+    assert run("solve", cfg, tmp_path / "out") == 1
+
+
 def test_sweep(tmp_path):
     cfg = write_config(tmp_path, sweep={"k_list": [0.5, 0.25], "coupling": "h=k"})
     assert run("sweep", cfg, tmp_path / "out") == 0
@@ -198,3 +222,21 @@ def test_mesh_dump_requested(tmp_path):
     cfg = write_config(tmp_path, mesh={"dump": True})
     assert run("check-mesh", cfg, tmp_path / "out") == 0
     assert (tmp_path / "out" / "mesh.txt").exists()
+
+
+def test_sweep_forwards_stop_rule(tmp_path, monkeypatch):
+    import monohjb.cli
+
+    rows = []
+
+    def keep_rows(*args, **kwargs):
+        rows.extend(run_sweep(*args, **kwargs))
+        return rows
+
+    monkeypatch.setattr(monohjb.cli, "run_sweep", keep_rows)
+    cfg = write_config(tmp_path, stop_rule="target_bound", target=1e-10,
+                       sweep={"k_list": [0.5, 0.25]})
+    assert run("sweep", cfg, tmp_path / "out") == 0
+    assert len(rows) == 2
+    # the paper rule stops after 1 and 3 iterations, certified 0.125 and 0.105
+    assert all(r.guaranteed_error <= 1e-10 for r in rows)

@@ -11,7 +11,7 @@ from monohjb import (
     control_grid,
     cost_consistency,
     simulate,
-    solve_picard,
+    solve,
 )
 from monohjb import feedback
 from monohjb.feedback import trajectory_csv
@@ -46,7 +46,7 @@ def solved(paper):
     hk = 0.1
     tri = build_uniform(paper.domain, hk)
     grid = control_grid(hk)
-    u, _, _ = solve_picard(paper, tri, grid, SolveOptions(h=hk))
+    u, _, _ = solve(paper, tri, grid, SolveOptions(h=hk))
     return tri, grid, u
 
 

@@ -131,6 +131,10 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             _coupled_h(0.1, "h=k^9", 1.0)
 
+    def test_coupling_alias_removed(self):
+        with pytest.raises(ConfigurationError):
+            _coupled_h(0.008, "k^(2/3)", 1.0)
+
     def test_singleton(self, paper):
         rows = run_sweep(paper, [0.5])
         assert len(rows) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,9 @@ from monohjb import (
     build_table,
     build_uniform,
     control_grid,
+    greedy_policy,
+    solve,
     solve_finite_horizon,
-    solve_howard,
-    solve_picard,
     sup_norm,
     sup_norm_diff,
     tail_bound,
@@ -43,18 +45,18 @@ def test_options_validation(paper):
 class TestPicard:
     def test_paper_coarse_one_iteration(self, paper):
         tri, grid = setup(paper, 0.5)
-        _, _, report = solve_picard(paper, tri, grid, SolveOptions(h=0.5))
+        _, _, report = solve(paper, tri, grid, SolveOptions(h=0.5))
         assert report.iterations == 1
         assert report.converged
 
     def test_paper_medium_iteration_count(self, paper):
         tri, grid = setup(paper, 0.1)
-        _, _, report = solve_picard(paper, tri, grid, SolveOptions(h=0.1))
+        _, _, report = solve(paper, tri, grid, SolveOptions(h=0.1))
         assert 5 <= report.iterations <= 20  # observed: 10
 
     def test_zero_cost_fixed_point_is_zero(self, zero_cost_2d):
         tri, grid = setup(zero_cost_2d, 0.5)
-        u, _, report = solve_picard(zero_cost_2d, tri, grid, SolveOptions(h=0.5))
+        u, _, report = solve(zero_cost_2d, tri, grid, SolveOptions(h=0.5))
         assert report.iterations == 1
         assert sup_norm(u) == 0.0
         assert report.guaranteed_error == 0.0
@@ -63,14 +65,14 @@ class TestPicard:
     def test_fixed_point_residual_and_bound(self, paper, hk):
         tri, grid = setup(paper, hk)
         table = build_table(paper, tri, grid, hk)
-        u, _, report = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+        u, _, report = solve(paper, tri, grid, SolveOptions(h=hk), table=table)
         au, _ = apply(u, paper, tri, grid, hk, table=table)
         assert sup_norm_diff(au, u) <= report.final_residual + 1e-14
         assert sup_norm(u) <= paper.bound_f / paper.discount + report.guaranteed_error
 
     def test_geometric_residual_decay(self, paper):
         tri, grid = setup(paper, 0.1)
-        _, _, report = solve_picard(paper, tri, grid, SolveOptions(h=0.1))
+        _, _, report = solve(paper, tri, grid, SolveOptions(h=0.1))
         hist = report.residual_history
         for a, b in zip(hist, hist[1:]):
             assert b <= 0.9 * a + 1e-12
@@ -78,7 +80,7 @@ class TestPicard:
     def test_non_convergence_carries_partial_result(self, paper):
         tri, grid = setup(paper, 0.1)
         with pytest.raises(NonConvergenceError) as exc:
-            solve_picard(paper, tri, grid, SolveOptions(h=0.1, max_iterations=2))
+            solve(paper, tri, grid, SolveOptions(h=0.1, max_iterations=2))
         assert exc.value.value is not None
         assert exc.value.report.iterations == 2
         assert not exc.value.report.converged
@@ -86,7 +88,7 @@ class TestPicard:
     def test_target_bound_stop_rule(self, paper):
         tri, grid = setup(paper, 0.1)
         target = 5e-3
-        _, _, report = solve_picard(
+        _, _, report = solve(
             paper, tri, grid,
             SolveOptions(h=0.1, stop_rule="target_bound", target=target),
         )
@@ -99,10 +101,10 @@ class TestPicard:
 def test_picard_iteration_counts_pinned(paper, hk, paper_rule, tight):
     tri, grid = setup(paper, hk)
     table = build_table(paper, tri, grid, hk)
-    _, _, report = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+    _, _, report = solve(paper, tri, grid, SolveOptions(h=hk), table=table)
     assert report.iterations == paper_rule
     opts = SolveOptions(h=hk, stop_rule="target_bound", target=1e-8)
-    _, _, report = solve_picard(paper, tri, grid, opts, table=table)
+    _, _, report = solve(paper, tri, grid, opts, table=table)
     assert report.iterations == tight
     assert report.guaranteed_error <= 1e-8
 
@@ -111,10 +113,10 @@ def test_picard_returns_last_sweep_and_its_argmin(paper):
     hk = 0.1
     tri, grid = setup(paper, hk)
     table = build_table(paper, tri, grid, hk)
-    u, policy, report = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+    u, policy, report = solve(paper, tri, grid, SolveOptions(h=hk), table=table)
     short = SolveOptions(h=hk, max_iterations=report.iterations - 1)
     with pytest.raises(NonConvergenceError) as exc:
-        solve_picard(paper, tri, grid, short, table=table)
+        solve(paper, tri, grid, short, table=table)
     # u is the iterate whose residual the report certifies
     assert sup_norm_diff(u, exc.value.value) == report.final_residual
     last, last_policy = apply(exc.value.value, paper, tri, grid, hk, table=table)
@@ -125,7 +127,7 @@ def test_picard_returns_last_sweep_and_its_argmin(paper):
 class TestHoward:
     def test_zero_cost_converges_to_zero(self, zero_cost_2d):
         tri, grid = setup(zero_cost_2d, 0.5)
-        u, _, report = solve_howard(
+        u, _, report = solve(
             zero_cost_2d, tri, grid, SolveOptions(h=0.5, method="howard")
         )
         assert sup_norm(u) <= 1e-12
@@ -133,8 +135,8 @@ class TestHoward:
     def test_agreement_with_picard(self, paper):
         tri, grid = setup(paper, 0.2)
         table = build_table(paper, tri, grid, 0.2)
-        up, _, rp = solve_picard(paper, tri, grid, SolveOptions(h=0.2), table=table)
-        uh, _, rh = solve_howard(
+        up, _, rp = solve(paper, tri, grid, SolveOptions(h=0.2), table=table)
+        uh, _, rh = solve(
             paper, tri, grid, SolveOptions(h=0.2, method="howard"), table=table
         )
         assert sup_norm_diff(up, uh) <= rp.guaranteed_error + rh.guaranteed_error
@@ -142,7 +144,7 @@ class TestHoward:
     def test_guaranteed_error_contract(self, paper):
         tri, grid = setup(paper, 0.2)
         table = build_table(paper, tri, grid, 0.2)
-        u, _, report = solve_howard(
+        u, _, report = solve(
             paper, tri, grid, SolveOptions(h=0.2, method="howard"), table=table
         )
         au, _ = apply(u, paper, tri, grid, 0.2, table=table)
@@ -153,7 +155,7 @@ class TestHoward:
     def test_certified_target_in_few_outer_iterations(self, paper):
         tri, grid = setup(paper, 0.05)
         opts = SolveOptions(h=0.05, method="howard", stop_rule="target_bound", target=1e-8)
-        _, _, report = solve_howard(paper, tri, grid, opts)
+        _, _, report = solve(paper, tri, grid, opts)
         assert report.converged
         assert report.iterations <= 3  # observed: 2
         assert report.guaranteed_error <= 5e-10  # observed: 4.2e-10
@@ -166,12 +168,12 @@ class TestHoward:
         hk = 0.05
         tri, grid = setup(paper, hk)
         table = build_table(paper, tri, grid, hk)
-        uh, _, rh = solve_howard(paper, tri, grid, SolveOptions(h=hk, method="howard"),
-                                 table=table)
+        uh, _, rh = solve(paper, tri, grid, SolveOptions(h=hk, method="howard"),
+                          table=table)
         assert rh.converged
         assert rh.iterations <= 3  # observed: 2
         tight = SolveOptions(h=hk, method="howard", stop_rule="target_bound", target=1e-10)
-        ut, _, rt = solve_howard(paper, tri, grid, tight, table=table)
+        ut, _, rt = solve(paper, tri, grid, tight, table=table)
         assert sup_norm_diff(uh, ut) <= rh.guaranteed_error + rt.guaranteed_error
 
 
@@ -207,7 +209,7 @@ def tight_picard(paper):
         tri, grid = setup(paper, hk)
         table = build_table(paper, tri, grid, hk)
         opts = SolveOptions(h=hk, stop_rule="target_bound", target=1e-12)
-        u, _, report = solve_picard(paper, tri, grid, opts, table=table)
+        u, _, report = solve(paper, tri, grid, opts, table=table)
         out[hk] = (tri, grid, table, u, report)
     return out
 
@@ -217,7 +219,7 @@ def tight_picard(paper):
 def test_howard_certificate_against_tight_picard(paper, tight_picard, hk, target):
     tri, grid, table, up, rp = tight_picard[hk]
     opts = SolveOptions(h=hk, method="howard", stop_rule="target_bound", target=target)
-    uh, _, rh = solve_howard(paper, tri, grid, opts, table=table)
+    uh, _, rh = solve(paper, tri, grid, opts, table=table)
     assert rh.converged
     assert rh.guaranteed_error <= target
     assert sup_norm_diff(uh, up) <= rh.guaranteed_error + rp.guaranteed_error
@@ -226,8 +228,8 @@ def test_howard_certificate_against_tight_picard(paper, tight_picard, hk, target
 @pytest.mark.parametrize("hk", [0.5, 0.25, 0.2])
 def test_howard_paper_rule_certificate_against_tight_picard(paper, tight_picard, hk):
     tri, grid, table, up, rp = tight_picard[hk]
-    uh, _, rh = solve_howard(paper, tri, grid, SolveOptions(h=hk, method="howard"),
-                             table=table)
+    uh, _, rh = solve(paper, tri, grid, SolveOptions(h=hk, method="howard"),
+                      table=table)
     assert rh.converged
     assert sup_norm_diff(uh, up) <= rh.guaranteed_error + rp.guaranteed_error
 
@@ -267,10 +269,79 @@ class TestFiniteHorizon:
         hk = 0.1
         tri, grid = setup(paper, hk)
         table = build_table(paper, tri, grid, hk)
-        ustar, _, report = solve_picard(paper, tri, grid, SolveOptions(h=hk), table=table)
+        ustar, _, report = solve(paper, tri, grid, SolveOptions(h=hk), table=table)
         mu = int(round(T / hk))
         uT = solve_finite_horizon(paper, tri, grid, hk, mu, table=table)
         gap = sup_norm_diff(uT, ustar)
         mf_over_lam = paper.bound_f / paper.discount
         assert gap <= (1 - hk) ** mu * mf_over_lam + report.guaranteed_error
         assert gap <= tail_bound(paper, T) + report.guaranteed_error
+
+
+@pytest.fixture(scope="module")
+def mismatched_tables(paper):
+    """Per field, (tri, grid, h, table) with a table that differs in that field
+    alone from what a call with this mesh, grid and step needs."""
+    tri, grid = setup(paper, 0.1)
+    fine = control_grid(0.05)
+    return {
+        "h": (tri, fine, 0.1, build_table(paper, tri, fine, 0.05)),
+        "discount": (tri, grid, 0.1,
+                     build_table(dataclasses.replace(paper, discount=0.5), tri, grid, 0.1)),
+        "levels": (tri, grid, 0.1, build_table(paper, tri, fine, 0.1)),
+        "nodes": (tri, grid, 0.1, build_table(paper, build_uniform(paper.domain, 0.2), grid, 0.1)),
+    }
+
+
+TABLE_USERS = {
+    "solve_picard": lambda spec, tri, grid, h, table: solve(
+        spec, tri, grid, SolveOptions(h=h), table=table),
+    "solve_howard": lambda spec, tri, grid, h, table: solve(
+        spec, tri, grid, SolveOptions(h=h, method="howard"), table=table),
+    "apply": lambda spec, tri, grid, h, table: apply(
+        GridFunction.zeros(tri, grid), spec, tri, grid, h, table=table),
+    "greedy_policy": lambda spec, tri, grid, h, table: greedy_policy(
+        GridFunction.zeros(tri, grid), spec, tri, grid, h, table=table),
+    "solve_finite_horizon": lambda spec, tri, grid, h, table: solve_finite_horizon(
+        spec, tri, grid, h, 3, table=table),
+}
+
+
+def _plain(out):
+    """The arrays and numbers of a result, for exact comparison."""
+    if isinstance(out, tuple):
+        return [x for part in out for x in _plain(part)]
+    if isinstance(out, GridFunction):
+        return [out.values]
+    if isinstance(out, PolicyField):
+        return [out.choice]
+    return [out.iterations, out.guaranteed_error, out.residual_history]
+
+
+@pytest.mark.parametrize("field", ["h", "discount", "levels", "nodes"])
+@pytest.mark.parametrize("user", sorted(TABLE_USERS))
+def test_mismatched_table_is_rebuilt(paper, mismatched_tables, field, user):
+    tri, grid, h, table = mismatched_tables[field]
+    with pytest.warns(UserWarning, match="does not fit"):
+        got = TABLE_USERS[user](paper, tri, grid, h, table)
+    want = TABLE_USERS[user](paper, tri, grid, h, None)
+    for a, b in zip(_plain(got), _plain(want), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_certificate_holds_when_handed_a_table_of_another_step(paper, mismatched_tables):
+    """Sweeping the h = 0.05 table under h = 0.1 options certified 0.0786
+    against a true distance of 0.166."""
+    tri, grid, h, table = mismatched_tables["h"]
+    with pytest.warns(UserWarning):
+        u, _, report = solve(paper, tri, grid, SolveOptions(h=h), table=table)
+    tight = SolveOptions(h=h, stop_rule="target_bound", target=1e-12)
+    ut, _, rt = solve(paper, tri, grid, tight)
+    assert sup_norm_diff(u, ut) <= report.guaranteed_error + rt.guaranteed_error
+
+
+@pytest.mark.parametrize("method", ["picard", "howard"])
+def test_report_method_follows_options(paper, method):
+    tri, grid = setup(paper, 0.5)
+    _, _, report = solve(paper, tri, grid, SolveOptions(h=0.5, method=method))
+    assert report.method == method
