@@ -5,9 +5,12 @@ build, the transition table, one Bellman sweep value-only and with the
 argmin policy, Picard and Howard under the paper stop rule and to a 1e-8
 certified error (with their iteration counts and certificates), the nodal
 CSV, and the rollout layers: one-point `locate` over a fixed set of points
-(also as microseconds per call) and one 100-step `simulate` from a fixed
-start under the Picard paper-rule value.  Prints one line per layer and
-writes all of it, with nproc and the numpy version, as JSON.
+(also as microseconds per call), one-point `level_data` (the problem
+callbacks and their check, as a rollout step calls them; also as
+microseconds per call) and one 100-step `simulate` from a fixed start
+under the Picard paper-rule value (also as microseconds per step).  Prints
+one line per layer and writes all of it, with nproc and the numpy version,
+as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
@@ -38,11 +41,13 @@ from monohjb import (
 )
 from monohjb.bellman import sweep
 from monohjb.fespace import nodal_csv
+from monohjb.problem import level_data
 
 SIZES = (0.1, 0.05, 0.025)
 TIGHT = 1e-8
 REPEATS = 5
 LOCATE_POINTS = 2000
+LEVEL_DATA_CALLS = 2000
 ROLLOUT_START = (0.5, 0.5)
 ROLLOUT_STEPS = 100
 
@@ -98,9 +103,17 @@ def bench_size(spec, k):
     rows["locate"].update(points=LOCATE_POINTS,
                           us_per_call=rows["locate"]["seconds"] / LOCATE_POINTS * 1e6)
     print(f"k=h={k:<6g} {'':<16} {rows['locate']['us_per_call']:10.2f} us per point")
+    one = points[:1]
+    layer("level_data", lambda: [level_data(spec, one, 0.5, point="bench")
+                                 for _ in range(LEVEL_DATA_CALLS)])
+    rows["level_data"].update(calls=LEVEL_DATA_CALLS,
+                              us_per_call=rows["level_data"]["seconds"] / LEVEL_DATA_CALLS * 1e6)
+    print(f"k=h={k:<6g} {'':<16} {rows['level_data']['us_per_call']:10.2f} us per call")
     x0 = np.array(ROLLOUT_START)
     layer("simulate", lambda: simulate(spec, tri, grid, solved, x0, 0, k, ROLLOUT_STEPS))
-    rows["simulate"].update(steps=ROLLOUT_STEPS, start=list(ROLLOUT_START), a0_index=0)
+    rows["simulate"].update(steps=ROLLOUT_STEPS, start=list(ROLLOUT_START), a0_index=0,
+                            us_per_step=rows["simulate"]["seconds"] / ROLLOUT_STEPS * 1e6)
+    print(f"k=h={k:<6g} {'':<16} {rows['simulate']['us_per_step']:10.2f} us per step")
     return {"nodes": tri.n_vertices, "levels": grid.n_levels, "layers": rows}
 
 

@@ -175,8 +175,8 @@ def apply_fixed_control(
         )
     x = tri.vertices[node_index]
     a = float(grid.levels[a_index])
-    (g,), (f,) = level_data(spec, x[None, :], a, a_index, point=f"node {node_index}")
-    image = x + h * g
+    g, f = level_data(spec, x[None, :], a, a_index, point=f"node {node_index}")
+    image = [xi + h * gi for xi, gi in zip(x.tolist(), g)]
     try:
         interp = evaluate(gf, tri, image, b_index)
     except OutOfDomainError as exc:
@@ -186,7 +186,7 @@ def apply_fixed_control(
             axis=exc.axis,
             context=(node_index, a_index),
         ) from exc
-    return (1.0 - spec.discount * h) * interp + h * float(f)
+    return (1.0 - spec.discount * h) * interp + h * f
 
 
 def _interpolate(column, idx, wts, out, tmp):

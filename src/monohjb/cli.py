@@ -127,6 +127,22 @@ def _report_header(cfg: dict, extra: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def policy_csv(policy) -> str:
+    """CSV of the chosen next level: node,a_index,b_index, one line per
+    (node, level).
+
+    Every `a,b` line tail is formatted once; a node's lines are its tails,
+    picked by `choice[i].tolist()`, joined with the node's `i,` prefix.
+    """
+    n = policy.choice.shape[1]
+    tails = [[f"{a},{b}\n" for b in range(n)] for a in range(n)]
+    chunks = ["node,a_index,b_index\n"]
+    for i, row in enumerate(policy.choice.tolist()):
+        node = f"{i},"
+        chunks.append(node + node.join([tail[b] for tail, b in zip(tails, row)]))
+    return "".join(chunks)
+
+
 def cmd_solve(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     opts = SolveOptions(h=h, **_options(cfg))
@@ -138,11 +154,7 @@ def cmd_solve(cfg, out_dir, snap_k) -> int:
         u, policy, report = exc.value, exc.policy, exc.report
         code = 2
     _write(out_dir, "value.csv", nodal_csv(u, tri, grid))
-    pol_lines = ["node,a_index,b_index"]
-    for i in range(tri.n_vertices):
-        for ai in range(grid.n_levels):
-            pol_lines.append(f"{i},{ai},{policy.choice[i, ai]}")
-    _write(out_dir, "policy.csv", "\n".join(pol_lines) + "\n")
+    _write(out_dir, "policy.csv", policy_csv(policy))
     _write(out_dir, "report.txt", _report_header(cfg, {
         "method": report.method,
         "iterations": report.iterations,
@@ -194,6 +206,7 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
     _write(out_dir, "report.txt", _report_header(cfg, {
         "rows": len(rows),
         "fitted_rate": "n/a" if rate is None else f"{rate:.17g}",
+        "max_guaranteed_error": f"{max(r.guaranteed_error for r in rows):.17g}",
         "all_converged": all(r.converged for r in rows),
     }))
     return 0 if all(r.converged for r in rows) else 2

@@ -5,6 +5,11 @@ level a_j drives the dynamics and the stage cost, and the next level b >= a_j
 is chosen to minimize the one-step lookahead of the supplied value function.
 The per-step discount factor is (1 - lambda*h), matching the scheme's algebra
 rather than exp(-lambda*h).
+
+A step of `simulate` works in Python floats: `problem.level_data` checks
+the one point's velocity and cost on the floats it returns, the Euler
+update runs on lists, and the scalar core of `mesh.locate` places the
+image; only the lookahead over the admissible levels is a numpy product.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
 from .fespace import ControlGrid, GridFunction, evaluate
-from .mesh import Triangulation, locate
+from .mesh import Triangulation, _locate_point, locate
 from .problem import ProblemSpec, level_data
 
 
@@ -63,45 +68,50 @@ def simulate(
     h: float,
     steps: int,
 ) -> Trajectory:
-    """Roll out the greedy policy induced by `value` for a fixed step count."""
+    """Roll out the greedy policy induced by `value` for a fixed step count.
+
+    Step j works in Python floats (see the module docstring); the callbacks
+    get row j of the preallocated states as a (1, nu) batch.  The result is
+    what the numpy form of each step gives, bit for bit.
+    """
     y = check_start(tri, grid, x0, a0_index, steps)
     if value.values.shape != (tri.n_vertices, grid.n_levels):
         raise ConfigurationError("value function shape does not match mesh/control grid")
-    lam = spec.discount
-    beta = 1.0 - lam * h
+    beta = 1.0 - spec.discount * h
+    levels = grid.levels.tolist()
+    V = value.values
 
-    states = [y.copy()]
+    states = np.empty((steps + 1, tri.dim))
+    states[0] = y
+    y = y.tolist()
     controls = []
     stage_costs = []
     total = 0.0
     disc = 1.0
     a = a0_index
     for j in range(steps):
-        a_val = float(grid.levels[a])
-        (g,), (f_cur,) = level_data(spec, y[None, :], a_val, a, point=f"step {j}")
-        f_cur = float(f_cur)
-        y_next = y + h * g
+        g, f = level_data(spec, states[j:j + 1], levels[a], a, point=f"step {j}")
+        y = [yi + h * gi for yi, gi in zip(y, g)]
         try:
-            bc = locate(tri, y_next)
+            _, ids, weights = _locate_point(tri, y)
         except OutOfDomainError as exc:
             raise OutOfDomainError(
                 f"trajectory left the mesh at step {j} (axis {exc.axis})",
                 point=exc.point, axis=exc.axis, context=j,
             ) from exc
         # greedy next level over the admissible tail; f-term is constant in b
-        interp = value.values[bc.vertex_indices, a:] .T @ bc.weights
-        b = a + int(np.argmin(beta * interp + h * f_cur))
+        interp = V[ids, a:].T @ np.array(weights)
+        b = a + int((beta * interp + h * f).argmin())
 
         controls.append(a)
-        stage_costs.append(h * f_cur)
-        total += disc * h * f_cur
+        stage_costs.append(h * f)
+        total += disc * h * f
         disc *= beta
-        states.append(y_next.copy())
-        y = y_next
+        states[j + 1] = y
         a = b
 
     return Trajectory(
-        states=np.array(states),
+        states=states,
         control_indices=np.array(controls, dtype=int),
         stage_costs=np.array(stage_costs),
         discounted_total=total,

@@ -206,14 +206,15 @@ def fit_rate_rows(rows: Sequence[SweepRow], use: str = "analytic") -> float:
 
 def sweep_csv(rows: Sequence[SweepRow], rate: Optional[float] = None) -> str:
     out = io.StringIO()
-    out.write("k,h,coupling,iterations,error_ref,error_analytic,envelope\n")
+    out.write("k,h,coupling,iterations,error_ref,error_analytic,envelope,guaranteed_error\n")
     for r in rows:
         out.write(
             f"{r.k:.17g},{r.h:.17g},{r.coupling},{r.iterations},"
-            f"{r.error_vs_reference:.17g},{r.error_vs_analytic:.17g},{r.envelope:.17g}\n"
+            f"{r.error_vs_reference:.17g},{r.error_vs_analytic:.17g},{r.envelope:.17g},"
+            f"{r.guaranteed_error:.17g}\n"
         )
     if rate is not None:
-        out.write(f"rate,,,,,{rate:.17g},\n")
+        out.write(f"rate,,,,,{rate:.17g},,\n")
     return out.getvalue()
 
 

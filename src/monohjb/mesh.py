@@ -8,10 +8,12 @@ the uniform grid has diameter exactly k.
 
 Point location is O(1): cell arithmetic plus a coordinate sort that
 identifies the Kuhn simplex and yields the barycentric weights directly.
-One point, `locate(tri, p)`, takes a scalar path in Python floats and ints;
-a batch, `locate_many(tri, points)`, takes the vectorized one.  Both read
-the mesh constants cached on the `Triangulation` (`Triangulation.constants`)
-and return the same simplex, vertex ids and weights, bit for bit.
+One point, `locate(tri, p)`, checks the point's shape and runs the scalar
+core `_locate_point` in Python floats and ints on a list of coordinates
+(the closed-loop rollout calls that core directly); a batch,
+`locate_many(tri, points)`, takes the vectorized path.  Both read the mesh
+constants cached on the `Triangulation` (`Triangulation.constants`) and
+return the same simplex, vertex ids and weights, bit for bit.
 """
 
 from __future__ import annotations
@@ -240,32 +242,47 @@ def locate_many(tri: Triangulation, points: np.ndarray):
 def locate(tri: Triangulation, p) -> BarycentricCoords:
     """Locate one point, shape (nu,), in plain float and int arithmetic.
 
-    Returns what row 0 of `locate_many(tri, [p])` holds, bit for bit: the
-    same clamping (numpy's `clip` keeps the bound on a tie, so signed zeros
-    come out alike), the same floor and subtraction, a stable descending
-    sort of the in-cell offsets, and the same weight clip.  Raises the same
+    Returns what row 0 of `locate_many(tri, [p])` holds, bit for bit (see
+    `_locate_point`, which does the work).  Raises the same
     OutOfDomainError, and DimensionMismatchError for any other shape.
     """
     x = np.asarray(p, dtype=float)
-    c = tri.constants
+    nu = tri.constants.nu
     if x.ndim != 1:
         raise DimensionMismatchError(
-            f"locate takes one point of shape ({c.nu},), got shape {x.shape}"
+            f"locate takes one point of shape ({nu},), got shape {x.shape}"
             " (locate_many takes a batch)"
         )
-    if x.shape[0] != c.nu:
-        raise DimensionMismatchError(f"point has {x.shape[0]} coordinates; the mesh has {c.nu}")
+    if x.shape[0] != nu:
+        raise DimensionMismatchError(f"point has {x.shape[0]} coordinates; the mesh has {nu}")
+    simplex, ids, weights = _locate_point(tri, x.tolist())
+    return BarycentricCoords(simplex=simplex, vertex_indices=np.array(ids),
+                             weights=np.array(weights))
+
+
+def _locate_point(tri: Triangulation, xs: list):
+    """Scalar core of `locate`: one point as a list of nu Python floats, not
+    checked for length.
+
+    Returns (simplex id, vertex ids, weights) as an int and two lists: the
+    values of row 0 of `locate_many(tri, [xs])`, bit for bit.  It does the
+    same clamping (numpy's `clip` keeps the bound on a tie, so signed zeros
+    come out alike), the same floor and subtraction, a stable descending
+    sort of the in-cell offsets, and the same weight clip.  A point outside
+    the mesh raises OutOfDomainError as `locate_many` does, with row 0.
+    """
+    c = tri.constants
     eps = c.eps
     k = c.k
     s = []
     base = 0
     cell_flat = 0
-    for ax, xa in enumerate(x.tolist()):
+    for ax, xa in enumerate(xs):
         lo = c.lower[ax]
         hi = c.upper[ax]
         # written so that NaN coordinates count as outside
         if not (lo - xa <= eps and xa - hi <= eps):
-            raise _out_of_domain(tri, x, ax, 0)
+            raise _out_of_domain(tri, np.array(xs), ax, 0)
         xa = xa if xa > lo else lo
         xa = xa if xa < hi else hi
         q = (xa - lo) / k
@@ -291,18 +308,14 @@ def locate(tri: Triangulation, p) -> BarycentricCoords:
         base += c.node_strides[ax]
         ids.append(base)
         code += ax * cw
-    return BarycentricCoords(
-        simplex=cell_flat * c.n_perms + c.ranks[code],
-        vertex_indices=np.array(ids),
-        weights=np.array(weights),
-    )
+    return cell_flat * c.n_perms + c.ranks[code], ids, weights
 
 
 def _out_of_domain(tri: Triangulation, point: np.ndarray, ax: int, row: int) -> OutOfDomainError:
     return OutOfDomainError(
         f"point {point} lies outside the mesh box on axis {ax}: "
-        f"coordinate {point[ax]!r} not in "
-        f"[{tri.lower[ax]!r}, {tri.upper[ax]!r}]",
+        f"coordinate {float(point[ax])!r} not in "
+        f"[{float(tri.lower[ax])!r}, {float(tri.upper[ax])!r}]",
         point=point.copy(),
         axis=ax,
         context=row,

@@ -78,9 +78,19 @@ def level_data(spec: ProblemSpec, X: np.ndarray, a: float, level=None, point=Non
     other shape raises InvalidProblemDataError naming the callable, the level
     and both shapes; a non-finite entry raises it naming the first such row
     of X (the node) and the level, or `point` when X is one labelled point.
+
+    With `point` given, X is one point of shape (1, nu), and the velocity
+    comes back as a list of nu Python floats and the cost as one Python
+    float.  Their finiteness is checked on those floats; only a result that
+    fails the check goes through the array checks, which raise the same
+    errors as for a batch.
     """
     g = np.asarray(spec.dynamics(X, a), dtype=float)
     f = np.asarray(spec.cost(X, a), dtype=float)
+    if point is not None and g.shape == X.shape and f.shape == X.shape[:1]:
+        (gp,), (fp,) = g.tolist(), f.tolist()
+        if all(map(math.isfinite, gp)) and math.isfinite(fp):
+            return gp, fp
     for name, out, shape in (("dynamics", g, X.shape), ("cost", f, X.shape[:1])):
         if out.shape != shape:
             raise InvalidProblemDataError(
@@ -157,14 +167,13 @@ def estimate_constants(spec: ProblemSpec, samples: int, seed: int = 0) -> Consta
 
     lg = mg = lf = mf = 0.0
     for s, (x, xb, a, ab) in enumerate(zip(xs, xbars, avals, abars)):
-        (gx,), (fx,) = level_data(spec, x[None, :], float(a), point=f"sample {s}")
-        (gxb,), (fxb,) = level_data(spec, xb[None, :], float(ab), point=f"sample {s}")
-        fx, fxb = float(fx), float(fxb)
+        gx, fx = level_data(spec, x[None, :], float(a), point=f"sample {s}")
+        gxb, fxb = level_data(spec, xb[None, :], float(ab), point=f"sample {s}")
         mg = max(mg, float(np.linalg.norm(gx)), float(np.linalg.norm(gxb)))
         mf = max(mf, abs(fx), abs(fxb))
         denom = float(np.linalg.norm(x - xb)) + abs(a - ab)
         if denom > 0:
-            lg = max(lg, float(np.linalg.norm(gx - gxb)) / denom)
+            lg = max(lg, float(np.linalg.norm(np.subtract(gx, gxb))) / denom)
             lf = max(lf, abs(fx - fxb) / denom)
 
     est = ConstantsEstimate(lip_g=lg, bound_g=mg, lip_f=lf, bound_f=mf, samples=samples)

@@ -178,6 +178,33 @@ def test_sweep(tmp_path):
     assert "rate," in text
 
 
+def test_sweep_report_names_largest_certificate(tmp_path):
+    cfg = write_config(tmp_path, sweep={"k_list": [0.5, 0.25]})
+    assert run("sweep", cfg, tmp_path / "out") == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")[1:-1]
+    largest = max(float(r.split(",")[7]) for r in rows)
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert f"max_guaranteed_error: {largest:.17g}\n" in report
+
+
+def test_policy_csv_bytes(tmp_path):
+    """policy.csv holds exactly what the per-element loop wrote."""
+    from monohjb import SolveOptions, build_uniform, builtin, control_grid, solve
+
+    cfg = write_config(tmp_path, k=0.1, h=0.1)
+    assert run("solve", cfg, tmp_path / "out") == 0
+    spec = builtin("paper_example_2d")
+    tri = build_uniform(spec.domain, 0.1)
+    grid = control_grid(0.1)
+    _, policy, _ = solve(spec, tri, grid, SolveOptions(h=0.1))
+    lines = ["node,a_index,b_index"]
+    for i in range(tri.n_vertices):
+        for ai in range(grid.n_levels):
+            lines.append(f"{i},{ai},{policy.choice[i, ai]}")
+    expected = "\n".join(lines) + "\n"
+    assert (tmp_path / "out" / "policy.csv").read_bytes() == expected.encode()
+
+
 def test_check_mesh_pass(tmp_path):
     cfg = write_config(tmp_path)
     assert run("check-mesh", cfg, tmp_path / "ok") == 0

@@ -13,9 +13,9 @@ from monohjb import (
     simulate,
     solve,
 )
-from monohjb import feedback
 from monohjb.feedback import trajectory_csv
-from monohjb.mesh import BarycentricCoords, locate_many
+from monohjb.mesh import locate_many
+from monohjb.problem import level_data
 
 
 def test_frozen_system_stationary(frozen_2d):
@@ -156,25 +156,95 @@ def test_start_of_wrong_shape_is_config_error(paper, x0):
         simulate(paper, tri, grid, value, x0, 0, 0.5, 5)
 
 
-def _batch_row_locate(tri, p):
-    """Row 0 of the vectorized locator, as the one-point locator returns it."""
-    idx, w, sid = locate_many(tri, np.asarray(p, dtype=float)[None, :])
-    return BarycentricCoords(simplex=int(sid[0]), vertex_indices=idx[0], weights=w[0])
+def _reference_rollout(spec, tri, grid, value, x0, a0, h, steps):
+    """The rollout loop in numpy form: per step, one batch-of-one
+    `level_data` call, a numpy Euler step and one `locate_many` row."""
+    beta = 1.0 - spec.discount * h
+    y = np.asarray(x0, dtype=float)
+    states, controls, costs = [y.copy()], [], []
+    total, disc, a = 0.0, 1.0, a0
+    for _ in range(steps):
+        (g,), (f,) = level_data(spec, y[None, :], float(grid.levels[a]), a)
+        f = float(f)
+        y_next = y + h * g
+        idx, w, _ = locate_many(tri, y_next[None, :])
+        interp = value.values[idx[0], a:].T @ w[0]
+        b = a + int(np.argmin(beta * interp + h * f))
+        controls.append(a)
+        costs.append(h * f)
+        total += disc * h * f
+        disc *= beta
+        states.append(y_next.copy())
+        y = y_next
+        a = b
+    return np.array(states), np.array(controls, dtype=int), np.array(costs), total, a
 
 
-def test_trajectories_match_batch_locator(paper, solved, monkeypatch):
-    """The scalar locator leaves every rollout exactly as the batch path
-    gives it: several starts, every initial level, at k = h = 0.1."""
-    tri, grid, u = solved
-    rng = np.random.default_rng(11)
+def _assert_rollouts_match_reference(spec, tri, grid, u, h, seed):
+    """Several starts, a node and the origin among them, times every initial
+    level: simulate gives the reference loop's rollout, bit for bit."""
+    rng = np.random.default_rng(seed)
     starts = [*rng.uniform(tri.lower, tri.upper, size=(4, 2)), tri.vertices[100], np.zeros(2)]
-    runs = [(x0, a0) for x0 in starts for a0 in range(grid.n_levels)]
-    scalar = [simulate(paper, tri, grid, u, x0, a0, 0.1, 40) for x0, a0 in runs]
-    monkeypatch.setattr(feedback, "locate", _batch_row_locate)
-    batch = [simulate(paper, tri, grid, u, x0, a0, 0.1, 40) for x0, a0 in runs]
-    for one, ref in zip(scalar, batch):
-        assert one.states.tobytes() == ref.states.tobytes()
-        np.testing.assert_array_equal(one.control_indices, ref.control_indices)
-        assert one.stage_costs.tobytes() == ref.stage_costs.tobytes()
-        assert one.discounted_total == ref.discounted_total
-        assert one.terminal_control == ref.terminal_control
+    for x0 in starts:
+        for a0 in range(grid.n_levels):
+            traj = simulate(spec, tri, grid, u, x0, a0, h, 40)
+            states, controls, costs, total, terminal = _reference_rollout(
+                spec, tri, grid, u, x0, a0, h, 40)
+            assert traj.states.tobytes() == states.tobytes()
+            np.testing.assert_array_equal(traj.control_indices, controls)
+            assert traj.stage_costs.tobytes() == costs.tobytes()
+            assert traj.discounted_total == total
+            assert traj.terminal_control == terminal
+
+
+def test_trajectories_match_batch_locator(paper, solved):
+    """The scalar step leaves every rollout exactly as the numpy loop on the
+    batch locator gives it, at k = h = 0.1."""
+    tri, grid, u = solved
+    _assert_rollouts_match_reference(paper, tri, grid, u, 0.1, seed=11)
+
+
+def test_trajectories_match_reference_loop_finer(paper):
+    """The same at k = h = 0.05."""
+    tri = build_uniform(paper.domain, 0.05)
+    grid = control_grid(0.05)
+    u, _, _ = solve(paper, tri, grid, SolveOptions(h=0.05))
+    _assert_rollouts_match_reference(paper, tri, grid, u, 0.05, seed=12)
+
+
+def test_wrong_shape_dynamics_names_callable_and_level(paper):
+    import dataclasses
+
+    from monohjb import InvalidProblemDataError
+
+    spec = dataclasses.replace(paper, dynamics=lambda x, a: paper.dynamics(x, a)[0])
+    tri = build_uniform(paper.domain, 0.1)
+    grid = control_grid(0.1)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(InvalidProblemDataError) as exc:
+        simulate(spec, tri, grid, value, np.array([0.5, 0.5]), 3, 0.1, 20)
+    assert "dynamics under control level 3 (a=0.3" in str(exc.value)
+    assert "returned shape (2,) for points of shape (1, 2)" in str(exc.value)
+    assert exc.value.level == 3
+
+
+def test_non_finite_velocity_names_the_step(paper):
+    import dataclasses
+
+    from monohjb import InvalidProblemDataError
+
+    def dynamics(x, a):
+        g = paper.dynamics(x, a)
+        g[np.abs(x[:, 0]) < 0.2, 1] = np.nan
+        return g
+
+    spec = dataclasses.replace(paper, dynamics=dynamics)
+    tri = build_uniform(paper.domain, 0.1)
+    grid = control_grid(0.1)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(InvalidProblemDataError) as exc:
+        simulate(spec, tri, grid, value, np.array([0.5, 0.5]), grid.m, 0.1, 20)
+    # x1 = 0.5 * 0.8^j first drops below 0.2 at step 5
+    assert "dynamics of step 5 under control level 10 (a=1.0) is not finite" in str(exc.value)
+    assert exc.value.level == grid.m
+    assert exc.value.node is None

@@ -152,9 +152,19 @@ class TestSweep:
         rows = run_sweep(paper, [0.5, 0.25])
         text = sweep_csv(rows, rate=0.5)
         lines = text.strip().split("\n")
-        assert lines[0] == "k,h,coupling,iterations,error_ref,error_analytic,envelope"
+        assert lines[0] == (
+            "k,h,coupling,iterations,error_ref,error_analytic,envelope,guaranteed_error"
+        )
         assert len(lines) == 4
         assert lines[-1].startswith("rate,")
+        assert all(len(line.split(",")) == 8 for line in lines)
+
+    def test_csv_carries_each_certificate(self, paper):
+        rows = run_sweep(paper, [0.5, 0.25])
+        lines = sweep_csv(rows).strip().split("\n")[1:]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert float(line.split(",")[7]) == row.guaranteed_error
 
     def test_empty_rejected(self, paper):
         with pytest.raises(ConfigurationError):

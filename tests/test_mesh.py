@@ -93,6 +93,14 @@ class TestLocate:
             locate(tri, np.array([0.6, 0.0]))
         assert exc.value.axis == 0
 
+    def test_out_of_domain_message_has_float_reprs(self, paper):
+        tri = build_uniform(paper.domain, 0.025)
+        with pytest.raises(OutOfDomainError) as exc:
+            locate(tri, [5.0, 0.0])
+        msg = str(exc.value)
+        assert "coordinate 5.0 not in [-0.975, 0.9750000000000001]" in msg
+        assert "np.float64" not in msg
+
     @pytest.mark.parametrize("point,axis", [([np.nan, 0.0], 0), ([0.0, np.nan], 1)])
     def test_nan_coordinate_is_out_of_domain(self, point, axis):
         tri = build_uniform(BOX, 0.5)

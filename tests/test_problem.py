@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from monohjb import (
     ConfigurationError,
+    InvalidProblemDataError,
     ProblemSpec,
     UnknownProblemError,
     builtin,
     estimate_constants,
     holder_exponent,
 )
+from monohjb.problem import level_data
 
 
 def test_builtin_dynamics_value(paper):
@@ -137,3 +140,42 @@ class TestEstimateConstants:
     def test_too_few_samples(self, paper):
         with pytest.raises(ConfigurationError):
             estimate_constants(paper, 1)
+
+
+class TestLevelDataOnePoint:
+    X = np.array([[0.3, -0.6]])
+
+    def test_python_floats_equal_to_batch_row(self, paper):
+        g, f = level_data(paper, self.X, 0.4, 4, point="step 0")
+        (gb,), (fb,) = level_data(paper, self.X, 0.4, 4)
+        assert type(f) is float and all(type(v) is float for v in g)
+        assert g == gb.tolist() and f == float(fb)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_names_the_point(self, paper, bad):
+        spec = dataclasses.replace(paper, cost=lambda x, a: np.full(len(x), bad))
+        with pytest.raises(InvalidProblemDataError) as exc:
+            level_data(spec, self.X, 0.4, 4, point="step 7")
+        assert str(exc.value) == f"cost of step 7 under control level 4 (a=0.4) is not finite: {bad}"
+        assert exc.value.node is None and exc.value.level == 4
+
+    def test_first_failing_check_wins(self, paper):
+        """A NaN velocity is reported before a cost of the wrong shape, as
+        for a batch."""
+        spec = dataclasses.replace(
+            paper,
+            dynamics=lambda x, a: np.full(x.shape, math.nan),
+            cost=lambda x, a: np.zeros(3),
+        )
+        with pytest.raises(InvalidProblemDataError) as one:
+            level_data(spec, self.X, 0.4, 4, point="step 0")
+        with pytest.raises(InvalidProblemDataError) as batch:
+            level_data(spec, self.X, 0.4, 4)
+        assert str(one.value).startswith("dynamics of step 0 under control level 4")
+        assert str(batch.value).startswith("dynamics of node 0 under control level 4")
+
+    def test_wrong_shape_cost(self, paper):
+        spec = dataclasses.replace(paper, cost=lambda x, a: np.zeros((1, 1)))
+        with pytest.raises(InvalidProblemDataError, match=r"cost under control level 4 "
+                           r"\(a=0.4\) returned shape \(1, 1\) for points of shape \(1, 2\)"):
+            level_data(spec, self.X, 0.4, 4, point="step 0")
