@@ -2,21 +2,26 @@
 
 For each resolution k = h it times, as the median of five runs: the mesh
 build, the transition table, one Bellman sweep value-only and with the
-argmin policy, Picard and Howard under the paper stop rule and to a 1e-8
-certified error (with their iteration counts and certificates), the nodal
+argmin policy (on random values), the finite-horizon recursion with mu = 4
+steps and one value-only sweep at its result, Picard and Howard under the
+paper stop rule and to a 1e-8 certified error (with their iteration counts
+and certificates), one value-only sweep at the Picard 1e-8 value, the nodal
 CSV, and the rollout layers: one-point `locate` over a fixed set of points
 (also as microseconds per call), one-point `level_data` (the problem
 callbacks and their check, as a rollout step calls them; also as
-microseconds per call) and one 100-step `simulate` from a fixed start
-under the Picard paper-rule value (also as microseconds per step).  Prints
-one line per layer and writes all of it, with nproc and the numpy version,
-as JSON.
+microseconds per call) and 100-step `simulate` under the Picard paper-rule
+value, as the median over a fixed set of starts of each start's median
+(also as microseconds per step).  Every sweep row, and the mu = 4 row for
+each of its sweeps, reports the share of rows whose minimum the
+suffix-minimum bound settles (`bellman._bound`).  Prints one line per layer
+and writes all of it, with nproc and the numpy version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
-At k = h = 0.025 both solvers are skipped at 1e-8 (Picard: about 700
-sweeps, over 30 s a run; Howard: over 3 s a run), so the default run stays
-under a minute.
+At k = h = 0.025 the 1e-8 rows are skipped (Picard: about 700 sweeps;
+Howard: over 3 s a run), and at 0.0125 every row but the mesh, the table,
+the two sweeps on random values and the mu = 4 rows, so the default run
+stays within a few minutes.
 """
 
 import argparse
@@ -38,18 +43,22 @@ from monohjb import (
     locate,
     simulate,
     solve,
+    solve_finite_horizon,
 )
-from monohjb.bellman import sweep
+from monohjb.bellman import _bound, sweep
 from monohjb.fespace import nodal_csv
 from monohjb.problem import level_data
 
-SIZES = (0.1, 0.05, 0.025)
+SIZES = (0.1, 0.05, 0.025, 0.0125)
 TIGHT = 1e-8
+MU = 4
 REPEATS = 5
 LOCATE_POINTS = 2000
 LEVEL_DATA_CALLS = 2000
-ROLLOUT_START = (0.5, 0.5)
+ROLLOUT_STARTS = 20
 ROLLOUT_STEPS = 100
+# the rows run at the finest size; the others take minutes there
+FINEST_ROWS = ("mesh", "table", "sweep", "sweep_policy", "finite_mu4", "sweep_mu4")
 
 
 def timed(fn):
@@ -62,27 +71,57 @@ def timed(fn):
     return statistics.median(times), out
 
 
+def settled_share(values, table, policy=False):
+    """Share of the rows whose minimum the suffix-minimum bound settles."""
+    return 1.0 - len(_bound(values, table, policy)[1]) / values.size
+
+
 def bench_size(spec, k):
     rows = {}
 
-    def layer(name, fn):
-        # at the finest size: Picard about 700 sweeps (over 30 s), Howard over 3 s
-        if name.endswith("_1e-8") and k == SIZES[-1]:
+    def skip(name):
+        # at 0.025: Picard about 700 sweeps (over 10 s), Howard over 3 s
+        if (name.endswith("_1e-8") and k == SIZES[-2]) or \
+                (k == SIZES[-1] and name not in FINEST_ROWS):
             rows[name] = {"seconds": None}
             print(f"k=h={k:<6g} {name:<16} skipped")
-            return None
-        seconds, out = timed(fn)
+            return True
+        return False
+
+    def record(name, seconds):
         rows[name] = {"seconds": seconds}
         print(f"k=h={k:<6g} {name:<16} {seconds * 1e3:10.2f} ms")
+
+    def layer(name, fn):
+        if skip(name):
+            return None
+        seconds, out = timed(fn)
+        record(name, seconds)
         return out
+
+    def share(name, values, policy=False):
+        if rows[name]["seconds"] is not None:
+            rows[name]["settled_share"] = settled_share(values, table, policy)
+            print(f"k=h={k:<6g} {'':<16} {rows[name]['settled_share']:10.3f} rows settled")
 
     tri = layer("mesh", lambda: build_uniform(spec.domain, k))
     grid = control_grid(k)
     table = layer("table", lambda: build_table(spec, tri, grid, k))
     values = np.random.default_rng(0).uniform(-1, 1, size=(grid.n_levels, tri.n_vertices))
     layer("sweep", lambda: sweep(values, table))
+    share("sweep", values)
     layer("sweep_policy", lambda: sweep(values, table, policy=True))
-    solved = None
+    share("sweep_policy", values, policy=True)
+    finite = layer("finite_mu4", lambda: solve_finite_horizon(spec, tri, grid, k, MU, table=table))
+    w, shares = np.zeros_like(values), []
+    for _ in range(MU):
+        shares.append(settled_share(w, table))
+        w = sweep(w, table)
+    rows["finite_mu4"]["settled_share"] = shares
+    mu_values = np.ascontiguousarray(finite.values.T)
+    layer("sweep_mu4", lambda: sweep(mu_values, table))
+    share("sweep_mu4", mu_values)
+    solved = {}
     tight = {"stop_rule": "target_bound", "target": TIGHT}
     for name, opts in (
         ("picard_paper", SolveOptions(h=k)),
@@ -95,25 +134,37 @@ def bench_size(spec, k):
             u, _, report = out
             rows[name].update(iterations=report.iterations,
                               guaranteed_error=report.guaranteed_error)
-            if solved is None:
-                solved = u
-    layer("nodal_csv", lambda: nodal_csv(solved, tri, grid))
+            solved[name] = u
+    tight_values = solved.get("picard_1e-8")
+    if tight_values is not None:
+        tight_values = np.ascontiguousarray(tight_values.values.T)
+    layer("sweep_1e-8", lambda: sweep(tight_values, table))
+    share("sweep_1e-8", tight_values)
+    layer("nodal_csv", lambda: nodal_csv(solved["picard_paper"], tri, grid))
     points = np.random.default_rng(1).uniform(tri.lower, tri.upper, size=(LOCATE_POINTS, tri.dim))
-    layer("locate", lambda: [locate(tri, p) for p in points])
-    rows["locate"].update(points=LOCATE_POINTS,
-                          us_per_call=rows["locate"]["seconds"] / LOCATE_POINTS * 1e6)
-    print(f"k=h={k:<6g} {'':<16} {rows['locate']['us_per_call']:10.2f} us per point")
+    if layer("locate", lambda: [locate(tri, p) for p in points]) is not None:
+        rows["locate"].update(points=LOCATE_POINTS,
+                              us_per_call=rows["locate"]["seconds"] / LOCATE_POINTS * 1e6)
+        print(f"k=h={k:<6g} {'':<16} {rows['locate']['us_per_call']:10.2f} us per point")
     one = points[:1]
-    layer("level_data", lambda: [level_data(spec, one, 0.5, point="bench")
-                                 for _ in range(LEVEL_DATA_CALLS)])
-    rows["level_data"].update(calls=LEVEL_DATA_CALLS,
-                              us_per_call=rows["level_data"]["seconds"] / LEVEL_DATA_CALLS * 1e6)
-    print(f"k=h={k:<6g} {'':<16} {rows['level_data']['us_per_call']:10.2f} us per call")
-    x0 = np.array(ROLLOUT_START)
-    layer("simulate", lambda: simulate(spec, tri, grid, solved, x0, 0, k, ROLLOUT_STEPS))
-    rows["simulate"].update(steps=ROLLOUT_STEPS, start=list(ROLLOUT_START), a0_index=0,
-                            us_per_step=rows["simulate"]["seconds"] / ROLLOUT_STEPS * 1e6)
-    print(f"k=h={k:<6g} {'':<16} {rows['simulate']['us_per_step']:10.2f} us per step")
+    if layer("level_data", lambda: [level_data(spec, one, 0.5, point="bench")
+                                    for _ in range(LEVEL_DATA_CALLS)]) is not None:
+        rows["level_data"].update(
+            calls=LEVEL_DATA_CALLS,
+            us_per_call=rows["level_data"]["seconds"] / LEVEL_DATA_CALLS * 1e6)
+        print(f"k=h={k:<6g} {'':<16} {rows['level_data']['us_per_call']:10.2f} us per call")
+    if not skip("simulate"):
+        # one start's time swings up to 1.8x between identical runs; the
+        # median over a fixed set of starts holds still
+        starts = np.random.default_rng(2).uniform(tri.lower, tri.upper,
+                                                  size=(ROLLOUT_STARTS, tri.dim))
+        record("simulate", statistics.median(
+            timed(lambda: simulate(spec, tri, grid, solved["picard_paper"], x0, 0, k,
+                                   ROLLOUT_STEPS))[0]
+            for x0 in starts))
+        rows["simulate"].update(steps=ROLLOUT_STEPS, starts=ROLLOUT_STARTS, a0_index=0,
+                                us_per_step=rows["simulate"]["seconds"] / ROLLOUT_STEPS * 1e6)
+        print(f"k=h={k:<6g} {'':<16} {rows['simulate']['us_per_step']:10.2f} us per step")
     return {"nodes": tri.n_vertices, "levels": grid.n_levels, "layers": rows}
 
 
@@ -126,7 +177,8 @@ def main():
     sizes = {str(k): bench_size(spec, k) for k in SIZES}
     record = {
         "problem": "paper_example_2d",
-        "statistic": f"median of {REPEATS} runs; null seconds = skipped",
+        "statistic": f"median of {REPEATS} runs (simulate: median over {ROLLOUT_STARTS} "
+                     f"starts of each start's median); null seconds = skipped",
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),

@@ -27,7 +27,7 @@ def main():
         t0 = time.perf_counter()
         u, _, report = solve(spec, tri, grid, SolveOptions(h=hk))
         wall = time.perf_counter() - t0
-        exact = np.array([spec.analytic_top_slice(x) for x in tri.vertices])
+        exact = spec.analytic_top_slice(tri.vertices)
         slice_err = float(np.abs(u.values[:, grid.m] - exact).max())
         print(f"{hk:>6g} {tri.n_vertices:>6d} {grid.m + 1:>7d} "
               f"{report.iterations:>6d} {report.guaranteed_error:>11.4e} "

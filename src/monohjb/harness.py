@@ -157,7 +157,7 @@ def run_sweep(
             u, report = exc.value, exc.report
             converged = False
         if spec.analytic_top_slice is not None:
-            exact = np.array([spec.analytic_top_slice(x) for x in tri.vertices])
+            exact = spec.analytic_top_slice(tri.vertices)
             err_an = float(np.abs(u.values[:, grid.m] - exact).max())
         else:
             err_an = float("nan")

@@ -42,8 +42,9 @@ class ProblemSpec:
     bound_f: float
     gamma_override: Optional[float] = None
     name: str = "custom"
-    # closed-form value on the a=1 slice, when one is known (used as an oracle)
-    analytic_top_slice: Optional[Callable[[Vector], float]] = None
+    # closed-form value on the a=1 slice, when one is known (used as an oracle):
+    # one point (nu,) gives a float, a batch (M, nu) gives an (M,) array
+    analytic_top_slice: Optional[Callable[[Vector], float | Vector]] = None
 
     def __post_init__(self):
         lower = np.asarray(self.domain[0], dtype=float)
@@ -205,7 +206,7 @@ def _paper_example_2d() -> ProblemSpec:
 
     def top_slice(x):
         x = np.asarray(x, dtype=float)
-        return 0.25 - float(x @ x) / 5.0
+        return 0.25 - (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]) / 5.0
 
     # On the closed box [-1,1]^2: |grad_x g| <= 2, |d g/d a| = |x| <= sqrt(2),
     # sup|g| = 2*sqrt(2); |grad_x f| <= 2*sqrt(2), |d f/d a| <= 7/4, sup|f| = 7/4.

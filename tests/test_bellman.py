@@ -20,7 +20,7 @@ from monohjb import (
     greedy_policy,
     sup_norm_diff,
 )
-from monohjb.bellman import PolicyField, TransitionTable, policy_index, sweep
+from monohjb.bellman import PolicyField, TransitionTable, _bound, policy_index, sweep
 from monohjb.mesh import locate_many
 
 
@@ -256,6 +256,50 @@ def reference_sweep(values, table):
     return out, choice
 
 
+def level_fold_sweep(values, table, policy=False):
+    """The sweep without the suffix-minimum bound: every row (a, i) folds
+    every column b >= a, top down, in the same floating-point operations as
+    `sweep`.  The bit-for-bit reference of the bound."""
+    nl, n_nodes = values.shape
+    beta = 1.0 - table.discount * table.h
+    idx, wts = table.flat_indices, table.flat_weights
+    step = table.h * table.flat_stage_cost
+    best = np.empty(nl * n_nodes)
+    choice = np.full(nl * n_nodes, nl - 1)
+    for b in range(nl - 1, -1, -1):
+        n = (b + 1) * n_nodes
+        c = values[b].take(idx[0, :n]) * wts[0, :n]
+        for j in range(1, len(idx)):
+            c += values[b].take(idx[j, :n]) * wts[j, :n]
+        if policy:
+            c = c * beta + step[:n]
+        if b == nl - 1:
+            best[:] = c
+            continue
+        if policy:
+            choice[:n][c <= best[:n]] = b
+        best[:n] = np.minimum(best[:n], c)
+    if policy:
+        return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
+    return (best * beta + step).reshape(nl, n_nodes)
+
+
+def random_table(rng, nl, n_nodes, stencil, h, stage_cost):
+    """Random stencils with about a third of the weights zero."""
+    weights = rng.random((nl, n_nodes, stencil))
+    weights[rng.random(weights.shape) < 0.3] = 0.0
+    weights[..., 0] += weights.sum(axis=2) == 0
+    weights /= weights.sum(axis=2, keepdims=True)
+    return TransitionTable(
+        indices=rng.integers(0, n_nodes, size=(nl, n_nodes, stencil)),
+        weights=weights, stage_cost=stage_cost, h=h, discount=1.0,
+    )
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.fixture(scope="module", params=["toy_1d", "paper", "contracting_3d"])
 def kernel_case(request):
     if request.param == "contracting_3d":
@@ -289,6 +333,9 @@ class TestSweepKernel:
         np.testing.assert_array_equal(
             choice, np.repeat(np.arange(grid.n_levels)[:, None], tri.n_vertices, axis=1)
         )
+        # every row's suffix minimum is attained at its own level: all settle
+        for policy in (False, True):
+            assert len(_bound(values, table, policy)[1]) == 0
 
     def test_table_views_keep_shape_and_values(self, kernel_case):
         _, tri, grid, _, table = kernel_case
@@ -327,21 +374,92 @@ class TestSweepKernel:
     )
     def test_value_and_policy_paths_agree(self, seed, nl, n_nodes, stencil, h):
         rng = np.random.default_rng(seed)
-        weights = rng.random((nl, n_nodes, stencil))
-        weights /= weights.sum(axis=2, keepdims=True)
-        table = TransitionTable(
-            indices=rng.integers(0, n_nodes, size=(nl, n_nodes, stencil)),
-            weights=weights,
-            stage_cost=rng.normal(size=(n_nodes, nl)),
-            h=h,
-            discount=1.0,
-        )
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(n_nodes, nl)))
         # few distinct values, so that exact ties occur
         values = rng.integers(-2, 3, size=(nl, n_nodes)) * rng.choice([1.0, 0.1])
         with_policy, choice = sweep(values, table, policy=True)
         np.testing.assert_array_equal(sweep(values, table), with_policy)
         expected, expected_choice = reference_sweep(values, table)
         np.testing.assert_allclose(with_policy, expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(choice, expected_choice)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+    )
+    def test_matches_level_fold_kernel(self, seed, nl, n_nodes, stencil, h):
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1.0, 0.1])
+        # few distinct values and costs, zeros of both signs among them
+        table = random_table(rng, nl, n_nodes, stencil, h,
+                             rng.integers(-2, 3, size=(n_nodes, nl)) * scale)
+        values = rng.integers(-2, 3, size=(nl, n_nodes)) * scale
+        values[rng.random(values.shape) < 0.2] = -0.0
+        value = sweep(values, table)
+        assert_same_bits(value, level_fold_sweep(values, table))
+        with_policy, choice = sweep(values, table, policy=True)
+        expected, expected_choice = level_fold_sweep(values, table, policy=True)
+        assert_same_bits(with_policy, expected)
+        np.testing.assert_array_equal(choice, expected_choice)
+        np.testing.assert_array_equal(value, with_policy)
+
+    def test_every_picard_iterate_matches_level_fold_kernel(self, medium):
+        _, _, table = medium
+        threshold = 1e-8 * 0.1 / 0.9  # a 1e-8 certificate at lambda h = 0.1
+        u = np.zeros(table.indices.shape[:2])
+        for _ in range(1000):
+            value = sweep(u, table)
+            assert_same_bits(value, level_fold_sweep(u, table))
+            with_policy, choice = sweep(u, table, policy=True)
+            expected, expected_choice = level_fold_sweep(u, table, policy=True)
+            assert_same_bits(with_policy, expected)
+            np.testing.assert_array_equal(choice, expected_choice)
+            residual = np.abs(value - u).max()
+            u = value
+            if residual <= threshold:
+                break
+        assert residual <= threshold
+
+    def test_rounding_tie_below_the_suffix_argmin_keeps_the_smallest_level(self):
+        # level 1 holds the node's minimum (S = 1 at level 0), but level 0 is
+        # one ulp above it, which the stage cost rounds away: both candidates
+        # of row (0, 0) are 50.5, so the policy path must fold that row
+        table = TransitionTable(
+            indices=np.zeros((2, 1, 2), dtype=int), weights=np.full((2, 1, 2), 0.5),
+            stage_cost=np.full((1, 2), 100.0), h=0.5, discount=1.0,
+        )
+        values = np.array([[1.0 + 2.0**-52], [1.0]])
+        np.testing.assert_array_equal(_bound(values, table, True)[1], [0])
+        with_policy, choice = sweep(values, table, policy=True)
+        np.testing.assert_array_equal(with_policy, [[50.5], [50.5]])
+        np.testing.assert_array_equal(choice, [[0], [1]])
+        np.testing.assert_array_equal(choice, level_fold_sweep(values, table, policy=True)[1])
+
+    def test_fold_runs_on_every_row_below_the_top(self):
+        # even nodes fall with the level (S = top), odd ones rise (S = a), and
+        # every stencil pairs an even node with an odd one
+        nl, n_nodes = 4, 6
+        nodes = np.arange(n_nodes)
+        pairs = np.stack([nodes, (nodes + 1) % n_nodes], axis=-1)
+        table = TransitionTable(
+            indices=np.repeat(pairs[None], nl, axis=0),
+            weights=np.full((nl, n_nodes, 2), 0.5),
+            stage_cost=np.linspace(-1, 1, n_nodes * nl).reshape(n_nodes, nl),
+            h=0.1, discount=1.0,
+        )
+        levels = np.arange(nl)[:, None]
+        values = np.where(nodes % 2 == 0, -levels, levels).astype(float)
+        for policy in (False, True):
+            np.testing.assert_array_equal(_bound(values, table, policy)[1],
+                                          np.arange((nl - 1) * n_nodes))
+        assert_same_bits(sweep(values, table), level_fold_sweep(values, table))
+        with_policy, choice = sweep(values, table, policy=True)
+        expected, expected_choice = level_fold_sweep(values, table, policy=True)
+        assert_same_bits(with_policy, expected)
         np.testing.assert_array_equal(choice, expected_choice)
 
 

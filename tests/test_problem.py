@@ -40,6 +40,16 @@ def test_builtin_constants(paper):
     np.testing.assert_allclose(paper.domain[1], [1.0, 1.0])
 
 
+def test_top_slice_batch_equals_point_loop(paper):
+    X = np.random.default_rng(4).uniform(-1, 1, size=(50, 2))
+    one = [paper.analytic_top_slice(x) for x in X]
+    assert all(isinstance(v, float) for v in one)
+    batch = paper.analytic_top_slice(X)
+    assert batch.shape == (50,)
+    np.testing.assert_array_equal(batch, one)
+    assert paper.analytic_top_slice(np.array([0.5, 0.5])) == pytest.approx(0.25 - 0.1)
+
+
 def test_unknown_builtin():
     with pytest.raises(UnknownProblemError):
         builtin("no_such_problem")
