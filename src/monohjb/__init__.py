@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .bellman import PolicyField, apply, apply_fixed_control, build_table, greedy_policy
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     DimensionMismatchError,
     InvalidProblemDataError,
@@ -27,7 +26,6 @@ from .fespace import (
 )
 from .feedback import Trajectory, cost_consistency, simulate
 from .harness import (
-    BoundParams,
     SweepRow,
     brute_force_oracle,
     fit_rate,

@@ -19,7 +19,6 @@ import yaml
 
 from . import __version__
 from .errors import (
-    BudgetExceededError,
     ConfigurationError,
     InvalidProblemDataError,
     MeshConstructionError,
@@ -30,7 +29,6 @@ from .errors import (
 from .fespace import control_grid, level_index, nodal_csv, sup_norm_diff
 from .feedback import check_start, cost_consistency, simulate, trajectory_csv
 from .harness import (
-    BoundParams,
     brute_force_oracle,
     fit_rate_rows,
     phi_T,
@@ -51,7 +49,7 @@ _TOP_KEYS = {
 _SECTION_KEYS = {
     "simulate": {"x0", "a0", "steps"},
     "sweep": {"k_list", "coupling", "c"},
-    "oracle_check": {"mu", "budget"},
+    "oracle_check": {"mu"},
     "bounds": {"T", "n"},
     "mesh": {"dump", "compact"},
 }
@@ -195,6 +193,8 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
     if snap_k:
         k_list = [snap_mesh_size(spec.domain, k) for k in k_list]
     coupling = str(sub.get("coupling", "h=k"))
+    if coupling == "h=k" and "c" in sub:
+        raise ConfigurationError("sweep.c is read only by the h=c*k^(2/3) coupling")
     c = float(sub.get("c", 1.0))
     rows = run_sweep(spec, k_list, coupling=coupling, c=c, **_options(cfg))
     use = "analytic" if spec.analytic_top_slice is not None else "reference"
@@ -237,9 +237,8 @@ def cmd_oracle_check(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     sub = _require(cfg, "oracle_check")
     mu = int(_require(sub, "mu"))
-    budget = int(sub.get("budget", 10 ** 6))
     recursive = solve_finite_horizon(spec, tri, grid, h, mu)
-    oracle = brute_force_oracle(spec, tri, grid, h, mu, budget=budget)
+    oracle = brute_force_oracle(spec, tri, grid, h, mu)
     gap = sup_norm_diff(recursive, oracle)
     ok = gap <= 1e-10
     _write(out_dir, "report.txt", _report_header(cfg, {
@@ -258,7 +257,7 @@ def cmd_bounds(cfg, out_dir, snap_k) -> int:
     h = float(cfg.get("h", k))
     n = int(sub.get("n", 0))
     gamma = holder_exponent(spec)
-    env = theoretical_envelope(BoundParams.from_spec(spec, T=T, h=h, k=k))
+    env = theoretical_envelope(spec, h, k)
     values = {
         "gamma": f"{gamma:.17g}",
         "phi_T": f"{phi_T(spec, T):.17g}",
@@ -306,8 +305,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, UnknownProblemError, MeshConstructionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergenceError, OutOfDomainError, InvalidProblemDataError,
-            BudgetExceededError) as exc:
+    except (NonConvergenceError, OutOfDomainError, InvalidProblemDataError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

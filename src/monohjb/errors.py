@@ -50,10 +50,3 @@ class NonConvergenceError(RuntimeError):
         self.policy = policy
         self.report = report
 
-
-class BudgetExceededError(RuntimeError):
-    """Brute-force enumeration would exceed the combinatorial budget."""
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count

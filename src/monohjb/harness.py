@@ -1,68 +1,41 @@
-"""Convergence studies, theoretical bound shapes, and brute-force oracles.
+"""Convergence studies, theoretical bound shapes, and the finite-horizon oracle.
 
 The bound shapes follow the error analysis of the scheme: the envelope
 (h + k/sqrt(h))^gamma, the finite-horizon tail (M_f/lambda) e^{-lambda T},
 and the growth factors phi(T), phi(n) whose case split depends on the sign
 of lip_g - discount.  Multiplicative constants are existential and never
 estimated; sweep checks compare shapes only.
+
+`brute_force_oracle` computes the scheme's finite-horizon value, the
+closed-loop minimum over the next level at every node and step, one node at
+a time through the one-point operator `bellman.apply_fixed_control`.  It
+builds no transition table and never calls `bellman.sweep`, so it checks the
+kernel every solver runs instead of repeating it.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bellman import build_table
-from .errors import BudgetExceededError, ConfigurationError, NonConvergenceError
-from .fespace import GridFunction, control_grid
+from .bellman import apply_fixed_control
+from .errors import ConfigurationError, NonConvergenceError
+from .fespace import GridFunction, admissible, control_grid
 from .mesh import build_uniform, locate_many, snap_mesh_size
 from .problem import ProblemSpec, holder_exponent
 from .solver import SolveOptions, solve, solve_finite_horizon
 
 
-@dataclass
-class BoundParams:
-    gamma: float
-    lip_g: float
-    discount: float
-    bound_f: float
-    T: float
-    h: float
-    k: float
-
-    @classmethod
-    def from_spec(cls, spec: ProblemSpec, T: float, h: float, k: float) -> "BoundParams":
-        return cls(
-            gamma=holder_exponent(spec),
-            lip_g=spec.lip_g,
-            discount=spec.discount,
-            bound_f=spec.bound_f,
-            T=T,
-            h=h,
-            k=k,
-        )
-
-
-def theoretical_envelope(params: BoundParams) -> float:
-    """Shape of the total error bound, (h + k/sqrt(h))^gamma."""
-    if params.h <= 0 or params.k < 0:
+def theoretical_envelope(spec: ProblemSpec, h: float, k: float) -> float:
+    """Shape of the total error bound, (h + k/sqrt(h))^gamma, with gamma the
+    Holder exponent of the value function (`problem.holder_exponent`)."""
+    if h <= 0 or k < 0:
         raise ConfigurationError("need h > 0 and k >= 0")
-    if params.lip_g < params.discount:
-        gamma = 1.0
-    elif params.lip_g > params.discount:
-        gamma = params.discount / params.lip_g
-    else:
-        gamma = params.gamma
-        if gamma is None or not 0.0 < gamma < 1.0:
-            raise ConfigurationError(
-                "lip_g equals discount: envelope needs gamma in (0,1)"
-            )
-    return (params.h + params.k / math.sqrt(params.h)) ** gamma
+    return (h + k / math.sqrt(h)) ** holder_exponent(spec)
 
 
 def phi_T(spec: ProblemSpec, T: float) -> float:
@@ -161,7 +134,7 @@ def run_sweep(
             err_an = float(np.abs(u.values[:, grid.m] - exact).max())
         else:
             err_an = float("nan")
-        env = theoretical_envelope(BoundParams.from_spec(spec, T=math.inf, h=h, k=k))
+        env = theoretical_envelope(spec, h, k)
         solutions[k] = (tri, grid, u)
         rows.append(SweepRow(
             k=k, h=h, coupling=coupling, iterations=report.iterations,
@@ -224,52 +197,30 @@ def brute_force_oracle(
     grid,
     h: float,
     mu: int,
-    budget: int = 10 ** 6,
 ) -> GridFunction:
-    """Finite-horizon value by exhaustive enumeration of monotone control paths.
+    """Finite-horizon value over mu steps of h, node by node.
 
-    For each start (node, level a) every nondecreasing level sequence of
-    length mu with a_0 = a is costed on the interpolation chain: the running
-    state is a weight vector over nodes, stage costs are taken at the nodes,
-    and one step multiplies by the level's interpolation stencil.  This is an
-    independent unrolling of the backward recursion and must agree with it.
+    From the zero terminal value, each backward step sets every (node i,
+    level a) to the minimum over the admissible next levels b >= a of
+    `apply_fixed_control`: the previous step's P1 interpolant at level b at
+    the Euler image of node i, discounted, plus the stage cost.  The minimum
+    is taken inside the interpolation at every node and step, so this is the
+    closed-loop value of the scheme, which `solve_finite_horizon` must equal.
+    Every value goes through `problem.level_data`, the scalar locator and
+    `fespace.evaluate`; no transition table is built and `bellman.sweep` is
+    never called, so the oracle is independent of the kernel it checks.
+    Costs about N * mu * n_levels^2 / 2 one-point evaluations.
     """
     if mu < 0:
         raise ConfigurationError("mu must be nonnegative")
-    count = math.comb(mu + grid.m, grid.m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} monotone control sequences exceed the budget of {budget}",
-            count=count,
-        )
-    N = tri.n_vertices
-    out = np.zeros((N, grid.n_levels))
-    if mu == 0:
-        return GridFunction(out)
-    table = build_table(spec, tri, grid, h)
-    beta = 1.0 - spec.discount * h
-    # dense per-level chain matrices: row i holds the stencil weights of node i
-    steps = np.zeros((grid.n_levels, N, N))
-    node_rows = np.repeat(np.arange(N), tri.dim + 1)
-    for aj in range(grid.n_levels):
-        np.add.at(
-            steps[aj], (node_rows, table.indices[aj].ravel()), table.weights[aj].ravel()
-        )
-    for ai in range(grid.n_levels):
-        if mu == 1:
-            tails = [()]
-        else:
-            tails = itertools.combinations_with_replacement(range(ai, grid.n_levels), mu - 1)
-        best = np.full(N, np.inf)
-        for tail in tails:
-            seq = (ai,) + tail
-            dist = np.eye(N)  # row i = chain distribution started at node i
-            cost = np.zeros(N)
-            disc = 1.0
-            for aj in seq:
-                cost += disc * h * dist @ table.stage_cost[:, aj]
-                disc *= beta
-                dist = dist @ steps[aj]
-            np.minimum(best, cost, out=best)
-        out[:, ai] = best
-    return GridFunction(out)
+    u = GridFunction(np.zeros((tri.n_vertices, grid.n_levels)))
+    for _ in range(mu):
+        values = np.empty_like(u.values)
+        for i in range(tri.n_vertices):
+            for a in range(grid.n_levels):
+                values[i, a] = min(
+                    apply_fixed_control(u, spec, tri, grid, h, i, a, b)
+                    for b in admissible(grid, a)
+                )
+        u = GridFunction(values)
+    return u

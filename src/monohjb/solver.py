@@ -44,6 +44,8 @@ class SolveOptions:
             raise ConfigurationError(f"unknown stop rule {self.stop_rule!r}")
         if self.stop_rule == "target_bound" and (self.target is None or self.target <= 0):
             raise ConfigurationError("target_bound stop rule needs a positive target")
+        if self.stop_rule == "paper" and self.target is not None:
+            raise ConfigurationError("target is read only by the target_bound stop rule")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
 

@@ -67,15 +67,17 @@ def test_criterion_01_contraction_suite(paper, setups):
     _ok(f"criterion 1: contraction on 100 random pairs (k=h=0.1) in {elapsed:.2f}s")
 
 
-def test_criterion_02_oracle_equivalence(paper, toy_1d, setups):
+def test_criterion_02_oracle_equivalence(paper, toy_1d):
     t0 = time.perf_counter()
-    tri, grid, table = setups[0.5]
-    for mu in (1, 2, 4):
+    cases = [(0.5, 1), (0.5, 2), (0.5, 4), (0.25, 3), (0.25, 4), (0.2, 4)]
+    for hk, mu in cases:
+        tri = build_uniform(paper.domain, hk)
+        grid = control_grid(hk)
         gap = sup_norm_diff(
-            solve_finite_horizon(paper, tri, grid, 0.5, mu, table=table),
-            brute_force_oracle(paper, tri, grid, 0.5, mu),
+            solve_finite_horizon(paper, tri, grid, hk, mu),
+            brute_force_oracle(paper, tri, grid, hk, mu),
         )
-        assert gap <= 1e-10, f"builtin mu={mu}: gap {gap}"
+        assert gap <= 1e-10, f"builtin k=h={hk} mu={mu}: gap {gap}"
     tri1 = build_uniform(toy_1d.domain, 1.0 / 3.0)
     grid1 = control_grid(0.5)
     assert tri1.n_vertices == 5 and grid1.m == 2
@@ -86,7 +88,8 @@ def test_criterion_02_oracle_equivalence(paper, toy_1d, setups):
     assert gap <= 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _ok(f"criterion 2: oracle equivalence (builtin mu=1,2,4; 1-D toy mu=5) in {elapsed:.2f}s")
+    _ok(f"criterion 2: oracle equivalence (builtin k=h=0.5 mu=1,2,4, k=h=0.25 mu=3,4, "
+        f"k=h=0.2 mu=4; 1-D toy mu=5) in {elapsed:.2f}s")
 
 
 def test_criterion_03_fixed_point_contract(paper, setups, picard):

@@ -236,6 +236,29 @@ def test_oracle_check(tmp_path):
     assert "equivalent: True" in (tmp_path / "out" / "report.txt").read_text()
 
 
+def test_oracle_check_closed_loop(tmp_path):
+    """At k = h = 0.25 and mu = 3 the open-loop minimum sits 4.07e-3 above
+    the scheme's value; the oracle must take the minimum at every node."""
+    cfg = write_config(tmp_path, k=0.25, h=0.25, oracle_check={"mu": 3})
+    assert run("oracle-check", cfg, tmp_path / "out") == 0
+    assert "equivalent: True" in (tmp_path / "out" / "report.txt").read_text()
+
+
+def test_oracle_budget_key_removed(tmp_path):
+    cfg = write_config(tmp_path, oracle_check={"mu": 4, "budget": 10 ** 6})
+    assert run("oracle-check", cfg, tmp_path / "out") == 1
+
+
+@pytest.mark.parametrize("cmd,overrides", [
+    ("solve", {"target": 1e-6}),
+    ("sweep", {"sweep": {"k_list": [0.5], "coupling": "h=k", "c": 2.0}}),
+])
+def test_ineffective_keys_rejected(tmp_path, cmd, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert run(cmd, cfg, tmp_path / "out") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds(tmp_path, capsys):
     cfg = write_config(tmp_path, k=0.1, h=0.1, bounds={"T": 4.0})
     assert run("bounds", cfg, tmp_path / "out") == 0

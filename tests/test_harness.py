@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from monohjb import (
-    BoundParams,
-    BudgetExceededError,
     ConfigurationError,
+    ProblemSpec,
     brute_force_oracle,
     build_uniform,
     control_grid,
@@ -22,50 +21,51 @@ from monohjb import (
 from monohjb.harness import _coupled_h, sweep_csv
 
 
-def params(lip_g, lam, h, k, gamma=None):
-    return BoundParams(gamma=gamma, lip_g=lip_g, discount=lam, bound_f=1.0, T=1.0, h=h, k=k)
+def constants(lip_g, lam, gamma=None):
+    """A 1-D spec that carries only the constants the bound shapes read."""
+    return ProblemSpec(
+        dynamics=lambda x, a: np.zeros_like(x),
+        cost=lambda x, a: np.zeros(len(x)),
+        discount=lam,
+        domain=(np.array([0.0]), np.array([1.0])),
+        lip_g=lip_g, bound_g=0.0, lip_f=0.0, bound_f=1.0,
+        gamma_override=gamma,
+    )
 
 
 class TestEnvelope:
     def test_linear_case(self):
-        assert theoretical_envelope(params(1.0, 2.0, 0.01, 0.001)) == pytest.approx(0.02)
+        assert theoretical_envelope(constants(1.0, 2.0), 0.01, 0.001) == pytest.approx(0.02)
 
     def test_sublinear_case(self):
         # gamma = discount/lip_g = 1/2
-        got = theoretical_envelope(params(2.0, 1.0, 0.04, 0.04))
+        got = theoretical_envelope(constants(2.0, 1.0), 0.04, 0.04)
         assert got == pytest.approx(math.sqrt(0.04 + 0.04 / 0.2))
 
     def test_space_exact_limit(self):
-        assert theoretical_envelope(params(2.0, 1.0, 0.09, 0.0)) == pytest.approx(0.3)
+        assert theoretical_envelope(constants(2.0, 1.0), 0.09, 0.0) == pytest.approx(0.3)
 
     def test_equality_needs_gamma(self):
         with pytest.raises(ConfigurationError):
-            theoretical_envelope(params(1.0, 1.0, 0.1, 0.1))
-        got = theoretical_envelope(params(1.0, 1.0, 0.1, 0.1, gamma=0.5))
-        assert got > 0
+            theoretical_envelope(constants(1.0, 1.0), 0.1, 0.1)
+        got = theoretical_envelope(constants(1.0, 1.0, gamma=0.5), 0.1, 0.1)
+        assert got == pytest.approx((0.1 + 0.1 / math.sqrt(0.1)) ** 0.5)
 
 
 class TestBoundShapes:
     def test_phi_T_cases(self, paper, toy_1d):
-        assert phi_T(_FakeSpec(1.0, 2.0), 7.3) == 1.0
+        assert phi_T(constants(1.0, 2.0), 7.3) == 1.0
         assert phi_T(paper, 4.0) == pytest.approx(math.exp(4.0))
         assert phi_T(toy_1d, 3.0) == 3.0
 
     def test_phi_n_cases(self, paper, toy_1d):
         assert phi_n(paper, 5, 0.1, 4.0) == pytest.approx(math.exp(4.0 + 0.5))
         assert phi_n(toy_1d, 4, 0.1, 2.0) == pytest.approx(2.0 * math.exp(0.4))
-        assert phi_n(_FakeSpec(1.0, 2.0), 3, 0.1, 1.0) == pytest.approx(math.exp(0.3))
+        assert phi_n(constants(1.0, 2.0), 3, 0.1, 1.0) == pytest.approx(math.exp(0.3))
 
     def test_tail_bound(self, paper):
         assert tail_bound(paper, 0.0) == pytest.approx(1.75)
         assert tail_bound(paper, 4.0) == pytest.approx(1.75 * math.exp(-4.0))
-
-
-class _FakeSpec:
-    def __init__(self, lip_g, discount, bound_f=1.0):
-        self.lip_g = lip_g
-        self.discount = discount
-        self.bound_f = bound_f
 
 
 class TestFitRate:
@@ -116,12 +116,32 @@ class TestOracle:
         ref = solve_finite_horizon(toy_1d, tri, grid, 0.5, 5)
         assert sup_norm_diff(oracle, ref) <= 1e-10
 
-    def test_budget_refusal(self, paper):
+    def test_negative_horizon_rejected(self, paper):
         tri = build_uniform(paper.domain, 0.5)
         grid = control_grid(0.5)
-        with pytest.raises(BudgetExceededError) as exc:
-            brute_force_oracle(paper, tri, grid, 0.5, 4, budget=10)
-        assert exc.value.count == math.comb(4 + 2, 2)
+        with pytest.raises(ConfigurationError):
+            brute_force_oracle(paper, tri, grid, 0.5, -1)
+
+    def test_independent_of_table_and_sweep(self, paper, monkeypatch):
+        """The oracle reaches no transition table and no sweep kernel."""
+        import monohjb
+        from monohjb import bellman, harness, solver
+
+        tri = build_uniform(paper.domain, 0.25)
+        grid = control_grid(0.25)
+        ref = solve_finite_horizon(paper, tri, grid, 0.25, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the table kernel")
+
+        for module in (monohjb, bellman, solver, harness):
+            for name in ("build_table", "table_for", "sweep", "_bound", "_fold"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(AssertionError, match="table kernel"):
+            solve_finite_horizon(paper, tri, grid, 0.25, 3)
+        oracle = brute_force_oracle(paper, tri, grid, 0.25, 3)
+        assert sup_norm_diff(oracle, ref) <= 1e-10
 
 
 class TestSweep:

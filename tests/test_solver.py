@@ -39,6 +39,8 @@ def test_options_validation(paper):
     with pytest.raises(ConfigurationError):
         SolveOptions(h=0.1, stop_rule="target_bound").validate(1.0)
     with pytest.raises(ConfigurationError):
+        SolveOptions(h=0.1, target=1e-6).validate(1.0)
+    with pytest.raises(ConfigurationError):
         SolveOptions(h=0.1, max_iterations=0).validate(1.0)
 
 
