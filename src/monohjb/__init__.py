@@ -4,7 +4,7 @@ scheme and fixed-point (Picard/Howard) iteration."""
 
 __version__ = "0.1.0"
 
-from .bellman import PolicyField, apply, apply_fixed_control, build_table, greedy_policy
+from .bellman import PolicyField, apply, build_table, greedy_policy, lookahead
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -17,7 +17,6 @@ from .errors import (
 from .fespace import (
     ControlGrid,
     GridFunction,
-    admissible,
     control_grid,
     evaluate,
     level_index,

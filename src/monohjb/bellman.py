@@ -10,6 +10,12 @@ TransitionTable caches those weights; the new value at level a is
 One kernel, `sweep`, computes it on level-major values (n_levels, N).
 Ties in the minimum always resolve to the smallest admissible b.
 
+`lookahead` is the operator at one point before the minimum, every
+admissible b at once, from the callbacks and the scalar locator; it reads no
+table.  The closed loop (`feedback.simulate`) and the finite-horizon oracle
+(`harness.brute_force_oracle`) both run it, so the oracle checks the table
+and `sweep` instead of repeating them.
+
 Most rows (a, i) are settled by a bound before any candidate is folded.
 Per node, M[a] = min over b >= a of w(., b) is the suffix minimum over the
 levels and S[a] the smallest b that attains it.  P1 weights are
@@ -34,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
-from .fespace import ControlGrid, GridFunction, evaluate
-from .mesh import Triangulation, locate_many
+from .fespace import ControlGrid, GridFunction
+from .mesh import Triangulation, _locate_point, locate_many
 from .problem import ProblemSpec, level_data
 
 
@@ -168,36 +174,22 @@ def table_for(
     return build_table(spec, tri, grid, h)
 
 
-def apply_fixed_control(
-    gf: GridFunction,
-    spec: ProblemSpec,
-    tri: Triangulation,
-    grid: ControlGrid,
-    h: float,
-    node_index: int,
-    a_index: int,
-    b_index: int,
-) -> float:
-    """Operator value at one node for a fixed next control b."""
-    _check_step(h, spec.discount)
-    if b_index < a_index:
-        raise ConfigurationError(
-            f"next control index {b_index} below current level {a_index}"
-        )
-    x = tri.vertices[node_index]
-    a = float(grid.levels[a_index])
-    g, f = level_data(spec, x[None, :], a, a_index, point=f"node {node_index}")
-    image = [xi + h * gi for xi, gi in zip(x.tolist(), g)]
-    try:
-        interp = evaluate(gf, tri, image, b_index)
-    except OutOfDomainError as exc:
-        raise OutOfDomainError(
-            f"Euler image of node {node_index} under control a={a} leaves the mesh",
-            point=exc.point,
-            axis=exc.axis,
-            context=(node_index, a_index),
-        ) from exc
-    return (1.0 - spec.discount * h) * interp + h * f
+def lookahead(values: np.ndarray, spec: ProblemSpec, tri: Triangulation, h: float,
+              X: np.ndarray, a_index: int, a: float, point: str):
+    """The operator at one point for every admissible next level.
+
+    X is one point of shape (1, nu) under committed level a_index, with
+    control value a; `point` names it in error messages.  Returns the Euler
+    image as a list of floats, the stage cost f and, as one array, the
+    candidates (1 - lambda h) * interp(values[:, b], image) + h f for
+    b = a_index .. top.  The step is checked by the caller, and an image
+    outside the mesh raises the locator's OutOfDomainError.
+    """
+    g, f = level_data(spec, X, a, a_index, point=point)
+    image = [xi + h * gi for xi, gi in zip(X.tolist()[0], g)]
+    _, ids, weights = _locate_point(tri, image)
+    interp = values[ids, a_index:].T @ np.array(weights)
+    return image, f, (1.0 - spec.discount * h) * interp + h * f
 
 
 def _interpolate(column, idx, wts, out, tmp):

@@ -78,35 +78,49 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
+def _integer(value) -> int:
+    """An integral number as an int; 2.5 or "many" raise ValueError."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _read(cfg: dict, key: str, kind=str, default=None):
+    """cfg[key] converted by kind (str, float, _integer, dict, ...).
+
+    A missing key gives default; without one it is a config error.  A value
+    that kind rejects is a config error naming the key and the value.
+    """
     if key not in cfg:
-        raise ConfigurationError(f"config is missing required key {key!r}")
-    return cfg[key]
+        if default is None:
+            raise ConfigurationError(f"config is missing required key {key!r}")
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config key {key!r} has invalid value {cfg[key]!r}") from exc
 
 
 def _setup(cfg: dict, snap_k: bool):
-    spec = builtin(str(_require(cfg, "problem")))
-    k = float(_require(cfg, "k"))
+    spec = builtin(_read(cfg, "problem"))
+    k = _read(cfg, "k", float)
     if snap_k:
         snapped = snap_mesh_size(spec.domain, k)
         if snapped != k:
             print(f"snapped k from {k} to {snapped}", file=sys.stderr)
         k = snapped
-    h = float(cfg.get("h", k))
+    h = _read(cfg, "h", float, k)
     tri = build_uniform(spec.domain, k)
     grid = control_grid(h)
     return spec, k, h, tri, grid
 
 
 def _options(cfg: dict) -> dict:
-    """The SolveOptions fields other than h, read from the config."""
-    target = cfg.get("target")
-    return dict(
-        method=str(cfg.get("method", "picard")),
-        stop_rule=str(cfg.get("stop_rule", "paper")),
-        target=None if target is None else float(target),
-        max_iterations=int(cfg.get("max_iterations", 10_000)),
-    )
+    """The SolveOptions fields other than h that the config sets; the
+    others keep the SolveOptions defaults."""
+    kinds = {"method": str, "stop_rule": str, "target": float, "max_iterations": _integer}
+    return {key: _read(cfg, key, kind) for key, kind in kinds.items() if cfg.get(key) is not None}
 
 
 def _write(out_dir: Path, name: str, payload: str):
@@ -167,10 +181,10 @@ def cmd_solve(cfg, out_dir, snap_k) -> int:
 
 def cmd_simulate(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
-    sub = _require(cfg, "simulate")
-    x0 = np.asarray(_require(sub, "x0"), dtype=float)
-    a0 = level_index(grid, float(_require(sub, "a0")))
-    steps = int(_require(sub, "steps"))
+    sub = _read(cfg, "simulate", dict)
+    x0 = _read(sub, "x0", lambda v: np.asarray(v, dtype=float))
+    a0 = level_index(grid, _read(sub, "a0", float))
+    steps = _read(sub, "steps", _integer)
     check_start(tri, grid, x0, a0, steps)
     u, _, report = solve(spec, tri, grid, SolveOptions(h=h, **_options(cfg)))
     traj = simulate(spec, tri, grid, u, x0, a0, h, steps)
@@ -187,15 +201,15 @@ def cmd_simulate(cfg, out_dir, snap_k) -> int:
 
 
 def cmd_sweep(cfg, out_dir, snap_k) -> int:
-    spec = builtin(str(_require(cfg, "problem")))
-    sub = _require(cfg, "sweep")
-    k_list = [float(k) for k in _require(sub, "k_list")]
+    spec = builtin(_read(cfg, "problem"))
+    sub = _read(cfg, "sweep", dict)
+    k_list = _read(sub, "k_list", lambda ks: [float(k) for k in ks])
     if snap_k:
         k_list = [snap_mesh_size(spec.domain, k) for k in k_list]
-    coupling = str(sub.get("coupling", "h=k"))
+    coupling = _read(sub, "coupling", str, "h=k")
     if coupling == "h=k" and "c" in sub:
         raise ConfigurationError("sweep.c is read only by the h=c*k^(2/3) coupling")
-    c = float(sub.get("c", 1.0))
+    c = _read(sub, "c", float, 1.0)
     rows = run_sweep(spec, k_list, coupling=coupling, c=c, **_options(cfg))
     use = "analytic" if spec.analytic_top_slice is not None else "reference"
     try:
@@ -215,7 +229,9 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
 def cmd_check_mesh(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     sub = cfg.get("mesh") or {}
-    compact = sub.get("compact")
+    compact = None
+    if sub.get("compact") is not None:
+        compact = _read(sub, "compact", lambda v: np.asarray(v, dtype=float).reshape(2, tri.dim))
     report = check_hypotheses(tri, spec, h, grid.levels, compact=compact)
     ok = report.hip1_ok and report.hip2_ok and report.chi1 > 0 and math.isfinite(report.k_over_d_max)
     if sub.get("dump"):
@@ -235,8 +251,8 @@ def cmd_check_mesh(cfg, out_dir, snap_k) -> int:
 
 def cmd_oracle_check(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
-    sub = _require(cfg, "oracle_check")
-    mu = int(_require(sub, "mu"))
+    sub = _read(cfg, "oracle_check", dict)
+    mu = _read(sub, "mu", _integer)
     recursive = solve_finite_horizon(spec, tri, grid, h, mu)
     oracle = brute_force_oracle(spec, tri, grid, h, mu)
     gap = sup_norm_diff(recursive, oracle)
@@ -250,12 +266,12 @@ def cmd_oracle_check(cfg, out_dir, snap_k) -> int:
 
 
 def cmd_bounds(cfg, out_dir, snap_k) -> int:
-    spec = builtin(str(_require(cfg, "problem")))
-    sub = _require(cfg, "bounds")
-    T = float(_require(sub, "T"))
-    k = float(cfg.get("k", 0.1))
-    h = float(cfg.get("h", k))
-    n = int(sub.get("n", 0))
+    spec = builtin(_read(cfg, "problem"))
+    sub = _read(cfg, "bounds", dict)
+    T = _read(sub, "T", float)
+    k = _read(cfg, "k", float, 0.1)
+    h = _read(cfg, "h", float, k)
+    n = _read(sub, "n", _integer, 0)
     gamma = holder_exponent(spec)
     env = theoretical_envelope(spec, h, k)
     values = {

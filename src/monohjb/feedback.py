@@ -6,10 +6,11 @@ is chosen to minimize the one-step lookahead of the supplied value function.
 The per-step discount factor is (1 - lambda*h), matching the scheme's algebra
 rather than exp(-lambda*h).
 
-A step of `simulate` works in Python floats: `problem.level_data` checks
-the one point's velocity and cost on the floats it returns, the Euler
-update runs on lists, and the scalar core of `mesh.locate` places the
-image; only the lookahead over the admissible levels is a numpy product.
+A step of `simulate` is one `bellman.lookahead`, the one-point operator of
+the finite-horizon oracle too, in Python floats: `problem.level_data` checks
+the point's velocity and cost on the floats it returns, the Euler update
+runs on lists, and the scalar core of `mesh.locate` places the image; only
+the candidates over the admissible levels are a numpy product.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bellman import _check_step, lookahead
 from .errors import ConfigurationError, OutOfDomainError
 from .fespace import ControlGrid, GridFunction, evaluate
-from .mesh import Triangulation, _locate_point, locate
-from .problem import ProblemSpec, level_data
+from .mesh import Triangulation, locate
+from .problem import ProblemSpec
 
 
 @dataclass(eq=False)
@@ -77,31 +79,29 @@ def simulate(
     y = check_start(tri, grid, x0, a0_index, steps)
     if value.values.shape != (tri.n_vertices, grid.n_levels):
         raise ConfigurationError("value function shape does not match mesh/control grid")
+    _check_step(h, spec.discount)
     beta = 1.0 - spec.discount * h
     levels = grid.levels.tolist()
     V = value.values
 
     states = np.empty((steps + 1, tri.dim))
     states[0] = y
-    y = y.tolist()
     controls = []
     stage_costs = []
     total = 0.0
     disc = 1.0
     a = a0_index
     for j in range(steps):
-        g, f = level_data(spec, states[j:j + 1], levels[a], a, point=f"step {j}")
-        y = [yi + h * gi for yi, gi in zip(y, g)]
         try:
-            _, ids, weights = _locate_point(tri, y)
+            y, f, candidates = lookahead(V, spec, tri, h, states[j:j + 1], a, levels[a],
+                                         f"step {j}")
         except OutOfDomainError as exc:
             raise OutOfDomainError(
                 f"trajectory left the mesh at step {j} (axis {exc.axis})",
                 point=exc.point, axis=exc.axis, context=j,
             ) from exc
-        # greedy next level over the admissible tail; f-term is constant in b
-        interp = V[ids, a:].T @ np.array(weights)
-        b = a + int((beta * interp + h * f).argmin())
+        # greedy next level over the admissible tail, smallest on ties
+        b = a + int(candidates.argmin())
 
         controls.append(a)
         stage_costs.append(h * f)

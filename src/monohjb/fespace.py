@@ -39,13 +39,6 @@ def control_grid(h: float) -> ControlGrid:
     return ControlGrid(h=float(h), m=m, levels=np.linspace(0.0, 1.0, m + 1))
 
 
-def admissible(grid: ControlGrid, a_index: int) -> range:
-    """Indices of control levels at or above level a_index (never decrease)."""
-    if not 0 <= a_index <= grid.m:
-        raise ConfigurationError(f"control index {a_index} outside 0..{grid.m}")
-    return range(a_index, grid.m + 1)
-
-
 def level_index(grid: ControlGrid, a: float) -> int:
     """Map a control value to its grid index; the value must sit on the grid."""
     idx = int(round(a / grid.h))

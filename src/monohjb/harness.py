@@ -8,9 +8,9 @@ estimated; sweep checks compare shapes only.
 
 `brute_force_oracle` computes the scheme's finite-horizon value, the
 closed-loop minimum over the next level at every node and step, one node at
-a time through the one-point operator `bellman.apply_fixed_control`.  It
-builds no transition table and never calls `bellman.sweep`, so it checks the
-kernel every solver runs instead of repeating it.
+a time through `bellman.lookahead`, the one-point operator of the closed
+loop too.  It builds no transition table and never calls `bellman.sweep`,
+so it checks the kernel every solver runs instead of repeating it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bellman import apply_fixed_control
+from .bellman import _check_step, lookahead
 from .errors import ConfigurationError, NonConvergenceError
-from .fespace import GridFunction, admissible, control_grid
+from .fespace import GridFunction, control_grid
 from .mesh import build_uniform, locate_many, snap_mesh_size
 from .problem import ProblemSpec, holder_exponent
 from .solver import SolveOptions, solve, solve_finite_horizon
@@ -97,15 +97,13 @@ def run_sweep(
     k_list: Sequence[float],
     coupling: str = "h=k",
     c: float = 1.0,
-    method: str = "picard",
-    stop_rule: str = "paper",
-    target: Optional[float] = None,
-    max_iterations: int = 10_000,
+    **options,
 ) -> list[SweepRow]:
     """Solve over a ladder of mesh sizes and tabulate errors.
 
-    method, stop_rule, target and max_iterations are the SolveOptions of
-    every solve; h comes from k and the coupling rule.
+    `options` are the SolveOptions fields other than h (method, stop_rule,
+    target, max_iterations) of every solve; h comes from k and the coupling
+    rule.
 
     error_vs_reference compares each solution against the finest-k run at the
     coarse nodes and at control levels shared by both grids;
@@ -121,10 +119,8 @@ def run_sweep(
         h = _coupled_h(k, coupling, c)
         tri = build_uniform(spec.domain, k)
         grid = control_grid(h)
-        opts = SolveOptions(h=h, method=method, stop_rule=stop_rule, target=target,
-                            max_iterations=max_iterations)
         try:
-            u, _, report = solve(spec, tri, grid, opts)
+            u, _, report = solve(spec, tri, grid, SolveOptions(h=h, **options))
             converged = True
         except NonConvergenceError as exc:
             u, report = exc.value, exc.report
@@ -201,26 +197,26 @@ def brute_force_oracle(
     """Finite-horizon value over mu steps of h, node by node.
 
     From the zero terminal value, each backward step sets every (node i,
-    level a) to the minimum over the admissible next levels b >= a of
-    `apply_fixed_control`: the previous step's P1 interpolant at level b at
-    the Euler image of node i, discounted, plus the stage cost.  The minimum
-    is taken inside the interpolation at every node and step, so this is the
+    level a) to the smallest of the `bellman.lookahead` candidates: the
+    previous step's P1 interpolant at each admissible level b >= a at the
+    Euler image of node i, discounted, plus the stage cost.  The minimum is
+    taken inside the interpolation at every node and step, so this is the
     closed-loop value of the scheme, which `solve_finite_horizon` must equal.
-    Every value goes through `problem.level_data`, the scalar locator and
-    `fespace.evaluate`; no transition table is built and `bellman.sweep` is
-    never called, so the oracle is independent of the kernel it checks.
-    Costs about N * mu * n_levels^2 / 2 one-point evaluations.
+    Every value goes through `problem.level_data` and the scalar locator;
+    no transition table is built and `bellman.sweep` is never called, so the
+    oracle is independent of the kernel it checks.  Costs mu * N * n_levels
+    one-point steps, each one call of `dynamics` and of `cost`.
     """
     if mu < 0:
         raise ConfigurationError("mu must be nonnegative")
-    u = GridFunction(np.zeros((tri.n_vertices, grid.n_levels)))
+    _check_step(h, spec.discount)
+    levels = grid.levels.tolist()
+    u = np.zeros((tri.n_vertices, grid.n_levels))
     for _ in range(mu):
-        values = np.empty_like(u.values)
+        new = np.empty_like(u)
         for i in range(tri.n_vertices):
+            node = tri.vertices[i:i + 1]
             for a in range(grid.n_levels):
-                values[i, a] = min(
-                    apply_fixed_control(u, spec, tri, grid, h, i, a, b)
-                    for b in admissible(grid, a)
-                )
-        u = GridFunction(values)
-    return u
+                new[i, a] = lookahead(u, spec, tri, h, node, a, levels[a], f"node {i}")[2].min()
+        u = new
+    return GridFunction(u)

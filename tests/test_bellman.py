@@ -13,11 +13,12 @@ from monohjb import (
     OutOfDomainError,
     ProblemSpec,
     apply,
-    apply_fixed_control,
+    brute_force_oracle,
     build_table,
     build_uniform,
     control_grid,
     greedy_policy,
+    lookahead,
     sup_norm_diff,
 )
 from monohjb.bellman import PolicyField, TransitionTable, _bound, policy_index, sweep
@@ -38,43 +39,47 @@ def medium(paper):
     return tri, grid, build_table(paper, tri, grid, 0.1)
 
 
+def _candidates(values, spec, tri, grid, h, i, a_index):
+    """The lookahead candidates of node i under level a_index."""
+    a = float(grid.levels[a_index])
+    return lookahead(values, spec, tri, h, tri.vertices[i:i + 1], a_index, a, f"node {i}")[2]
+
+
 class TestFixedControl:
+    """The one-point operator under a fixed committed level a."""
+
     def test_zero_function_gives_stage_cost(self, paper, coarse):
         tri, grid = coarse
-        zero = GridFunction.zeros(tri, grid)
+        zero = np.zeros((tri.n_vertices, grid.n_levels))
         for i in range(tri.n_vertices):
-            for ai in range(grid.n_levels):
-                expected = 0.5 * paper.cost(tri.vertices[i], grid.levels[ai])
-                for b in range(ai, grid.n_levels):
-                    got = apply_fixed_control(zero, paper, tri, grid, 0.5, i, ai, b)
-                    assert got == pytest.approx(expected, abs=1e-14)
+            x = tri.vertices[i:i + 1]
+            for ai, a in enumerate(grid.levels):
+                image, f, cand = lookahead(zero, paper, tri, 0.5, x, ai, a, f"node {i}")
+                assert f == paper.cost(x, a)[0]
+                assert image == (x + 0.5 * paper.dynamics(x, a))[0].tolist()
+                assert cand.shape == (grid.n_levels - ai,)
+                np.testing.assert_allclose(cand, 0.5 * f, atol=1e-14)
 
     def test_paper_corner_value(self, paper, coarse):
         tri, grid = coarse
-        zero = GridFunction.zeros(tri, grid)
+        zero = np.zeros((tri.n_vertices, grid.n_levels))
         node = int(np.argmin(np.abs(tri.vertices - [0.5, 0.5]).sum(axis=1)))
-        got = apply_fixed_control(zero, paper, tri, grid, 0.5, node, 2, 2)
-        assert got == pytest.approx(-0.125)
+        got = _candidates(zero, paper, tri, grid, 0.5, node, 2)
+        assert got.tolist() == pytest.approx([-0.125])
 
     def test_constant_input(self, paper, coarse):
         tri, grid = coarse
         c = 1.7
-        gf = GridFunction(np.full((tri.n_vertices, grid.n_levels), c))
-        got = apply_fixed_control(gf, paper, tri, grid, 0.5, 4, 0, 1)
+        values = np.full((tri.n_vertices, grid.n_levels), c)
+        got = _candidates(values, paper, tri, grid, 0.5, 4, 0)
         expected = 0.5 * c + 0.5 * paper.cost(tri.vertices[4], 0.0)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_decreasing_control(self, paper, coarse):
-        tri, grid = coarse
-        zero = GridFunction.zeros(tri, grid)
-        with pytest.raises(ConfigurationError):
-            apply_fixed_control(zero, paper, tri, grid, 0.5, 0, 2, 1)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_rejects_bad_step(self, paper, coarse):
+        """The oracle checks the step once, before any lookahead."""
         tri, grid = coarse
-        zero = GridFunction.zeros(tri, grid)
         with pytest.raises(ConfigurationError):
-            apply_fixed_control(zero, paper, tri, grid, 1.5, 0, 0, 0)
+            brute_force_oracle(paper, tri, grid, 1.5, 1)
 
 
 class TestApply:
@@ -96,7 +101,7 @@ class TestApply:
         gf = GridFunction(rng.normal(size=(tri.n_vertices, grid.n_levels)))
         out, pol = apply(gf, paper, tri, grid, 0.5)
         for i in range(tri.n_vertices):
-            expected = apply_fixed_control(gf, paper, tri, grid, 0.5, i, grid.m, grid.m)
+            (expected,) = _candidates(gf.values, paper, tri, grid, 0.5, i, grid.m)
             assert out.values[i, grid.m] == pytest.approx(expected, abs=1e-12)
         assert np.all(pol.choice[:, grid.m] == grid.m)
 

@@ -259,6 +259,41 @@ def test_ineffective_keys_rejected(tmp_path, cmd, overrides):
     assert not (tmp_path / "out").exists()
 
 
+_START = {"x0": [0.5, 0.5], "a0": 0.0}
+
+
+@pytest.mark.parametrize("cmd,key,overrides", [
+    ("solve", "k", {"k": "abc"}),
+    ("solve", "h", {"h": None}),
+    ("solve", "max_iterations", {"max_iterations": "lots"}),
+    ("solve", "max_iterations", {"max_iterations": 2.5}),
+    ("simulate", "steps", {"simulate": {**_START, "steps": "many"}}),
+    ("simulate", "steps", {"simulate": {**_START, "steps": 2.5}}),
+    ("simulate", "x0", {"simulate": {"x0": ["a", 0.5], "a0": 0.0, "steps": 2}}),
+    ("simulate", "simulate", {"simulate": None}),
+    ("sweep", "k_list", {"sweep": {"k_list": 0.5}}),
+    ("oracle-check", "mu", {"oracle_check": {"mu": 1.5}}),
+    ("bounds", "T", {"bounds": {"T": "long"}}),
+    ("bounds", "n", {"bounds": {"T": 4.0, "n": 0.5}}),
+    ("check-mesh", "compact", {"mesh": {"compact": "abc"}}),
+    ("check-mesh", "compact", {"mesh": {"compact": [[-0.5, -0.5], [0.5]]}}),
+])
+def test_mistyped_value_is_config_error(tmp_path, capsys, cmd, key, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert run(cmd, cfg, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: config key {key!r} has invalid value")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    cfg = write_config(tmp_path, max_iterations=50.0, simulate={**_START, "steps": 3.0})
+    assert run("simulate", cfg, tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")
+    assert len(lines) == 4
+
+
 def test_bounds(tmp_path, capsys):
     cfg = write_config(tmp_path, k=0.1, h=0.1, bounds={"T": 4.0})
     assert run("bounds", cfg, tmp_path / "out") == 0
@@ -266,6 +301,12 @@ def test_bounds(tmp_path, capsys):
     assert f"{math.exp(4.0):.17g}"[:10] in out
     text = (tmp_path / "out" / "bounds.txt").read_text()
     assert "tail_bound" in text
+
+
+def test_check_mesh_compact_box(tmp_path):
+    cfg = write_config(tmp_path, mesh={"compact": [[-0.25, -0.25], [0.25, 0.25]]})
+    assert run("check-mesh", cfg, tmp_path / "out") == 0
+    assert "hip3_margin: 0.25\n" in (tmp_path / "out" / "mesh_report.txt").read_text()
 
 
 def test_mesh_dump_requested(tmp_path):

@@ -106,6 +106,15 @@ def test_trajectory_exits_domain():
     assert exc.value.context == 0  # leaves at the first step
 
 
+@pytest.mark.parametrize("h", [1.5, 0.0, -0.5])
+def test_step_outside_contraction_range_rejected(paper, h):
+    tri = build_uniform(paper.domain, 0.5)
+    grid = control_grid(0.5)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(ConfigurationError, match="time step"):
+        simulate(paper, tri, grid, value, np.array([0.5, 0.5]), 0, h, 5)
+
+
 def test_nan_start_is_out_of_domain(paper):
     tri = build_uniform(paper.domain, 0.5)
     grid = control_grid(0.5)

@@ -7,7 +7,6 @@ from monohjb import (
     ConfigurationError,
     DimensionMismatchError,
     GridFunction,
-    admissible,
     build_uniform,
     control_grid,
     evaluate,
@@ -32,13 +31,6 @@ def test_control_grid_quarter():
 def test_control_grid_rejects_non_integer_inverse():
     with pytest.raises(ConfigurationError):
         control_grid(0.3)
-
-
-def test_admissible_sets():
-    g = control_grid(0.5)
-    assert list(admissible(g, 1)) == [1, 2]
-    assert list(admissible(g, 2)) == [2]
-    assert list(admissible(g, 0)) == [0, 1, 2]
 
 
 def test_level_index_roundtrip():

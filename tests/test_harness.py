@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,24 @@ class TestOracle:
         grid = control_grid(0.5)
         with pytest.raises(ConfigurationError):
             brute_force_oracle(paper, tri, grid, 0.5, -1)
+
+    def test_one_callback_pair_per_node_level_and_step(self, paper):
+        """The oracle calls the problem once per (node, level, step), not
+        once per admissible next level."""
+        tri = build_uniform(paper.domain, 0.25)
+        grid = control_grid(0.25)
+        calls = {"dynamics": 0, "cost": 0}
+
+        def counted(name):
+            def call(x, a):
+                calls[name] += 1
+                return getattr(paper, name)(x, a)
+            return call
+
+        spec = dataclasses.replace(paper, dynamics=counted("dynamics"), cost=counted("cost"))
+        brute_force_oracle(spec, tri, grid, 0.25, 3)
+        assert (tri.n_vertices, grid.n_levels) == (49, 5)
+        assert calls == {"dynamics": 3 * 49 * 5, "cost": 3 * 49 * 5}
 
     def test_independent_of_table_and_sweep(self, paper, monkeypatch):
         """The oracle reaches no transition table and no sweep kernel."""
