@@ -35,7 +35,7 @@ result into a running minimum.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,40 +62,38 @@ class PolicyField:
 class TransitionTable:
     """Interpolation stencils of the Euler images, per control level.
 
-    The stencils are stored stencil-major: row j of `flat_indices` and
-    `flat_weights`, shape (nu+1, n_levels*N), lists the j-th stencil vertex
-    of every (a, i) in level-major order (row a*N + i).  `indices` and
-    `weights` are (n_levels, N, nu+1) views of the same buffers, and
-    `stage_cost` is an (N, n_levels) view of `flat_stage_cost`, the costs in
-    level-major order.
+    One layout, stencil-major and level-major: column a*N + i of `indices`
+    and `weights`, shape (nu+1, n_levels*N), is the stencil of the image of
+    node i under level a, and row j lists the j-th stencil vertex of every
+    such (a, i).  `stage_cost` holds f at the nodes, shape (n_levels, N);
+    its `ravel()` lines up with the stencil columns.  The level and node
+    counts are read from `stage_cost.shape`.
     """
 
-    indices: np.ndarray     # (n_levels, N, nu+1) int
-    weights: np.ndarray     # (n_levels, N, nu+1) float
-    stage_cost: np.ndarray  # (N, n_levels) values of f at the nodes
+    indices: np.ndarray     # (nu+1, n_levels*N) int
+    weights: np.ndarray     # (nu+1, n_levels*N) float
+    stage_cost: np.ndarray  # (n_levels, N) values of f at the nodes
     h: float
     discount: float
-    flat_indices: np.ndarray = field(init=False, repr=False)
-    flat_weights: np.ndarray = field(init=False, repr=False)
-    flat_stage_cost: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nl, n_nodes, stencil = self.indices.shape
-        self.flat_indices = _stencil_major(self.indices)
-        self.flat_weights = _stencil_major(self.weights)
+        nl, n_nodes = self.stage_cost.shape
+        if self.indices.shape != self.weights.shape or self.indices.shape[1:] != (nl * n_nodes,):
+            raise ConfigurationError(
+                f"stencils of shape {self.indices.shape} and {self.weights.shape} do not "
+                f"fit {nl} levels of {n_nodes} nodes"
+            )
         # the sweeps gather with mode="clip", which would hide a bad index
-        if self.flat_indices.min() < 0 or self.flat_indices.max() >= n_nodes:
+        if self.indices.min() < 0 or self.indices.max() >= n_nodes:
             raise ConfigurationError(f"stencil index outside the nodes 0..{n_nodes - 1}")
-        self.indices = self.flat_indices.reshape(stencil, nl, n_nodes).transpose(1, 2, 0)
-        self.weights = self.flat_weights.reshape(stencil, nl, n_nodes).transpose(1, 2, 0)
-        self.flat_stage_cost = np.ascontiguousarray(self.stage_cost.T).ravel()
-        self.stage_cost = self.flat_stage_cost.reshape(nl, n_nodes).T
 
 
-def _stencil_major(a: np.ndarray) -> np.ndarray:
-    """(n_levels, N, nu+1) -> contiguous (nu+1, n_levels*N); no copy if the
-    array is already a view of stencil-major storage."""
-    return np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(a.shape[2], -1)
+def _at_level(indices: np.ndarray, levels: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Gather index into a level-major vector of length n_levels*N: stencil
+    vertex j of column a*N + i read at level levels[a, i] (levels may be an
+    (n_levels, 1) column that broadcasts over the nodes)."""
+    nl = len(levels)
+    return (indices.reshape(-1, nl, n_nodes) + levels * n_nodes).reshape(-1, nl * n_nodes)
 
 
 def _check_step(h: float, lam: float):
@@ -124,12 +122,12 @@ def build_table(
     nu = tri.dim
     indices = np.empty((nu + 1, nl, N), dtype=int)
     weights = np.empty((nu + 1, nl, N))
-    stage = np.empty((nl, N))
+    stage_cost = np.empty((nl, N))
     for ai, a in enumerate(grid.levels):
         a = float(a)
-        g, stage[ai] = level_data(spec, tri.vertices, a, ai)
+        g, stage_cost[ai] = level_data(spec, tri.vertices, a, ai)
         try:
-            idx, w, _ = locate_many(tri, tri.vertices + h * g)
+            idx, w = locate_many(tri, tri.vertices + h * g)
         except OutOfDomainError as exc:
             raise OutOfDomainError(
                 f"Euler image of node {exc.context} under control a={a} leaves the "
@@ -142,8 +140,8 @@ def build_table(
         indices[:, ai] = idx.T
         weights[:, ai] = w.T
     return TransitionTable(
-        indices=indices.transpose(1, 2, 0), weights=weights.transpose(1, 2, 0),
-        stage_cost=stage.T, h=h, discount=spec.discount,
+        indices=indices.reshape(nu + 1, -1), weights=weights.reshape(nu + 1, -1),
+        stage_cost=stage_cost, h=h, discount=spec.discount,
     )
 
 
@@ -164,7 +162,7 @@ def table_for(
     """
     if table is not None:
         want = (h, spec.discount, grid.n_levels, tri.n_vertices)
-        have = (table.h, table.discount, *table.indices.shape[:2])
+        have = (table.h, table.discount, *table.stage_cost.shape)
         if have == want:
             return table
         warnings.warn(
@@ -187,7 +185,7 @@ def lookahead(values: np.ndarray, spec: ProblemSpec, tri: Triangulation, h: floa
     """
     g, f = level_data(spec, X, a, a_index, point=point)
     image = [xi + h * gi for xi, gi in zip(X.tolist()[0], g)]
-    _, ids, weights = _locate_point(tri, image)
+    ids, weights = _locate_point(tri, image)
     interp = values[ids, a_index:].T @ np.array(weights)
     return image, f, (1.0 - spec.discount * h) * interp + h * f
 
@@ -231,9 +229,8 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
     for a in range(nl - 2, -1, -1):
         np.minimum(first[a + 1], first[a], out=first[a])
     # row (a, i) reads its stencil at level a of a level-major vector
-    at_level = (table.flat_indices.reshape(-1, nl, n_nodes)
-                + np.arange(0, nl * n_nodes, n_nodes)[:, None]).reshape(-1, nl * n_nodes)
-    bound = _interpolate(suffix.ravel(), at_level, table.flat_weights,
+    at_level = _at_level(table.indices, np.arange(nl)[:, None], n_nodes)
+    bound = _interpolate(suffix.ravel(), at_level, table.weights,
                          np.empty(nl * n_nodes), np.empty(nl * n_nodes))
     s = first.ravel()
     s0 = s.take(at_level[0], mode="clip")
@@ -302,7 +299,7 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
     after rounding.  Only the rows left open run the column fold (`_fold`)
     on their gathered stencils.
     """
-    nl, n_nodes = table.indices.shape[:2]
+    nl, n_nodes = table.stage_cost.shape
     if values.shape != (nl, n_nodes):
         raise ConfigurationError(
             f"values of shape {values.shape} do not match the table's {(nl, n_nodes)}"
@@ -311,10 +308,10 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
     best, rows = _bound(values, table, policy)
     # the open rows of levels a <= b are the first ends[b] of rows
     ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
-    idx = table.flat_indices.take(rows, axis=1)
-    wts = table.flat_weights.take(rows, axis=1)
+    idx = table.indices.take(rows, axis=1)
+    wts = table.weights.take(rows, axis=1)
     if policy:
-        step = table.h * table.flat_stage_cost
+        step = table.h * table.stage_cost.ravel()
         best *= beta
         best += step
         choice = np.repeat(np.arange(nl), n_nodes)
@@ -322,7 +319,7 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
         return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
     best[rows] = _fold(values, idx, wts, ends)
     best *= beta
-    best += table.h * table.flat_stage_cost
+    best += table.h * table.stage_cost.ravel()
     return best.reshape(nl, n_nodes)
 
 
@@ -356,17 +353,19 @@ def greedy_policy(
     return pol
 
 
-def policy_index(policy: PolicyField, table: TransitionTable) -> np.ndarray:
+def policy_index(choice: np.ndarray, table: TransitionTable) -> np.ndarray:
     """Stencil-major gather index of a frozen policy, (nu+1, n_levels*N).
 
-    Row (a, i) of the frozen operator reads its stencil at column level
-    b = policy.choice[i, a]; in a level-major vector of length n_levels*N,
-    node j at level b sits at b*N + j.
+    `choice` is level-major, (n_levels, N), as `sweep` returns it: row
+    (a, i) of the frozen operator reads its stencil at column level
+    b = choice[a, i]; in a level-major vector of length n_levels*N, node j
+    at level b sits at b*N + j.
     """
-    nl, n_nodes = table.indices.shape[:2]
-    if policy.choice.shape != (n_nodes, nl) or policy.choice.max() >= nl:
-        raise ConfigurationError("policy does not fit the table's nodes and levels")
-    return table.flat_indices + policy.choice.T.ravel() * n_nodes
+    nl, n_nodes = table.stage_cost.shape
+    levels = np.arange(nl)[:, None]
+    if choice.shape != (nl, n_nodes) or np.any((choice < levels) | (choice >= nl)):
+        raise ConfigurationError("policy does not fit the table's levels and nodes")
+    return _at_level(table.indices, choice, n_nodes)
 
 
 def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) -> np.ndarray:
@@ -377,7 +376,7 @@ def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) 
     policy's policy_index.
     """
     tmp = np.empty(len(values))
-    out = _interpolate(values, index, table.flat_weights, np.empty(len(values)), tmp)
+    out = _interpolate(values, index, table.weights, np.empty(len(values)), tmp)
     out *= 1.0 - table.discount * table.h
-    out += np.multiply(table.h, table.flat_stage_cost, out=tmp)
+    out += np.multiply(table.h, table.stage_cost.ravel(), out=tmp)
     return out

@@ -86,6 +86,13 @@ def _integer(value) -> int:
     return int(number)
 
 
+def _boolean(value) -> bool:
+    """A YAML true or false; any other value, such as 'no' or 1, raises ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
 def _read(cfg: dict, key: str, kind=str, default=None):
     """cfg[key] converted by kind (str, float, _integer, dict, ...).
 
@@ -234,7 +241,7 @@ def cmd_check_mesh(cfg, out_dir, snap_k) -> int:
         compact = _read(sub, "compact", lambda v: np.asarray(v, dtype=float).reshape(2, tri.dim))
     report = check_hypotheses(tri, spec, h, grid.levels, compact=compact)
     ok = report.hip1_ok and report.hip2_ok and report.chi1 > 0 and math.isfinite(report.k_over_d_max)
-    if sub.get("dump"):
+    if sub.get("dump") is not None and _read(sub, "dump", _boolean):
         _write(out_dir, "mesh.txt", mesh_dump(tri))
     _write(out_dir, "mesh_report.txt", _report_header(cfg, {
         "vertices": tri.n_vertices,

@@ -30,7 +30,7 @@ class ControlGrid:
 
 def control_grid(h: float) -> ControlGrid:
     """Equispaced control levels {i*h}; requires 1/h to be an integer."""
-    if h <= 0:
+    if not h > 0:
         raise ConfigurationError(f"control step must be positive, got {h}")
     inv = 1.0 / h
     m = int(round(inv))
@@ -41,10 +41,10 @@ def control_grid(h: float) -> ControlGrid:
 
 def level_index(grid: ControlGrid, a: float) -> int:
     """Map a control value to its grid index; the value must sit on the grid."""
-    idx = int(round(a / grid.h))
+    idx = np.rint(a / grid.h)  # NaN for a NaN value, which fails the range check
     if not 0 <= idx <= grid.m or abs(a - idx * grid.h) > _INV_TOL:
         raise ConfigurationError(f"control value {a} is not a grid level (h={grid.h})")
-    return idx
+    return int(idx)
 
 
 @dataclass(eq=False)

@@ -87,6 +87,8 @@ def _coupled_h(k: float, coupling: str, c: float) -> float:
         h = c * k ** (2.0 / 3.0)
     else:
         raise ConfigurationError(f"unknown coupling rule {coupling!r}")
+    if not 0.0 < h < math.inf:
+        raise ConfigurationError(f"coupled step h={h} at k={k} is not positive and finite")
     # snap so that 1/h is an integer
     m = max(1, int(round(1.0 / h)))
     return 1.0 / m
@@ -144,7 +146,7 @@ def run_sweep(
         tri, grid, u = solutions[row.k]
         if row.k == ref_k:
             continue
-        idx, wts, _ = locate_many(ref_tri, tri.vertices)
+        idx, wts = locate_many(ref_tri, tri.vertices)
         err = 0.0
         for j, a in enumerate(grid.levels):
             jr = a * ref_grid.m

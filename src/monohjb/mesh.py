@@ -8,12 +8,14 @@ the uniform grid has diameter exactly k.
 
 Point location is O(1): cell arithmetic plus a coordinate sort that
 identifies the Kuhn simplex and yields the barycentric weights directly.
-One point, `locate(tri, p)`, checks the point's shape and runs the scalar
-core `_locate_point` in Python floats and ints on a list of coordinates
-(the closed-loop rollout calls that core directly); a batch,
+A located point is its P1 stencil: the ids of the vertices of its
+simplex and their barycentric weights, which is all that interpolation
+reads.  One point, `locate(tri, p)`, checks the point's shape and runs the
+scalar core `_locate_point` in Python floats and ints on a list of
+coordinates (the closed-loop rollout calls that core directly); a batch,
 `locate_many(tri, points)`, takes the vectorized path.  Both read the mesh
 constants cached on the `Triangulation` (`Triangulation.constants`) and
-return the same simplex, vertex ids and weights, bit for bit.
+return the same vertex ids and weights, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,14 +45,7 @@ class MeshConstants(NamedTuple):
     eps: float                # snap tolerance
     max_cell: list            # cells_per_axis - 1, ints
     node_strides: list        # C-order flat-id strides of the nodes
-    cell_strides: list        # ... and of the cells
     node_strides_array: np.ndarray
-    cell_strides_array: np.ndarray
-    codes: list               # permutation code weights, see _perm_ranks
-    ranks: list               # permutation rank by code
-    codes_array: np.ndarray
-    ranks_array: np.ndarray
-    n_perms: int              # nu!, simplices per cell
 
 
 @dataclass(eq=False)
@@ -85,8 +80,6 @@ class Triangulation:
         mesh (the mesh arrays are not modified after construction)."""
         nu = self.dim
         node_strides = _c_strides(self.nodes_per_axis)
-        cell_strides = _c_strides(tuple(int(c) for c in self.cells_per_axis))
-        codes, ranks = _perm_ranks(nu)
         return MeshConstants(
             nu=nu,
             lower=self.lower.tolist(),
@@ -95,20 +88,12 @@ class Triangulation:
             eps=self.snap_tolerance,
             max_cell=(self.cells_per_axis - 1).tolist(),
             node_strides=node_strides.tolist(),
-            cell_strides=cell_strides.tolist(),
             node_strides_array=node_strides,
-            cell_strides_array=cell_strides,
-            codes=codes.tolist(),
-            ranks=ranks.tolist(),
-            codes_array=codes,
-            ranks_array=ranks,
-            n_perms=math.factorial(nu),
         )
 
 
 @dataclass
 class BarycentricCoords:
-    simplex: int
     vertex_indices: np.ndarray  # (nu+1,) int
     weights: np.ndarray         # (nu+1,) float, nonnegative, summing to 1
 
@@ -126,6 +111,8 @@ class MeshReport:
 
 def snap_mesh_size(domain, k: float) -> float:
     """Round k to the nearest value commensurate with the domain widths."""
+    if not 0.0 < k < math.inf:
+        raise MeshConstructionError(f"mesh size must be positive and finite, got {k}")
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     widths = upper - lower
@@ -137,7 +124,7 @@ def build_uniform(domain, k: float) -> Triangulation:
     """Uniform Kuhn triangulation of the inner box [lower+k, upper-k]."""
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
-    if k <= 0:
+    if not k > 0:
         raise MeshConstructionError(f"mesh size must be positive, got {k}")
     widths = upper - lower
     nu = lower.shape[0]
@@ -189,11 +176,10 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     """Vectorized point location of a batch of points, shape (M, nu) (or
     one point of shape (nu,), located as a batch of one).
 
-    Returns (vertex index array (M, nu+1), weight array (M, nu+1),
-    simplex id array (M,)).  Points within the snap tolerance outside the
-    inner box are clamped; anything farther, or NaN, raises OutOfDomainError
-    naming the offending coordinate.  A last axis other than nu raises
-    DimensionMismatchError.
+    Returns (vertex index array (M, nu+1), weight array (M, nu+1)).  Points
+    within the snap tolerance outside the inner box are clamped; anything
+    farther, or NaN, raises OutOfDomainError naming the offending coordinate.
+    A last axis other than nu raises DimensionMismatchError.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     c = tri.constants
@@ -234,9 +220,7 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     idx[:, 0] = cell @ strides
     np.cumsum(strides[order], axis=1, out=idx[:, 1:])
     idx[:, 1:] += idx[:, :1]
-
-    simplex_ids = (cell @ c.cell_strides_array) * c.n_perms + c.ranks_array[order @ c.codes_array]
-    return idx, W, simplex_ids
+    return idx, W
 
 
 def locate(tri: Triangulation, p) -> BarycentricCoords:
@@ -255,20 +239,19 @@ def locate(tri: Triangulation, p) -> BarycentricCoords:
         )
     if x.shape[0] != nu:
         raise DimensionMismatchError(f"point has {x.shape[0]} coordinates; the mesh has {nu}")
-    simplex, ids, weights = _locate_point(tri, x.tolist())
-    return BarycentricCoords(simplex=simplex, vertex_indices=np.array(ids),
-                             weights=np.array(weights))
+    ids, weights = _locate_point(tri, x.tolist())
+    return BarycentricCoords(vertex_indices=np.array(ids), weights=np.array(weights))
 
 
 def _locate_point(tri: Triangulation, xs: list):
     """Scalar core of `locate`: one point as a list of nu Python floats, not
     checked for length.
 
-    Returns (simplex id, vertex ids, weights) as an int and two lists: the
-    values of row 0 of `locate_many(tri, [xs])`, bit for bit.  It does the
-    same clamping (numpy's `clip` keeps the bound on a tie, so signed zeros
-    come out alike), the same floor and subtraction, a stable descending
-    sort of the in-cell offsets, and the same weight clip.  A point outside
+    Returns (vertex ids, weights) as two lists: the values of row 0 of
+    `locate_many(tri, [xs])`, bit for bit.  It does the same clamping
+    (numpy's `clip` keeps the bound on a tie, so signed zeros come out
+    alike), the same floor and subtraction, a stable descending sort of the
+    in-cell offsets, and the same weight clip.  A point outside
     the mesh raises OutOfDomainError as `locate_many` does, with row 0.
     """
     c = tri.constants
@@ -276,7 +259,6 @@ def _locate_point(tri: Triangulation, xs: list):
     k = c.k
     s = []
     base = 0
-    cell_flat = 0
     for ax, xa in enumerate(xs):
         lo = c.lower[ax]
         hi = c.upper[ax]
@@ -293,7 +275,6 @@ def _locate_point(tri: Triangulation, xs: list):
             ci = c.max_cell[ax]
         s.append(q - ci)
         base += ci * c.node_strides[ax]
-        cell_flat += ci * c.cell_strides[ax]
 
     # descending, ties in axis order (Python's sort stays stable reversed)
     order = sorted(range(c.nu), key=s.__getitem__, reverse=True)
@@ -303,12 +284,10 @@ def _locate_point(tri: Triangulation, xs: list):
     weights = [w if w > 0.0 else 0.0 for w in weights]
 
     ids = [base]
-    code = 0
-    for ax, cw in zip(order, c.codes):
+    for ax in order:
         base += c.node_strides[ax]
         ids.append(base)
-        code += ax * cw
-    return cell_flat * c.n_perms + c.ranks[code], ids, weights
+    return ids, weights
 
 
 def _out_of_domain(tri: Triangulation, point: np.ndarray, ax: int, row: int) -> OutOfDomainError:
@@ -325,20 +304,6 @@ def _out_of_domain(tri: Triangulation, point: np.ndarray, ax: int, row: int) -> 
 def _c_strides(shape: tuple) -> np.ndarray:
     """Flat-index strides of a C-order array of this shape."""
     return np.array([math.prod(shape[ax + 1:]) for ax in range(len(shape))])
-
-
-@functools.lru_cache(maxsize=None)
-def _perm_ranks(nu: int):
-    """Mixed-radix weights nu^(nu-1), ..., 1 and a table, indexed by a
-    permutation's code (its entries as base-nu digits), of its rank in
-    itertools.permutations order; read-only."""
-    codes = nu ** np.arange(nu - 1, -1, -1)
-    perms = np.array(list(itertools.permutations(range(nu))))
-    ranks = np.zeros(nu ** nu, dtype=int)
-    ranks[perms @ codes] = np.arange(len(perms))
-    codes.flags.writeable = False
-    ranks.flags.writeable = False
-    return codes, ranks
 
 
 def _max_norm_diameters(tri: Triangulation) -> np.ndarray:
@@ -386,7 +351,7 @@ def check_hypotheses(
     limit; with no compact given we report the inset k itself, the distance
     from the inner box to the domain boundary).
     """
-    if h <= 0:
+    if not h > 0:
         raise MeshConstructionError(f"time step must be positive, got {h}")
     diam = _max_norm_diameters(tri)
     hip1_ok = bool(abs(diam.max() - tri.k) <= 1e-12 * tri.k and np.all(diam <= tri.k * (1 + 1e-12)))

@@ -10,6 +10,7 @@ posteriori bound ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,8 +43,11 @@ class SolveOptions:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.stop_rule not in ("paper", "target_bound"):
             raise ConfigurationError(f"unknown stop rule {self.stop_rule!r}")
-        if self.stop_rule == "target_bound" and (self.target is None or self.target <= 0):
-            raise ConfigurationError("target_bound stop rule needs a positive target")
+        target = self.target
+        if self.stop_rule == "target_bound" and (
+                target is None or not math.isfinite(target) or target <= 0):
+            raise ConfigurationError(
+                f"target_bound stop rule needs a positive finite target, got {target}")
         if self.stop_rule == "paper" and self.target is not None:
             raise ConfigurationError("target is read only by the target_bound stop rule")
         if self.max_iterations < 1:
@@ -80,7 +84,7 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
     whose values equal the last iterate exactly.  Returns level-major
     (values, choice) and the residual history.
     """
-    u = np.zeros(table.indices.shape[:2])
+    u = np.zeros(table.stage_cost.shape)
     history = []
     for _ in range(max_iterations):
         prev, u = u, sweep(u, table)
@@ -106,12 +110,12 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     history.
     """
     eval_tolerance = threshold * table.discount * table.h
-    u = np.zeros(table.indices.shape[:2])
+    u = np.zeros(table.stage_cost.shape)
     _, choice = sweep(u, table, policy=True)
     history = []
     for _ in range(max_iterations):
         # policy evaluation on level-major vectors: one flat gather per sweep
-        index = policy_index(PolicyField(choice.T), table)
+        index = policy_index(choice, table)
         w = u.ravel()
         for _ in range(max_iterations):
             w_next = apply_policy(w, index, table)

@@ -21,7 +21,7 @@ from monohjb import (
     lookahead,
     sup_norm_diff,
 )
-from monohjb.bellman import PolicyField, TransitionTable, _bound, policy_index, sweep
+from monohjb.bellman import TransitionTable, _bound, policy_index, sweep
 from monohjb.mesh import locate_many
 
 
@@ -186,13 +186,16 @@ class TestBatchCallbacks:
         tri = build_uniform(spec.domain, hk)
         grid = control_grid(hk)
         table = build_table(spec, tri, grid, hk)
+        n_nodes = tri.n_vertices
         for ai, a in enumerate(grid.levels):
             images = np.array([x + hk * spec.dynamics(x, a) for x in tri.vertices])
-            idx, w, _ = locate_many(tri, images)
-            np.testing.assert_array_equal(table.indices[ai], idx)
-            np.testing.assert_array_equal(table.weights[ai], w)
+            idx, w = locate_many(tri, images)
+            for i in range(n_nodes):
+                for j in range(tri.dim + 1):
+                    assert table.indices[j, ai * n_nodes + i] == idx[i, j]
+                    assert table.weights[j, ai * n_nodes + i] == w[i, j]
             np.testing.assert_array_equal(
-                table.stage_cost[:, ai], [spec.cost(x, a) for x in tri.vertices]
+                table.stage_cost[ai], [spec.cost(x, a) for x in tri.vertices]
             )
 
     def test_one_call_per_level(self, paper):
@@ -241,8 +244,8 @@ def make_contracting_3d() -> ProblemSpec:
 
 
 def reference_sweep(values, table):
-    """Per-node loop over table.indices[a, i, j]; level-major values in and
-    out, smallest b on ties."""
+    """Per-node loop over table.indices[j, a*N + i]; level-major values in
+    and out, smallest b on ties."""
     nl, n_nodes = values.shape
     beta = 1.0 - table.discount * table.h
     out = np.empty_like(values)
@@ -252,9 +255,10 @@ def reference_sweep(values, table):
             best, arg = np.inf, -1
             for b in range(a, nl):
                 interp = 0.0
-                for j in range(table.indices.shape[2]):
-                    interp += table.weights[a, i, j] * values[b, table.indices[a, i, j]]
-                cand = beta * interp + table.h * table.stage_cost[i, a]
+                for j in range(len(table.indices)):
+                    col = a * n_nodes + i
+                    interp += table.weights[j, col] * values[b, table.indices[j, col]]
+                cand = beta * interp + table.h * table.stage_cost[a, i]
                 if cand < best:
                     best, arg = cand, b
             out[a, i], choice[a, i] = best, arg
@@ -267,8 +271,8 @@ def level_fold_sweep(values, table, policy=False):
     `sweep`.  The bit-for-bit reference of the bound."""
     nl, n_nodes = values.shape
     beta = 1.0 - table.discount * table.h
-    idx, wts = table.flat_indices, table.flat_weights
-    step = table.h * table.flat_stage_cost
+    idx, wts = table.indices, table.weights
+    step = table.h * table.stage_cost.ravel()
     best = np.empty(nl * n_nodes)
     choice = np.full(nl * n_nodes, nl - 1)
     for b in range(nl - 1, -1, -1):
@@ -291,12 +295,12 @@ def level_fold_sweep(values, table, policy=False):
 
 def random_table(rng, nl, n_nodes, stencil, h, stage_cost):
     """Random stencils with about a third of the weights zero."""
-    weights = rng.random((nl, n_nodes, stencil))
+    weights = rng.random((stencil, nl * n_nodes))
     weights[rng.random(weights.shape) < 0.3] = 0.0
-    weights[..., 0] += weights.sum(axis=2) == 0
-    weights /= weights.sum(axis=2, keepdims=True)
+    weights[0] += weights.sum(axis=0) == 0
+    weights /= weights.sum(axis=0)
     return TransitionTable(
-        indices=rng.integers(0, n_nodes, size=(nl, n_nodes, stencil)),
+        indices=rng.integers(0, n_nodes, size=(stencil, nl * n_nodes)),
         weights=weights, stage_cost=stage_cost, h=h, discount=1.0,
     )
 
@@ -342,32 +346,27 @@ class TestSweepKernel:
         for policy in (False, True):
             assert len(_bound(values, table, policy)[1]) == 0
 
-    def test_table_views_keep_shape_and_values(self, kernel_case):
-        _, tri, grid, _, table = kernel_case
-        nl, n_nodes = grid.n_levels, tri.n_vertices
-        assert table.indices.shape == table.weights.shape == (nl, n_nodes, tri.dim + 1)
-        assert table.stage_cost.shape == (n_nodes, nl)
-        assert np.shares_memory(table.indices, table.flat_indices)
-        assert np.shares_memory(table.weights, table.flat_weights)
-        assert np.shares_memory(table.stage_cost, table.flat_stage_cost)
-        for a in range(nl):
-            rows = slice(a * n_nodes, (a + 1) * n_nodes)
-            np.testing.assert_array_equal(table.flat_indices[:, rows], table.indices[a].T)
-            np.testing.assert_array_equal(table.flat_weights[:, rows], table.weights[a].T)
-            np.testing.assert_array_equal(table.flat_stage_cost[rows], table.stage_cost[:, a])
-
     def test_mismatched_inputs_are_rejected(self, kernel_case):
         _, tri, grid, _, table = kernel_case
         with pytest.raises(ConfigurationError):
             sweep(np.zeros((grid.n_levels, tri.n_vertices + 1)), table)
         bad = table.indices.copy()
-        bad[0, 0, 0] = tri.n_vertices
-        with pytest.raises(ConfigurationError):
-            TransitionTable(indices=bad, weights=table.weights, stage_cost=table.stage_cost,
-                            h=table.h, discount=table.discount)
-        choice = np.full((tri.n_vertices, grid.n_levels), grid.n_levels)
-        with pytest.raises(ConfigurationError):
-            policy_index(PolicyField(choice), table)
+        bad[0, 0] = tri.n_vertices
+        for indices, weights, stage_cost in [
+            (bad, table.weights, table.stage_cost),
+            (table.indices[:, 1:], table.weights[:, 1:], table.stage_cost),
+            (table.indices, table.weights[1:], table.stage_cost),
+            (table.indices, table.weights, table.stage_cost.T),
+        ]:
+            with pytest.raises(ConfigurationError):
+                TransitionTable(indices=indices, weights=weights, stage_cost=stage_cost,
+                                h=table.h, discount=table.discount)
+        levels = np.arange(grid.n_levels)[:, None]
+        for choice in [np.full((grid.n_levels, tri.n_vertices), grid.n_levels),
+                       np.zeros((tri.n_vertices, grid.n_levels), dtype=int),
+                       np.broadcast_to(levels - 1, (grid.n_levels, tri.n_vertices))]:
+            with pytest.raises(ConfigurationError):
+                policy_index(choice, table)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -379,7 +378,7 @@ class TestSweepKernel:
     )
     def test_value_and_policy_paths_agree(self, seed, nl, n_nodes, stencil, h):
         rng = np.random.default_rng(seed)
-        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(n_nodes, nl)))
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
         # few distinct values, so that exact ties occur
         values = rng.integers(-2, 3, size=(nl, n_nodes)) * rng.choice([1.0, 0.1])
         with_policy, choice = sweep(values, table, policy=True)
@@ -401,7 +400,7 @@ class TestSweepKernel:
         scale = rng.choice([1.0, 0.1])
         # few distinct values and costs, zeros of both signs among them
         table = random_table(rng, nl, n_nodes, stencil, h,
-                             rng.integers(-2, 3, size=(n_nodes, nl)) * scale)
+                             rng.integers(-2, 3, size=(nl, n_nodes)) * scale)
         values = rng.integers(-2, 3, size=(nl, n_nodes)) * scale
         values[rng.random(values.shape) < 0.2] = -0.0
         value = sweep(values, table)
@@ -415,7 +414,7 @@ class TestSweepKernel:
     def test_every_picard_iterate_matches_level_fold_kernel(self, medium):
         _, _, table = medium
         threshold = 1e-8 * 0.1 / 0.9  # a 1e-8 certificate at lambda h = 0.1
-        u = np.zeros(table.indices.shape[:2])
+        u = np.zeros(table.stage_cost.shape)
         for _ in range(1000):
             value = sweep(u, table)
             assert_same_bits(value, level_fold_sweep(u, table))
@@ -434,8 +433,8 @@ class TestSweepKernel:
         # one ulp above it, which the stage cost rounds away: both candidates
         # of row (0, 0) are 50.5, so the policy path must fold that row
         table = TransitionTable(
-            indices=np.zeros((2, 1, 2), dtype=int), weights=np.full((2, 1, 2), 0.5),
-            stage_cost=np.full((1, 2), 100.0), h=0.5, discount=1.0,
+            indices=np.zeros((2, 2), dtype=int), weights=np.full((2, 2), 0.5),
+            stage_cost=np.full((2, 1), 100.0), h=0.5, discount=1.0,
         )
         values = np.array([[1.0 + 2.0**-52], [1.0]])
         np.testing.assert_array_equal(_bound(values, table, True)[1], [0])
@@ -449,11 +448,11 @@ class TestSweepKernel:
         # every stencil pairs an even node with an odd one
         nl, n_nodes = 4, 6
         nodes = np.arange(n_nodes)
-        pairs = np.stack([nodes, (nodes + 1) % n_nodes], axis=-1)
+        pairs = np.stack([nodes, (nodes + 1) % n_nodes])
         table = TransitionTable(
-            indices=np.repeat(pairs[None], nl, axis=0),
-            weights=np.full((nl, n_nodes, 2), 0.5),
-            stage_cost=np.linspace(-1, 1, n_nodes * nl).reshape(n_nodes, nl),
+            indices=np.tile(pairs, nl),
+            weights=np.full((2, nl * n_nodes), 0.5),
+            stage_cost=np.linspace(-1, 1, n_nodes * nl).reshape(nl, n_nodes),
             h=0.1, discount=1.0,
         )
         levels = np.arange(nl)[:, None]

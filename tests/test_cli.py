@@ -277,6 +277,8 @@ _START = {"x0": [0.5, 0.5], "a0": 0.0}
     ("bounds", "n", {"bounds": {"T": 4.0, "n": 0.5}}),
     ("check-mesh", "compact", {"mesh": {"compact": "abc"}}),
     ("check-mesh", "compact", {"mesh": {"compact": [[-0.5, -0.5], [0.5]]}}),
+    ("check-mesh", "dump", {"mesh": {"dump": "no"}}),
+    ("check-mesh", "dump", {"mesh": {"dump": 1}}),
 ])
 def test_mistyped_value_is_config_error(tmp_path, capsys, cmd, key, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -313,6 +315,38 @@ def test_mesh_dump_requested(tmp_path):
     cfg = write_config(tmp_path, mesh={"dump": True})
     assert run("check-mesh", cfg, tmp_path / "out") == 0
     assert (tmp_path / "out" / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize("dump", [False, None])
+def test_mesh_dump_not_requested(tmp_path, dump):
+    cfg = write_config(tmp_path, mesh={"dump": dump})
+    assert run("check-mesh", cfg, tmp_path / "out") == 0
+    assert not (tmp_path / "out" / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize("cmd,overrides,extra", [
+    ("solve", {"k": math.nan}, ()),
+    ("solve", {"k": math.nan}, ("--snap-k",)),
+    ("solve", {"k": math.inf}, ("--snap-k",)),
+    ("solve", {"k": math.inf}, ()),
+    ("solve", {"h": math.nan}, ()),
+    ("solve", {"h": math.inf}, ()),
+    ("check-mesh", {"k": math.nan}, ()),
+    ("simulate", {"h": math.nan, "simulate": {**_START, "steps": 2}}, ()),
+    ("simulate", {"simulate": {"x0": [0.5, 0.5], "a0": math.nan, "steps": 2}}, ()),
+    ("sweep", {"sweep": {"k_list": [math.nan]}}, ()),
+    ("sweep", {"sweep": {"k_list": [0.5], "coupling": "h=c*k^(2/3)", "c": math.nan}}, ()),
+    ("solve", {"stop_rule": "target_bound", "target": math.nan}, ()),
+    ("solve", {"stop_rule": "target_bound", "target": math.inf}, ()),
+])
+def test_non_finite_value_is_config_error(tmp_path, capsys, cmd, overrides, extra):
+    cfg = write_config(tmp_path, **overrides)
+    assert run(cmd, cfg, tmp_path / "out", *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_forwards_stop_rule(tmp_path, monkeypatch):

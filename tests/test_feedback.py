@@ -176,7 +176,7 @@ def _reference_rollout(spec, tri, grid, value, x0, a0, h, steps):
         (g,), (f,) = level_data(spec, y[None, :], float(grid.levels[a]), a)
         f = float(f)
         y_next = y + h * g
-        idx, w, _ = locate_many(tri, y_next[None, :])
+        idx, w = locate_many(tri, y_next[None, :])
         interp = value.values[idx[0], a:].T @ w[0]
         b = a + int(np.argmin(beta * interp + h * f))
         controls.append(a)

@@ -33,11 +33,20 @@ def test_control_grid_rejects_non_integer_inverse():
         control_grid(0.3)
 
 
+@pytest.mark.parametrize("h", [np.nan, 0.0, -0.5])
+def test_control_grid_rejects_non_positive_step(h):
+    with pytest.raises(ConfigurationError, match="control step must be positive"):
+        control_grid(h)
+
+
 def test_level_index_roundtrip():
     g = control_grid(0.25)
     assert level_index(g, 0.75) == 3
     with pytest.raises(ConfigurationError):
         level_index(g, 0.3)
+    for a in (np.nan, np.inf, -0.25, 1.25):
+        with pytest.raises(ConfigurationError, match="not a grid level"):
+            level_index(g, a)
 
 
 @pytest.fixture(scope="module")

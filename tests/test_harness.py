@@ -169,6 +169,10 @@ class TestSweep:
         assert _coupled_h(0.1, "h=k", 1.0) == pytest.approx(0.1)
         with pytest.raises(ConfigurationError):
             _coupled_h(0.1, "h=k^9", 1.0)
+        for k, coupling, c in [(math.nan, "h=k", 1.0), (0.0, "h=k", 1.0),
+                               (0.1, "h=c*k^(2/3)", math.nan), (0.1, "h=c*k^(2/3)", -1.0)]:
+            with pytest.raises(ConfigurationError, match="not positive and finite"):
+                _coupled_h(k, coupling, c)
 
     def test_coupling_alias_removed(self):
         with pytest.raises(ConfigurationError):

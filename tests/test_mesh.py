@@ -54,6 +54,18 @@ def test_snap_mesh_size():
     build_uniform(BOX, k)  # must now succeed
 
 
+@pytest.mark.parametrize("k", [np.nan, 0.0, -0.1])
+def test_mesh_size_not_positive(k):
+    with pytest.raises(MeshConstructionError, match="mesh size must be positive"):
+        build_uniform(BOX, k)
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf, 0.0, -0.1])
+def test_snap_mesh_size_not_positive_and_finite(k):
+    with pytest.raises(MeshConstructionError, match="mesh size must be positive and finite"):
+        snap_mesh_size(BOX, k)
+
+
 def test_deterministic_construction():
     a = build_uniform(BOX, 0.25)
     b = build_uniform(BOX, 0.25)
@@ -120,7 +132,7 @@ class TestLocate:
         tri = build_uniform(BOX, 0.25)
         rng = np.random.default_rng(seed)
         pts = rng.uniform(tri.lower, tri.upper, size=(20, 2))
-        idx, w, _ = locate_many(tri, pts)
+        idx, w = locate_many(tri, pts)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         recon = np.einsum("ij,ijk->ik", w, tri.vertices[idx])
         np.testing.assert_allclose(recon, pts, atol=1e-12)
@@ -194,22 +206,25 @@ def test_simplices_match_loop_construction(dim, k):
 
 
 def test_locate_many_3d_matches_brute_force():
-    """Simplex ids, vertices and weights against barycentric coordinates in
-    every simplex of a 3-D mesh (6 Kuhn simplices per cell)."""
+    """Vertices and weights against barycentric coordinates in every simplex
+    of a 3-D mesh (6 Kuhn simplices per cell): the located vertex set is a
+    simplex of the mesh, the only one containing the point, and the weights
+    are the point's barycentric coordinates in it."""
     tri = build_uniform((-np.ones(3), np.ones(3)), 0.4)
     rng = np.random.default_rng(3)
     points = rng.uniform(tri.lower, tri.upper, size=(200, 3))
-    idx, wts, sids = locate_many(tri, points)
+    idx, wts = locate_many(tri, points)
+    row_of = {tuple(sorted(s)): row for row, s in enumerate(tri.simplices.tolist())}
     verts = tri.vertices[tri.simplices]                          # (S, 4, 3)
     # barycentric coordinates solve [vertices^T; 1 ... 1] bary = [p; 1]
     lhs = np.concatenate([verts.transpose(0, 2, 1), np.ones((len(verts), 1, 4))], axis=1)
     inverse = np.linalg.inv(lhs)
-    for p, i, w, sid in zip(points, idx, wts, sids):
+    for p, i, w in zip(points, idx, wts):
+        row = row_of[tuple(sorted(i.tolist()))]
         bary = inverse @ np.append(p, 1.0)
         inside = np.flatnonzero(np.all(bary >= -1e-12, axis=1))
-        assert inside.tolist() == [sid]
-        np.testing.assert_array_equal(np.sort(i), np.sort(tri.simplices[sid]))
-        expected = dict(zip(tri.simplices[sid], bary[sid]))
+        assert inside.tolist() == [row]
+        expected = dict(zip(tri.simplices[row], bary[row]))
         np.testing.assert_allclose(w, [expected[v] for v in i], atol=1e-12)
 
 
@@ -277,9 +292,8 @@ class TestScalarLocate:
     @given(case=_mesh_points())
     def test_matches_batch_row_bit_for_bit(self, case):
         tri, p = case
-        idx, w, sid = locate_many(tri, p[None, :])
+        idx, w = locate_many(tri, p[None, :])
         bc = locate(tri, p)
-        assert type(bc.simplex) is int and bc.simplex == sid[0]
         assert bc.vertex_indices.dtype == idx.dtype
         np.testing.assert_array_equal(bc.vertex_indices, idx[0])
         assert bc.weights.dtype == w.dtype
@@ -288,10 +302,9 @@ class TestScalarLocate:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_mesh_vertices_match_batch(self, dim):
         tri = _cube_mesh(dim)
-        idx, w, sid = locate_many(tri, tri.vertices)
+        idx, w = locate_many(tri, tri.vertices)
         for row, p in enumerate(tri.vertices):
             bc = locate(tri, p)
-            assert bc.simplex == sid[row]
             np.testing.assert_array_equal(bc.vertex_indices, idx[row])
             assert bc.weights.tobytes() == w[row].tobytes()
 
@@ -301,10 +314,9 @@ class TestScalarLocate:
         tri = build_uniform((np.array([-0.5, -0.5]), np.array([1.5, 1.5])), 0.5)
         assert tri.lower.tolist() == [0.0, 0.0]
         points = np.array([[-0.0, 0.3], [0.3, -0.0], [-0.0, -0.0], [-1e-12, 0.0], [1.0, -0.0]])
-        idx, w, sid = locate_many(tri, points)
+        idx, w = locate_many(tri, points)
         for row, p in enumerate(points):
             bc = locate(tri, p)
-            assert bc.simplex == sid[row]
             np.testing.assert_array_equal(bc.vertex_indices, idx[row])
             assert bc.weights.tobytes() == w[row].tobytes()
 

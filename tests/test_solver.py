@@ -42,6 +42,9 @@ def test_options_validation(paper):
         SolveOptions(h=0.1, target=1e-6).validate(1.0)
     with pytest.raises(ConfigurationError):
         SolveOptions(h=0.1, max_iterations=0).validate(1.0)
+    for target in (np.nan, np.inf, 0.0, -1e-6):
+        with pytest.raises(ConfigurationError, match="positive finite target"):
+            SolveOptions(h=0.1, stop_rule="target_bound", target=target).validate(1.0)
 
 
 class TestPicard:
@@ -185,21 +188,20 @@ def test_apply_policy_matches_node_loop(paper):
     table = build_table(paper, tri, grid, hk)
     n_nodes, nl = tri.n_vertices, grid.n_levels
     rng = np.random.default_rng(5)
-    values = rng.normal(size=(n_nodes, nl))
-    choice = np.array([[rng.integers(a, nl) for a in range(nl)] for _ in range(n_nodes)])
-    policy = PolicyField(choice)
-    flat = apply_policy(values.T.ravel(), policy_index(policy, table), table)
-    got = flat.reshape(nl, n_nodes).T
+    values = rng.normal(size=(nl, n_nodes))
+    choice = np.array([[rng.integers(a, nl) for _ in range(n_nodes)] for a in range(nl)])
+    flat = apply_policy(values.ravel(), policy_index(choice, table), table)
+    got = flat.reshape(nl, n_nodes)
     beta = 1.0 - paper.discount * hk
     expected = np.empty_like(values)
-    for i in range(n_nodes):
-        for a in range(nl):
-            b = choice[i, a]
+    for a in range(nl):
+        for i in range(n_nodes):
+            b = choice[a, i]
             interp = sum(
-                table.weights[a, i, j] * values[table.indices[a, i, j], b]
+                table.weights[j, a * n_nodes + i] * values[b, table.indices[j, a * n_nodes + i]]
                 for j in range(tri.dim + 1)
             )
-            expected[i, a] = beta * interp + hk * table.stage_cost[i, a]
+            expected[a, i] = beta * interp + hk * table.stage_cost[a, i]
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
 
 
