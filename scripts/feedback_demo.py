@@ -9,11 +9,13 @@ import argparse
 import numpy as np
 
 from monohjb import (
+    ConfigurationError,
     SolveOptions,
     build_uniform,
     builtin,
     control_grid,
     cost_consistency,
+    level_index,
     simulate,
     solve,
 )
@@ -30,12 +32,15 @@ def main():
     spec = builtin("paper_example_2d")
     tri = build_uniform(spec.domain, args.hk)
     grid = control_grid(args.hk)
+    try:
+        a0 = level_index(grid, args.a0)
+    except ConfigurationError as exc:
+        ap.error(str(exc))
     u, _, report = solve(spec, tri, grid, SolveOptions(h=args.hk))
     print(f"solved in {report.iterations} iterations, "
           f"guaranteed error {report.guaranteed_error:.3e}")
 
-    a0 = grid.levels.searchsorted(args.a0)
-    traj = simulate(spec, tri, grid, u, np.array(args.x0), int(a0),
+    traj = simulate(spec, tri, grid, u, np.array(args.x0), a0,
                     args.hk, args.steps)
     print(f"discounted total over {traj.n_steps} steps: "
           f"{traj.discounted_total:.6f}")

@@ -35,7 +35,6 @@ from .harness import (
     theoretical_envelope,
 )
 from .mesh import (
-    BarycentricCoords,
     MeshReport,
     Triangulation,
     build_uniform,

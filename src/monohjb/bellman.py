@@ -96,6 +96,14 @@ def _at_level(indices: np.ndarray, levels: np.ndarray, n_nodes: int) -> np.ndarr
     return (indices.reshape(-1, nl, n_nodes) + levels * n_nodes).reshape(-1, nl * n_nodes)
 
 
+def _level_major_shape(values: np.ndarray, table: TransitionTable) -> tuple:
+    """The table's (n_levels, N), which the level-major values must have."""
+    shape = table.stage_cost.shape
+    if values.shape != shape:
+        raise ConfigurationError(f"values of shape {values.shape} do not match the table's {shape}")
+    return shape
+
+
 def _check_step(h: float, lam: float):
     if not 0.0 < h < 1.0 / lam:
         raise ConfigurationError(
@@ -299,11 +307,7 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
     after rounding.  Only the rows left open run the column fold (`_fold`)
     on their gathered stencils.
     """
-    nl, n_nodes = table.stage_cost.shape
-    if values.shape != (nl, n_nodes):
-        raise ConfigurationError(
-            f"values of shape {values.shape} do not match the table's {(nl, n_nodes)}"
-        )
+    nl, n_nodes = _level_major_shape(values, table)
     beta = 1.0 - table.discount * table.h
     best, rows = _bound(values, table, policy)
     # the open rows of levels a <= b are the first ends[b] of rows
@@ -371,12 +375,13 @@ def policy_index(choice: np.ndarray, table: TransitionTable) -> np.ndarray:
 def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) -> np.ndarray:
     """One policy-evaluation sweep: the operator with the min frozen at a policy.
 
-    `values` and the result are level-major (n_levels*N,) vectors, that is
-    GridFunction values transposed and flattened; `index` is the frozen
-    policy's policy_index.
+    `values` and the result are level-major (n_levels, N), as in `sweep`;
+    `index` is the frozen policy's policy_index, which reads `values` as
+    one flat vector of length n_levels*N.
     """
-    tmp = np.empty(len(values))
-    out = _interpolate(values, index, table.weights, np.empty(len(values)), tmp)
+    _level_major_shape(values, table)
+    tmp = np.empty(values.size)
+    out = _interpolate(values.ravel(), index, table.weights, np.empty(values.size), tmp)
     out *= 1.0 - table.discount * table.h
     out += np.multiply(table.h, table.stage_cost.ravel(), out=tmp)
-    return out
+    return out.reshape(values.shape)

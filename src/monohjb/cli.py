@@ -192,7 +192,10 @@ def cmd_simulate(cfg, out_dir, snap_k) -> int:
     x0 = _read(sub, "x0", lambda v: np.asarray(v, dtype=float))
     a0 = level_index(grid, _read(sub, "a0", float))
     steps = _read(sub, "steps", _integer)
-    check_start(tri, grid, x0, a0, steps)
+    try:
+        check_start(tri, grid, x0, a0, steps)
+    except OutOfDomainError as exc:
+        raise ConfigurationError(f"config key 'x0' is not in the mesh: {exc}") from exc
     u, _, report = solve(spec, tri, grid, SolveOptions(h=h, **_options(cfg)))
     traj = simulate(spec, tri, grid, u, x0, a0, h, steps)
     gap = cost_consistency(spec, tri, grid, u, traj, h)

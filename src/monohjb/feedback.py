@@ -39,9 +39,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.control_indices)
 
-    def control_levels(self, grid: ControlGrid) -> np.ndarray:
-        return grid.levels[self.control_indices]
-
 
 def check_start(tri: Triangulation, grid: ControlGrid, x0, a0_index: int, steps: int):
     """Validate a rollout's start: steps >= 0, a0_index on the control grid,

@@ -62,14 +62,11 @@ class GridFunction:
     def zeros(cls, tri: Triangulation, grid: ControlGrid) -> "GridFunction":
         return cls(np.zeros((tri.n_vertices, grid.n_levels)))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.values.copy())
-
 
 def evaluate(gf: GridFunction, tri: Triangulation, p, level_idx: int) -> float:
     """Barycentric interpolation of the nodal values at one control level."""
-    bc = locate(tri, p)
-    return float(bc.weights @ gf.values[bc.vertex_indices, level_idx])
+    ids, weights = locate(tri, p)
+    return float(weights @ gf.values[ids, level_idx])
 
 
 def sup_norm(gf: GridFunction) -> float:

@@ -107,17 +107,18 @@ def run_sweep(
     target, max_iterations) of every solve; h comes from k and the coupling
     rule.
 
-    error_vs_reference compares each solution against the finest-k run at the
-    coarse nodes and at control levels shared by both grids;
+    The finest k is solved first and kept as the one reference:
+    error_vs_reference compares each coarser solution against it, as soon
+    as that row is solved, at the coarse nodes and at the control levels
+    shared by both grids (0.0 on the finest row itself);
     error_vs_analytic compares the a=1 slice against the problem's closed
-    form when one is registered.
+    form when one is registered.  Rows are returned in descending k.
     """
     if not k_list:
         raise ConfigurationError("k_list must be nonempty")
-    ks = sorted(set(float(k) for k in k_list), reverse=True)
-    solutions = {}
     rows = []
-    for k in ks:
+    ref = None
+    for k in sorted(set(float(k) for k in k_list)):
         h = _coupled_h(k, coupling, c)
         tri = build_uniform(spec.domain, k)
         grid = control_grid(h)
@@ -133,30 +134,25 @@ def run_sweep(
         else:
             err_an = float("nan")
         env = theoretical_envelope(spec, h, k)
-        solutions[k] = (tri, grid, u)
+        err_ref = 0.0
+        if ref is None:
+            ref = (tri, grid, u)
+        else:
+            ref_tri, ref_grid, ref_u = ref
+            idx, wts = locate_many(ref_tri, tri.vertices)
+            for j, a in enumerate(grid.levels):
+                jr = a * ref_grid.m
+                jri = int(round(jr))
+                if abs(jr - jri) > 1e-9:
+                    continue  # level absent from the reference grid
+                ref_vals = np.einsum("ij,ij->i", wts, ref_u.values[idx, jri])
+                err_ref = max(err_ref, float(np.abs(u.values[:, j] - ref_vals).max()))
         rows.append(SweepRow(
             k=k, h=h, coupling=coupling, iterations=report.iterations,
-            error_vs_reference=0.0, error_vs_analytic=err_an, envelope=env,
+            error_vs_reference=err_ref, error_vs_analytic=err_an, envelope=env,
             guaranteed_error=report.guaranteed_error, converged=converged,
         ))
-
-    ref_k = ks[-1]
-    ref_tri, ref_grid, ref_u = solutions[ref_k]
-    for row in rows:
-        tri, grid, u = solutions[row.k]
-        if row.k == ref_k:
-            continue
-        idx, wts = locate_many(ref_tri, tri.vertices)
-        err = 0.0
-        for j, a in enumerate(grid.levels):
-            jr = a * ref_grid.m
-            jri = int(round(jr))
-            if abs(jr - jri) > 1e-9:
-                continue  # level absent from the reference grid
-            ref_vals = np.einsum("ij,ij->i", wts, ref_u.values[idx, jri])
-            err = max(err, float(np.abs(u.values[:, j] - ref_vals).max()))
-        row.error_vs_reference = err
-    return rows
+    return rows[::-1]
 
 
 def fit_rate(ks: Sequence[float], errors: Sequence[float]) -> float:

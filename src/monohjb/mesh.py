@@ -10,9 +10,10 @@ Point location is O(1): cell arithmetic plus a coordinate sort that
 identifies the Kuhn simplex and yields the barycentric weights directly.
 A located point is its P1 stencil: the ids of the vertices of its
 simplex and their barycentric weights, which is all that interpolation
-reads.  One point, `locate(tri, p)`, checks the point's shape and runs the
-scalar core `_locate_point` in Python floats and ints on a list of
-coordinates (the closed-loop rollout calls that core directly); a batch,
+reads, and every locator returns it as that pair.  One point,
+`locate(tri, p)`, checks the point's shape and runs the scalar core
+`_locate_point` in Python floats and ints on a list of coordinates (the
+closed-loop rollout calls that core directly); a batch,
 `locate_many(tri, points)`, takes the vectorized path.  Both read the mesh
 constants cached on the `Triangulation` (`Triangulation.constants`) and
 return the same vertex ids and weights, bit for bit.
@@ -51,7 +52,6 @@ class MeshConstants(NamedTuple):
 @dataclass(eq=False)
 class Triangulation:
     k: float
-    domain: tuple[np.ndarray, np.ndarray]
     lower: np.ndarray          # corner of the inner box omega_k
     upper: np.ndarray
     cells_per_axis: np.ndarray  # int, shape (nu,)
@@ -93,17 +93,9 @@ class Triangulation:
 
 
 @dataclass
-class BarycentricCoords:
-    vertex_indices: np.ndarray  # (nu+1,) int
-    weights: np.ndarray         # (nu+1,) float, nonnegative, summing to 1
-
-
-@dataclass
 class MeshReport:
     hip1_ok: bool
     hip2_ok: bool
-    h: float
-    control_levels: np.ndarray
     hip3_margin: float
     chi1: float
     k_over_d_max: float
@@ -163,7 +155,6 @@ def build_uniform(domain, k: float) -> Triangulation:
 
     return Triangulation(
         k=float(k),
-        domain=(lower, upper),
         lower=om_lower,
         upper=om_upper,
         cells_per_axis=cells,
@@ -223,11 +214,12 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     return idx, W
 
 
-def locate(tri: Triangulation, p) -> BarycentricCoords:
+def locate(tri: Triangulation, p) -> tuple[np.ndarray, np.ndarray]:
     """Locate one point, shape (nu,), in plain float and int arithmetic.
 
-    Returns what row 0 of `locate_many(tri, [p])` holds, bit for bit (see
-    `_locate_point`, which does the work).  Raises the same
+    Returns (vertex ids, weights), two (nu+1,) arrays: row 0 of each array
+    `locate_many(tri, [p])` returns, bit for bit and of the same dtypes
+    (see `_locate_point`, which does the work).  Raises the same
     OutOfDomainError, and DimensionMismatchError for any other shape.
     """
     x = np.asarray(p, dtype=float)
@@ -240,7 +232,7 @@ def locate(tri: Triangulation, p) -> BarycentricCoords:
     if x.shape[0] != nu:
         raise DimensionMismatchError(f"point has {x.shape[0]} coordinates; the mesh has {nu}")
     ids, weights = _locate_point(tri, x.tolist())
-    return BarycentricCoords(vertex_indices=np.array(ids), weights=np.array(weights))
+    return np.array(ids), np.array(weights)
 
 
 def _locate_point(tri: Triangulation, xs: list):
@@ -380,8 +372,6 @@ def check_hypotheses(
     return MeshReport(
         hip1_ok=hip1_ok,
         hip2_ok=hip2_ok,
-        h=h,
-        control_levels=np.asarray(control_levels, dtype=float),
         hip3_margin=hip3_margin,
         chi1=chi1,
         k_over_d_max=k_over_d_max,

@@ -21,7 +21,7 @@ from monohjb import (
     lookahead,
     sup_norm_diff,
 )
-from monohjb.bellman import TransitionTable, _bound, policy_index, sweep
+from monohjb.bellman import TransitionTable, _bound, apply_policy, policy_index, sweep
 from monohjb.mesh import locate_many
 
 
@@ -367,6 +367,11 @@ class TestSweepKernel:
                        np.broadcast_to(levels - 1, (grid.n_levels, tri.n_vertices))]:
             with pytest.raises(ConfigurationError):
                 policy_index(choice, table)
+        index = policy_index(np.broadcast_to(levels, (grid.n_levels, tri.n_vertices)), table)
+        for values in [np.zeros((tri.n_vertices, grid.n_levels)),
+                       np.zeros(grid.n_levels * tri.n_vertices)]:
+            with pytest.raises(ConfigurationError):
+                apply_policy(values, index, table)
 
     @settings(max_examples=40, deadline=None)
     @given(

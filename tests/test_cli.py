@@ -149,9 +149,10 @@ def test_simulate_wrong_start_size(tmp_path, capsys, x0):
 
 @pytest.mark.parametrize("start,code", [
     ({"x0": [0.3]}, 1),
-    ({"x0": [5.0, 0.0]}, 2),
+    ({"x0": [5.0, 0.0]}, 1),
     ({"a0": 0.3}, 1),
     ({"steps": -1}, 1),
+    ({"x0": [math.nan, 0.0]}, 1),
 ])
 def test_simulate_checks_start_before_solving(tmp_path, monkeypatch, start, code):
     import monohjb.cli

@@ -7,13 +7,16 @@ import pytest
 from monohjb import (
     ConfigurationError,
     ProblemSpec,
+    SolveOptions,
     brute_force_oracle,
     build_uniform,
     control_grid,
+    evaluate,
     fit_rate,
     phi_T,
     phi_n,
     run_sweep,
+    solve,
     solve_finite_horizon,
     sup_norm_diff,
     tail_bound,
@@ -212,3 +215,38 @@ class TestSweep:
     def test_empty_rejected(self, paper):
         with pytest.raises(ConfigurationError):
             run_sweep(paper, [])
+
+    @pytest.mark.parametrize("top_free", [False, True])
+    @pytest.mark.parametrize("coupling", ["h=k", "h=c*k^(2/3)"])
+    def test_reference_error_matches_node_loop(self, paper, coupling, top_free):
+        """Each row's error_vs_reference, recomputed node by node from the
+        finest solution at the control levels both grids share."""
+        spec = paper
+        if top_free:
+            # no cost at a = 1: the top slice is 0 at every size, so the
+            # largest error sits on a lower level (on the paper problem it
+            # sits on the top one, shared by every grid)
+            spec = dataclasses.replace(paper, cost=lambda x, a: (1.0 - a) * paper.cost(x, a),
+                                       analytic_top_slice=None)
+        ks = [0.25, 0.5, 0.125]
+        rows = run_sweep(spec, ks, coupling=coupling)
+        assert [r.k for r in rows] == [0.5, 0.25, 0.125]
+        assert rows[-1].error_vs_reference == 0.0
+
+        def solution(row):
+            tri, grid = build_uniform(spec.domain, row.k), control_grid(row.h)
+            return tri, grid, solve(spec, tri, grid, SolveOptions(h=row.h))[0]
+
+        ref_tri, ref_grid, ref_u = solution(rows[-1])
+        M = ref_grid.m
+        for row in rows[:-1]:
+            tri, grid, u = solution(row)
+            m = grid.m
+            shared = [j for j in range(m + 1) if j * M % m == 0]
+            if coupling != "h=k" and row.k == 0.25:
+                assert (m, M, shared) == (3, 4, [0, 3])
+            err = max(
+                abs(u.values[i, j] - evaluate(ref_u, ref_tri, x, j * M // m))
+                for i, x in enumerate(tri.vertices) for j in shared
+            )
+            assert row.error_vs_reference == err

@@ -190,8 +190,8 @@ def test_apply_policy_matches_node_loop(paper):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(nl, n_nodes))
     choice = np.array([[rng.integers(a, nl) for _ in range(n_nodes)] for a in range(nl)])
-    flat = apply_policy(values.ravel(), policy_index(choice, table), table)
-    got = flat.reshape(nl, n_nodes)
+    got = apply_policy(values, policy_index(choice, table), table)
+    assert got.shape == (nl, n_nodes)
     beta = 1.0 - paper.discount * hk
     expected = np.empty_like(values)
     for a in range(nl):
