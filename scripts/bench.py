@@ -3,25 +3,27 @@
 For each resolution k = h it times, as the median of five runs: the mesh
 build, the transition table, one Bellman sweep value-only and with the
 argmin policy (on random values), the finite-horizon recursion with mu = 4
-steps and one value-only sweep at its result, Picard and Howard under the
-paper stop rule and to a 1e-8 certified error (with their iteration counts
-and certificates), one value-only sweep at the Picard 1e-8 value, the nodal
-CSV, and the rollout layers: one-point `locate` over a fixed set of points
-(also as microseconds per call), one-point `level_data` (the problem
-callbacks and their check, as a rollout step calls them; also as
-microseconds per call) and 100-step `simulate` under the Picard paper-rule
-value, as the median over a fixed set of starts of each start's median
-(also as microseconds per step).  Every sweep row, and the mu = 4 row for
-each of its sweeps, reports the share of rows whose minimum the
-suffix-minimum bound settles (`bellman._bound`).  Prints one line per layer
-and writes all of it, with nproc and the numpy version, as JSON.
+steps and one sweep at its result, value-only and with the policy (the
+greedy policy of that recursion), Picard and Howard under the paper stop
+rule and to a 1e-8 certified error (with their iteration counts and
+certificates), one sweep at the Picard 1e-8 value, value-only and with the
+policy, the nodal CSV, and the rollout layers: one-point `locate` over a
+fixed set of points (also as microseconds per call), one-point `level_data`
+(the problem callbacks and their check, as a rollout step calls them; also
+as microseconds per call) and 100-step `simulate` under the Picard
+paper-rule value, as the median over a fixed set of starts of each start's
+median (also as microseconds per step).  Every sweep row, and the mu = 4
+row for each of its sweeps, reports the share of rows whose minimum the
+bounds settle (`bellman._bound`, on the row's own path).  Prints one line
+per layer and writes all of it, with nproc and the numpy version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
-At k = h = 0.025 the 1e-8 rows are skipped (Picard: about 700 sweeps;
-Howard: over 3 s a run), and at 0.0125 every row but the mesh, the table,
-the two sweeps on random values and the mu = 4 rows, so the default run
-stays within a few minutes.
+At k = h = 0.025 the two 1e-8 solver rows are skipped (Picard: about 700
+sweeps; Howard: over 3 s a run), and one untimed Picard solve gives the
+value the 1e-8 sweep rows read.  At 0.0125 every row is skipped but the
+mesh, the table, the two sweeps on random values and the mu = 4 rows, so
+the default run stays within a few minutes.
 """
 
 import argparse
@@ -58,7 +60,10 @@ LEVEL_DATA_CALLS = 2000
 ROLLOUT_STARTS = 20
 ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
-FINEST_ROWS = ("mesh", "table", "sweep", "sweep_policy", "finite_mu4", "sweep_mu4")
+FINEST_ROWS = ("mesh", "table", "sweep", "sweep_policy", "finite_mu4", "sweep_mu4",
+               "sweep_policy_mu4")
+# the solver rows skipped at the second finest size
+TIGHT_SOLVES = ("picard_1e-8", "howard_1e-8")
 
 
 def timed(fn):
@@ -72,7 +77,7 @@ def timed(fn):
 
 
 def settled_share(values, table, policy=False):
-    """Share of the rows whose minimum the suffix-minimum bound settles."""
+    """Share of the rows whose minimum the bounds of `sweep` settle."""
     return 1.0 - len(_bound(values, table, policy)[1]) / values.size
 
 
@@ -81,16 +86,16 @@ def bench_size(spec, k):
 
     def skip(name):
         # at 0.025: Picard about 700 sweeps (over 10 s), Howard over 3 s
-        if (name.endswith("_1e-8") and k == SIZES[-2]) or \
+        if (name in TIGHT_SOLVES and k == SIZES[-2]) or \
                 (k == SIZES[-1] and name not in FINEST_ROWS):
             rows[name] = {"seconds": None}
-            print(f"k=h={k:<6g} {name:<16} skipped")
+            print(f"k=h={k:<6g} {name:<18} skipped")
             return True
         return False
 
     def record(name, seconds):
         rows[name] = {"seconds": seconds}
-        print(f"k=h={k:<6g} {name:<16} {seconds * 1e3:10.2f} ms")
+        print(f"k=h={k:<6g} {name:<18} {seconds * 1e3:10.2f} ms")
 
     def layer(name, fn):
         if skip(name):
@@ -102,7 +107,7 @@ def bench_size(spec, k):
     def share(name, values, policy=False):
         if rows[name]["seconds"] is not None:
             rows[name]["settled_share"] = settled_share(values, table, policy)
-            print(f"k=h={k:<6g} {'':<16} {rows[name]['settled_share']:10.3f} rows settled")
+            print(f"k=h={k:<6g} {'':<18} {rows[name]['settled_share']:10.3f} rows settled")
 
     tri = layer("mesh", lambda: build_uniform(spec.domain, k))
     grid = control_grid(k)
@@ -121,6 +126,8 @@ def bench_size(spec, k):
     mu_values = np.ascontiguousarray(finite.values.T)
     layer("sweep_mu4", lambda: sweep(mu_values, table))
     share("sweep_mu4", mu_values)
+    layer("sweep_policy_mu4", lambda: sweep(mu_values, table, policy=True))
+    share("sweep_policy_mu4", mu_values, policy=True)
     solved = {}
     tight = {"stop_rule": "target_bound", "target": TIGHT}
     for name, opts in (
@@ -136,23 +143,27 @@ def bench_size(spec, k):
                               guaranteed_error=report.guaranteed_error)
             solved[name] = u
     tight_values = solved.get("picard_1e-8")
+    if tight_values is None and k != SIZES[-1]:
+        tight_values = solve(spec, tri, grid, SolveOptions(h=k, **tight), table=table)[0]
     if tight_values is not None:
         tight_values = np.ascontiguousarray(tight_values.values.T)
     layer("sweep_1e-8", lambda: sweep(tight_values, table))
     share("sweep_1e-8", tight_values)
+    layer("sweep_policy_1e-8", lambda: sweep(tight_values, table, policy=True))
+    share("sweep_policy_1e-8", tight_values, policy=True)
     layer("nodal_csv", lambda: nodal_csv(solved["picard_paper"], tri, grid))
     points = np.random.default_rng(1).uniform(tri.lower, tri.upper, size=(LOCATE_POINTS, tri.dim))
     if layer("locate", lambda: [locate(tri, p) for p in points]) is not None:
         rows["locate"].update(points=LOCATE_POINTS,
                               us_per_call=rows["locate"]["seconds"] / LOCATE_POINTS * 1e6)
-        print(f"k=h={k:<6g} {'':<16} {rows['locate']['us_per_call']:10.2f} us per point")
+        print(f"k=h={k:<6g} {'':<18} {rows['locate']['us_per_call']:10.2f} us per point")
     one = points[:1]
     if layer("level_data", lambda: [level_data(spec, one, 0.5, point="bench")
                                     for _ in range(LEVEL_DATA_CALLS)]) is not None:
         rows["level_data"].update(
             calls=LEVEL_DATA_CALLS,
             us_per_call=rows["level_data"]["seconds"] / LEVEL_DATA_CALLS * 1e6)
-        print(f"k=h={k:<6g} {'':<16} {rows['level_data']['us_per_call']:10.2f} us per call")
+        print(f"k=h={k:<6g} {'':<18} {rows['level_data']['us_per_call']:10.2f} us per call")
     if not skip("simulate"):
         # one start's time swings up to 1.8x between identical runs; the
         # median over a fixed set of starts holds still
@@ -164,7 +175,7 @@ def bench_size(spec, k):
             for x0 in starts))
         rows["simulate"].update(steps=ROLLOUT_STEPS, starts=ROLLOUT_STARTS, a0_index=0,
                                 us_per_step=rows["simulate"]["seconds"] / ROLLOUT_STEPS * 1e6)
-        print(f"k=h={k:<6g} {'':<16} {rows['simulate']['us_per_step']:10.2f} us per step")
+        print(f"k=h={k:<6g} {'':<18} {rows['simulate']['us_per_step']:10.2f} us per step")
     return {"nodes": tri.n_vertices, "levels": grid.n_levels, "layers": rows}
 
 

@@ -23,13 +23,18 @@ nonnegative and floating-point rounding is monotone, so interp(M[a]) at the
 image of row (a, i) is at most every candidate interp(w(., b)), b >= a, as
 computed.  Where every stencil vertex of the row has the same S = b*, the
 bound gathers the very numbers interp(w(., b*)) does: it is a candidate and
-therefore the minimum, bit for bit.  With the argmin the bound settles only
-rows with b* = a, whose choice a is the smallest admissible level; for
-b* > a, a smaller b could tie with b* after rounding.  The rows left open
-keep their level-major order, so the rows with a <= b are a prefix of them,
-and the column fold walks b from the top down, interpolates column b at the
-open rows of that prefix in one product-sum per stencil vertex and folds the
-result into a running minimum.
+therefore the minimum, bit for bit.  With the argmin the bound settles rows
+with b* = a outright: their choice a is the smallest admissible level.  For
+b* > a a smaller b could tie with b* after rounding, so a second, below-S
+bound decides those rows.  Per node, L[a] = min over b in [a, S[a]) of
+w(., b); with beta = 1 - lambda*h, every candidate b < b* is at least
+beta * interp(L[a]) + h f as computed, by the same monotonicity and that of
+x -> beta x + h f.  Where this is strictly above beta * interp(M[a]) + h f,
+the candidate of b*, no smaller b ties and the choice is b*.  The rows left
+open keep their level-major order, so the rows with a <= b are a prefix of
+them, and the column fold walks b from the top down, interpolates column b
+at the open rows of that prefix in one product-sum per stencil vertex and
+folds the result into a running minimum.
 """
 
 from __future__ import annotations
@@ -218,9 +223,14 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
 
     Per node, M[a] = min over b >= a of values[b] and S[a] is the smallest
     b that attains it.  Returns interp(M[a]) at the stencil of every row
-    (a, i), level-major, and the sorted level-major numbers of the rows
-    whose minimum it does not settle: those whose stencil vertices differ
-    in S, and on the policy path also those whose common S is above a.
+    (a, i), level-major, the sorted level-major numbers of the rows whose
+    minimum it does not settle, and S at the first stencil vertex of every
+    row, which for a settled row is its common S and, on the policy path,
+    its choice.  Open are the rows whose stencil vertices differ in S and,
+    on the policy path, those whose common S = b* is above a unless the
+    below-S bound settles them: per node, L[a] = min over b in [a, S[a]) of
+    values[b], and a row is settled when
+    beta * interp(L[a]) + h f > beta * interp(M[a]) + h f.
     """
     nl, n_nodes = values.shape
     levels = np.arange(nl, dtype=np.min_scalar_type(nl))[:, None]
@@ -233,7 +243,8 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
         np.minimum(suffix[a + 1], values[a], out=suffix[a])
     # S[a] is the first b >= a whose value is the suffix minimum M[b]: no
     # b in between attains its own, so M stays constant from a to that b
-    first = np.where(values == suffix, levels, levels.dtype.type(nl))
+    own = values == suffix
+    first = np.where(own, levels, levels.dtype.type(nl))
     for a in range(nl - 2, -1, -1):
         np.minimum(first[a + 1], first[a], out=first[a])
     # row (a, i) reads its stencil at level a of a level-major vector
@@ -246,8 +257,36 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
     for j in range(1, len(at_level)):
         settled &= s.take(at_level[j], mode="clip") == s0
     if policy:
-        settled &= (s0.reshape(nl, n_nodes) == levels).ravel()
-    return bound, np.flatnonzero(~settled)
+        raised = (s0.reshape(nl, n_nodes) != levels).ravel()
+        candidates = settled & raised
+        settled &= ~raised
+        if candidates.any():
+            # L[a] is +inf where S[a] = a; otherwise S[a] = S[a+1] and
+            # L[a] = min(values[a], L[a+1]).  Built only here, so a sweep
+            # without candidates pays nothing for the second bound
+            below = np.where(own, np.inf, values)
+            for a in range(nl - 2, -1, -1):
+                np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
+            rows = np.flatnonzero(candidates)
+            if 4 * len(rows) < len(candidates):
+                idx, wts = at_level.take(rows, axis=1), table.weights.take(rows, axis=1)
+            else:
+                # gathering most rows' stencils costs more than the
+                # product-sums it saves
+                rows, idx, wts = slice(None), at_level, table.weights
+            # L is finite at the stencil of a candidate; elsewhere +inf
+            # times a zero weight is NaN, which is never compared
+            with np.errstate(invalid="ignore"):
+                low = _interpolate(below.ravel(), idx, wts, np.empty(idx.shape[1]),
+                                   np.empty(idx.shape[1]))
+            beta = 1.0 - table.discount * table.h
+            step = table.h * table.stage_cost.ravel()[rows]
+            low *= beta
+            low += step
+            high = bound[rows] * beta
+            high += step
+            settled[rows] |= candidates[rows] & (low > high)
+    return bound, np.flatnonzero(~settled), s0
 
 
 def _fold(values, idx, wts, ends, beta=None, step=None):
@@ -301,15 +340,21 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
     b >= a, in floating point as well, because the weights are nonnegative
     and rounding is monotone.  Where all stencil vertices of a row share
     S = b*, interp(M[a]) gathers the very numbers interp(values[b*]) does,
-    so it is a candidate and the minimum, bit for bit.  The policy path
-    settles only rows with b* = a: then choice a is the smallest admissible
-    level, the tie rule, while for b* > a a smaller b could tie with b*
-    after rounding.  Only the rows left open run the column fold (`_fold`)
-    on their gathered stencils.
+    so it is a candidate and the minimum, bit for bit.  On the policy path
+    a row with b* = a has choice a, the smallest admissible level and so the
+    tie rule.  For b* > a a smaller b could tie with b* after rounding; the
+    row is settled with choice b* when
+    beta * interp(L[a]) + h f > beta * interp(M[a]) + h f holds in floating
+    point, where L[a] = min over b in [a, S[a]) of values[b] per node.  At a
+    row whose stencil vertices all have S = b*, every candidate b < b* reads
+    values at least L[a] at each vertex, so by the same monotonicity (and
+    that of x -> beta x + h f) it is at least the left side, strictly above
+    the value b* attains.  Only the rows left open run the column fold
+    (`_fold`) on their gathered stencils.
     """
     nl, n_nodes = _level_major_shape(values, table)
     beta = 1.0 - table.discount * table.h
-    best, rows = _bound(values, table, policy)
+    best, rows, common = _bound(values, table, policy)
     # the open rows of levels a <= b are the first ends[b] of rows
     ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
     idx = table.indices.take(rows, axis=1)
@@ -318,7 +363,8 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
         step = table.h * table.stage_cost.ravel()
         best *= beta
         best += step
-        choice = np.repeat(np.arange(nl), n_nodes)
+        # a settled row's choice is the S its stencil vertices share
+        choice = common.astype(int)
         best[rows], choice[rows] = _fold(values, idx, wts, ends, beta, step[rows])
         return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
     best[rows] = _fold(values, idx, wts, ends)

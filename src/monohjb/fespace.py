@@ -64,7 +64,14 @@ class GridFunction:
 
 
 def evaluate(gf: GridFunction, tri: Triangulation, p, level_idx: int) -> float:
-    """Barycentric interpolation of the nodal values at one control level."""
+    """Barycentric interpolation of the nodal values at one control level.
+
+    level_idx must be one of 0..m; a negative index would otherwise wrap
+    around to the top levels.
+    """
+    m = gf.values.shape[1] - 1
+    if not 0 <= level_idx <= m:
+        raise ConfigurationError(f"level index {level_idx} outside 0..{m}")
     ids, weights = locate(tri, p)
     return float(weights @ gf.values[ids, level_idx])
 

@@ -201,12 +201,12 @@ def _paper_example_2d() -> ProblemSpec:
         return -(a + 1.0) * np.asarray(x, dtype=float)
 
     def cost(x, a):
-        x = np.asarray(x, dtype=float)
-        return a * (0.25 - (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]))
+        sq = np.square(np.asarray(x, dtype=float))
+        return a * (0.25 - (sq[..., 0] + sq[..., 1]))
 
     def top_slice(x):
-        x = np.asarray(x, dtype=float)
-        return 0.25 - (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]) / 5.0
+        sq = np.square(np.asarray(x, dtype=float))
+        return 0.25 - (sq[..., 0] + sq[..., 1]) / 5.0
 
     # On the closed box [-1,1]^2: |grad_x g| <= 2, |d g/d a| = |x| <= sqrt(2),
     # sup|g| = 2*sqrt(2); |grad_x f| <= 2*sqrt(2), |d f/d a| <= 7/4, sup|f| = 7/4.

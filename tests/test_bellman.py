@@ -448,6 +448,68 @@ class TestSweepKernel:
         np.testing.assert_array_equal(choice, [[0], [1]])
         np.testing.assert_array_equal(choice, level_fold_sweep(values, table, policy=True)[1])
 
+    def test_below_s_bound_settles_rows_whose_minimum_is_above_their_level(self):
+        # every node falls to its minimum at level 2 (S = 2 for a <= 2) and
+        # rises at level 3, with gaps of at least 0.5 below level 2
+        nl, n_nodes = 4, 3
+        nodes = np.arange(n_nodes)
+        table = TransitionTable(
+            indices=np.tile(np.stack([nodes, (nodes + 1) % n_nodes]), nl),
+            weights=np.full((2, nl * n_nodes), 0.5),
+            stage_cost=np.linspace(-1, 1, nl * n_nodes).reshape(nl, n_nodes),
+            h=0.1, discount=1.0,
+        )
+        values = np.array([3.0, 2.0, 1.0, 5.0])[:, None] + 0.1 * nodes
+        assert len(_bound(values, table, True)[1]) == 0
+        with_policy, choice = sweep(values, table, policy=True)
+        np.testing.assert_array_equal(choice, np.repeat([[2], [2], [2], [3]], n_nodes, axis=1))
+        expected, expected_choice = level_fold_sweep(values, table, policy=True)
+        assert_same_bits(with_policy, expected)
+        np.testing.assert_array_equal(choice, expected_choice)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(2, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+    )
+    def test_below_s_bound_matches_level_fold_kernel(self, seed, nl, n_nodes, stencil, h):
+        # S sits above level 0 at every node, and the levels below S are a
+        # few ulps above the minimum, so that rounding ties some rows with S
+        # and leaves others strictly above it
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, nl, n_nodes, stencil, h,
+                             rng.choice([0.0, 1.0, 100.0]) * rng.normal(size=(nl, n_nodes)))
+        s = rng.integers(1, nl, size=n_nodes) if rng.random() < 0.5 else np.full(n_nodes, nl - 1)
+        base = rng.choice([-1.0, 0.3, 1.0], size=n_nodes)
+        values = np.empty((nl, n_nodes))
+        for i in range(n_nodes):
+            for b in range(nl):
+                v = base[i]
+                if b < s[i]:
+                    for _ in range(rng.integers(1, 4)):
+                        v = np.nextafter(v, np.inf)
+                elif b > s[i]:
+                    v += rng.choice([0.0, 0.5])
+                values[b, i] = v
+        assert_same_bits(sweep(values, table), level_fold_sweep(values, table))
+        with_policy, choice = sweep(values, table, policy=True)
+        expected, expected_choice = level_fold_sweep(values, table, policy=True)
+        assert_same_bits(with_policy, expected)
+        np.testing.assert_array_equal(choice, expected_choice)
+
+    def test_every_finite_horizon_iterate_matches_level_fold_kernel(self, medium):
+        _, _, table = medium
+        u = np.zeros(table.stage_cost.shape)
+        for _ in range(8):
+            u = sweep(u, table)
+            with_policy, choice = sweep(u, table, policy=True)
+            expected, expected_choice = level_fold_sweep(u, table, policy=True)
+            assert_same_bits(with_policy, expected)
+            np.testing.assert_array_equal(choice, expected_choice)
+
     def test_fold_runs_on_every_row_below_the_top(self):
         # even nodes fall with the level (S = top), odd ones rise (S = a), and
         # every stencil pairs an even node with an odd one

@@ -159,3 +159,13 @@ def test_evaluate_rejects_wrong_point_size(point):
     gf = GridFunction(np.arange(2.0 * tri.n_vertices).reshape(tri.n_vertices, 2))
     with pytest.raises(DimensionMismatchError):
         evaluate(gf, tri, point, 0)
+
+
+@pytest.mark.parametrize("level_idx", [-1, 3])
+def test_evaluate_rejects_level_outside_the_grid(level_idx):
+    # a negative index must not wrap around to the top levels
+    tri = build_uniform(BOX, 0.5)
+    gf = GridFunction(np.arange(27.0).reshape(tri.n_vertices, 3))
+    with pytest.raises(ConfigurationError, match=f"level index {level_idx} outside 0..2"):
+        evaluate(gf, tri, [0.0, 0.0], level_idx)
+    assert evaluate(gf, tri, [0.0, 0.0], 2) == 14.0

@@ -50,6 +50,15 @@ def test_top_slice_batch_equals_point_loop(paper):
     assert paper.analytic_top_slice(np.array([0.5, 0.5])) == pytest.approx(0.25 - 0.1)
 
 
+def test_builtin_callbacks_match_the_formulas_bit_for_bit(paper):
+    X = np.random.default_rng(5).uniform(-1, 1, size=(500, 2))
+    r2 = X[:, 0] * X[:, 0] + X[:, 1] * X[:, 1]
+    for a in (0.0, 0.25, 0.7, 1.0):
+        assert paper.cost(X, a).tobytes() == (a * (0.25 - r2)).tobytes()
+        assert paper.cost(X[:1], a).tobytes() == (a * (0.25 - r2[:1])).tobytes()
+    assert paper.analytic_top_slice(X).tobytes() == (0.25 - r2 / 5.0).tobytes()
+
+
 def test_unknown_builtin():
     with pytest.raises(UnknownProblemError):
         builtin("no_such_problem")
