@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
-from .fespace import ControlGrid, GridFunction
+from .fespace import ControlGrid, GridFunction, check_fits
 from .mesh import Triangulation, _locate_point, locate_many
 from .problem import ProblemSpec, level_data
 
@@ -70,9 +70,10 @@ class TransitionTable:
     One layout, stencil-major and level-major: column a*N + i of `indices`
     and `weights`, shape (nu+1, n_levels*N), is the stencil of the image of
     node i under level a, and row j lists the j-th stencil vertex of every
-    such (a, i).  `stage_cost` holds f at the nodes, shape (n_levels, N);
-    its `ravel()` lines up with the stencil columns.  The level and node
-    counts are read from `stage_cost.shape`.
+    such (a, i), as its position a*N + v in level-major values of length
+    n_levels*N; adding (b - a)*N reads vertex v at level b.  `stage_cost`
+    holds f at the nodes, shape (n_levels, N); its `ravel()` lines up with
+    the stencil columns.  The level and node counts are read from its shape.
     """
 
     indices: np.ndarray     # (nu+1, n_levels*N) int
@@ -89,16 +90,10 @@ class TransitionTable:
                 f"fit {nl} levels of {n_nodes} nodes"
             )
         # the sweeps gather with mode="clip", which would hide a bad index
-        if self.indices.min() < 0 or self.indices.max() >= n_nodes:
-            raise ConfigurationError(f"stencil index outside the nodes 0..{n_nodes - 1}")
-
-
-def _at_level(indices: np.ndarray, levels: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Gather index into a level-major vector of length n_levels*N: stencil
-    vertex j of column a*N + i read at level levels[a, i] (levels may be an
-    (n_levels, 1) column that broadcasts over the nodes)."""
-    nl = len(levels)
-    return (indices.reshape(-1, nl, n_nodes) + levels * n_nodes).reshape(-1, nl * n_nodes)
+        per_level, start = self.indices.reshape(-1, nl, n_nodes), np.arange(nl) * n_nodes
+        low, high = per_level.min(axis=(0, 2)) - start, per_level.max(axis=(0, 2)) - start
+        if low.min() < 0 or high.max() >= n_nodes:
+            raise ConfigurationError("stencil position outside its column's level block")
 
 
 def _level_major_shape(values: np.ndarray, table: TransitionTable) -> tuple:
@@ -150,7 +145,7 @@ def build_table(
                 axis=exc.axis,
                 context=(exc.context, ai),
             ) from exc
-        indices[:, ai] = idx.T
+        indices[:, ai] = idx.T + ai * N
         weights[:, ai] = w.T
     return TransitionTable(
         indices=indices.reshape(nu + 1, -1), weights=weights.reshape(nu + 1, -1),
@@ -247,15 +242,15 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
     first = np.where(own, levels, levels.dtype.type(nl))
     for a in range(nl - 2, -1, -1):
         np.minimum(first[a + 1], first[a], out=first[a])
-    # row (a, i) reads its stencil at level a of a level-major vector
-    at_level = _at_level(table.indices, np.arange(nl)[:, None], n_nodes)
-    bound = _interpolate(suffix.ravel(), at_level, table.weights,
+    # row (a, i) reads its stencil at its own level, as the table holds it
+    indices = table.indices
+    bound = _interpolate(suffix.ravel(), indices, table.weights,
                          np.empty(nl * n_nodes), np.empty(nl * n_nodes))
     s = first.ravel()
-    s0 = s.take(at_level[0], mode="clip")
+    s0 = s.take(indices[0], mode="clip")
     settled = np.ones(nl * n_nodes, dtype=bool)
-    for j in range(1, len(at_level)):
-        settled &= s.take(at_level[j], mode="clip") == s0
+    for j in range(1, len(indices)):
+        settled &= s.take(indices[j], mode="clip") == s0
     if policy:
         raised = (s0.reshape(nl, n_nodes) != levels).ravel()
         candidates = settled & raised
@@ -269,11 +264,11 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
                 np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
             rows = np.flatnonzero(candidates)
             if 4 * len(rows) < len(candidates):
-                idx, wts = at_level.take(rows, axis=1), table.weights.take(rows, axis=1)
+                idx, wts = indices.take(rows, axis=1), table.weights.take(rows, axis=1)
             else:
                 # gathering most rows' stencils costs more than the
                 # product-sums it saves
-                rows, idx, wts = slice(None), at_level, table.weights
+                rows, idx, wts = slice(None), indices, table.weights
             # L is finite at the stencil of a candidate; elsewhere +inf
             # times a zero weight is NaN, which is never compared
             with np.errstate(invalid="ignore"):
@@ -335,22 +330,9 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
     monotone in floating point, so both paths give identical values.
 
     The minimum over b is settled row by row from per-node suffix minima
-    (`_bound`): M[a] = min over b >= a of values[b], attained first at
-    b = S[a].  interp(M[a]) is at most every candidate interp(values[b]),
-    b >= a, in floating point as well, because the weights are nonnegative
-    and rounding is monotone.  Where all stencil vertices of a row share
-    S = b*, interp(M[a]) gathers the very numbers interp(values[b*]) does,
-    so it is a candidate and the minimum, bit for bit.  On the policy path
-    a row with b* = a has choice a, the smallest admissible level and so the
-    tie rule.  For b* > a a smaller b could tie with b* after rounding; the
-    row is settled with choice b* when
-    beta * interp(L[a]) + h f > beta * interp(M[a]) + h f holds in floating
-    point, where L[a] = min over b in [a, S[a]) of values[b] per node.  At a
-    row whose stencil vertices all have S = b*, every candidate b < b* reads
-    values at least L[a] at each vertex, so by the same monotonicity (and
-    that of x -> beta x + h f) it is at least the left side, strictly above
-    the value b* attains.  Only the rows left open run the column fold
-    (`_fold`) on their gathered stencils.
+    (`_bound`; the module docstring shows why it is exact, bit for bit, on
+    both paths), and only the rows left open run the column fold (`_fold`)
+    on their gathered stencils.
     """
     nl, n_nodes = _level_major_shape(values, table)
     beta = 1.0 - table.discount * table.h
@@ -358,6 +340,9 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
     # the open rows of levels a <= b are the first ends[b] of rows
     ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
     idx = table.indices.take(rows, axis=1)
+    # _fold reads one level's column at a time, so by node id
+    for a in range(1, nl):
+        idx[:, ends[a - 1]:ends[a]] -= a * n_nodes
     wts = table.weights.take(rows, axis=1)
     if policy:
         step = table.h * table.stage_cost.ravel()
@@ -382,11 +367,9 @@ def apply(
     table: TransitionTable | None = None,
 ) -> tuple[GridFunction, PolicyField]:
     """Full Jacobi sweep of the Bellman operator; returns (new values, argmin)."""
+    check_fits(gf, tri, grid)
     table = table_for(spec, tri, grid, h, table)
-    values = gf.values
-    if values.shape != (tri.n_vertices, grid.n_levels):
-        raise ConfigurationError("grid function shape does not match mesh/control grid")
-    new, choice = sweep(np.ascontiguousarray(values.T), table, policy=True)
+    new, choice = sweep(np.ascontiguousarray(gf.values.T), table, policy=True)
     return GridFunction(new.T.copy()), PolicyField(choice.T.copy())
 
 
@@ -408,14 +391,14 @@ def policy_index(choice: np.ndarray, table: TransitionTable) -> np.ndarray:
 
     `choice` is level-major, (n_levels, N), as `sweep` returns it: row
     (a, i) of the frozen operator reads its stencil at column level
-    b = choice[a, i]; in a level-major vector of length n_levels*N, node j
-    at level b sits at b*N + j.
+    b = choice[a, i], which is the table's level-a position shifted by
+    (b - a)*N.
     """
     nl, n_nodes = table.stage_cost.shape
     levels = np.arange(nl)[:, None]
     if choice.shape != (nl, n_nodes) or np.any((choice < levels) | (choice >= nl)):
         raise ConfigurationError("policy does not fit the table's levels and nodes")
-    return _at_level(table.indices, choice, n_nodes)
+    return table.indices + ((choice - levels) * n_nodes).ravel()
 
 
 def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) -> np.ndarray:

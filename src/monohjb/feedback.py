@@ -22,7 +22,7 @@ import numpy as np
 
 from .bellman import _check_step, lookahead
 from .errors import ConfigurationError, OutOfDomainError
-from .fespace import ControlGrid, GridFunction, evaluate
+from .fespace import ControlGrid, GridFunction, check_fits, evaluate
 from .mesh import Triangulation, locate
 from .problem import ProblemSpec
 
@@ -74,8 +74,7 @@ def simulate(
     what the numpy form of each step gives, bit for bit.
     """
     y = check_start(tri, grid, x0, a0_index, steps)
-    if value.values.shape != (tri.n_vertices, grid.n_levels):
-        raise ConfigurationError("value function shape does not match mesh/control grid")
+    check_fits(value, tri, grid)
     _check_step(h, spec.discount)
     beta = 1.0 - spec.discount * h
     levels = grid.levels.tolist()
@@ -130,6 +129,7 @@ def cost_consistency(
     near zero when the value is close to the fixed point and interpolation
     error along the path is small.
     """
+    check_fits(value, tri, grid)
     beta = 1.0 - spec.discount * h
     n = traj.n_steps
     a0 = traj.control_indices[0] if n > 0 else traj.terminal_control

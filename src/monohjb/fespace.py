@@ -63,12 +63,24 @@ class GridFunction:
         return cls(np.zeros((tri.n_vertices, grid.n_levels)))
 
 
+def check_fits(gf: GridFunction, tri: Triangulation, grid: ControlGrid | None = None):
+    """Raise ConfigurationError unless gf has a row per node of tri and, with
+    a grid given, a column per level of grid."""
+    want = (tri.n_vertices, gf.values.shape[1] if grid is None else grid.n_levels)
+    if gf.values.shape != want:
+        raise ConfigurationError(
+            f"grid function of shape {gf.values.shape} does not fit the (nodes, levels) "
+            f"shape {want} of this mesh and control grid"
+        )
+
+
 def evaluate(gf: GridFunction, tri: Triangulation, p, level_idx: int) -> float:
     """Barycentric interpolation of the nodal values at one control level.
 
     level_idx must be one of 0..m; a negative index would otherwise wrap
     around to the top levels.
     """
+    check_fits(gf, tri)
     m = gf.values.shape[1] - 1
     if not 0 <= level_idx <= m:
         raise ConfigurationError(f"level index {level_idx} outside 0..{m}")
@@ -96,6 +108,7 @@ def nodal_csv(gf: GridFunction, tri: Triangulation, grid: ControlGrid) -> str:
     until one final join raises the peak memory by about the size of the
     output (some 20 MB at k = h = 0.025).
     """
+    check_fits(gf, tri, grid)
     coord_names = ",".join(f"x{i + 1}" for i in range(tri.dim))
     levels = [f"{a:.17g}," for a in grid.levels.tolist()]
     chunks = [f"node,{coord_names},a,value\n"]

@@ -192,7 +192,7 @@ class TestBatchCallbacks:
             idx, w = locate_many(tri, images)
             for i in range(n_nodes):
                 for j in range(tri.dim + 1):
-                    assert table.indices[j, ai * n_nodes + i] == idx[i, j]
+                    assert table.indices[j, ai * n_nodes + i] == ai * n_nodes + idx[i, j]
                     assert table.weights[j, ai * n_nodes + i] == w[i, j]
             np.testing.assert_array_equal(
                 table.stage_cost[ai], [spec.cost(x, a) for x in tri.vertices]
@@ -243,9 +243,14 @@ def make_contracting_3d() -> ProblemSpec:
     )
 
 
+def level_offsets(nl, n_nodes):
+    """a*N for every column a*N + i: a table's position minus its node id."""
+    return np.repeat(np.arange(nl) * n_nodes, n_nodes)
+
+
 def reference_sweep(values, table):
-    """Per-node loop over table.indices[j, a*N + i]; level-major values in
-    and out, smallest b on ties."""
+    """Per-node loop over the node ids table.indices[j, a*N + i] - a*N;
+    level-major values in and out, smallest b on ties."""
     nl, n_nodes = values.shape
     beta = 1.0 - table.discount * table.h
     out = np.empty_like(values)
@@ -257,7 +262,8 @@ def reference_sweep(values, table):
                 interp = 0.0
                 for j in range(len(table.indices)):
                     col = a * n_nodes + i
-                    interp += table.weights[j, col] * values[b, table.indices[j, col]]
+                    interp += (table.weights[j, col]
+                               * values[b, table.indices[j, col] - a * n_nodes])
                 cand = beta * interp + table.h * table.stage_cost[a, i]
                 if cand < best:
                     best, arg = cand, b
@@ -271,7 +277,7 @@ def level_fold_sweep(values, table, policy=False):
     `sweep`.  The bit-for-bit reference of the bound."""
     nl, n_nodes = values.shape
     beta = 1.0 - table.discount * table.h
-    idx, wts = table.indices, table.weights
+    idx, wts = table.indices - level_offsets(nl, n_nodes), table.weights
     step = table.h * table.stage_cost.ravel()
     best = np.empty(nl * n_nodes)
     choice = np.full(nl * n_nodes, nl - 1)
@@ -300,7 +306,8 @@ def random_table(rng, nl, n_nodes, stencil, h, stage_cost):
     weights[0] += weights.sum(axis=0) == 0
     weights /= weights.sum(axis=0)
     return TransitionTable(
-        indices=rng.integers(0, n_nodes, size=(stencil, nl * n_nodes)),
+        indices=rng.integers(0, n_nodes, size=(stencil, nl * n_nodes))
+        + level_offsets(nl, n_nodes),
         weights=weights, stage_cost=stage_cost, h=h, discount=1.0,
     )
 
@@ -352,8 +359,13 @@ class TestSweepKernel:
             sweep(np.zeros((grid.n_levels, tri.n_vertices + 1)), table)
         bad = table.indices.copy()
         bad[0, 0] = tri.n_vertices
+        # a level-1 column holding a level-0 position: a valid node id and
+        # in range of the whole level-major vector, but read at the wrong level
+        wrong_level = table.indices.copy()
+        wrong_level[0, tri.n_vertices] = 0
         for indices, weights, stage_cost in [
             (bad, table.weights, table.stage_cost),
+            (wrong_level, table.weights, table.stage_cost),
             (table.indices[:, 1:], table.weights[:, 1:], table.stage_cost),
             (table.indices, table.weights[1:], table.stage_cost),
             (table.indices, table.weights, table.stage_cost.T),
@@ -438,7 +450,8 @@ class TestSweepKernel:
         # one ulp above it, which the stage cost rounds away: both candidates
         # of row (0, 0) are 50.5, so the policy path must fold that row
         table = TransitionTable(
-            indices=np.zeros((2, 2), dtype=int), weights=np.full((2, 2), 0.5),
+            indices=np.zeros((2, 2), dtype=int) + level_offsets(2, 1),
+            weights=np.full((2, 2), 0.5),
             stage_cost=np.full((2, 1), 100.0), h=0.5, discount=1.0,
         )
         values = np.array([[1.0 + 2.0**-52], [1.0]])
@@ -454,7 +467,8 @@ class TestSweepKernel:
         nl, n_nodes = 4, 3
         nodes = np.arange(n_nodes)
         table = TransitionTable(
-            indices=np.tile(np.stack([nodes, (nodes + 1) % n_nodes]), nl),
+            indices=np.tile(np.stack([nodes, (nodes + 1) % n_nodes]), nl)
+            + level_offsets(nl, n_nodes),
             weights=np.full((2, nl * n_nodes), 0.5),
             stage_cost=np.linspace(-1, 1, nl * n_nodes).reshape(nl, n_nodes),
             h=0.1, discount=1.0,
@@ -517,7 +531,7 @@ class TestSweepKernel:
         nodes = np.arange(n_nodes)
         pairs = np.stack([nodes, (nodes + 1) % n_nodes])
         table = TransitionTable(
-            indices=np.tile(pairs, nl),
+            indices=np.tile(pairs, nl) + level_offsets(nl, n_nodes),
             weights=np.full((2, nl * n_nodes), 0.5),
             stage_cost=np.linspace(-1, 1, n_nodes * nl).reshape(nl, n_nodes),
             h=0.1, discount=1.0,

@@ -90,6 +90,18 @@ def test_cost_consistency_near_fixed_point(paper, solved):
     assert gap <= 0.1
 
 
+def test_cost_consistency_rejects_value_of_another_grid(paper, solved):
+    tri, grid, u = solved
+    coarse_tri, coarse_grid = build_uniform(paper.domain, 0.25), control_grid(0.25)
+    coarse_u = GridFunction.zeros(coarse_tri, coarse_grid)
+    traj = simulate(paper, coarse_tri, coarse_grid, coarse_u, np.array([0.5, 0.5]), 0, 0.25, 3)
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        cost_consistency(paper, coarse_tri, coarse_grid, u, traj, 0.25)
+    traj = simulate(paper, tri, grid, u, np.array([0.5, 0.5]), 0, 0.1, 3)
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        cost_consistency(paper, tri, grid, coarse_u, traj, 0.1)
+
+
 def test_trajectory_exits_domain():
     expanding = ProblemSpec(
         dynamics=lambda x, a: 2.0 * np.asarray(x, dtype=float),

@@ -169,3 +169,21 @@ def test_evaluate_rejects_level_outside_the_grid(level_idx):
     with pytest.raises(ConfigurationError, match=f"level index {level_idx} outside 0..2"):
         evaluate(gf, tri, [0.0, 0.0], level_idx)
     assert evaluate(gf, tri, [0.0, 0.0], 2) == 14.0
+
+
+def test_nodal_csv_rejects_value_of_another_grid():
+    # zip would cut the dump short at the smaller of the two node counts
+    fine, coarse = build_uniform(BOX, 0.1), build_uniform(BOX, 0.25)
+    gf = GridFunction(np.zeros((coarse.n_vertices, 5)))
+    for tri, grid in [(fine, control_grid(0.1)), (coarse, control_grid(0.1))]:
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            nodal_csv(gf, tri, grid)
+    assert nodal_csv(gf, coarse, control_grid(0.25)).count("\n") == 1 + 5 * coarse.n_vertices
+
+
+def test_evaluate_rejects_value_of_another_mesh():
+    # the coarse mesh's node ids would read rows of the fine mesh's values
+    fine, coarse = build_uniform(BOX, 0.1), build_uniform(BOX, 0.25)
+    gf = GridFunction(np.arange(fine.n_vertices * 2.0).reshape(fine.n_vertices, 2))
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        evaluate(gf, coarse, [0.1, 0.1], 0)

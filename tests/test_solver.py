@@ -197,8 +197,9 @@ def test_apply_policy_matches_node_loop(paper):
     for a in range(nl):
         for i in range(n_nodes):
             b = choice[a, i]
+            col = a * n_nodes + i
             interp = sum(
-                table.weights[j, a * n_nodes + i] * values[b, table.indices[j, a * n_nodes + i]]
+                table.weights[j, col] * values[b, table.indices[j, col] - a * n_nodes]
                 for j in range(tri.dim + 1)
             )
             expected[a, i] = beta * interp + hk * table.stage_cost[a, i]
