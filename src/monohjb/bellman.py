@@ -8,7 +8,9 @@ TransitionTable caches those weights; the new value at level a is
                         + h * f(x^i, a)
 
 One kernel, `sweep`, computes it on level-major values (n_levels, N).
-Ties in the minimum always resolve to the smallest admissible b.
+Ties in the minimum always resolve to the smallest admissible b.  Only
+`_bellman` (one stencil per row) and `_fold` (the minimum over the levels)
+map interpolants to these Bellman values.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -74,6 +76,8 @@ class TransitionTable:
     n_levels*N; adding (b - a)*N reads vertex v at level b.  `stage_cost`
     holds f at the nodes, shape (n_levels, N); its `ravel()` lines up with
     the stencil columns.  The level and node counts are read from its shape.
+    `source` is the (spec, tri, grid) that `build_table` read, () for a
+    table built by hand.
     """
 
     indices: np.ndarray     # (nu+1, n_levels*N) int
@@ -81,6 +85,7 @@ class TransitionTable:
     stage_cost: np.ndarray  # (n_levels, N) values of f at the nodes
     h: float
     discount: float
+    source: tuple = ()
 
     def __post_init__(self):
         nl, n_nodes = self.stage_cost.shape
@@ -149,7 +154,7 @@ def build_table(
         weights[:, ai] = w.T
     return TransitionTable(
         indices=indices.reshape(nu + 1, -1), weights=weights.reshape(nu + 1, -1),
-        stage_cost=stage_cost, h=h, discount=spec.discount,
+        stage_cost=stage_cost, h=h, discount=spec.discount, source=(spec, tri, grid),
     )
 
 
@@ -162,20 +167,19 @@ def table_for(
 ) -> TransitionTable:
     """The transition table of step h for this problem, control grid and mesh.
 
-    A supplied table is used when it was built for this step, discount,
-    level count and node count.  Otherwise, or when none is supplied, the
-    table is built here, with a UserWarning for a supplied table that does
-    not fit: sweeping a table of another step while certifying for h would
+    A supplied table is used when `build_table` built it from these very
+    spec, tri and grid objects (they compare by identity) for step h.
+    Otherwise, or when none is supplied, the table is built here, with a
+    UserWarning for a supplied table that does not fit: sweeping a table of
+    another problem, mesh or step while certifying for this one would
     report a bound that does not hold.
     """
     if table is not None:
-        want = (h, spec.discount, grid.n_levels, tri.n_vertices)
-        have = (table.h, table.discount, *table.stage_cost.shape)
-        if have == want:
+        if table.source == (spec, tri, grid) and table.h == h:
             return table
         warnings.warn(
-            f"transition table built for (h, discount, levels, nodes) = {have} "
-            f"does not fit {want}; building a new one", stacklevel=3,
+            f"transition table of step {table.h} does not fit this problem, control grid, "
+            f"mesh and step {h}; building a new one", stacklevel=3,
         )
     return build_table(spec, tri, grid, h)
 
@@ -213,19 +217,29 @@ def _interpolate(column, idx, wts, out, tmp):
     return out
 
 
+def _bellman(flat, idx, wts, table, rows=slice(None)):
+    """(1 - lambda h) * interp(flat) + h f at the stencils idx, wts of `rows`."""
+    n = idx.shape[1]
+    out = _interpolate(flat, idx, wts, np.empty(n), np.empty(n))
+    out *= 1.0 - table.discount * table.h
+    out += table.h * table.stage_cost.ravel()[rows]
+    return out
+
+
 def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
     """The suffix-minimum bound of every row and the rows it leaves open.
 
     Per node, M[a] = min over b >= a of values[b] and S[a] is the smallest
-    b that attains it.  Returns interp(M[a]) at the stencil of every row
-    (a, i), level-major, the sorted level-major numbers of the rows whose
-    minimum it does not settle, and S at the first stencil vertex of every
+    b that attains it.  Returns the Bellman values of interp(M[a]) at the
+    stencil of every row (a, i), level-major, which `sweep` returns as they
+    are for a settled row; the sorted level-major numbers of the rows whose
+    minimum it does not settle; and S at the first stencil vertex of every
     row, which for a settled row is its common S and, on the policy path,
     its choice.  Open are the rows whose stencil vertices differ in S and,
     on the policy path, those whose common S = b* is above a unless the
     below-S bound settles them: per node, L[a] = min over b in [a, S[a]) of
-    values[b], and a row is settled when
-    beta * interp(L[a]) + h f > beta * interp(M[a]) + h f.
+    values[b], and a row is settled when the Bellman value of interp(L[a])
+    is strictly above that of interp(M[a]).
     """
     nl, n_nodes = values.shape
     levels = np.arange(nl, dtype=np.min_scalar_type(nl))[:, None]
@@ -244,8 +258,7 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
         np.minimum(first[a + 1], first[a], out=first[a])
     # row (a, i) reads its stencil at its own level, as the table holds it
     indices = table.indices
-    bound = _interpolate(suffix.ravel(), indices, table.weights,
-                         np.empty(nl * n_nodes), np.empty(nl * n_nodes))
+    bound = _bellman(suffix.ravel(), indices, table.weights, table)
     s = first.ravel()
     s0 = s.take(indices[0], mode="clip")
     settled = np.ones(nl * n_nodes, dtype=bool)
@@ -272,31 +285,28 @@ def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
             # L is finite at the stencil of a candidate; elsewhere +inf
             # times a zero weight is NaN, which is never compared
             with np.errstate(invalid="ignore"):
-                low = _interpolate(below.ravel(), idx, wts, np.empty(idx.shape[1]),
-                                   np.empty(idx.shape[1]))
-            beta = 1.0 - table.discount * table.h
-            step = table.h * table.stage_cost.ravel()[rows]
-            low *= beta
-            low += step
-            high = bound[rows] * beta
-            high += step
-            settled[rows] |= candidates[rows] & (low > high)
+                low = _bellman(below.ravel(), idx, wts, table, rows)
+            settled[rows] |= candidates[rows] & (low > bound[rows])
     return bound, np.flatnonzero(~settled), s0
 
 
-def _fold(values, idx, wts, ends, beta=None, step=None):
+def _fold(values, idx, wts, ends, table, rows, policy=False):
     """Top-down column fold over rows kept in level-major order.
 
     The rows with level a <= b are the first ends[b] columns of the stencils
-    idx, wts (nu+1, n_rows).  Column b of values is interpolated at them in
-    one product-sum per stencil vertex and folded into a running minimum.
-    With step given the candidates are beta * interp + step and the
-    minimizing b, the smallest on ties, is returned as well.
+    idx, wts (nu+1, n_rows); `rows` are their level-major numbers.  Column b
+    of values is interpolated at them in one product-sum per stencil vertex
+    and folded into a running minimum.  Returns the Bellman values of the
+    minimum; with policy=True the candidates are mapped to Bellman values
+    before the minimum, so that ties are decided on them, and the
+    minimizing b, the smallest on ties, is returned as well.  The map is
+    monotone in floating point, so both paths give identical values.
     """
     nl = len(values)
     n_rows = ends[-1]
+    beta = 1.0 - table.discount * table.h
+    step = table.h * table.stage_cost.ravel()[rows]
     best, cand, tmp = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
-    policy = step is not None
     if policy:
         choice = np.full(n_rows, nl - 1)
         take = np.empty(n_rows, dtype=bool)
@@ -317,7 +327,7 @@ def _fold(values, idx, wts, ends, beta=None, step=None):
             np.less_equal(c, best[:n], out=take[:n])
             np.copyto(choice[:n], b, where=take[:n])
         np.minimum(best[:n], c, out=best[:n])
-    return (best, choice) if policy else best
+    return (best, choice) if policy else best * beta + step
 
 
 def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
@@ -325,17 +335,15 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
 
     Returns the new level-major values; with policy=True returns
     (values, choice), where choice[a, i] is the minimizing column level b,
-    the smallest admissible one on ties.  The value-only path applies
-    v -> (1 - lambda h) v + h f once, after the minimum over b; that map is
-    monotone in floating point, so both paths give identical values.
+    the smallest admissible one on ties.
 
     The minimum over b is settled row by row from per-node suffix minima
     (`_bound`; the module docstring shows why it is exact, bit for bit, on
     both paths), and only the rows left open run the column fold (`_fold`)
-    on their gathered stencils.
+    on their gathered stencils.  Those two return the Bellman values, which
+    this function takes as they are.
     """
     nl, n_nodes = _level_major_shape(values, table)
-    beta = 1.0 - table.discount * table.h
     best, rows, common = _bound(values, table, policy)
     # the open rows of levels a <= b are the first ends[b] of rows
     ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
@@ -345,16 +353,11 @@ def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
         idx[:, ends[a - 1]:ends[a]] -= a * n_nodes
     wts = table.weights.take(rows, axis=1)
     if policy:
-        step = table.h * table.stage_cost.ravel()
-        best *= beta
-        best += step
         # a settled row's choice is the S its stencil vertices share
         choice = common.astype(int)
-        best[rows], choice[rows] = _fold(values, idx, wts, ends, beta, step[rows])
+        best[rows], choice[rows] = _fold(values, idx, wts, ends, table, rows, policy=True)
         return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
-    best[rows] = _fold(values, idx, wts, ends)
-    best *= beta
-    best += table.h * table.stage_cost.ravel()
+    best[rows] = _fold(values, idx, wts, ends, table, rows)
     return best.reshape(nl, n_nodes)
 
 
@@ -406,11 +409,7 @@ def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) 
 
     `values` and the result are level-major (n_levels, N), as in `sweep`;
     `index` is the frozen policy's policy_index, which reads `values` as
-    one flat vector of length n_levels*N.
+    one flat vector of length n_levels*N.  `_bellman` returns the values.
     """
     _level_major_shape(values, table)
-    tmp = np.empty(values.size)
-    out = _interpolate(values.ravel(), index, table.weights, np.empty(values.size), tmp)
-    out *= 1.0 - table.discount * table.h
-    out += np.multiply(table.h, table.stage_cost.ravel(), out=tmp)
-    return out.reshape(values.shape)
+    return _bellman(values.ravel(), index, table.weights, table).reshape(values.shape)

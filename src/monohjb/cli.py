@@ -221,9 +221,8 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
         raise ConfigurationError("sweep.c is read only by the h=c*k^(2/3) coupling")
     c = _read(sub, "c", float, 1.0)
     rows = run_sweep(spec, k_list, coupling=coupling, c=c, **_options(cfg))
-    use = "analytic" if spec.analytic_top_slice is not None else "reference"
     try:
-        rate = fit_rate_rows(rows, use=use)
+        rate = fit_rate_rows(rows)
     except ConfigurationError:
         rate = None
     _write(out_dir, "sweep.csv", sweep_csv(rows, rate))

@@ -1,8 +1,20 @@
-"""Exception types shared across the solver package."""
+"""Exception types shared across the solver package, and the check of count
+arguments that raises one of them."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
     """Invalid parameter combination (bad h, k, missing gamma, unknown config key)."""
+
+
+def check_count(value, name: str, least: int = 0):
+    """Raise ConfigurationError naming `name` unless value is an integer (a
+    Python or numpy one, not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"{name} must be at least {least}, got {value}")
 
 
 class UnknownProblemError(LookupError):

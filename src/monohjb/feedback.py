@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import _check_step, lookahead
-from .errors import ConfigurationError, OutOfDomainError
+from .errors import ConfigurationError, OutOfDomainError, check_count
 from .fespace import ControlGrid, GridFunction, check_fits, evaluate
 from .mesh import Triangulation, locate
 from .problem import ProblemSpec
@@ -41,12 +41,12 @@ class Trajectory:
 
 
 def check_start(tri: Triangulation, grid: ControlGrid, x0, a0_index: int, steps: int):
-    """Validate a rollout's start: steps >= 0, a0_index on the control grid,
-    x0 of shape (nu,) (ConfigurationError) and inside the mesh
-    (OutOfDomainError).  Returns x0 as a float array."""
-    if steps < 0:
-        raise ConfigurationError("steps must be nonnegative")
-    if not 0 <= a0_index <= grid.m:
+    """Validate a rollout's start: integers steps >= 0 and a0_index on the
+    control grid, x0 of shape (nu,) (ConfigurationError) and inside the
+    mesh (OutOfDomainError).  Returns x0 as a float array."""
+    check_count(steps, "steps")
+    check_count(a0_index, "a0_index")
+    if a0_index > grid.m:
         raise ConfigurationError(f"initial control index {a0_index} outside the grid")
     y = np.asarray(x0, dtype=float)
     if y.shape != (tri.dim,):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bellman import _check_step, lookahead
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import GridFunction, control_grid
 from .mesh import build_uniform, locate_many, snap_mesh_size
 from .problem import ProblemSpec, holder_exponent
@@ -166,8 +166,12 @@ def fit_rate(ks: Sequence[float], errors: Sequence[float]) -> float:
     return float(slope)
 
 
-def fit_rate_rows(rows: Sequence[SweepRow], use: str = "analytic") -> float:
-    errs = [r.error_vs_analytic if use == "analytic" else r.error_vs_reference for r in rows]
+def fit_rate_rows(rows: Sequence[SweepRow]) -> float:
+    """Rate fit of the analytic-slice errors when every row has a finite one,
+    otherwise of the errors against the finest row."""
+    errs = [r.error_vs_analytic for r in rows]
+    if not all(math.isfinite(e) for e in errs):
+        errs = [r.error_vs_reference for r in rows]
     return fit_rate([r.k for r in rows], errs)
 
 
@@ -205,8 +209,7 @@ def brute_force_oracle(
     oracle is independent of the kernel it checks.  Costs mu * N * n_levels
     one-point steps, each one call of `dynamics` and of `cost`.
     """
-    if mu < 0:
-        raise ConfigurationError("mu must be nonnegative")
+    check_count(mu, "mu")
     _check_step(h, spec.discount)
     levels = grid.levels.tolist()
     u = np.zeros((tri.n_vertices, grid.n_levels))

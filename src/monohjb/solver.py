@@ -28,7 +28,7 @@ from .bellman import (  # noqa: F401
     PolicyField, TransitionTable, _check_step, apply, apply_policy, policy_index, sweep,
     table_for,
 )
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
 from .mesh import Triangulation
 from .problem import ProblemSpec
@@ -55,8 +55,7 @@ class SolveOptions:
                 f"target_bound stop rule needs a positive finite target, got {target}")
         if self.stop_rule == "paper" and self.target is not None:
             raise ConfigurationError("target is read only by the target_bound stop rule")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
+        check_count(self.max_iterations, "max_iterations", 1)
 
     def residual_threshold(self, discount: float) -> float:
         if self.stop_rule == "paper":
@@ -103,7 +102,9 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
 def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     """Policy iteration: evaluate a frozen policy, then improve greedily.
 
-    Each policy is evaluated by frozen-policy sweeps (`apply_policy`),
+    The first policy is the stay policy, choice[a, i] = a: the greedy
+    policy of the zero function, since ties go to the smallest b.  Each
+    policy is evaluated by frozen-policy sweeps (`apply_policy`),
     warm-started from the last greedy value, until a sweep changes the value
     by at most threshold * lambda*h, so the evaluation error is at most
     threshold * (1 - lambda h): more sweeps than Picard takes, each a
@@ -117,7 +118,7 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     """
     eval_tolerance = threshold * table.discount * table.h
     u = np.zeros(table.stage_cost.shape)
-    _, choice = sweep(u, table, policy=True)
+    choice = np.indices(u.shape)[0]
     history = []
     for _ in range(max_iterations):
         # policy evaluation: one flat gather per frozen-policy sweep
@@ -146,11 +147,11 @@ def solve(
 ) -> tuple[GridFunction, PolicyField, SolveReport]:
     """Solve for the fixed point with the iteration `opts.method` names.
 
-    A supplied `table` is swept only if it was built for opts.h,
-    spec.discount, this control grid and this mesh; otherwise the table is
-    built here (see `bellman.table_for`).  Returns the value, its greedy
-    policy and a report whose guaranteed_error bounds the sup-norm distance
-    of the value to the fixed point.  If the stop rule is not met within
+    A supplied `table` is swept only if it was built for opts.h from these
+    spec, grid and tri objects; otherwise the table is built here (see
+    `bellman.table_for`).  Returns the value, its greedy policy and a
+    report whose guaranteed_error bounds the sup-norm distance of the
+    value to the fixed point.  If the stop rule is not met within
     opts.max_iterations, raises NonConvergenceError carrying all three.
     """
     opts.validate(spec.discount)
@@ -186,8 +187,7 @@ def solve_finite_horizon(
     table: TransitionTable | None = None,
 ) -> GridFunction:
     """Backward recursion over horizon T = mu*h from the zero terminal value."""
-    if mu < 0:
-        raise ConfigurationError(f"step count must be nonnegative, got {mu}")
+    check_count(mu, "mu")
     if mu > 0:
         table = table_for(spec, tri, grid, h, table)
     u = np.zeros((grid.n_levels, tri.n_vertices))

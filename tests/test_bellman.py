@@ -404,6 +404,22 @@ class TestSweepKernel:
         np.testing.assert_allclose(with_policy, expected, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(choice, expected_choice)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+    )
+    def test_stay_policy_is_greedy_for_zero_values(self, seed, nl, n_nodes, stencil, h):
+        """Howard starts from choice[a, i] = a instead of a policy sweep of
+        the zero function, whose candidates all tie at h f."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
+        _, choice = sweep(np.zeros((nl, n_nodes)), table, policy=True)
+        np.testing.assert_array_equal(choice, np.arange(nl)[:, None].repeat(n_nodes, axis=1))
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -22,7 +22,7 @@ from monohjb import (
     tail_bound,
     theoretical_envelope,
 )
-from monohjb.harness import _coupled_h, sweep_csv
+from monohjb.harness import _coupled_h, fit_rate_rows, sweep_csv
 
 
 def constants(lip_g, lam, gamma=None):
@@ -157,7 +157,7 @@ class TestOracle:
             raise AssertionError("the oracle reached the table kernel")
 
         for module in (monohjb, bellman, solver, harness):
-            for name in ("build_table", "table_for", "sweep", "_bound", "_fold"):
+            for name in ("build_table", "table_for", "sweep", "_bound", "_fold", "_bellman"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         with pytest.raises(AssertionError, match="table kernel"):
@@ -211,6 +211,19 @@ class TestSweep:
         assert len(lines) == len(rows)
         for line, row in zip(lines, rows):
             assert float(line.split(",")[7]) == row.guaranteed_error
+
+    def test_rate_fit_falls_back_to_reference_errors(self, toy_1d):
+        """toy_1d has no closed form; the default fit read its NaN analytic
+        errors and raised "rate fit needs at least 2 rows"."""
+        rows = run_sweep(toy_1d, [0.5, 0.25, 0.125])
+        assert all(math.isnan(r.error_vs_analytic) for r in rows)
+        rate = fit_rate_rows(rows)
+        assert rate == fit_rate([r.k for r in rows], [r.error_vs_reference for r in rows])
+        assert 1.1 < rate < 1.3
+
+    def test_rate_fit_reads_analytic_errors_when_all_are_finite(self, paper):
+        rows = run_sweep(paper, [0.5, 0.25])
+        assert fit_rate_rows(rows) == fit_rate([0.5, 0.25], [r.error_vs_analytic for r in rows])
 
     def test_empty_rejected(self, paper):
         with pytest.raises(ConfigurationError):

@@ -12,10 +12,12 @@ from monohjb import (
     PolicyField,
     SolveOptions,
     apply,
+    brute_force_oracle,
     build_table,
     build_uniform,
     control_grid,
     greedy_policy,
+    simulate,
     solve,
     solve_finite_horizon,
     sup_norm,
@@ -289,12 +291,21 @@ def mismatched_tables(paper):
     alone from what a call with this mesh, grid and step needs."""
     tri, grid = setup(paper, 0.1)
     fine = control_grid(0.05)
+    # the k = 0.5 mesh of [-2, 2]^2 has the 49 nodes of the paper's k = 0.25 mesh
+    coarse, coarse_grid = setup(paper, 0.25)
+    wide = dataclasses.replace(paper, domain=(np.full(2, -2.0), np.full(2, 2.0)))
+    wide_tri = build_uniform(wide.domain, 0.5)
+    assert wide_tri.n_vertices == coarse.n_vertices
     return {
         "h": (tri, fine, 0.1, build_table(paper, tri, fine, 0.05)),
         "discount": (tri, grid, 0.1,
                      build_table(dataclasses.replace(paper, discount=0.5), tri, grid, 0.1)),
         "levels": (tri, grid, 0.1, build_table(paper, tri, fine, 0.1)),
         "nodes": (tri, grid, 0.1, build_table(paper, build_uniform(paper.domain, 0.2), grid, 0.1)),
+        # same step, discount, levels and nodes: only the problem or mesh differs
+        "cost": (tri, grid, 0.1, build_table(
+            dataclasses.replace(paper, cost=lambda x, a: np.ones(len(x))), tri, grid, 0.1)),
+        "domain": (coarse, coarse_grid, 0.25, build_table(wide, wide_tri, coarse_grid, 0.25)),
     }
 
 
@@ -323,7 +334,7 @@ def _plain(out):
     return [out.iterations, out.guaranteed_error, out.residual_history]
 
 
-@pytest.mark.parametrize("field", ["h", "discount", "levels", "nodes"])
+@pytest.mark.parametrize("field", ["h", "discount", "levels", "nodes", "cost", "domain"])
 @pytest.mark.parametrize("user", sorted(TABLE_USERS))
 def test_mismatched_table_is_rebuilt(paper, mismatched_tables, field, user):
     tri, grid, h, table = mismatched_tables[field]
@@ -350,3 +361,31 @@ def test_report_method_follows_options(paper, method):
     tri, grid = setup(paper, 0.5)
     _, _, report = solve(paper, tri, grid, SolveOptions(h=0.5, method=method))
     assert report.method == method
+
+
+COUNT_ARGUMENTS = {
+    "max_iterations": lambda spec, tri, grid, n: solve(
+        spec, tri, grid, SolveOptions(h=0.5, max_iterations=n)),
+    "mu": lambda spec, tri, grid, n: solve_finite_horizon(spec, tri, grid, 0.5, n),
+    "oracle mu": lambda spec, tri, grid, n: brute_force_oracle(spec, tri, grid, 0.5, n),
+    "steps": lambda spec, tri, grid, n: simulate(
+        spec, tri, grid, GridFunction.zeros(tri, grid), np.array([0.5, 0.5]), 0, 0.5, n),
+    "a0_index": lambda spec, tri, grid, n: simulate(
+        spec, tri, grid, GridFunction.zeros(tri, grid), np.array([0.5, 0.5]), n, 0.5, 2),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("name", sorted(COUNT_ARGUMENTS))
+def test_count_arguments_reject_fractions_and_booleans(paper, name, value):
+    """2.5 raised a bare TypeError (or an IndexError for a0_index), and True
+    ran as 1."""
+    tri, grid = setup(paper, 0.5)
+    with pytest.raises(ConfigurationError, match=f"{name.split()[-1]} must be an integer"):
+        COUNT_ARGUMENTS[name](paper, tri, grid, value)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ARGUMENTS))
+def test_count_arguments_take_numpy_integers(paper, name):
+    tri, grid = setup(paper, 0.5)
+    COUNT_ARGUMENTS[name](paper, tri, grid, np.int64(1))
