@@ -6,7 +6,8 @@ argmin policy (on random values), the finite-horizon recursion with mu = 4
 steps and one sweep at its result, value-only and with the policy (the
 greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error (with their iteration counts and
-certificates), one sweep at the Picard 1e-8 value, value-only and with the
+certificates, and for Howard the stay-row passes of each policy
+evaluation), one sweep at the Picard 1e-8 value, value-only and with the
 policy, the nodal CSV, and the rollout layers: one-point `locate` over a
 fixed set of points (also as microseconds per call), one-point `level_data`
 (the problem callbacks and their check, as a rollout step calls them; also
@@ -19,9 +20,9 @@ per layer and writes all of it, with nproc and the numpy version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
-At k = h = 0.025 the two 1e-8 solver rows are skipped (Picard: about 700
-sweeps; Howard: over 3 s a run), and one untimed Picard solve gives the
-value the 1e-8 sweep rows read.  At 0.0125 every row is skipped but the
+At k = h = 0.025 the Picard 1e-8 row is skipped (about 700 sweeps, over
+10 s a run), and one untimed Picard solve gives the value the 1e-8 sweep
+rows read.  At 0.0125 every row is skipped but the
 mesh, the table, the two sweeps on random values and the mu = 4 rows, so
 the default run stays within a few minutes.
 """
@@ -62,8 +63,8 @@ ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
 FINEST_ROWS = ("mesh", "table", "sweep", "sweep_policy", "finite_mu4", "sweep_mu4",
                "sweep_policy_mu4")
-# the solver rows skipped at the second finest size
-TIGHT_SOLVES = ("picard_1e-8", "howard_1e-8")
+# the solver row skipped at the second finest size
+TIGHT_PICARD = "picard_1e-8"
 
 
 def timed(fn):
@@ -85,8 +86,8 @@ def bench_size(spec, k):
     rows = {}
 
     def skip(name):
-        # at 0.025: Picard about 700 sweeps (over 10 s), Howard over 3 s
-        if (name in TIGHT_SOLVES and k == SIZES[-2]) or \
+        # at 0.025: Picard about 700 sweeps (over 10 s)
+        if (name == TIGHT_PICARD and k == SIZES[-2]) or \
                 (k == SIZES[-1] and name not in FINEST_ROWS):
             rows[name] = {"seconds": None}
             print(f"k=h={k:<6g} {name:<18} skipped")
@@ -141,6 +142,8 @@ def bench_size(spec, k):
             u, _, report = out
             rows[name].update(iterations=report.iterations,
                               guaranteed_error=report.guaranteed_error)
+            if opts.method == "howard":
+                rows[name]["evaluation_iterations"] = report.evaluation_iterations
             solved[name] = u
     tight_values = solved.get("picard_1e-8")
     if tight_values is None and k != SIZES[-1]:

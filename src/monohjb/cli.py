@@ -182,6 +182,7 @@ def cmd_solve(cfg, out_dir, snap_k) -> int:
         "guaranteed_error": f"{report.guaranteed_error:.17g}",
         "wall_time_s": f"{report.wall_time:.6f}",
         "residual_history": "[" + ", ".join(f"{d:.17g}" for d in report.residual_history) + "]",
+        "evaluation_iterations": report.evaluation_iterations,
     }))
     return code
 

@@ -166,12 +166,17 @@ def fit_rate(ks: Sequence[float], errors: Sequence[float]) -> float:
     return float(slope)
 
 
+def _fits_analytic(rows: Sequence[SweepRow]) -> bool:
+    """Whether `fit_rate_rows` fits the analytic-slice errors: every row has
+    a finite one."""
+    return all(math.isfinite(r.error_vs_analytic) for r in rows)
+
+
 def fit_rate_rows(rows: Sequence[SweepRow]) -> float:
     """Rate fit of the analytic-slice errors when every row has a finite one,
     otherwise of the errors against the finest row."""
-    errs = [r.error_vs_analytic for r in rows]
-    if not all(math.isfinite(e) for e in errs):
-        errs = [r.error_vs_reference for r in rows]
+    analytic = _fits_analytic(rows)
+    errs = [r.error_vs_analytic if analytic else r.error_vs_reference for r in rows]
     return fit_rate([r.k for r in rows], errs)
 
 
@@ -184,8 +189,11 @@ def sweep_csv(rows: Sequence[SweepRow], rate: Optional[float] = None) -> str:
             f"{r.error_vs_reference:.17g},{r.error_vs_analytic:.17g},{r.envelope:.17g},"
             f"{r.guaranteed_error:.17g}\n"
         )
-    if rate is not None:
+    # the rate of fit_rate_rows goes under the error column it was fitted from
+    if rate is not None and _fits_analytic(rows):
         out.write(f"rate,,,,,{rate:.17g},,\n")
+    elif rate is not None:
+        out.write(f"rate,,,,{rate:.17g},,,\n")
     return out.getvalue()
 
 

@@ -23,6 +23,7 @@ from monohjb import (
 )
 from monohjb.bellman import TransitionTable, _bound, apply_policy, policy_index, sweep
 from monohjb.mesh import locate_many
+from monohjb.solver import _evaluate, _own_split
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +563,64 @@ class TestSweepKernel:
         expected, expected_choice = level_fold_sweep(values, table, policy=True)
         assert_same_bits(with_policy, expected)
         np.testing.assert_array_equal(choice, expected_choice)
+
+
+def random_choice(rng, nl, n_nodes):
+    """An admissible policy, about half its rows staying at their level."""
+    levels = np.arange(nl)[:, None]
+    switch = levels + rng.integers(0, nl, size=(nl, n_nodes)) % (nl - levels)
+    return np.where(rng.random((nl, n_nodes)) < 0.5, levels, switch)
+
+
+class TestLevelEvaluation:
+    """Howard's frozen-policy evaluation, level by level from the top."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+        tolerance=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    def test_is_a_fixed_point_of_the_frozen_operator(self, seed, nl, n_nodes, stencil, h,
+                                                     tolerance):
+        """random_table has duplicate and own-node stencil entries, and with
+        one node every row puts all its weight on itself (p = 1).  A stay
+        row stops once a pass moves it by at most the tolerance, which
+        leaves it a frozen residual of at most beta (1 - p) times that; a
+        switching row reads only final levels and is exact."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
+        choice = random_choice(rng, nl, n_nodes)
+        start = rng.uniform(-1, 1, size=(nl, n_nodes))
+        w, _ = _evaluate(start, choice, _own_split(table), table, tolerance, 10_000)
+        residual = np.abs(apply_policy(w, policy_index(choice, table), table) - w).max()
+        assert residual <= (1.0 - h) * tolerance + 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_node_loop_solve(self, seed):
+        """The frozen policy's linear system, built by a loop over the rows
+        and their stencil entries and solved directly."""
+        rng = np.random.default_rng(seed)
+        nl, n_nodes, h = 3, 4, 0.25
+        table = random_table(rng, nl, n_nodes, 3, h, rng.normal(size=(nl, n_nodes)))
+        choice = random_choice(rng, nl, n_nodes)
+        beta = 1.0 - table.discount * h
+        matrix, own = np.eye(nl * n_nodes), np.zeros(nl * n_nodes)
+        for a in range(nl):
+            for i in range(n_nodes):
+                row = a * n_nodes + i
+                for pos, wt in zip(table.indices[:, row], table.weights[:, row]):
+                    matrix[row, choice[a, i] * n_nodes + pos - a * n_nodes] -= beta * wt
+                    own[row] += wt if pos - a * n_nodes == i else 0.0
+        split = _own_split(table)
+        np.testing.assert_allclose(split[2], h * table.stage_cost.ravel() / (1 - beta * own),
+                                   rtol=1e-15, atol=0)
+        exact = np.linalg.solve(matrix, h * table.stage_cost.ravel()).reshape(nl, n_nodes)
+        w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, split, table, 1e-15, 10_000)
+        np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
 
 
 class TestOperatorProperties:

@@ -24,6 +24,7 @@ def test_solve_coarse(tmp_path):
     assert run("solve", cfg, tmp_path / "out") == 0
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "iterations: 1" in report
+    assert "evaluation_iterations: []" in report
     assert (tmp_path / "out" / "value.csv").exists()
     assert (tmp_path / "out" / "policy.csv").exists()
 

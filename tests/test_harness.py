@@ -225,6 +225,18 @@ class TestSweep:
         rows = run_sweep(paper, [0.5, 0.25])
         assert fit_rate_rows(rows) == fit_rate([0.5, 0.25], [r.error_vs_analytic for r in rows])
 
+    @pytest.mark.parametrize("name, column", [("toy_1d", "error_ref"),
+                                              ("paper", "error_analytic")])
+    def test_csv_rate_sits_under_the_fitted_column(self, request, name, column):
+        """toy_1d's rate is fitted from error_ref; it was written under
+        error_analytic, whose every cell is nan."""
+        rows = run_sweep(request.getfixturevalue(name), [0.5, 0.25, 0.125])
+        rate = fit_rate_rows(rows)
+        header, *_, last = sweep_csv(rows, rate).strip().split("\n")
+        cells = dict(zip(header.split(","), last.split(",")))
+        assert cells.pop("k") == "rate" and float(cells.pop(column)) == rate
+        assert set(cells.values()) == {""}
+
     def test_empty_rejected(self, paper):
         with pytest.raises(ConfigurationError):
             run_sweep(paper, [])

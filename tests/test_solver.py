@@ -165,7 +165,19 @@ class TestHoward:
         _, _, report = solve(paper, tri, grid, opts)
         assert report.converged
         assert report.iterations <= 3  # observed: 2
-        assert report.guaranteed_error <= 5e-10  # observed: 4.2e-10
+        assert report.guaranteed_error <= 1e-12  # observed: 2.1e-15
+
+    def test_evaluation_iterations_per_outer_iteration(self, paper):
+        """Each outer iteration records its stay-row passes over all
+        levels: at least one per level here, where every level keeps some
+        rows (observed: 155 and 11).  Picard evaluates no policy."""
+        tri, grid = setup(paper, 0.1)
+        table = build_table(paper, tri, grid, 0.1)
+        _, _, rh = solve(paper, tri, grid, SolveOptions(h=0.1, method="howard"), table=table)
+        assert len(rh.evaluation_iterations) == rh.iterations
+        assert all(n >= grid.n_levels for n in rh.evaluation_iterations)
+        _, _, rp = solve(paper, tri, grid, SolveOptions(h=0.1), table=table)
+        assert rp.evaluation_iterations == []
 
     def test_paper_rule_stops_on_residual_alone(self, paper):
         """The paper rule stops at the first residual below h^2, settled
