@@ -6,9 +6,9 @@ argmin policy (on random values), the finite-horizon recursion with mu = 4
 steps and one sweep at its result, value-only and with the policy (the
 greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error (with their iteration counts and
-certificates, and for Howard the stay-row passes of each policy
-evaluation), one sweep at the Picard 1e-8 value, value-only and with the
-policy, the nodal CSV, and the rollout layers: one-point `locate` over a
+certificates, and for Howard the passes over each level's rows of each
+policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
+the policy, the nodal CSV, and the rollout layers: one-point `locate` over a
 fixed set of points (also as microseconds per call), one-point `level_data`
 (the problem callbacks and their check, as a rollout step calls them; also
 as microseconds per call) and 100-step `simulate` under the Picard
@@ -21,10 +21,9 @@ per layer and writes all of it, with nproc and the numpy version, as JSON.
 Usage: python3 scripts/bench.py [--out bench.json]
 
 At k = h = 0.025 the Picard 1e-8 row is skipped (about 700 sweeps, over
-10 s a run), and one untimed Picard solve gives the value the 1e-8 sweep
-rows read.  At 0.0125 every row is skipped but the
-mesh, the table, the two sweeps on random values and the mu = 4 rows, so
-the default run stays within a few minutes.
+10 s a run).  At 0.0125 every row is skipped but the mesh, the table, the
+two sweeps on random values and the mu = 4 rows, so the default run stays
+within a few minutes.
 """
 
 import argparse
@@ -145,9 +144,7 @@ def bench_size(spec, k):
             if opts.method == "howard":
                 rows[name]["evaluation_iterations"] = report.evaluation_iterations
             solved[name] = u
-    tight_values = solved.get("picard_1e-8")
-    if tight_values is None and k != SIZES[-1]:
-        tight_values = solve(spec, tri, grid, SolveOptions(h=k, **tight), table=table)[0]
+    tight_values = solved.get("howard_1e-8")
     if tight_values is not None:
         tight_values = np.ascontiguousarray(tight_values.values.T)
     layer("sweep_1e-8", lambda: sweep(tight_values, table))

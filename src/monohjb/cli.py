@@ -97,13 +97,16 @@ def _read(cfg: dict, key: str, kind=str, default=None):
     """cfg[key] converted by kind (str, float, _integer, dict, ...).
 
     A missing key gives default; without one it is a config error.  A value
-    that kind rejects is a config error naming the key and the value.
+    that kind rejects is a config error naming the key and the value, and so
+    is a YAML true or false for any kind but _boolean (float(True) is 1).
     """
     if key not in cfg:
         if default is None:
             raise ConfigurationError(f"config is missing required key {key!r}")
         return default
     try:
+        if isinstance(cfg[key], bool) and kind is not _boolean:
+            raise ValueError(f"{cfg[key]!r} is not a {kind}")
         return kind(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"config key {key!r} has invalid value {cfg[key]!r}") from exc

@@ -9,12 +9,12 @@ posteriori bound ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
 
 Howard evaluates each frozen policy level by level, top level first
 (`_evaluate`), as the paper's finite sequence of stopping-time problems:
-the operator never lowers the level, so a row that switches reads only
-levels already evaluated, and the rows that stay iterate on their own level
-with each row's weight on its own node solved exactly, so a change is not
-damped at Picard's rate 1 - lambda h.  However accurate that evaluation is,
-the certificate comes from the greedy sweep's residual after it, as for
-Picard.
+the operator never lowers the level, so each level reads only itself and
+levels already evaluated.  Every row iterates one map (`_frozen`) with its
+weight on its own position solved exactly (none if it switches), so a
+change is not damped at Picard's rate 1 - lambda h.  However accurate that
+evaluation is, the certificate comes from the greedy sweep's residual
+after it, as for Picard.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 # apply, apply_policy and sup_norm_diff are not called here but stay module
 # attributes: perfbench/spans.py traces them under these names.
 from .bellman import (  # noqa: F401
-    PolicyField, TransitionTable, _bellman, _check_step, apply, apply_policy, policy_index,
+    PolicyField, TransitionTable, _check_step, apply, apply_policy, policy_index,
     sweep, table_for,
 )
 from .errors import ConfigurationError, NonConvergenceError, check_count
@@ -77,7 +77,7 @@ class SolveReport:
     wall_time: float = 0.0
     method: str = "picard"
     converged: bool = False
-    # per outer Howard iteration, the stay-row passes over all levels
+    # per outer Howard iteration, the passes over each level's rows, summed
     evaluation_iterations: list = field(default_factory=list)
 
     @property
@@ -105,67 +105,57 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
     return u, choice, history, []
 
 
-def _own_split(table: TransitionTable):
-    """The frozen-policy evaluation's view of every stay row, per `_howard` call.
+def _frozen(choice: np.ndarray, table: TransitionTable):
+    """The frozen policy `choice` as one map v <- base + interp(w; scaled) per row.
 
-    Row (a, i) puts weight p on its own node i (the stencil positions
-    a*N + i, duplicates summed).  If it stays at level a, its frozen
-    equation v = h f + beta (p v + interp(w_a; woff)), with woff the
-    weights off node i and beta = 1 - lambda h, solves for its own value as
-    v = (h f + beta interp(w_a; woff)) / (1 - beta p).  Returns, level-major
-    over the rows, the stencils as node ids, woff * beta / (1 - beta p) and
-    h f / (1 - beta p), so that v = base + interp(w_a; scaled).
+    Row (a, i) reads its stencil at level b = choice[a, i] (`policy_index`)
+    and puts weight p on its own position a*N + i (duplicates summed; p = 0
+    if it switches, b > a).  Its frozen equation
+    v = h f + beta (p v + interp(w; woff)), with woff the weights off its
+    own position and beta = 1 - lambda h, solves for its own value as
+    v = (h f + beta interp(w; woff)) / (1 - beta p).  Returns, level-major
+    over the rows, the positions, woff * beta / (1 - beta p) and
+    h f / (1 - beta p).
     """
-    nl, n_nodes = table.stage_cost.shape
-    nodes = table.indices - np.repeat(np.arange(nl) * n_nodes, n_nodes)
-    own = nodes == np.tile(np.arange(n_nodes), nl)
+    index = policy_index(choice, table)
+    own = index == np.arange(index.shape[1])
     beta = 1.0 - table.discount * table.h
     denom = 1.0 - beta * np.where(own, table.weights, 0.0).sum(axis=0)
     scaled = np.where(own, 0.0, table.weights) * (beta / denom)
-    return nodes, scaled, table.h * table.stage_cost.ravel() / denom
+    return index, scaled, table.h * table.stage_cost.ravel() / denom
 
 
-def _evaluate(values: np.ndarray, choice: np.ndarray, split, table: TransitionTable,
+def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
               tolerance: float, max_iterations: int):
     """The value of the frozen policy `choice`, one level at a time, top first.
 
-    The operator never lowers the level, so a row that switches
-    (choice[a, i] > a) reads only levels above a, which are final when
-    level a is reached: one `_bellman` at the policy's stencil sets it.  The
-    stay rows read level a itself; starting from `values`, they iterate
-    v <- base + interp(w_a; scaled) (`_own_split`), each row's own weight
-    solved exactly, until a pass changes them by at most `tolerance`, or
-    for max_iterations passes.  Returns the level-major values and the
-    number of stay-row passes over all levels.
+    The operator never lowers the level, so level a reads only itself and
+    the levels above it, which are final when it is reached.  Starting from
+    `values`, every row of level a iterates v <- base + interp(w; scaled)
+    (`_frozen`), each row's own weight solved exactly, until a pass changes
+    the level by at most `tolerance`, or for max_iterations passes.  A
+    switching row reads only final levels, so its first pass sets it.
+    Returns the level-major values and the number of passes over all levels.
     """
     nl, n_nodes = values.shape
-    nodes, scaled, base = split
-    index = policy_index(choice, table)
+    index, scaled, base = _frozen(choice, table)
     w = values.copy()
     flat = w.ravel()
     passes = 0
     for a in range(nl - 1, -1, -1):
-        stay = choice[a] == a
-        switch = np.flatnonzero(~stay) + a * n_nodes
-        flat[switch] = _bellman(flat, index[:, switch], table.weights[:, switch], table, switch)
-        rows = np.flatnonzero(stay)
-        if not len(rows):
-            continue
-        cols = rows + a * n_nodes
-        idx, wts, b = nodes[:, cols], scaled[:, cols], base[cols]
-        level, v = w[a], w[a, rows]
-        out, terms = np.empty(len(rows)), np.empty(idx.shape)
+        cols = slice(a * n_nodes, (a + 1) * n_nodes)
+        idx, wts, b, level = index[:, cols], scaled[:, cols], base[cols], w[a]
+        new, terms = np.empty(n_nodes), np.empty(idx.shape)
         for _ in range(max_iterations):
             # one gather over all stencil vertices: a pass is a few numpy
             # calls on one level, so their count sets its cost
-            level.take(idx, out=terms, mode="clip")
+            flat.take(idx, out=terms, mode="clip")
             terms *= wts
-            new = np.add.reduce(terms, axis=0, out=out)
+            np.add.reduce(terms, axis=0, out=new)
             new += b
             passes += 1
-            change = float(np.abs(new - v).max())
-            level[rows] = new
-            v, out = new, v
+            change = float(np.abs(new - level).max())
+            level[:] = new
             if change <= tolerance:
                 break
     return w, passes
@@ -177,23 +167,22 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     The first policy is the stay policy, choice[a, i] = a: the greedy
     policy of the zero function, since ties go to the smallest b.  Each
     policy is evaluated level by level, top level first (`_evaluate`),
-    warm-started from the last greedy value, each level's stay rows until a
-    pass changes them by at most threshold * lambda*h.  Stops once the
+    warm-started from the last greedy value, each level until a pass
+    changes it by at most threshold * lambda*h.  Stops once the
     residual ||A w - w|| of the evaluated value w is at most threshold and
     returns A w with its greedy policy, so the returned value carries the
     same guaranteed-error contract as Picard's, however accurate the
     evaluation: the bound holds whether or not the policy has settled.
     max_iterations caps the outer iterations and the passes of each level.
     Returns level-major (values, choice), the residual history and, per
-    outer iteration, the evaluation's stay-row passes over all levels.
+    outer iteration, the evaluation's passes over each level's rows, summed.
     """
     eval_tolerance = threshold * table.discount * table.h
-    split = _own_split(table)
     u = np.zeros(table.stage_cost.shape)
     choice = np.indices(u.shape)[0]
     history, evaluations = [], []
     for _ in range(max_iterations):
-        w, passes = _evaluate(u, choice, split, table, eval_tolerance, max_iterations)
+        w, passes = _evaluate(u, choice, table, eval_tolerance, max_iterations)
         evaluations.append(passes)
         # improvement step doubles as the residual check
         u, choice = sweep(w, table, policy=True)

@@ -23,7 +23,7 @@ from monohjb import (
 )
 from monohjb.bellman import TransitionTable, _bound, apply_policy, policy_index, sweep
 from monohjb.mesh import locate_many
-from monohjb.solver import _evaluate, _own_split
+from monohjb.solver import _evaluate, _frozen
 
 
 @pytest.fixture(scope="module")
@@ -583,19 +583,24 @@ class TestLevelEvaluation:
         stencil=st.integers(2, 4),
         h=st.floats(0.01, 0.99),
         tolerance=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        whole_levels=st.booleans(),
     )
     def test_is_a_fixed_point_of_the_frozen_operator(self, seed, nl, n_nodes, stencil, h,
-                                                     tolerance):
+                                                     tolerance, whole_levels):
         """random_table has duplicate and own-node stencil entries, and with
-        one node every row puts all its weight on itself (p = 1).  A stay
-        row stops once a pass moves it by at most the tolerance, which
-        leaves it a frozen residual of at most beta (1 - p) times that; a
-        switching row reads only final levels and is exact."""
+        one node every row puts all its weight on itself (p = 1).  A level
+        stops once a pass moves it by at most the tolerance, which leaves a
+        stay row a frozen residual of at most beta (1 - p) times that; a
+        switching row reads only final levels and is exact, also on a level
+        where every row switches."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
         choice = random_choice(rng, nl, n_nodes)
+        if whole_levels:
+            for a in np.flatnonzero(rng.random(nl - 1) < 0.5):
+                choice[a] = rng.integers(a + 1, nl, size=n_nodes)
         start = rng.uniform(-1, 1, size=(nl, n_nodes))
-        w, _ = _evaluate(start, choice, _own_split(table), table, tolerance, 10_000)
+        w, _ = _evaluate(start, choice, table, tolerance, 10_000)
         residual = np.abs(apply_policy(w, policy_index(choice, table), table) - w).max()
         assert residual <= (1.0 - h) * tolerance + 1e-14
 
@@ -611,15 +616,15 @@ class TestLevelEvaluation:
         matrix, own = np.eye(nl * n_nodes), np.zeros(nl * n_nodes)
         for a in range(nl):
             for i in range(n_nodes):
-                row = a * n_nodes + i
+                row, stays = a * n_nodes + i, choice[a, i] == a
                 for pos, wt in zip(table.indices[:, row], table.weights[:, row]):
                     matrix[row, choice[a, i] * n_nodes + pos - a * n_nodes] -= beta * wt
-                    own[row] += wt if pos - a * n_nodes == i else 0.0
-        split = _own_split(table)
-        np.testing.assert_allclose(split[2], h * table.stage_cost.ravel() / (1 - beta * own),
+                    own[row] += wt if stays and pos - a * n_nodes == i else 0.0
+        np.testing.assert_allclose(_frozen(choice, table)[2],
+                                   h * table.stage_cost.ravel() / (1 - beta * own),
                                    rtol=1e-15, atol=0)
         exact = np.linalg.solve(matrix, h * table.stage_cost.ravel()).reshape(nl, n_nodes)
-        w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, split, table, 1e-15, 10_000)
+        w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, table, 1e-15, 10_000)
         np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
 
 

@@ -281,6 +281,12 @@ _START = {"x0": [0.5, 0.5], "a0": 0.0}
     ("check-mesh", "compact", {"mesh": {"compact": [[-0.5, -0.5], [0.5]]}}),
     ("check-mesh", "dump", {"mesh": {"dump": "no"}}),
     ("check-mesh", "dump", {"mesh": {"dump": 1}}),
+    ("solve", "max_iterations", {"max_iterations": True}),
+    ("solve", "target", {"stop_rule": "target_bound", "target": True}),
+    ("simulate", "steps", {"simulate": {**_START, "steps": True}}),
+    ("simulate", "a0", {"simulate": {**_START, "a0": True, "steps": 2}}),
+    ("oracle-check", "mu", {"oracle_check": {"mu": True}}),
+    ("bounds", "n", {"bounds": {"T": 4.0, "n": True}}),
 ])
 def test_mistyped_value_is_config_error(tmp_path, capsys, cmd, key, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -168,14 +168,14 @@ class TestHoward:
         assert report.guaranteed_error <= 1e-12  # observed: 2.1e-15
 
     def test_evaluation_iterations_per_outer_iteration(self, paper):
-        """Each outer iteration records its stay-row passes over all
-        levels: at least one per level here, where every level keeps some
-        rows (observed: 155 and 11).  Picard evaluates no policy."""
+        """Each outer iteration records its passes over each level's rows,
+        summed: 155 from the stay policy, then one per level (11 levels).
+        Picard evaluates no policy."""
         tri, grid = setup(paper, 0.1)
         table = build_table(paper, tri, grid, 0.1)
         _, _, rh = solve(paper, tri, grid, SolveOptions(h=0.1, method="howard"), table=table)
         assert len(rh.evaluation_iterations) == rh.iterations
-        assert all(n >= grid.n_levels for n in rh.evaluation_iterations)
+        assert rh.evaluation_iterations == [155, 11]
         _, _, rp = solve(paper, tri, grid, SolveOptions(h=0.1), table=table)
         assert rp.evaluation_iterations == []
 
