@@ -1,8 +1,11 @@
 """Layer timings of the monohjb pipeline on the built-in 2-D example.
 
-For each resolution k = h it times, as the median of five runs: the mesh
-build, the transition table, one Bellman sweep value-only and with the
-argmin policy (on random values), the finite-horizon recursion with mu = 4
+For each resolution k = h it times, as the median of five runs: the
+set-up layers one by one (the mesh build, the hypothesis check
+`check_hypotheses`, the batch point location `locate_many` of every level's
+Euler images, also as microseconds per point, and the transition table,
+which includes that point location), one Bellman sweep value-only and with
+the argmin policy (on random values), the finite-horizon recursion with mu = 4
 steps and one sweep at its result, value-only and with the policy (the
 greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error (with their iteration counts and
@@ -21,8 +24,8 @@ per layer and writes all of it, with nproc and the numpy version, as JSON.
 Usage: python3 scripts/bench.py [--out bench.json]
 
 At k = h = 0.025 the Picard 1e-8 row is skipped (about 700 sweeps, over
-10 s a run).  At 0.0125 every row is skipped but the mesh, the table, the
-two sweeps on random values and the mu = 4 rows, so the default run stays
+10 s a run).  At 0.0125 every row is skipped but the set-up rows, the two
+sweeps on random values and the mu = 4 rows, so the default run stays
 within a few minutes.
 """
 
@@ -41,6 +44,7 @@ from monohjb import (
     build_table,
     build_uniform,
     builtin,
+    check_hypotheses,
     control_grid,
     locate,
     simulate,
@@ -49,6 +53,7 @@ from monohjb import (
 )
 from monohjb.bellman import _bound, sweep
 from monohjb.fespace import nodal_csv
+from monohjb.mesh import locate_many
 from monohjb.problem import level_data
 
 SIZES = (0.1, 0.05, 0.025, 0.0125)
@@ -60,8 +65,8 @@ LEVEL_DATA_CALLS = 2000
 ROLLOUT_STARTS = 20
 ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
-FINEST_ROWS = ("mesh", "table", "sweep", "sweep_policy", "finite_mu4", "sweep_mu4",
-               "sweep_policy_mu4")
+FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "sweep_policy",
+               "finite_mu4", "sweep_mu4", "sweep_policy_mu4")
 # the solver row skipped at the second finest size
 TIGHT_PICARD = "picard_1e-8"
 
@@ -111,6 +116,23 @@ def bench_size(spec, k):
 
     tri = layer("mesh", lambda: build_uniform(spec.domain, k))
     grid = control_grid(k)
+    layer("check_hypotheses", lambda: check_hypotheses(tri, spec, k, grid.levels))
+    # the Euler images that build_table locates, one batch per level
+    images = [tri.vertices + k * level_data(spec, tri.vertices, float(a), ai)[0]
+              for ai, a in enumerate(grid.levels)]
+
+    def locate_levels():
+        # each level's stencils are dropped before the next, as build_table
+        # drops them; keeping all of them would time the heap's growth
+        for points in images:
+            located = locate_many(tri, points)
+        return located
+
+    if layer("locate_many", locate_levels) is not None:
+        n_points = tri.n_vertices * grid.n_levels
+        rows["locate_many"].update(
+            points=n_points, us_per_point=rows["locate_many"]["seconds"] / n_points * 1e6)
+        print(f"k=h={k:<6g} {'':<18} {rows['locate_many']['us_per_point']:10.4f} us per point")
     table = layer("table", lambda: build_table(spec, tri, grid, k))
     values = np.random.default_rng(0).uniform(-1, 1, size=(grid.n_levels, tri.n_vertices))
     layer("sweep", lambda: sweep(values, table))

@@ -150,7 +150,7 @@ def build_table(
                 axis=exc.axis,
                 context=(exc.context, ai),
             ) from exc
-        indices[:, ai] = idx.T + ai * N
+        np.add(idx.T, ai * N, out=indices[:, ai])
         weights[:, ai] = w.T
     return TransitionTable(
         indices=indices.reshape(nu + 1, -1), weights=weights.reshape(nu + 1, -1),

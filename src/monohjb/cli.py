@@ -93,19 +93,27 @@ def _boolean(value) -> bool:
     return value
 
 
+def _has_boolean(value) -> bool:
+    """Whether value is a YAML true or false, or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(_has_boolean(item) for item in value)
+    return isinstance(value, bool)
+
+
 def _read(cfg: dict, key: str, kind=str, default=None):
     """cfg[key] converted by kind (str, float, _integer, dict, ...).
 
     A missing key gives default; without one it is a config error.  A value
     that kind rejects is a config error naming the key and the value, and so
-    is a YAML true or false for any kind but _boolean (float(True) is 1).
+    is a YAML true or false, alone or inside a list, for any kind but
+    _boolean (float(True) is 1).
     """
     if key not in cfg:
         if default is None:
             raise ConfigurationError(f"config is missing required key {key!r}")
         return default
     try:
-        if isinstance(cfg[key], bool) and kind is not _boolean:
+        if kind is not _boolean and _has_boolean(cfg[key]):
             raise ValueError(f"{cfg[key]!r} is not a {kind}")
         return kind(cfg[key])
     except (TypeError, ValueError) as exc:

@@ -6,17 +6,26 @@ Kuhn/Freudenthal rule, which in 2-D is the main-diagonal split of every
 square.  Simplex diameters are measured in the max norm, so every simplex of
 the uniform grid has diameter exactly k.
 
-Point location is O(1): cell arithmetic plus a coordinate sort that
-identifies the Kuhn simplex and yields the barycentric weights directly.
-A located point is its P1 stencil: the ids of the vertices of its
-simplex and their barycentric weights, which is all that interpolation
-reads, and every locator returns it as that pair.  One point,
+Point location is O(1): cell arithmetic plus the stable descending order
+of the in-cell offsets (ties to the lower axis), which identifies the Kuhn
+simplex and yields the barycentric weights directly.  A located point is
+its P1 stencil: the ids of the vertices of its simplex and their
+barycentric weights, which is all that interpolation reads, and every
+locator returns it as that pair.  One point,
 `locate(tri, p)`, checks the point's shape and runs the scalar core
 `_locate_point` in Python floats and ints on a list of coordinates (the
 closed-loop rollout calls that core directly); a batch,
 `locate_many(tri, points)`, takes the vectorized path.  Both read the mesh
 constants cached on the `Triangulation` (`Triangulation.constants`) and
 return the same vertex ids and weights, bit for bit.
+
+The vectorized path sorts nothing.  It ranks each axis against every other
+by whole-array comparisons, O(nu^2) of them, and builds the sorted offsets
+and the vertex steps from the ranks with masked copies.  It clamps and clips
+by passing the bound second to np.maximum and np.minimum, which return it on
+a tie as np.clip does, so a -0.0 on a 0.0 bound comes out as 0.0, as in the
+scalar core.  It computes ids and weights stencil-major, (nu+1, M), and
+returns their transposes, Fortran-ordered (M, nu+1) views.
 """
 
 from __future__ import annotations
@@ -167,10 +176,18 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     """Vectorized point location of a batch of points, shape (M, nu) (or
     one point of shape (nu,), located as a batch of one).
 
-    Returns (vertex index array (M, nu+1), weight array (M, nu+1)).  Points
-    within the snap tolerance outside the inner box are clamped; anything
-    farther, or NaN, raises OutOfDomainError naming the offending coordinate.
-    A last axis other than nu raises DimensionMismatchError.
+    Returns (vertex index array (M, nu+1), weight array (M, nu+1)), the
+    transposes of stencil-major (nu+1, M) arrays, so Fortran-ordered.
+    Points within the snap tolerance outside the inner box are clamped;
+    anything farther, or NaN, raises OutOfDomainError naming the offending
+    coordinate (the first in row-major order).  A last axis other than nu
+    raises DimensionMismatchError.
+
+    The simplex follows the stable descending order of the in-cell offsets,
+    found without sorting: axis j goes ahead of a lower axis i only where
+    its offset is strictly larger, so ties go to the lower axis.  The clamp
+    and the weight clip pass the bound second to np.maximum and np.minimum,
+    which return it on a tie, so signed zeros come out as in `locate`.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     c = tri.constants
@@ -179,39 +196,58 @@ def locate_many(tri: Triangulation, points: np.ndarray):
         raise DimensionMismatchError(f"points must have shape (M, {nu}), got shape {P.shape}")
     if P.shape[1] != nu:
         raise DimensionMismatchError(f"points have {P.shape[1]} coordinates; the mesh has {nu}")
-    eps = c.eps
-    below = tri.lower - P
-    above = P - tri.upper
+    # stencil-major from here on: one row per axis, one column per point
+    X = P.T.copy()
+    lower = tri.lower[:, None]
+    upper = tri.upper[:, None]
     # written so that NaN coordinates count as outside
-    bad = ~((below <= eps) & (above <= eps))
-    if bad.any():
-        row, ax = np.argwhere(bad)[0]
+    inside = lower - X <= c.eps
+    inside &= X - upper <= c.eps
+    if not inside.all():
+        row, ax = np.argwhere(~inside.T)[0]
         raise _out_of_domain(tri, P[row], int(ax), int(row))
-    Pc = np.clip(P, tri.lower, tri.upper)
-    q = (Pc - tri.lower) / c.k
-    cell = np.floor(q).astype(int)
-    np.clip(cell, 0, tri.cells_per_axis - 1, out=cell)
+    np.maximum(X, lower, out=X)
+    np.minimum(X, upper, out=X)
+    X -= lower
+    q = np.divide(X, c.k, out=X)
+    # q >= 0 after the clamp: truncation is the floor, and no cell is negative
+    cell = q.astype(int)
+    np.minimum(cell, (tri.cells_per_axis - 1)[:, None], out=cell)
     s = q - cell
-
-    order = np.argsort(-s, axis=1, kind="stable")
-    s_sorted = np.take_along_axis(s, order, axis=1)
-
     M = P.shape[0]
-    W = np.empty((M, nu + 1))
-    W[:, 0] = 1.0 - s_sorted[:, 0]
-    if nu > 1:
-        W[:, 1:nu] = s_sorted[:, :-1] - s_sorted[:, 1:]
-    W[:, nu] = s_sorted[:, -1]
-    np.clip(W, 0.0, None, out=W)
+
+    # rank[ax] is the place of axis ax in the stable descending order of s:
+    # it starts behind the lower axes and passes one only where its offset
+    # is strictly larger
+    rank = np.empty((nu, M), dtype=np.int8)
+    rank[:] = np.arange(nu)[:, None]
+    for i in range(nu):
+        for j in range(i + 1, nu):
+            passes = s[i] < s[j]
+            rank[i] += passes
+            rank[j] -= passes
 
     # the simplex walks from the cell's base node one unit step along each
-    # axis in `order`; flat ids are C-order strides
+    # axis in that order; flat ids are C-order strides
     strides = c.node_strides_array
-    idx = np.empty((M, nu + 1), dtype=int)
-    idx[:, 0] = cell @ strides
-    np.cumsum(strides[order], axis=1, out=idx[:, 1:])
-    idx[:, 1:] += idx[:, :1]
-    return idx, W
+    s_sorted = np.empty((nu, M))
+    idx = np.empty((nu + 1, M), dtype=int)
+    for m in range(nu):
+        for ax in range(nu):
+            at = rank[ax] == m
+            np.copyto(s_sorted[m], s[ax], where=at)
+            np.copyto(idx[m + 1], strides[ax], where=at)
+    cell *= strides[:, None]
+    np.sum(cell, axis=0, out=idx[0])
+    for m in range(nu):
+        idx[m + 1] += idx[m]
+
+    W = np.empty((nu + 1, M))
+    np.subtract(1.0, s_sorted[0], out=W[0])
+    np.subtract(s_sorted[:-1], s_sorted[1:], out=W[1:nu])
+    W[nu] = s_sorted[-1]
+    np.maximum(W, 0.0, out=W)
+    return idx.T, W.T
 
 
 def locate(tri: Triangulation, p) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +277,10 @@ def _locate_point(tri: Triangulation, xs: list):
 
     Returns (vertex ids, weights) as two lists: the values of row 0 of
     `locate_many(tri, [xs])`, bit for bit.  It does the same clamping
-    (numpy's `clip` keeps the bound on a tie, so signed zeros come out
-    alike), the same floor and subtraction, a stable descending sort of the
-    in-cell offsets, and the same weight clip.  A point outside
+    (both keep the bound on a tie, so signed zeros come out alike), the
+    same cell (the floor of q >= 0, which `locate_many` truncates) and
+    subtraction, the same stable descending order of the in-cell offsets,
+    by a sort here, and the same weight clip.  A point outside
     the mesh raises OutOfDomainError as `locate_many` does, with row 0.
     """
     c = tri.constants

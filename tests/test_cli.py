@@ -287,6 +287,10 @@ _START = {"x0": [0.5, 0.5], "a0": 0.0}
     ("simulate", "a0", {"simulate": {**_START, "a0": True, "steps": 2}}),
     ("oracle-check", "mu", {"oracle_check": {"mu": True}}),
     ("bounds", "n", {"bounds": {"T": 4.0, "n": True}}),
+    # a boolean inside a list: float(False) is 0.0, so x0 would start from (0, 0.5)
+    ("simulate", "x0", {"simulate": {"x0": [False, 0.5], "a0": 0.0, "steps": 2}}),
+    ("sweep", "k_list", {"sweep": {"k_list": [True, 0.5]}}),
+    ("check-mesh", "compact", {"mesh": {"compact": [[-0.25, -0.25], [0.25, True]]}}),
 ])
 def test_mistyped_value_is_config_error(tmp_path, capsys, cmd, key, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -13,13 +13,16 @@ from monohjb import (
     InvalidProblemDataError,
     MeshConstructionError,
     OutOfDomainError,
+    ProblemSpec,
+    build_table,
     build_uniform,
     check_hypotheses,
     control_grid,
     locate,
     snap_mesh_size,
 )
-from monohjb.mesh import dump, locate_many
+from monohjb.mesh import _out_of_domain, dump, locate_many
+from monohjb.problem import level_data
 
 BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
@@ -261,28 +264,102 @@ def _cube_mesh(dim):
     return build_uniform((-np.ones(dim), np.ones(dim)), {1: 0.1, 2: 0.25, 3: 0.4, 4: 0.5}[dim])
 
 
-@st.composite
-def _mesh_points(draw):
-    """A mesh of dimension 1-4 and a point in its box.  Each coordinate is
-    drawn uniformly, on the half-cell grid (vertices and cell faces), at an
-    offset into its cell shared by all such axes (exact ties on the Kuhn
-    diagonals), or in the snap band around a box face."""
-    tri = _cube_mesh(draw(st.integers(1, 4)))
+@functools.lru_cache(maxsize=None)
+def _corner_mesh(dim):
+    """Kuhn mesh of [-0.5, 1.5]^dim with k = 0.5: its inner box [0, 1]^dim
+    has a zero corner, so -0.0 coordinates reach the clamp as signed zeros."""
+    return build_uniform((np.full(dim, -0.5), np.full(dim, 1.5)), 0.5)
+
+
+_KINDS = ("uniform", "grid", "diagonal", "snap")
+
+
+def _draw_point(draw, tri, kinds=_KINDS):
+    """A point in the box of tri.  Each coordinate is drawn uniformly, on the
+    half-cell grid (vertices and cell faces), at an offset into its cell
+    shared by all such axes (exact ties on the Kuhn diagonals), in the snap
+    band around a box face, or, with kind "zero", as 0.0 or -0.0."""
     shared = draw(st.floats(0.0, 1.0))
     eps = tri.snap_tolerance
     coords = []
     for lo, hi, n in zip(tri.lower, tri.upper, tri.cells_per_axis):
-        kind = draw(st.sampled_from(["uniform", "grid", "diagonal", "snap"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "uniform":
             coords.append(draw(st.floats(lo, hi)))
         elif kind == "grid":
             coords.append(lo + tri.k * draw(st.integers(0, 2 * int(n))) / 2)
         elif kind == "diagonal":
             coords.append(lo + tri.k * (draw(st.integers(0, int(n) - 1)) + shared))
-        else:
+        elif kind == "snap":
             face = draw(st.sampled_from([lo, hi]))
             coords.append(face + draw(st.floats(-0.99, 0.99)) * eps)
-    return tri, np.array(coords)
+        else:
+            coords.append(draw(st.sampled_from([0.0, -0.0])))
+    return np.array(coords)
+
+
+@st.composite
+def _mesh_points(draw):
+    """A mesh of dimension 1-4 and a point in its box (see `_draw_point`)."""
+    tri = _cube_mesh(draw(st.integers(1, 4)))
+    return tri, _draw_point(draw, tri)
+
+
+@st.composite
+def _mesh_batch(draw):
+    """A mesh of dimension 1-4, with or without a zero corner, and 1-8 points
+    in its box, some coordinates signed zeros (see `_draw_point`).  Now and
+    then one or two coordinates are moved beyond the snap band or to NaN."""
+    dim = draw(st.integers(1, 4))
+    tri = draw(st.sampled_from([_cube_mesh(dim), _corner_mesh(dim)]))
+    points = np.array([_draw_point(draw, tri, _KINDS + ("zero",))
+                       for _ in range(draw(st.integers(1, 8)))])
+    eps = tri.snap_tolerance
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = draw(st.integers(0, len(points) - 1))
+        ax = draw(st.integers(0, dim - 1))
+        points[row, ax] = draw(st.sampled_from(
+            [tri.lower[ax] - 2 * eps, tri.upper[ax] + 2 * eps, -5.0, 5.0, np.nan]))
+    return tri, points
+
+
+def _argsort_locate_many(tri, points):
+    """Batch point location by a stable argsort of the in-cell offsets, the
+    textbook Kuhn recipe that `locate_many` replaced: the reference that
+    its sort-free order must match bit for bit."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    c = tri.constants
+    nu = c.nu
+    eps = c.eps
+    below = tri.lower - P
+    above = P - tri.upper
+    bad = ~((below <= eps) & (above <= eps))
+    if bad.any():
+        row, ax = np.argwhere(bad)[0]
+        raise _out_of_domain(tri, P[row], int(ax), int(row))
+    Pc = np.clip(P, tri.lower, tri.upper)
+    q = (Pc - tri.lower) / c.k
+    cell = np.floor(q).astype(int)
+    np.clip(cell, 0, tri.cells_per_axis - 1, out=cell)
+    s = q - cell
+
+    order = np.argsort(-s, axis=1, kind="stable")
+    s_sorted = np.take_along_axis(s, order, axis=1)
+
+    M = P.shape[0]
+    W = np.empty((M, nu + 1))
+    W[:, 0] = 1.0 - s_sorted[:, 0]
+    if nu > 1:
+        W[:, 1:nu] = s_sorted[:, :-1] - s_sorted[:, 1:]
+    W[:, nu] = s_sorted[:, -1]
+    np.clip(W, 0.0, None, out=W)
+
+    strides = c.node_strides_array
+    idx = np.empty((M, nu + 1), dtype=int)
+    idx[:, 0] = cell @ strides
+    np.cumsum(strides[order], axis=1, out=idx[:, 1:])
+    idx[:, 1:] += idx[:, :1]
+    return idx, W
 
 
 class TestScalarLocate:
@@ -372,3 +449,61 @@ class TestPointShape:
         tri = build_uniform(BOX, 0.5)
         with pytest.raises(DimensionMismatchError, match=r"shape \(M, 2\)"):
             locate_many(tri, np.zeros((2, 3, 2)))
+
+
+class TestSortFreeLocate:
+    """`locate_many` against the argsort reference, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_mesh_batch())
+    def test_matches_argsort_reference(self, case):
+        tri, points = case
+        try:
+            expected = _argsort_locate_many(tri, points)
+        except OutOfDomainError as exc:
+            with pytest.raises(OutOfDomainError) as got:
+                locate_many(tri, points)
+            assert (got.value.axis, got.value.context) == (exc.axis, exc.context)
+            assert str(got.value) == str(exc)
+            np.testing.assert_array_equal(got.value.point, exc.point)
+            return
+        idx, w = locate_many(tri, points)
+        for got, want in ((idx, expected[0]), (w, expected[1])):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(w), np.signbit(expected[1]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_returns_stencil_major_transposes(self, dim):
+        tri = _cube_mesh(dim)
+        idx, w = locate_many(tri, tri.vertices)
+        for out in (idx, w):
+            assert out.shape == (tri.n_vertices, dim + 1)
+            assert out.T.flags.c_contiguous
+
+    def test_table_3d_matches_argsort_reference(self):
+        """A 3-D problem's `build_table` equals, bit for bit, the table
+        assembled level by level from the reference locator."""
+        spec = ProblemSpec(
+            dynamics=lambda X, a: -(a + 1.0) * X,
+            cost=lambda X, a: a * (X ** 2).sum(axis=1),
+            discount=1.0, domain=(-np.ones(3), np.ones(3)),
+            lip_g=2.0, bound_g=2.0, lip_f=2.0 * math.sqrt(3.0), bound_f=3.0,
+        )
+        h = 0.25
+        tri = build_uniform(spec.domain, 0.25)
+        grid = control_grid(h)
+        table = build_table(spec, tri, grid, h)
+        N = tri.n_vertices
+        indices, weights, costs = [], [], []
+        for ai, a in enumerate(grid.levels):
+            g, f = level_data(spec, tri.vertices, float(a), ai)
+            idx, w = _argsort_locate_many(tri, tri.vertices + h * g)
+            indices.append(idx.T + ai * N)
+            weights.append(w.T)
+            costs.append(f)
+        expected = (np.concatenate(indices, axis=1), np.concatenate(weights, axis=1),
+                    np.array(costs))
+        for got, want in zip((table.indices, table.weights, table.stage_cost), expected):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
