@@ -14,12 +14,16 @@ policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
 the policy, the nodal CSV, and the rollout layers: one-point `locate` over a
 fixed set of points (also as microseconds per call), one-point `level_data`
 (the problem callbacks and their check, as a rollout step calls them; also
-as microseconds per call) and 100-step `simulate` under the Picard
-paper-rule value, as the median over a fixed set of starts of each start's
-median (also as microseconds per step).  Every sweep row, and the mu = 4
-row for each of its sweeps, reports the share of rows whose minimum the
-bounds settle (`bellman._bound`, on the row's own path).  Prints one line
-per layer and writes all of it, with nproc and the numpy version, as JSON.
+as microseconds per call), one-point `lookahead` (a whole rollout step but
+the argmin) under the Picard paper-rule value over the same points with the
+committed level cycled over 0..m (also as microseconds per call) and
+100-step `simulate` under that value, as the median over a fixed set of
+starts, their start levels cycled over 0..m, of each start's median, with
+the quartiles over the starts (also as microseconds per step).  Every sweep
+row, and the mu = 4 row for each of its sweeps, reports the share of rows
+whose minimum the bounds settle (`bellman._bound`, on the row's own path).
+Prints one line per layer and writes all of it, with nproc and the numpy
+version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
@@ -47,6 +51,7 @@ from monohjb import (
     check_hypotheses,
     control_grid,
     locate,
+    lookahead,
     simulate,
     solve,
     solve_finite_horizon,
@@ -62,7 +67,7 @@ MU = 4
 REPEATS = 5
 LOCATE_POINTS = 2000
 LEVEL_DATA_CALLS = 2000
-ROLLOUT_STARTS = 20
+ROLLOUT_STARTS = 41   # every start level once at k = h = 0.025
 ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
 FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "sweep_policy",
@@ -186,18 +191,29 @@ def bench_size(spec, k):
             calls=LEVEL_DATA_CALLS,
             us_per_call=rows["level_data"]["seconds"] / LEVEL_DATA_CALLS * 1e6)
         print(f"k=h={k:<6g} {'':<18} {rows['level_data']['us_per_call']:10.2f} us per call")
+    u, levels = solved.get("picard_paper"), grid.levels.tolist()
+    cycled = [(points[j:j + 1], j % grid.n_levels) for j in range(LOCATE_POINTS)]
+    if layer("lookahead", lambda: [lookahead(u.values, spec, tri, k, X, ai, levels[ai], "bench")
+                                   for X, ai in cycled]) is not None:
+        rows["lookahead"].update(points=LOCATE_POINTS,
+                                 us_per_call=rows["lookahead"]["seconds"] / LOCATE_POINTS * 1e6)
+        print(f"k=h={k:<6g} {'':<18} {rows['lookahead']['us_per_call']:10.2f} us per call")
     if not skip("simulate"):
         # one start's time swings up to 1.8x between identical runs; the
         # median over a fixed set of starts holds still
         starts = np.random.default_rng(2).uniform(tri.lower, tri.upper,
                                                   size=(ROLLOUT_STARTS, tri.dim))
-        record("simulate", statistics.median(
-            timed(lambda: simulate(spec, tri, grid, solved["picard_paper"], x0, 0, k,
-                                   ROLLOUT_STEPS))[0]
-            for x0 in starts))
-        rows["simulate"].update(steps=ROLLOUT_STEPS, starts=ROLLOUT_STARTS, a0_index=0,
+        per_start = [timed(lambda: simulate(spec, tri, grid, u, x0, j % grid.n_levels, k,
+                                            ROLLOUT_STEPS))[0]
+                     for j, x0 in enumerate(starts)]
+        record("simulate", statistics.median(per_start))
+        rows["simulate"].update(steps=ROLLOUT_STEPS, starts=ROLLOUT_STARTS,
+                                a0_index="j mod (m + 1) for start j",
+                                quartiles=statistics.quantiles(per_start, n=4)[::2],
                                 us_per_step=rows["simulate"]["seconds"] / ROLLOUT_STEPS * 1e6)
         print(f"k=h={k:<6g} {'':<18} {rows['simulate']['us_per_step']:10.2f} us per step")
+        q1, q3 = rows["simulate"]["quartiles"]
+        print(f"k=h={k:<6g} {'':<18} {q1 * 1e3:10.2f} - {q3 * 1e3:.2f} ms quartiles over starts")
     return {"nodes": tri.n_vertices, "levels": grid.n_levels, "layers": rows}
 
 
@@ -211,7 +227,8 @@ def main():
     record = {
         "problem": "paper_example_2d",
         "statistic": f"median of {REPEATS} runs (simulate: median over {ROLLOUT_STARTS} "
-                     f"starts of each start's median); null seconds = skipped",
+                     f"starts of each start's median, and the quartiles over the "
+                     f"starts); null seconds = skipped",
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),

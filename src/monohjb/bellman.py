@@ -54,12 +54,22 @@ from .problem import ProblemSpec, level_data
 
 @dataclass(eq=False)
 class PolicyField:
-    """Chosen next control index b for every (node, current level a); b >= a."""
+    """Chosen next control index b for every (node, current level a), with
+    a <= b <= m.  Integral floats are accepted; any other choice, a
+    fraction, a NaN, one above the top level m or below a, raises
+    ConfigurationError."""
 
     choice: np.ndarray  # (n_vertices, n_levels) int
 
     def __post_init__(self):
-        self.choice = np.asarray(self.choice, dtype=int)
+        raw = np.asarray(self.choice)
+        # checked before the cast, which would truncate fractions
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise ConfigurationError("policy chooses a control index that is not an integer")
+        top = raw.shape[1] - 1
+        if np.any(raw > top):
+            raise ConfigurationError(f"policy chooses a control index above the top level {top}")
+        self.choice = np.asarray(raw, dtype=int)
         a = np.arange(self.choice.shape[1])
         if np.any(self.choice < a[None, :]):
             raise ConfigurationError("policy would decrease the control level")
@@ -194,12 +204,23 @@ def lookahead(values: np.ndarray, spec: ProblemSpec, tri: Triangulation, h: floa
     candidates (1 - lambda h) * interp(values[:, b], image) + h f for
     b = a_index .. top.  The step is checked by the caller, and an image
     outside the mesh raises the locator's OutOfDomainError.
+
+    values is node-major, (N, n_levels).  The stencil's rows are gathered
+    with one `take`, the levels a_index .. top kept as one C-ordered
+    (nu+1, levels) block, and interpolated by one matrix-vector product;
+    the map to the candidates runs in place, the multiply then the add.
     """
     g, f = level_data(spec, X, a, a_index, point=point)
     image = [xi + h * gi for xi, gi in zip(X.tolist()[0], g)]
     ids, weights = _locate_point(tri, image)
-    interp = values[ids, a_index:].T @ np.array(weights)
-    return image, f, (1.0 - spec.discount * h) * interp + h * f
+    # the block values[ids, a_index:] gives, without its slower mixed index;
+    # the product must see this layout: with the leading dimension of the
+    # uncopied slice, BLAS can round a sum of four products differently
+    rows = np.ascontiguousarray(values.take(ids, axis=0)[:, a_index:])
+    candidates = rows.T @ np.array(weights)
+    candidates *= 1.0 - spec.discount * h
+    candidates += h * f
+    return image, f, candidates
 
 
 def _interpolate(column, idx, wts, out, tmp):

@@ -9,8 +9,11 @@ rather than exp(-lambda*h).
 A step of `simulate` is one `bellman.lookahead`, the one-point operator of
 the finite-horizon oracle too, in Python floats: `problem.level_data` checks
 the point's velocity and cost on the floats it returns, the Euler update
-runs on lists, and the scalar core of `mesh.locate` places the image; only
-the candidates over the admissible levels are a numpy product.
+runs on lists, and the scalar core of `mesh.locate` places the image in
+one pass over the axes and one over their order.  Only the candidates over
+the admissible levels are numpy: one `take` of the stencil's rows of the
+value, one matrix-vector product over the levels from a_j up, and the
+discount and stage cost applied in place.
 """
 
 from __future__ import annotations

@@ -276,46 +276,45 @@ def _locate_point(tri: Triangulation, xs: list):
     checked for length.
 
     Returns (vertex ids, weights) as two lists: the values of row 0 of
-    `locate_many(tri, [xs])`, bit for bit.  It does the same clamping
-    (both keep the bound on a tie, so signed zeros come out alike), the
-    same cell (the floor of q >= 0, which `locate_many` truncates) and
-    subtraction, the same stable descending order of the in-cell offsets,
-    by a sort here, and the same weight clip.  A point outside
-    the mesh raises OutOfDomainError as `locate_many` does, with row 0.
+    `locate_many(tri, [xs])`, bit for bit.  One pass over the axes, each
+    coordinate zipped with its axis constants, does the same clamping (both
+    keep the bound on a tie, so signed zeros come out alike), the same cell
+    (the truncation of q >= 0, capped at the last cell) and subtraction;
+    one pass over the stable descending order of the in-cell offsets, found
+    here by a sort, appends each vertex id and each clipped weight together.
+    A point outside the mesh raises OutOfDomainError as `locate_many` does,
+    with row 0.
     """
     c = tri.constants
     eps = c.eps
     k = c.k
     s = []
     base = 0
-    for ax, xa in enumerate(xs):
-        lo = c.lower[ax]
-        hi = c.upper[ax]
+    for ax, (xa, lo, hi, top, stride) in enumerate(
+            zip(xs, c.lower, c.upper, c.max_cell, c.node_strides)):
         # written so that NaN coordinates count as outside
         if not (lo - xa <= eps and xa - hi <= eps):
             raise _out_of_domain(tri, np.array(xs), ax, 0)
         xa = xa if xa > lo else lo
         xa = xa if xa < hi else hi
         q = (xa - lo) / k
-        ci = math.floor(q)
-        if ci < 0:
-            ci = 0
-        elif ci > c.max_cell[ax]:
-            ci = c.max_cell[ax]
+        ci = int(q)
+        if ci > top:
+            ci = top
         s.append(q - ci)
-        base += ci * c.node_strides[ax]
-
-    # descending, ties in axis order (Python's sort stays stable reversed)
-    order = sorted(range(c.nu), key=s.__getitem__, reverse=True)
-    weights = [1.0 - s[order[0]]]
-    weights += [s[i] - s[j] for i, j in zip(order, order[1:])]
-    weights.append(s[order[-1]])
-    weights = [w if w > 0.0 else 0.0 for w in weights]
+        base += ci * stride
 
     ids = [base]
-    for ax in order:
+    weights = []
+    prev = 1.0
+    # descending, ties in axis order (Python's sort stays stable reversed)
+    for ax in sorted(range(c.nu), key=s.__getitem__, reverse=True):
+        w = prev - s[ax]
+        weights.append(w if w > 0.0 else 0.0)
         base += c.node_strides[ax]
         ids.append(base)
+        prev = s[ax]
+    weights.append(prev if prev > 0.0 else 0.0)
     return ids, weights
 
 
@@ -336,12 +335,20 @@ def _c_strides(shape: tuple) -> np.ndarray:
 
 
 def _max_norm_diameters(tri: Triangulation) -> np.ndarray:
-    verts = tri.vertices[tri.simplices]  # (S, nu+1, nu)
-    d = np.zeros(verts.shape[0])
-    n = verts.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.maximum(d, np.abs(verts[:, i] - verts[:, j]).max(axis=1))
+    """Max-norm diameter of every simplex: the largest |difference| of one
+    coordinate over every pair of its vertices.  Each (vertex column, axis)
+    is gathered once as a contiguous (S,) array; the maximum is exact, so
+    the order of the fold does not change the result."""
+    coords = tri.vertices.T.copy()
+    columns = [[axis.take(column) for axis in coords] for column in tri.simplices.T]
+    d = np.zeros(tri.simplices.shape[0])
+    diff = np.empty_like(d)
+    for i, first in enumerate(columns):
+        for second in columns[i + 1:]:
+            for x, y in zip(first, second):
+                np.subtract(x, y, out=diff)
+                np.abs(diff, out=diff)
+                np.maximum(d, diff, out=d)
     return d
 
 

@@ -83,6 +83,62 @@ class TestFixedControl:
             brute_force_oracle(paper, tri, grid, 1.5, 1)
 
 
+_TIE_POOL = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _lookahead_cases(draw):
+    """A 1-3-D cube mesh, values with ties and signed zeros, a committed
+    level (the top one included) and a point on a node, on a cell face, on
+    a Kuhn diagonal (all in-cell offsets equal) or anywhere in the box.  The
+    dynamics are zero, so the point is its own Euler image."""
+    dim = draw(st.integers(1, 3))
+    k = {1: 0.25, 2: 0.25, 3: 0.5}[dim]
+    tri = build_uniform((-np.ones(dim), np.ones(dim)), k)
+    grid = control_grid(draw(st.sampled_from([0.25, 0.5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (tri.n_vertices, grid.n_levels)
+    values = np.where(rng.random(shape) < draw(st.floats(0.0, 1.0)),
+                      rng.choice(_TIE_POOL, shape), rng.uniform(-2, 2, shape))
+    a_index = draw(st.integers(0, grid.m))
+    kind = draw(st.sampled_from(["node", "face", "diagonal", "uniform"]))
+    cells = [draw(st.integers(0, int(n) - 1)) for n in tri.cells_per_axis]
+    shared = draw(st.floats(0.0, 1.0))
+    offsets = {
+        "node": [float(draw(st.integers(0, 1))) for _ in cells],
+        "face": [draw(st.sampled_from([0.0, 0.5, 1.0, shared])) for _ in cells],
+        "diagonal": [shared] * dim,
+        "uniform": [draw(st.floats(0.0, 1.0)) for _ in cells],
+    }[kind]
+    point = [lo + k * (c + s) for lo, c, s in zip(tri.lower.tolist(), cells, offsets)]
+    return tri, grid, values, a_index, np.array([point])
+
+
+class TestLookaheadGather:
+    @settings(max_examples=400, deadline=None)
+    @given(_lookahead_cases())
+    def test_matches_list_slice_gather(self, case):
+        """The candidates equal, bit for bit, the row gather values[ids, a:]
+        followed by the map (1 - lambda h) * interp + h f."""
+        tri, grid, values, a_index, X = case
+        h = grid.h
+        spec = ProblemSpec(
+            dynamics=lambda X, a: np.zeros_like(X),
+            cost=lambda X, a: (a - 0.5) * X.sum(axis=1),
+            discount=1.0, domain=(tri.lower - tri.k, tri.upper + tri.k),
+            lip_g=0.0, bound_g=0.0, lip_f=2.0, bound_f=3.0,
+        )
+        a = float(grid.levels[a_index])
+        image, f, got = lookahead(values, spec, tri, h, X, a_index, a, "point")
+        ids, weights = locate_many(tri, np.array([image]))
+        interp = values[ids[0].tolist(), a_index:].T @ np.array(weights[0].tolist())
+        expected = (1.0 - spec.discount * h) * interp + h * f
+        assert image == X[0].tolist()
+        assert f == spec.cost(X, a)[0]
+        assert got.shape == (grid.n_levels - a_index,)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestApply:
     def test_zero_input(self, paper, coarse):
         tri, grid = coarse
@@ -695,3 +751,26 @@ def test_policy_field_rejects_decrease():
 
     with pytest.raises(ConfigurationError):
         PolicyField(np.zeros((4, 3), dtype=int))  # b=0 at a=1,2 decreases
+
+
+@pytest.mark.parametrize("choice", [
+    np.full((2, 3), 7),                      # b above the top level 2
+    np.array([[0, 1, 3], [2, 2, 2]]),        # one row above the top
+    np.array([[2.0, 2.0, 2.5]]),             # a fraction above the top
+    np.array([[0.7, 1.2, 2.0]]),             # fractions in range
+    np.array([[0.0, 1.0, np.nan]]),
+    np.array([[0.0, 1.0, np.inf]]),
+])
+def test_policy_field_rejects_choice_outside_grid(choice):
+    from monohjb import PolicyField
+
+    with pytest.raises(ConfigurationError):
+        PolicyField(choice)
+
+
+def test_policy_field_accepts_integral_floats():
+    from monohjb import PolicyField
+
+    field = PolicyField(np.array([[0.0, 2.0, 2.0], [1.0, 1.0, 2.0]]))
+    assert field.choice.dtype == np.dtype(int)
+    np.testing.assert_array_equal(field.choice, [[0, 2, 2], [1, 1, 2]])

@@ -21,7 +21,7 @@ from monohjb import (
     locate,
     snap_mesh_size,
 )
-from monohjb.mesh import _out_of_domain, dump, locate_many
+from monohjb.mesh import _max_norm_diameters, _out_of_domain, dump, locate_many
 from monohjb.problem import level_data
 
 BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -85,6 +85,22 @@ def test_hip1_max_norm_diameter_exact():
             diam = np.maximum(diam, np.abs(verts[:, i] - verts[:, j]).max(axis=1))
     assert abs(diam.max() - tri.k) <= 1e-12 * tri.k
     assert np.all(np.abs(diam - tri.k) <= 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_max_norm_diameters_match_gather_reference(dim, jitter):
+    # jittered vertices give every simplex and axis its own differences
+    tri = build_uniform((-np.ones(dim), np.ones(dim)), 0.25)
+    rng = np.random.default_rng(dim)
+    tri = dataclasses.replace(
+        tri, vertices=tri.vertices + jitter * rng.uniform(-1, 1, tri.vertices.shape))
+    verts = tri.vertices[tri.simplices]  # (S, nu+1, nu)
+    expected = np.zeros(len(tri.simplices))
+    for i in range(dim + 1):
+        for j in range(i + 1, dim + 1):
+            expected = np.maximum(expected, np.abs(verts[:, i] - verts[:, j]).max(axis=1))
+    assert _max_norm_diameters(tri).tobytes() == expected.tobytes()
 
 
 class TestLocate:
