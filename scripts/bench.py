@@ -11,7 +11,8 @@ greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error (with their iteration counts and
 certificates, and for Howard the passes over each level's rows of each
 policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
-the policy, the nodal CSV, and the rollout layers: one-point `locate` over a
+the policy, the nodal CSV of the mu = 4 value (also its bytes and
+nanoseconds per line), and the rollout layers: one-point `locate` over a
 fixed set of points (also as microseconds per call), one-point `level_data`
 (the problem callbacks and their check, as a rollout step calls them; also
 as microseconds per call), one-point `lookahead` (a whole rollout step but
@@ -29,8 +30,8 @@ Usage: python3 scripts/bench.py [--out bench.json]
 
 At k = h = 0.025 the Picard 1e-8 row is skipped (about 700 sweeps, over
 10 s a run).  At 0.0125 every row is skipped but the set-up rows, the two
-sweeps on random values and the mu = 4 rows, so the default run stays
-within a few minutes.
+sweeps on random values, the mu = 4 rows and the nodal CSV, so the default
+run stays within a few minutes.
 """
 
 import argparse
@@ -71,7 +72,7 @@ ROLLOUT_STARTS = 41   # every start level once at k = h = 0.025
 ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
 FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "sweep_policy",
-               "finite_mu4", "sweep_mu4", "sweep_policy_mu4")
+               "finite_mu4", "sweep_mu4", "sweep_policy_mu4", "nodal_csv")
 # the solver row skipped at the second finest size
 TIGHT_PICARD = "picard_1e-8"
 
@@ -178,7 +179,12 @@ def bench_size(spec, k):
     share("sweep_1e-8", tight_values)
     layer("sweep_policy_1e-8", lambda: sweep(tight_values, table, policy=True))
     share("sweep_policy_1e-8", tight_values, policy=True)
-    layer("nodal_csv", lambda: nodal_csv(solved["picard_paper"], tri, grid))
+    # the mu = 4 value exists at every size, the Picard ones do not
+    n_bytes = len(layer("nodal_csv", lambda: nodal_csv(finite, tri, grid)))  # ASCII
+    n_lines = tri.n_vertices * grid.n_levels
+    rows["nodal_csv"].update(bytes=n_bytes, lines=n_lines,
+                             ns_per_line=rows["nodal_csv"]["seconds"] / n_lines * 1e9)
+    print(f"k=h={k:<6g} {'':<18} {rows['nodal_csv']['ns_per_line']:10.1f} ns per line")
     points = np.random.default_rng(1).uniform(tri.lower, tri.upper, size=(LOCATE_POINTS, tri.dim))
     if layer("locate", lambda: [locate(tri, p) for p in points]) is not None:
         rows["locate"].update(points=LOCATE_POINTS,

@@ -56,13 +56,19 @@ from .problem import ProblemSpec, level_data
 class PolicyField:
     """Chosen next control index b for every (node, current level a), with
     a <= b <= m.  Integral floats are accepted; any other choice, a
-    fraction, a NaN, one above the top level m or below a, raises
-    ConfigurationError."""
+    fraction, a NaN, a boolean, one above the top level m or below a, raises
+    ConfigurationError, as does an array that is not 2-d."""
 
     choice: np.ndarray  # (n_vertices, n_levels) int
 
     def __post_init__(self):
         raw = np.asarray(self.choice)
+        if raw.ndim != 2:
+            raise ConfigurationError(
+                f"policy must be a (nodes, levels) array, got shape {raw.shape}")
+        # booleans are no control indices; the cast would make them 0 and 1
+        if raw.dtype.kind not in "iuf":
+            raise ConfigurationError(f"policy choices must be control indices, got {raw.dtype}")
         # checked before the cast, which would truncate fractions
         if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
             raise ConfigurationError("policy chooses a control index that is not an integer")

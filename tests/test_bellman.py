@@ -760,6 +760,8 @@ def test_policy_field_rejects_decrease():
     np.array([[0.7, 1.2, 2.0]]),             # fractions in range
     np.array([[0.0, 1.0, np.nan]]),
     np.array([[0.0, 1.0, np.inf]]),
+    np.array([0, 1]),                        # not (nodes, levels)
+    np.array([[True, True]]),                # booleans are no indices
 ])
 def test_policy_field_rejects_choice_outside_grid(choice):
     from monohjb import PolicyField

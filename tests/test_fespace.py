@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,18 +141,50 @@ def reference_nodal_csv(gf, tri, grid):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("box,k,h", [
-    (BOX, 0.1, 0.1),
-    (BOX, 0.05, 0.05),
-    ((np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 1.0])), 0.25, 0.25),
-])
-def test_nodal_csv_matches_line_loop(box, k, h):
+def random_values(shape):
+    rng = np.random.default_rng(4)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+
+
+# signed zeros, the smallest subnormal and normal, both sides of the switches
+# between fixed and exponent notation, and the largest finite values
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.9999999999999995e-05,
+               1e-4, 1e16, 1e17, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def edge_values(shape):
+    return np.resize(EDGE_VALUES, shape)  # cycled over nodes and levels
+
+
+@pytest.mark.parametrize("box,k,h,values", [
+    (BOX, 0.1, 0.1, random_values),
+    (BOX, 0.05, 0.05, random_values),
+    ((np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 1.0])), 0.25, 0.25, random_values),
+    # 99, 81 and 144 nodes: none a whole number of nodal_csv's batches
+    ((np.array([-5.0]), np.array([5.0])), 0.1, 0.5, edge_values),
+    (BOX, 0.2, 0.2, edge_values),
+    ((np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 1.0])), 0.2, 0.125, edge_values),
+], ids=["box0-0.1-0.1", "box1-0.05-0.05", "box2-0.25-0.25",  # box-k-h, as without `values`
+        "edge-1d", "edge-2d", "edge-3d"])
+def test_nodal_csv_matches_line_loop(box, k, h, values):
     tri = build_uniform(box, k)
     grid = control_grid(h)
-    rng = np.random.default_rng(4)
-    shape = (tri.n_vertices, grid.n_levels)
-    gf = GridFunction(rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
+    gf = GridFunction(values((tri.n_vertices, grid.n_levels)))
     assert nodal_csv(gf, tri, grid).encode() == reference_nodal_csv(gf, tri, grid).encode()
+
+
+def test_nodal_csv_peak_memory_near_output_size():
+    tri = build_uniform(BOX, 0.05)
+    grid = control_grid(0.05)
+    gf = GridFunction(random_values((tri.n_vertices, grid.n_levels)))
+    tracemalloc.start()
+    try:
+        text = nodal_csv(gf, tri, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the buffer, with its growth margin, and the decoded text live together
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("point", [[0.3], [0.3, 0.3, 0.3], 0.3])
