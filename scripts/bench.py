@@ -9,10 +9,12 @@ the argmin policy (on random values), the finite-horizon recursion with mu = 4
 steps and one sweep at its result, value-only and with the policy (the
 greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error (with their iteration counts and
-certificates, and for Howard the passes over each level's rows of each
+certificates, and for Howard the passes over each block of levels of each
 policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
 the policy, the nodal CSV of the mu = 4 value (also its bytes and
-nanoseconds per line), and the rollout layers: one-point `locate` over a
+nanoseconds per line; timed in a fresh process that holds only the mesh and
+that value, so the heap the other rows leave does not set its time), and
+the rollout layers: one-point `locate` over a
 fixed set of points (also as microseconds per call), one-point `level_data`
 (the problem callbacks and their check, as a rollout step calls them; also
 as microseconds per call), one-point `lookahead` (a whole rollout step but
@@ -36,6 +38,7 @@ run stays within a few minutes.
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -45,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from monohjb import (
+    GridFunction,
     SolveOptions,
     build_table,
     build_uniform,
@@ -85,6 +89,13 @@ def timed(fn):
         out = fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), out
+
+
+def nodal_csv_alone(k, values):
+    """Median time and length of the nodal CSV of `values` on the k = h mesh."""
+    tri = build_uniform(builtin("paper_example_2d").domain, k)
+    seconds, text = timed(lambda: nodal_csv(GridFunction(values), tri, control_grid(k)))
+    return seconds, len(text)  # ASCII
 
 
 def settled_share(values, table, policy=False):
@@ -179,8 +190,12 @@ def bench_size(spec, k):
     share("sweep_1e-8", tight_values)
     layer("sweep_policy_1e-8", lambda: sweep(tight_values, table, policy=True))
     share("sweep_policy_1e-8", tight_values, policy=True)
-    # the mu = 4 value exists at every size, the Picard ones do not
-    n_bytes = len(layer("nodal_csv", lambda: nodal_csv(finite, tri, grid)))  # ASCII
+    # the mu = 4 value exists at every size, the Picard ones do not; timed
+    # in a fresh process, since in this one the writer's time depended on
+    # what the rows above leave on the heap
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        seconds, n_bytes = pool.apply(nodal_csv_alone, (k, finite.values))
+    record("nodal_csv", seconds)
     n_lines = tri.n_vertices * grid.n_levels
     rows["nodal_csv"].update(bytes=n_bytes, lines=n_lines,
                              ns_per_line=rows["nodal_csv"]["seconds"] / n_lines * 1e9)

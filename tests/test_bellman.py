@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from monohjb import (
     lookahead,
     sup_norm_diff,
 )
+from monohjb import solver
 from monohjb.bellman import TransitionTable, _bound, apply_policy, policy_index, sweep
 from monohjb.mesh import locate_many
 from monohjb.solver import _evaluate, _frozen
@@ -628,8 +630,13 @@ def random_choice(rng, nl, n_nodes):
     return np.where(rng.random((nl, n_nodes)) < 0.5, levels, switch)
 
 
+def blocks_of(levels, n_nodes):
+    """`_evaluate` walking blocks of `levels` whole levels of n_nodes rows."""
+    return mock.patch.object(solver, "_BLOCK_ROWS", levels * n_nodes)
+
+
 class TestLevelEvaluation:
-    """Howard's frozen-policy evaluation, level by level from the top."""
+    """Howard's frozen-policy evaluation, block of levels by block from the top."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -640,15 +647,17 @@ class TestLevelEvaluation:
         h=st.floats(0.01, 0.99),
         tolerance=st.sampled_from([1e-6, 1e-9, 1e-12]),
         whole_levels=st.booleans(),
+        block_levels=st.sampled_from([1, 2, None]),
     )
     def test_is_a_fixed_point_of_the_frozen_operator(self, seed, nl, n_nodes, stencil, h,
-                                                     tolerance, whole_levels):
+                                                     tolerance, whole_levels, block_levels):
         """random_table has duplicate and own-node stencil entries, and with
-        one node every row puts all its weight on itself (p = 1).  A level
-        stops once a pass moves it by at most the tolerance, which leaves a
-        stay row a frozen residual of at most beta (1 - p) times that; a
-        switching row reads only final levels and is exact, also on a level
-        where every row switches."""
+        one node every row puts all its weight on itself (p = 1).  A block
+        of one level, two levels or all levels stops once a pass moves it by
+        at most the tolerance, which leaves a stay row a frozen residual of
+        at most beta (1 - p) times that and a switching row at most beta
+        times that, none if it reads a finished block; also on a level where
+        every row switches."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
         choice = random_choice(rng, nl, n_nodes)
@@ -656,14 +665,17 @@ class TestLevelEvaluation:
             for a in np.flatnonzero(rng.random(nl - 1) < 0.5):
                 choice[a] = rng.integers(a + 1, nl, size=n_nodes)
         start = rng.uniform(-1, 1, size=(nl, n_nodes))
-        w, _ = _evaluate(start, choice, table, tolerance, 10_000)
+        with blocks_of(block_levels or nl, n_nodes):
+            w, _ = _evaluate(start, choice, table, tolerance, 10_000)
         residual = np.abs(apply_policy(w, policy_index(choice, table), table) - w).max()
         assert residual <= (1.0 - h) * tolerance + 1e-14
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_node_loop_solve(self, seed):
         """The frozen policy's linear system, built by a loop over the rows
-        and their stencil entries and solved directly."""
+        and their stencil entries and solved directly.  With blocks of two
+        levels (levels 1-2, then 0) a switching row of level 1 reads its
+        own block and one of level 0 a finished block."""
         rng = np.random.default_rng(seed)
         nl, n_nodes, h = 3, 4, 0.25
         table = random_table(rng, nl, n_nodes, 3, h, rng.normal(size=(nl, n_nodes)))
@@ -680,8 +692,10 @@ class TestLevelEvaluation:
                                    h * table.stage_cost.ravel() / (1 - beta * own),
                                    rtol=1e-15, atol=0)
         exact = np.linalg.solve(matrix, h * table.stage_cost.ravel()).reshape(nl, n_nodes)
-        w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, table, 1e-15, 10_000)
-        np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
+        for levels in (1, 2, nl):
+            with blocks_of(levels, n_nodes):
+                w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, table, 1e-15, 10_000)
+            np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
 
 
 class TestOperatorProperties:

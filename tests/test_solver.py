@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from monohjb import (
     GridFunction,
     NonConvergenceError,
     PolicyField,
+    ProblemSpec,
     SolveOptions,
     apply,
     brute_force_oracle,
@@ -24,7 +26,9 @@ from monohjb import (
     sup_norm_diff,
     tail_bound,
 )
+from monohjb import solver
 from monohjb.bellman import apply_policy, policy_index
+from monohjb.fespace import nodal_csv
 
 
 def setup(spec, hk):
@@ -168,16 +172,36 @@ class TestHoward:
         assert report.guaranteed_error <= 1e-12  # observed: 2.1e-15
 
     def test_evaluation_iterations_per_outer_iteration(self, paper):
-        """Each outer iteration records its passes over each level's rows,
-        summed: 155 from the stay policy, then one per level (11 levels).
-        Picard evaluates no policy."""
+        """Each outer iteration records its passes over each block of
+        levels, summed: 17 from the stay policy, then one for the one block
+        of all 11 levels.  Picard evaluates no policy."""
         tri, grid = setup(paper, 0.1)
         table = build_table(paper, tri, grid, 0.1)
         _, _, rh = solve(paper, tri, grid, SolveOptions(h=0.1, method="howard"), table=table)
         assert len(rh.evaluation_iterations) == rh.iterations
-        assert rh.evaluation_iterations == [155, 11]
+        assert rh.evaluation_iterations == [17, 1]
         _, _, rp = solve(paper, tri, grid, SolveOptions(h=0.1), table=table)
         assert rp.evaluation_iterations == []
+
+    @pytest.mark.parametrize("rule", [{}, {"stop_rule": "target_bound", "target": 1e-8}])
+    def test_level_blocks_give_the_bits_of_single_levels(self, paper, rule):
+        """At k = h = 0.05 the row budget puts 5 levels in a block (21
+        levels in 5 blocks).  Values, policy, residuals and certificate are
+        those of one-level blocks, bit for bit, in fewer passes."""
+        hk = 0.05
+        tri, grid = setup(paper, hk)
+        table = build_table(paper, tri, grid, hk)
+        opts = SolveOptions(h=hk, method="howard", **rule)
+        u, policy, report = solve(paper, tri, grid, opts, table=table)
+        with mock.patch.object(solver, "_BLOCK_ROWS", tri.n_vertices):
+            u1, policy1, report1 = solve(paper, tri, grid, opts, table=table)
+        assert u.values.tobytes() == u1.values.tobytes()
+        np.testing.assert_array_equal(policy.choice, policy1.choice)
+        assert report.residual_history == report1.residual_history
+        assert report.guaranteed_error == report1.guaranteed_error
+        assert report.evaluation_iterations[-1] == 5
+        assert report1.evaluation_iterations[-1] == grid.n_levels
+        assert report.evaluation_iterations[0] < report1.evaluation_iterations[0]
 
     def test_paper_rule_stops_on_residual_alone(self, paper):
         """The paper rule stops at the first residual below h^2, settled
@@ -401,3 +425,114 @@ def test_count_arguments_reject_fractions_and_booleans(paper, name, value):
 def test_count_arguments_take_numpy_integers(paper, name):
     tri, grid = setup(paper, 0.5)
     COUNT_ARGUMENTS[name](paper, tri, grid, np.int64(1))
+
+
+def still_2d():
+    """No motion: every Euler image is its node, so each node solves its
+    own stopping problem (see stationary_reference).  The cost is smooth,
+    and it falls with the level where |x| > 0.5, so rows switch."""
+    def cost(x, a):
+        return a * (0.25 - (x * x).sum(-1)) + 0.5 * np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1])
+
+    return ProblemSpec(
+        dynamics=lambda x, a: np.zeros_like(x), cost=cost, discount=1.0,
+        domain=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        lip_g=0.0, bound_g=0.0, lip_f=4.0, bound_f=2.5, name="still_2d",
+    )
+
+
+def stationary_reference(spec, tri, grid, h):
+    """The fixed point node by node, with no table and no sweep: at the top
+    level u_m = f_m / lambda, below it u_a = min(f_a / lambda, h f_a + beta
+    min_{b>a} u_b), staying for ever or switching to the best level above.
+    Level-major (n_levels, N)."""
+    f = np.array([spec.cost(tri.vertices, a) for a in grid.levels])
+    lam, beta = spec.discount, 1.0 - spec.discount * h
+    u = f / lam
+    best = u[-1].copy()
+    for a in range(grid.n_levels - 2, -1, -1):
+        u[a] = np.minimum(u[a], h * f[a] + beta * best)
+        np.minimum(best, u[a], out=best)
+    return u
+
+
+class TestExactReference:
+    """Every solver against a fixed point known in closed form."""
+
+    @pytest.mark.parametrize("hk", [0.1, 0.05])
+    @pytest.mark.parametrize("method, target", [("picard", 1e-10), ("howard", 1e-12)])
+    def test_still_problem_matches_stationary_reference(self, hk, method, target):
+        """Within the certificate plus the rounding of the reference itself.
+        Thousands of rows switch (2,811 at 0.1, 24,114 at 0.05), some of them
+        to a level of their own block of Howard's evaluation."""
+        spec = still_2d()
+        tri, grid = setup(spec, hk)
+        opts = SolveOptions(h=hk, method=method, stop_rule="target_bound", target=target)
+        u, policy, report = solve(spec, tri, grid, opts)
+        assert report.guaranteed_error <= target
+        exact = stationary_reference(spec, tri, grid, hk)
+        assert np.abs(u.values - exact.T).max() <= report.guaranteed_error + 1e-13
+        assert (policy.choice > np.arange(grid.n_levels)).sum() > 1000
+
+
+def contracting_cube():
+    """3-D: contracting dynamics whose images stay in the box, and a cost
+    that falls with the level outside the ball of radius 0.5."""
+    return ProblemSpec(
+        dynamics=lambda x, a: -(a + 1.0) * x,
+        cost=lambda x, a: a * (0.25 - (x * x).sum(-1)),
+        discount=1.0,
+        domain=(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])),
+        lip_g=2.0, bound_g=2.0, lip_f=3.5, bound_f=2.75, name="contracting_cube",
+    )
+
+
+@pytest.fixture(scope="module")
+def cube():
+    spec = contracting_cube()
+    tri, grid = setup(spec, 0.25)
+    return spec, tri, grid, build_table(spec, tri, grid, 0.25)
+
+
+class TestThreeD:
+    """A Kuhn mesh with nu! = 6 simplices per cell through every solver,
+    the closed loop and the CSV writer: 343 nodes, 1,296 simplices."""
+
+    def test_mesh_size(self, cube):
+        _, tri, grid, _ = cube
+        assert (tri.n_vertices, len(tri.simplices), grid.n_levels) == (343, 1296, 5)
+
+    def test_picard_and_howard_agree(self, cube):
+        spec, tri, grid, table = cube
+        tight = {"stop_rule": "target_bound", "target": 1e-8}
+        up, pp, rp = solve(spec, tri, grid, SolveOptions(h=0.25, **tight), table=table)
+        uh, ph, rh = solve(spec, tri, grid, SolveOptions(h=0.25, method="howard", **tight),
+                           table=table)
+        assert rp.guaranteed_error <= 1e-8 and rh.guaranteed_error <= 1e-8
+        assert sup_norm_diff(up, uh) <= rp.guaranteed_error + rh.guaranteed_error
+        assert np.all(ph.choice >= np.arange(grid.n_levels))
+
+    def test_finite_horizon_matches_oracle(self, cube):
+        spec, tri, grid, table = cube
+        u = solve_finite_horizon(spec, tri, grid, 0.25, 2, table=table)
+        oracle = brute_force_oracle(spec, tri, grid, 0.25, 2)
+        assert sup_norm_diff(u, oracle) <= 1e-10
+
+    def test_rollout_and_csv(self, cube):
+        spec, tri, grid, table = cube
+        u, _, _ = solve(spec, tri, grid, SolveOptions(h=0.25, method="howard"), table=table)
+        starts = np.random.default_rng(3).uniform(tri.lower, tri.upper, size=(4, 3))
+        for j, x0 in enumerate(starts):
+            traj = simulate(spec, tri, grid, u, x0, j % grid.n_levels, 0.25, 20)
+            levels = np.append(traj.control_indices, traj.terminal_control)
+            assert traj.n_steps == 20
+            assert np.all(np.diff(levels) >= 0)
+            assert np.all((traj.states >= tri.lower) & (traj.states <= tri.upper))
+        lines = nodal_csv(u, tri, grid).splitlines()
+        assert lines[0] == "node,x1,x2,x3,a,value"
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        nodes = rows[:, 0].astype(int)
+        np.testing.assert_array_equal(nodes, np.repeat(np.arange(tri.n_vertices), grid.n_levels))
+        np.testing.assert_array_equal(rows[:, 1:4], tri.vertices[nodes])
+        np.testing.assert_array_equal(rows[:, 4], np.tile(grid.levels, tri.n_vertices))
+        np.testing.assert_array_equal(rows[:, 5], u.values.ravel())
