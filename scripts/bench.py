@@ -63,7 +63,7 @@ from monohjb import (
 )
 from monohjb.bellman import _bound, sweep
 from monohjb.fespace import nodal_csv
-from monohjb.mesh import locate_many
+from monohjb.mesh import _euler_images, locate_many
 from monohjb.problem import level_data
 
 SIZES = (0.1, 0.05, 0.025, 0.0125)
@@ -135,8 +135,7 @@ def bench_size(spec, k):
     grid = control_grid(k)
     layer("check_hypotheses", lambda: check_hypotheses(tri, spec, k, grid.levels))
     # the Euler images that build_table locates, one batch per level
-    images = [tri.vertices + k * level_data(spec, tri.vertices, float(a), ai)[0]
-              for ai, a in enumerate(grid.levels)]
+    images = [points for points, _ in _euler_images(spec, tri, k, grid.levels)]
 
     def locate_levels():
         # each level's stencils are dropped before the next, as build_table

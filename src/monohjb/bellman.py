@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
 from .fespace import ControlGrid, GridFunction, check_fits
-from .mesh import Triangulation, _locate_point, locate_many
+from .mesh import Triangulation, _euler_images, _locate_point, locate_many
 from .problem import ProblemSpec, level_data
 
 
@@ -140,10 +140,10 @@ def build_table(
 ) -> TransitionTable:
     """Precompute interpolation stencils for x^i + h g(x^i, a).
 
-    Image points outside the mesh are a hard error naming the node and
-    control.  The problem callables are called once per level on all nodes
-    (see `problem.level_data`); a non-finite velocity or stage cost raises
-    InvalidProblemDataError naming the node and level.
+    Image points outside the mesh (the test of hip2 in `check_hypotheses`)
+    are a hard error naming the node and control.  The problem callables
+    are called once per level on all nodes (`mesh._euler_images`); a
+    non-finite velocity or stage cost raises InvalidProblemDataError.
     """
     _check_step(h, spec.discount)
     N = tri.n_vertices
@@ -152,15 +152,14 @@ def build_table(
     indices = np.empty((nu + 1, nl, N), dtype=int)
     weights = np.empty((nu + 1, nl, N))
     stage_cost = np.empty((nl, N))
-    for ai, a in enumerate(grid.levels):
-        a = float(a)
-        g, stage_cost[ai] = level_data(spec, tri.vertices, a, ai)
+    for ai, (images, f) in enumerate(_euler_images(spec, tri, h, grid.levels)):
+        stage_cost[ai] = f
         try:
-            idx, w = locate_many(tri, tri.vertices + h * g)
+            idx, w = locate_many(tri, images)
         except OutOfDomainError as exc:
             raise OutOfDomainError(
-                f"Euler image of node {exc.context} under control a={a} leaves the "
-                f"mesh (axis {exc.axis}); the mesh fails the invariance hypothesis "
+                f"Euler image of node {exc.context} under control a={float(grid.levels[ai])} "
+                f"leaves the mesh (axis {exc.axis}); the mesh fails the invariance hypothesis "
                 f"for this time step",
                 point=exc.point,
                 axis=exc.axis,

@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .bellman import _check_step
 from .errors import (
     ConfigurationError,
     InvalidProblemDataError,
@@ -293,6 +294,7 @@ def cmd_bounds(cfg, out_dir, snap_k) -> int:
     k = _read(cfg, "k", float, 0.1)
     h = _read(cfg, "h", float, k)
     n = _read(sub, "n", _integer, 0)
+    _check_step(h, spec.discount)
     gamma = holder_exponent(spec)
     env = theoretical_envelope(spec, h, k)
     values = {

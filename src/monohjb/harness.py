@@ -33,15 +33,21 @@ from .solver import SolveOptions, solve, solve_finite_horizon
 def theoretical_envelope(spec: ProblemSpec, h: float, k: float) -> float:
     """Shape of the total error bound, (h + k/sqrt(h))^gamma, with gamma the
     Holder exponent of the value function (`problem.holder_exponent`)."""
-    if h <= 0 or k < 0:
-        raise ConfigurationError("need h > 0 and k >= 0")
+    if not (0 < h < math.inf and 0 <= k < math.inf):
+        raise ConfigurationError(f"need finite h > 0 and k >= 0, got h={h}, k={k}")
     return (h + k / math.sqrt(h)) ** holder_exponent(spec)
+
+
+def _check_horizon(T: float):
+    """Raise ConfigurationError unless the horizon T is >= 0 (+inf allowed)."""
+    # written so that a NaN horizon fails
+    if not T >= 0:
+        raise ConfigurationError(f"horizon T must be nonnegative, got {T}")
 
 
 def phi_T(spec: ProblemSpec, T: float) -> float:
     """Growth factor of the space-discretization bound over horizon T."""
-    if T < 0:
-        raise ConfigurationError("T must be nonnegative")
+    _check_horizon(T)
     lg, lam = spec.lip_g, spec.discount
     if lg < lam:
         return 1.0
@@ -52,6 +58,7 @@ def phi_T(spec: ProblemSpec, T: float) -> float:
 
 def phi_n(spec: ProblemSpec, n: int, h: float, T: float) -> float:
     """Growth factor of the time-discretization bound at backward step n."""
+    _check_horizon(T)
     if not 0 <= n * h <= T + 1e-12:
         raise ConfigurationError(f"step {n} outside horizon T={T} at h={h}")
     lg, lam = spec.lip_g, spec.discount
@@ -64,6 +71,7 @@ def phi_n(spec: ProblemSpec, n: int, h: float, T: float) -> float:
 
 def tail_bound(spec: ProblemSpec, T: float) -> float:
     """Distance bound between the horizon-T value and the infinite-horizon one."""
+    _check_horizon(T)
     return spec.bound_f / spec.discount * math.exp(-spec.discount * T)
 
 

@@ -200,9 +200,7 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     X = P.T.copy()
     lower = tri.lower[:, None]
     upper = tri.upper[:, None]
-    # written so that NaN coordinates count as outside
-    inside = lower - X <= c.eps
-    inside &= X - upper <= c.eps
+    inside = _inside(tri, X)
     if not inside.all():
         row, ax = np.argwhere(~inside.T)[0]
         raise _out_of_domain(tri, P[row], int(ax), int(row))
@@ -318,6 +316,23 @@ def _locate_point(tri: Triangulation, xs: list):
     return ids, weights
 
 
+def _inside(tri: Triangulation, X: np.ndarray) -> np.ndarray:
+    """Whether each coordinate of the stencil-major points X, (nu, M), lies in
+    the inner box up to the snap tolerance: the in-mesh test of `locate_many`
+    and of hip2 in `check_hypotheses`.  Written so that NaN is outside."""
+    inside = tri.lower[:, None] - X <= tri.snap_tolerance
+    inside &= X - tri.upper[:, None] <= tri.snap_tolerance
+    return inside
+
+
+def _euler_images(spec: ProblemSpec, tri: Triangulation, h: float, levels):
+    """Per level a, the node images x + h g(x, a), (N, nu), and costs f(x, a),
+    (N,), from one `problem.level_data` call made when the level is reached."""
+    for ai, a in enumerate(levels):
+        g, f = level_data(spec, tri.vertices, float(a), ai)
+        yield tri.vertices + h * g, f
+
+
 def _out_of_domain(tri: Triangulation, point: np.ndarray, ax: int, row: int) -> OutOfDomainError:
     return OutOfDomainError(
         f"point {point} lies outside the mesh box on axis {ax}: "
@@ -379,8 +394,9 @@ def check_hypotheses(
 
     hip2_ok tests exactly the points the Bellman operator evaluates: every
     vertex pushed one Euler step under every control level must stay inside
-    the inner box; the problem callables are called once per level (see
-    `problem.level_data`), and a non-finite velocity or cost raises
+    the inner box by the locator's own test (`_inside`), so it holds exactly
+    when `bellman.build_table` accepts them; levels after the first failing
+    one are not called, and a non-finite velocity or cost raises
     InvalidProblemDataError naming the node and level.  hip3_margin is the
     distance from a user-supplied compact box to the inner-box boundary (by
     default the domain shrunk by the mesh inset, giving margin 0 at the
@@ -392,14 +408,11 @@ def check_hypotheses(
     diam = _max_norm_diameters(tri)
     hip1_ok = bool(abs(diam.max() - tri.k) <= 1e-12 * tri.k and np.all(diam <= tri.k * (1 + 1e-12)))
 
-    eps = tri.snap_tolerance
-    hip2_ok = True
-    for ai, a in enumerate(np.asarray(control_levels, dtype=float)):
-        g, _ = level_data(spec, tri.vertices, float(a), ai)
-        images = tri.vertices + h * g
-        if np.any(images < tri.lower - eps) or np.any(images > tri.upper + eps):
-            hip2_ok = False
-            break
+    # stencil-major, so the test's inner loops run over the nodes; all()
+    # stops at the first failing level, before the next level's callbacks
+    levels = np.asarray(control_levels, dtype=float)
+    hip2_ok = all(_inside(tri, images.T.copy()).all()
+                  for images, _ in _euler_images(spec, tri, h, levels))
 
     if compact is not None:
         c_lo = np.asarray(compact[0], dtype=float)

@@ -13,7 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidProblemDataError, UnknownProblemError
+from .errors import (
+    ConfigurationError, InvalidProblemDataError, UnknownProblemError, check_count,
+)
 
 Vector = np.ndarray
 
@@ -155,8 +157,7 @@ def estimate_constants(spec: ProblemSpec, samples: int, seed: int = 0) -> Consta
     Uses a single sequential random stream, so a larger sample count extends
     (never reshuffles) a smaller one with the same seed.
     """
-    if samples < 2:
-        raise ConfigurationError("samples must be >= 2")
+    check_count(samples, "samples", 2)
     lower, upper = spec.domain
     nu = spec.dim
     rng = np.random.default_rng(seed)

@@ -31,8 +31,8 @@ import numpy as np
 # apply, apply_policy and sup_norm_diff are not called here but stay module
 # attributes: perfbench/spans.py traces them under these names.
 from .bellman import (  # noqa: F401
-    PolicyField, TransitionTable, _check_step, apply, apply_policy, policy_index,
-    sweep, table_for,
+    PolicyField, TransitionTable, _check_step, _interpolate, apply, apply_policy,
+    policy_index, sweep, table_for,
 )
 from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
@@ -145,10 +145,10 @@ def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
     whole levels, top block first, each as many levels as fit
     `_BLOCK_ROWS` rows (at least one): the levels above a block are final
     when it is reached.  Starting from `values`, every row of the block
-    iterates v <- base + interp(w; scaled) (`_frozen`), each row's own
-    weight solved exactly, until a pass changes the block by at most
-    `tolerance`, or for max_iterations passes.  A pass is Jacobi over the
-    block: a row that switches to a level of its own block reads that
+    iterates v <- base + interp(w; scaled) (`_frozen`, `bellman._interpolate`),
+    each row's own weight solved exactly, until a pass changes the block by
+    at most `tolerance`, or for max_iterations passes.  A pass is Jacobi over
+    the block: a row that switches to a level of its own block reads that
     level's previous iterate, one that switches to a finished level reads
     its final value.  A stay row then has a frozen residual of at most
     beta (1 - p) * tolerance, a switching row at most beta * tolerance.
@@ -160,19 +160,14 @@ def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
     flat = w.ravel()
     per_block = max(1, _BLOCK_ROWS // n_nodes)
     width = min(per_block, nl) * n_nodes
-    new_buf, terms_buf = np.empty(width), np.empty(index.shape[0] * width)
+    new_buf, tmp_buf = np.empty(width), np.empty(width)
     passes = 0
     for top in range(nl, 0, -per_block):
         rows = slice(max(top - per_block, 0) * n_nodes, top * n_nodes)
         idx, wts, b, block = index[:, rows], scaled[:, rows], base[rows], flat[rows]
-        new = new_buf[:block.size]
-        terms = terms_buf[:idx.size].reshape(idx.shape)
+        new, tmp = new_buf[:block.size], tmp_buf[:block.size]
         for _ in range(max_iterations):
-            # one gather over all stencil vertices: a pass is a few numpy
-            # calls on one block, so their count sets its cost
-            flat.take(idx, out=terms, mode="clip")
-            terms *= wts
-            np.add.reduce(terms, axis=0, out=new)
+            _interpolate(flat, idx, wts, new, tmp)
             new += b
             passes += 1
             change = float(np.abs(new - block).max())

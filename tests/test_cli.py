@@ -317,6 +317,23 @@ def test_bounds(tmp_path, capsys):
     assert "tail_bound" in text
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"k": math.nan, "h": 0.1}, "k=nan"),
+    ({"k": math.inf, "h": 0.1}, "k=inf"),
+    ({"k": 0.1, "h": 5.0}, "0 < h < 1/discount = 1.0, got 5.0"),
+    ({"k": 0.1, "h": math.nan}, "0 < h < 1/discount = 1.0, got nan"),
+    ({"k": 0.1, "h": 0.1, "bounds": {"T": math.nan}}, "horizon T must be nonnegative, got nan"),
+    ({"k": 0.1, "h": 0.1, "bounds": {"T": -1.0}}, "horizon T must be nonnegative, got -1.0"),
+])
+def test_bounds_rejects_inadmissible_sizes(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **{"bounds": {"T": 4.0}, **overrides})
+    assert run("bounds", cfg, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_mesh_compact_box(tmp_path):
     cfg = write_config(tmp_path, mesh={"compact": [[-0.25, -0.25], [0.25, 0.25]]})
     assert run("check-mesh", cfg, tmp_path / "out") == 0

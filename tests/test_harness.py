@@ -71,6 +71,28 @@ class TestBoundShapes:
         assert tail_bound(paper, 0.0) == pytest.approx(1.75)
         assert tail_bound(paper, 4.0) == pytest.approx(1.75 * math.exp(-4.0))
 
+    @pytest.mark.parametrize("T", [-1.0, -1e-300, math.nan, -math.inf])
+    @pytest.mark.parametrize("shape", [
+        lambda spec, T: phi_T(spec, T),
+        lambda spec, T: phi_n(spec, 0, 0.1, T),
+        lambda spec, T: tail_bound(spec, T),
+    ], ids=["phi_T", "phi_n", "tail_bound"])
+    def test_horizon_must_be_nonnegative(self, paper, shape, T):
+        with pytest.raises(ConfigurationError, match="horizon T must be nonnegative"):
+            shape(paper, T)
+
+    def test_infinite_horizon(self, paper, toy_1d):
+        assert phi_T(paper, math.inf) == math.inf
+        assert phi_T(constants(1.0, 2.0), math.inf) == 1.0
+        assert phi_n(paper, 3, 0.1, math.inf) == math.inf
+        assert tail_bound(paper, math.inf) == 0.0
+
+    @pytest.mark.parametrize("h,k", [(0.1, math.nan), (0.1, math.inf), (0.1, -0.1),
+                                     (math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1)])
+    def test_envelope_needs_finite_sizes(self, paper, h, k):
+        with pytest.raises(ConfigurationError, match="need finite h > 0 and k >= 0"):
+            theoretical_envelope(paper, h, k)
+
 
 class TestFitRate:
     def test_exact_quadratic(self):

@@ -274,6 +274,114 @@ def test_check_hypotheses_rejects_nan_images(paper):
     assert (exc.value.node, exc.value.level) == (5, 0)
 
 
+def _moved_spec(targets: dict, h: float, dim: int) -> ProblemSpec:
+    """A problem on [-1, 1]^dim whose dynamics at level a moves the nodes
+    listed in targets[a], {(node, axis): coordinate}, towards that
+    coordinate in one step of h, and leaves every other node still."""
+    def dynamics(x, a):
+        g = np.zeros_like(x)
+        for (node, ax), target in targets.get(a, {}).items():
+            g[node, ax] = (target - x[node, ax]) / h
+        return g
+
+    return ProblemSpec(
+        dynamics=dynamics, cost=lambda x, a: np.zeros(len(x)), discount=1.0,
+        domain=(-np.ones(dim), np.ones(dim)), lip_g=0.0, bound_g=0.0, lip_f=0.0, bound_f=0.0,
+    )
+
+
+class TestInMeshTest:
+    """hip2 of check_hypotheses and the table's OutOfDomainError decide the
+    same Euler images inside, and so does the one-point locator."""
+
+    H = 0.5
+
+    def test_one_dimensional_face_example(self):
+        # image -0.95000000005 of the node at -0.95: past the face by a hair
+        # more than the snap tolerance 5e-11, as lower - x computes it
+        spec = dataclasses.replace(
+            _moved_spec({}, 0.05, 1), dynamics=lambda x, a: np.full_like(x, -1.000000082740371e-09))
+        tri = build_uniform(spec.domain, 0.05)
+        grid = control_grid(0.05)
+        image = tri.vertices[0] + 0.05 * spec.dynamics(tri.vertices[:1], 0.0)[0]
+        assert image.tolist() == [-0.95000000005]
+        assert not check_hypotheses(tri, spec, 0.05, grid.levels).hip2_ok
+        with pytest.raises(OutOfDomainError) as exc:
+            build_table(spec, tri, grid, 0.05)
+        assert exc.value.context == (0, 0)
+        with pytest.raises(OutOfDomainError):
+            locate(tri, image)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hip2_holds_exactly_when_the_table_builds(self, data):
+        dim = data.draw(st.integers(1, 3))
+        tri = _cube_mesh(dim)
+        levels = control_grid(self.H).levels
+        eps = tri.snap_tolerance
+        targets = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            a = float(data.draw(st.sampled_from(levels)))
+            node = data.draw(st.integers(0, tri.n_vertices - 1))
+            ax = data.draw(st.integers(0, dim - 1))
+            lo, hi = tri.lower[ax], tri.upper[ax]
+            face = data.draw(st.sampled_from([lo - eps, lo, hi, hi + eps, math.nan]))
+            for _ in range(data.draw(st.integers(0, 4))):
+                face = np.nextafter(face, data.draw(st.sampled_from([-np.inf, np.inf])))
+            targets.setdefault(a, {})[(node, ax)] = float(face)
+        spec = _moved_spec(targets, self.H, dim)
+
+        # the locator on every image, level by level, up to the first
+        # level it rejects or whose velocities are not finite
+        located, finite = True, True
+        for a in levels:
+            g = spec.dynamics(tri.vertices, float(a))
+            if not np.isfinite(g).all():
+                finite = False
+                break
+            for image in tri.vertices + self.H * g:
+                try:
+                    locate(tri, image)
+                except OutOfDomainError:
+                    located = False
+            if not located:
+                break
+
+        try:
+            hip2 = check_hypotheses(tri, spec, self.H, levels).hip2_ok
+        except InvalidProblemDataError as exc:
+            hip2 = (exc.node, exc.level)
+        try:
+            build_table(spec, tri, control_grid(self.H), self.H)
+            built = True
+        except OutOfDomainError:
+            built = False
+        except InvalidProblemDataError as exc:
+            built = (exc.node, exc.level)
+        assert hip2 == built
+        if finite or not located:
+            assert hip2 is located
+        else:
+            assert isinstance(hip2, tuple)
+
+    def test_no_callback_after_the_first_failing_level(self, paper):
+        calls = []
+
+        def dynamics(x, a):
+            calls.append(("dynamics", a))
+            # level 0.5 pushes every node out of the box
+            return np.full_like(x, 10.0 * (a == 0.5))
+
+        def cost(x, a):
+            calls.append(("cost", a))
+            return np.zeros(len(x))
+
+        spec = dataclasses.replace(paper, dynamics=dynamics, cost=cost)
+        tri = build_uniform(spec.domain, 0.5)
+        assert not check_hypotheses(tri, spec, 0.5, [0.0, 0.5, 1.0]).hip2_ok
+        assert calls == [("dynamics", 0.0), ("cost", 0.0), ("dynamics", 0.5), ("cost", 0.5)]
+
+
 @functools.lru_cache(maxsize=None)
 def _cube_mesh(dim):
     """Kuhn mesh of [-1, 1]^dim with 2-10 cells per axis."""

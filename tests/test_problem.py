@@ -159,6 +159,10 @@ class TestEstimateConstants:
     def test_too_few_samples(self, paper):
         with pytest.raises(ConfigurationError):
             estimate_constants(paper, 1)
+        # a count that is no integer is named, not a bare TypeError
+        for samples in (10.0, 2.5, True):
+            with pytest.raises(ConfigurationError, match="samples must be an integer"):
+                estimate_constants(paper, samples)
 
 
 class TestLevelDataOnePoint:
