@@ -9,7 +9,9 @@ the argmin policy (on random values), the finite-horizon recursion with mu = 4
 steps and one sweep at its result, value-only and with the policy (the
 greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error (with their iteration counts and
-certificates, and for Howard the passes over each block of levels of each
+certificates; for Picard the milliseconds per sweep, counting the closing
+policy sweep, and the number of sweeps that gathered their open rows, from
+one more solve; for Howard the passes over each block of levels of each
 policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
 the policy, the nodal CSV of the mu = 4 value (also its bytes and
 nanoseconds per line; timed in a fresh process that holds only the mesh and
@@ -24,7 +26,7 @@ committed level cycled over 0..m (also as microseconds per call) and
 starts, their start levels cycled over 0..m, of each start's median, with
 the quartiles over the starts (also as microseconds per step).  Every sweep
 row, and the mu = 4 row for each of its sweeps, reports the share of rows
-whose minimum the bounds settle (`bellman._bound`, on the row's own path).
+whose minimum the bounds settle (`Sweeper.open_rows`, on the row's own path).
 Prints one line per layer and writes all of it, with nproc and the numpy
 version, as JSON.
 
@@ -44,6 +46,7 @@ import platform
 import statistics
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from monohjb import (
     solve,
     solve_finite_horizon,
 )
-from monohjb.bellman import _bound, sweep
+from monohjb.bellman import Sweeper, sweep
 from monohjb.fespace import nodal_csv
 from monohjb.mesh import _euler_images, locate_many
 from monohjb.problem import level_data
@@ -100,7 +103,18 @@ def nodal_csv_alone(k, values):
 
 def settled_share(values, table, policy=False):
     """Share of the rows whose minimum the bounds of `sweep` settle."""
-    return 1.0 - len(_bound(values, table, policy)[1]) / values.size
+    return 1.0 - len(Sweeper(table).open_rows(values, policy)) / values.size
+
+
+def gathers(fn):
+    """The number of sweeps that gather their open rows (`Sweeper._gather`)
+    during fn()."""
+    calls = []
+    gather = Sweeper._gather
+    with mock.patch.object(Sweeper, "_gather",
+                           lambda self, rows: calls.append(rows) or gather(self, rows)):
+        fn()
+    return len(calls)
 
 
 def bench_size(spec, k):
@@ -181,6 +195,14 @@ def bench_size(spec, k):
                               guaranteed_error=report.guaranteed_error)
             if opts.method == "howard":
                 rows[name]["evaluation_iterations"] = report.evaluation_iterations
+            else:
+                # a value sweep per iteration, then the closing policy sweep
+                sweeps = report.iterations + 1
+                rows[name].update(
+                    ms_per_sweep=rows[name]["seconds"] / sweeps * 1e3,
+                    gathered=gathers(lambda: solve(spec, tri, grid, opts, table=table)))
+                print(f"k=h={k:<6g} {'':<18} {rows[name]['ms_per_sweep']:10.3f} ms per sweep, "
+                      f"{rows[name]['gathered']} of {sweeps} sweeps gathered")
             solved[name] = u
     tight_values = solved.get("howard_1e-8")
     if tight_values is not None:

@@ -7,10 +7,11 @@ TransitionTable caches those weights; the new value at level a is
     min over b >= a of  (1 - lambda*h) * interp(w(., b), x^i + h g(x^i, a))
                         + h * f(x^i, a)
 
-One kernel, `sweep`, computes it on level-major values (n_levels, N).
-Ties in the minimum always resolve to the smallest admissible b.  Only
-`_bellman` (one stencil per row) and `_fold` (the minimum over the levels)
-map interpolants to these Bellman values.
+One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
+solve creates one and calls it on every sweep, and `sweep` is one call of a
+new one.  Ties in the minimum always resolve to the smallest admissible b.
+Only `_bellman` (one stencil per row), the sweeper's bound and its fold (the
+minimum over the levels) map interpolants to these Bellman values.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -37,6 +38,19 @@ open keep their level-major order, so the rows with a <= b are a prefix of
 them, and the column fold walks b from the top down, interpolates column b
 at the open rows of that prefix in one product-sum per stencil vertex and
 folds the result into a running minimum.
+
+A sweeper keeps its workspace for the length of a solve: M, S, the mask
+where a level attains its own M, S at the stencil vertices, the settled
+mask, the product-sum and fold buffers, and h f, computed once.  On the
+value path the open rows depend on S alone.  So the sweeper keeps their
+gather (the rows, where each level's prefix ends, their stencils as node
+ids and h f at them) with a copy of the S it came from, and while S repeats
+bit for bit it skips the settledness test and the gather: the same S gives
+the same open rows, and the same arithmetic in the same order gives the
+same values.  Along Picard's iterates to 1e-8, S repeats on 233 of 332
+sweeps at k = h = 0.05.  The policy path gathers its open rows on every
+call, since its below-S bound reads the values.  Every call returns new
+arrays, never views of the workspace.
 """
 
 from __future__ import annotations
@@ -252,139 +266,205 @@ def _bellman(flat, idx, wts, table, rows=slice(None)):
     return out
 
 
-def _bound(values: np.ndarray, table: TransitionTable, policy: bool):
-    """The suffix-minimum bound of every row and the rows it leaves open.
+class Sweeper:
+    """The Bellman sweep on one table, with the workspace it reuses.
 
-    Per node, M[a] = min over b >= a of values[b] and S[a] is the smallest
-    b that attains it.  Returns the Bellman values of interp(M[a]) at the
-    stencil of every row (a, i), level-major, which `sweep` returns as they
-    are for a settled row; the sorted level-major numbers of the rows whose
-    minimum it does not settle; and S at the first stencil vertex of every
-    row, which for a settled row is its common S and, on the policy path,
-    its choice.  Open are the rows whose stencil vertices differ in S and,
-    on the policy path, those whose common S = b* is above a unless the
-    below-S bound settles them: per node, L[a] = min over b in [a, S[a]) of
-    values[b], and a row is settled when the Bellman value of interp(L[a])
-    is strictly above that of interp(M[a]).
+    A solve creates one and calls it on every sweep; `sweep` makes one per
+    call.  Called on level-major values (n_levels, N), it returns the new
+    level-major values; with policy=True it returns (values, choice), where
+    choice[a, i] is the minimizing column level b, the smallest admissible
+    one on ties.  The returned arrays are new on every call.
+
+    The minimum over b is settled row by row from per-node suffix minima
+    (`_bound`, `_open_rows`), and only the rows left open run the column
+    fold (`_fold`) on their gathered stencils (`_gather`), which the value
+    path keeps while S repeats.  Those return the Bellman values, which are
+    taken as they are.  The module docstring shows why both paths are exact,
+    bit for bit, and why the kept gather is.
     """
-    nl, n_nodes = values.shape
-    levels = np.arange(nl, dtype=np.min_scalar_type(nl))[:, None]
-    # one top-down pass per array; a loop over levels beats minimum.accumulate
-    # along axis 0 by 3-5x
-    suffix = values.copy()
-    for a in range(nl - 2, -1, -1):
-        # np.minimum keeps its second argument on ties, so every M[a] holds
-        # the bits of values[S[a]]
-        np.minimum(suffix[a + 1], values[a], out=suffix[a])
-    # S[a] is the first b >= a whose value is the suffix minimum M[b]: no
-    # b in between attains its own, so M stays constant from a to that b
-    own = values == suffix
-    first = np.where(own, levels, levels.dtype.type(nl))
-    for a in range(nl - 2, -1, -1):
-        np.minimum(first[a + 1], first[a], out=first[a])
-    # row (a, i) reads its stencil at its own level, as the table holds it
-    indices = table.indices
-    bound = _bellman(suffix.ravel(), indices, table.weights, table)
-    s = first.ravel()
-    s0 = s.take(indices[0], mode="clip")
-    settled = np.ones(nl * n_nodes, dtype=bool)
-    for j in range(1, len(indices)):
-        settled &= s.take(indices[j], mode="clip") == s0
-    if policy:
-        raised = (s0.reshape(nl, n_nodes) != levels).ravel()
-        candidates = settled & raised
-        settled &= ~raised
-        if candidates.any():
-            # L[a] is +inf where S[a] = a; otherwise S[a] = S[a+1] and
-            # L[a] = min(values[a], L[a+1]).  Built only here, so a sweep
-            # without candidates pays nothing for the second bound
-            below = np.where(own, np.inf, values)
-            for a in range(nl - 2, -1, -1):
-                np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
-            rows = np.flatnonzero(candidates)
-            if 4 * len(rows) < len(candidates):
-                idx, wts = indices.take(rows, axis=1), table.weights.take(rows, axis=1)
-            else:
-                # gathering most rows' stencils costs more than the
-                # product-sums it saves
-                rows, idx, wts = slice(None), indices, table.weights
-            # L is finite at the stencil of a candidate; elsewhere +inf
-            # times a zero weight is NaN, which is never compared
-            with np.errstate(invalid="ignore"):
-                low = _bellman(below.ravel(), idx, wts, table, rows)
-            settled[rows] |= candidates[rows] & (low > bound[rows])
-    return bound, np.flatnonzero(~settled), s0
 
+    def __init__(self, table: TransitionTable):
+        self.table = table
+        nl, n_nodes = table.stage_cost.shape
+        size = nl * n_nodes
+        level_type = np.min_scalar_type(nl)
+        self._levels = np.arange(nl, dtype=level_type)[:, None]
+        self._beta = 1.0 - table.discount * table.h
+        self._step = table.h * table.stage_cost.ravel()
+        # per node M, S and where a level attains its own M (`_bound`)
+        self._suffix = np.empty((nl, n_nodes))
+        self._first = np.empty((nl, n_nodes), dtype=level_type)
+        self._own = np.empty((nl, n_nodes), dtype=bool)
+        # S at the stencil vertices and the settled mask (`_open_rows`)
+        self._s0, self._sj = np.empty(size, dtype=level_type), np.empty(size, dtype=level_type)
+        self._settled, self._same = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        # product-sum scratch and the fold's minimum, candidates and argmin
+        self._best, self._cand, self._tmp = np.empty(size), np.empty(size), np.empty(size)
+        self._choice, self._take = np.empty(size, dtype=int), np.empty(size, dtype=bool)
+        # the value path's gather and the S it was made for
+        self._gathered, self._last_s = None, np.empty(size, dtype=level_type)
 
-def _fold(values, idx, wts, ends, table, rows, policy=False):
-    """Top-down column fold over rows kept in level-major order.
-
-    The rows with level a <= b are the first ends[b] columns of the stencils
-    idx, wts (nu+1, n_rows); `rows` are their level-major numbers.  Column b
-    of values is interpolated at them in one product-sum per stencil vertex
-    and folded into a running minimum.  Returns the Bellman values of the
-    minimum; with policy=True the candidates are mapped to Bellman values
-    before the minimum, so that ties are decided on them, and the
-    minimizing b, the smallest on ties, is returned as well.  The map is
-    monotone in floating point, so both paths give identical values.
-    """
-    nl = len(values)
-    n_rows = ends[-1]
-    beta = 1.0 - table.discount * table.h
-    step = table.h * table.stage_cost.ravel()[rows]
-    best, cand, tmp = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
-    if policy:
-        choice = np.full(n_rows, nl - 1)
-        take = np.empty(n_rows, dtype=bool)
-    for b in range(nl - 1, -1, -1):
-        n = ends[b]
-        if n == 0:
-            break
-        top = b == nl - 1
-        c = _interpolate(values[b], idx[:, :n], wts[:, :n],
-                         best if top else cand[:n], tmp[:n])
+    def __call__(self, values: np.ndarray, policy: bool = False):
+        nl, n_nodes = _level_major_shape(values, self.table)
+        best = self._bound(values)
         if policy:
-            c *= beta
-            c += step[:n]
-        if top:
-            continue
+            rows = self._open_rows(values, best, policy=True)
+            # a settled row's choice is the S its stencil vertices share
+            choice = self._s0.astype(int)
+            best[rows], choice[rows] = self._fold(values, self._gather(rows), policy=True)
+            return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
+        s = self._first.ravel()
+        if self._gathered is None or not np.array_equal(s, self._last_s):
+            self._gathered = self._gather(self._open_rows(values, best))
+            np.copyto(self._last_s, s)
+        best[self._gathered[0]] = self._fold(values, self._gathered)
+        return best.reshape(nl, n_nodes)
+
+    def open_rows(self, values: np.ndarray, policy: bool = False) -> np.ndarray:
+        """The sorted level-major numbers of the rows whose minimum the bounds
+        of a sweep of `values` leave open, on the value or the policy path."""
+        _level_major_shape(values, self.table)
+        return self._open_rows(values, self._bound(values), policy)
+
+    def _bound(self, values):
+        """The suffix-minimum bound of every row, as a new level-major array.
+
+        Per node, M[a] = min over b >= a of values[b] and S[a] is the
+        smallest b that attains it.  Returns the Bellman values of
+        interp(M[a]) at the stencil of every row (a, i), which a sweep
+        returns as they are for a settled row, and leaves M, S and the mask
+        values[a] == M[a] in the workspace.
+        """
+        nl = len(values)
+        suffix, first, own, levels = self._suffix, self._first, self._own, self._levels
+        # one top-down pass per array; a loop over levels beats
+        # minimum.accumulate along axis 0 by 3-5x
+        suffix[-1] = values[-1]
+        for a in range(nl - 2, -1, -1):
+            # np.minimum keeps its second argument on ties, so every M[a]
+            # holds the bits of values[S[a]]
+            np.minimum(suffix[a + 1], values[a], out=suffix[a])
+        # S[a] is the first b >= a whose value is the suffix minimum M[b]: no
+        # b in between attains its own, so M stays constant from a to that b
+        np.equal(values, suffix, out=own)
+        first.fill(nl)
+        np.copyto(first, levels, where=own)
+        for a in range(nl - 2, -1, -1):
+            np.minimum(first[a + 1], first[a], out=first[a])
+        # row (a, i) reads its stencil at its own level, as the table holds it
+        bound = _interpolate(suffix.ravel(), self.table.indices, self.table.weights,
+                             np.empty(suffix.size), self._tmp)
+        bound *= self._beta
+        bound += self._step
+        return bound
+
+    def _open_rows(self, values, bound, policy=False):
+        """The sorted level-major numbers of the rows whose minimum `bound`
+        does not settle.
+
+        Leaves S at the first stencil vertex of every row in the workspace,
+        which for a settled row is its common S and, on the policy path, its
+        choice.  Open are the rows whose stencil vertices differ in S and,
+        on the policy path, those whose common S = b* is above a unless the
+        below-S bound settles them: per node, L[a] = min over b in [a, S[a])
+        of values[b], and a row is settled when the Bellman value of
+        interp(L[a]) is strictly above that of interp(M[a]).
+        """
+        indices, weights = self.table.indices, self.table.weights
+        s, s0, settled = self._first.ravel(), self._s0, self._settled
+        np.take(s, indices[0], out=s0, mode="clip")
+        settled.fill(True)
+        for j in range(1, len(indices)):
+            np.take(s, indices[j], out=self._sj, mode="clip")
+            settled &= np.equal(self._sj, s0, out=self._same)
         if policy:
-            # choice = b where c <= best; b descends, so ties keep the smallest b
-            np.less_equal(c, best[:n], out=take[:n])
-            np.copyto(choice[:n], b, where=take[:n])
-        np.minimum(best[:n], c, out=best[:n])
-    return (best, choice) if policy else best * beta + step
+            nl, n_nodes = values.shape
+            own = self._own
+            raised = (s0.reshape(nl, n_nodes) != self._levels).ravel()
+            candidates = settled & raised
+            settled &= ~raised
+            if candidates.any():
+                # L[a] is +inf where S[a] = a; otherwise S[a] = S[a+1] and
+                # L[a] = min(values[a], L[a+1]).  Built only here, so a sweep
+                # without candidates pays nothing for the second bound
+                below = np.where(own, np.inf, values)
+                for a in range(nl - 2, -1, -1):
+                    np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
+                rows = np.flatnonzero(candidates)
+                if 4 * len(rows) < len(candidates):
+                    idx, wts = indices.take(rows, axis=1), weights.take(rows, axis=1)
+                else:
+                    # gathering most rows' stencils costs more than the
+                    # product-sums it saves
+                    rows, idx, wts = slice(None), indices, weights
+                # L is finite at the stencil of a candidate; elsewhere +inf
+                # times a zero weight is NaN, which is never compared
+                with np.errstate(invalid="ignore"):
+                    low = _bellman(below.ravel(), idx, wts, self.table, rows)
+                settled[rows] |= candidates[rows] & (low > bound[rows])
+        return np.flatnonzero(~settled)
+
+    def _gather(self, rows):
+        """The open `rows` as `_fold` reads them: (rows, ends, idx, wts, h f).
+
+        The open rows of levels a <= b are the first ends[b] of rows; idx
+        and wts, (nu+1, len(rows)), are their stencils, idx as node ids,
+        since the fold reads one level's column at a time.
+        """
+        table = self.table
+        nl, n_nodes = table.stage_cost.shape
+        ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
+        idx = table.indices.take(rows, axis=1)
+        for a in range(1, nl):
+            idx[:, ends[a - 1]:ends[a]] -= a * n_nodes
+        return rows, ends, idx, table.weights.take(rows, axis=1), self._step.take(rows)
+
+    def _fold(self, values, gathered, policy=False):
+        """Top-down column fold over the gathered open rows.
+
+        Column b of values is interpolated at the open rows of levels
+        a <= b in one product-sum per stencil vertex and folded into a
+        running minimum.  Returns the Bellman values of the minimum; with
+        policy=True the candidates are mapped to Bellman values before the
+        minimum, so that ties are decided on them, and the minimizing b, the
+        smallest on ties, is returned as well.  The map is monotone in
+        floating point, so both paths give identical values.  The results
+        are views of the workspace, valid until the next call.
+        """
+        rows, ends, idx, wts, step = gathered
+        nl, n_rows = len(values), len(rows)
+        best, cand, tmp = self._best[:n_rows], self._cand[:n_rows], self._tmp[:n_rows]
+        if policy:
+            choice, take = self._choice[:n_rows], self._take[:n_rows]
+            choice.fill(nl - 1)
+        for b in range(nl - 1, -1, -1):
+            n = ends[b]
+            if n == 0:
+                break
+            top = b == nl - 1
+            c = _interpolate(values[b], idx[:, :n], wts[:, :n],
+                             best if top else cand[:n], tmp[:n])
+            if policy:
+                c *= self._beta
+                c += step[:n]
+            if top:
+                continue
+            if policy:
+                # choice = b where c <= best; b descends, so ties keep the smallest b
+                np.less_equal(c, best[:n], out=take[:n])
+                np.copyto(choice[:n], b, where=take[:n])
+            np.minimum(best[:n], c, out=best[:n])
+        if policy:
+            return best, choice
+        best *= self._beta
+        best += step
+        return best
 
 
 def sweep(values: np.ndarray, table: TransitionTable, policy: bool = False):
-    """One Bellman sweep on level-major values (n_levels, N).
-
-    Returns the new level-major values; with policy=True returns
-    (values, choice), where choice[a, i] is the minimizing column level b,
-    the smallest admissible one on ties.
-
-    The minimum over b is settled row by row from per-node suffix minima
-    (`_bound`; the module docstring shows why it is exact, bit for bit, on
-    both paths), and only the rows left open run the column fold (`_fold`)
-    on their gathered stencils.  Those two return the Bellman values, which
-    this function takes as they are.
-    """
-    nl, n_nodes = _level_major_shape(values, table)
-    best, rows, common = _bound(values, table, policy)
-    # the open rows of levels a <= b are the first ends[b] of rows
-    ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
-    idx = table.indices.take(rows, axis=1)
-    # _fold reads one level's column at a time, so by node id
-    for a in range(1, nl):
-        idx[:, ends[a - 1]:ends[a]] -= a * n_nodes
-    wts = table.weights.take(rows, axis=1)
-    if policy:
-        # a settled row's choice is the S its stencil vertices share
-        choice = common.astype(int)
-        best[rows], choice[rows] = _fold(values, idx, wts, ends, table, rows, policy=True)
-        return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
-    best[rows] = _fold(values, idx, wts, ends, table, rows)
-    return best.reshape(nl, n_nodes)
+    """One Bellman sweep on level-major values (n_levels, N): `Sweeper(table)`
+    called once.  Returns the new values, with policy=True (values, choice)."""
+    return Sweeper(table)(values, policy)
 
 
 def apply(

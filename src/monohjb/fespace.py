@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import ConfigurationError, DimensionMismatchError, check_count
 from .mesh import Triangulation, locate
 
 _INV_TOL = 1e-9
@@ -77,12 +77,14 @@ def check_fits(gf: GridFunction, tri: Triangulation, grid: ControlGrid | None = 
 def evaluate(gf: GridFunction, tri: Triangulation, p, level_idx: int) -> float:
     """Barycentric interpolation of the nodal values at one control level.
 
-    level_idx must be one of 0..m; a negative index would otherwise wrap
-    around to the top levels.
+    level_idx must be an integer in 0..m: a negative index would otherwise
+    wrap around to the top levels, and numpy would reject a float or read
+    a boolean as 0 or 1.
     """
     check_fits(gf, tri)
+    check_count(level_idx, "level_idx")
     m = gf.values.shape[1] - 1
-    if not 0 <= level_idx <= m:
+    if level_idx > m:
         raise ConfigurationError(f"level index {level_idx} outside 0..{m}")
     ids, weights = locate(tri, p)
     return float(weights @ gf.values[ids, level_idx])

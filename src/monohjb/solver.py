@@ -31,8 +31,8 @@ import numpy as np
 # apply, apply_policy and sup_norm_diff are not called here but stay module
 # attributes: perfbench/spans.py traces them under these names.
 from .bellman import (  # noqa: F401
-    PolicyField, TransitionTable, _check_step, _interpolate, apply, apply_policy,
-    policy_index, sweep, table_for,
+    PolicyField, Sweeper, TransitionTable, _check_step, _interpolate, apply, apply_policy,
+    policy_index, table_for,
 )
 from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
@@ -91,19 +91,24 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
     """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the residual is at most
     threshold.
 
-    The iterates are value-only sweeps on level-major vectors; the returned
-    (values, choice) come from one policy sweep of the previous iterate,
-    whose values equal the last iterate exactly.  Returns level-major
-    (values, choice) and the residual history.
+    The iterates are value-only sweeps of one `Sweeper` on level-major
+    vectors; the returned (values, choice) come from one policy sweep of the
+    previous iterate, whose values equal the last iterate exactly.  Returns
+    level-major (values, choice) and the residual history.
     """
+    sweeper = Sweeper(table)
     u = np.zeros(table.stage_cost.shape)
+    # one buffer for the residual: a fresh difference and its absolute
+    # value took several times the arithmetic, in allocation
+    change = np.empty(u.shape)
     history = []
     for _ in range(max_iterations):
-        prev, u = u, sweep(u, table)
-        history.append(float(np.abs(u - prev).max()))
+        prev, u = u, sweeper(u)
+        np.subtract(u, prev, out=change)
+        history.append(float(np.abs(change, out=change).max()))
         if history[-1] <= threshold:
             break
-    u, choice = sweep(prev, table, policy=True)
+    u, choice = sweeper(prev, policy=True)
     return u, choice, history, []
 
 
@@ -194,6 +199,7 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     outer iteration, the evaluation's passes over each block, summed.
     """
     eval_tolerance = threshold * table.discount * table.h
+    sweeper = Sweeper(table)
     u = np.zeros(table.stage_cost.shape)
     choice = np.indices(u.shape)[0]
     history, evaluations = [], []
@@ -201,7 +207,7 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
         w, passes = _evaluate(u, choice, table, eval_tolerance, max_iterations)
         evaluations.append(passes)
         # improvement step doubles as the residual check
-        u, choice = sweep(w, table, policy=True)
+        u, choice = sweeper(w, policy=True)
         history.append(float(np.abs(u - w).max()))
         if history[-1] <= threshold:
             break
@@ -258,9 +264,9 @@ def solve_finite_horizon(
 ) -> GridFunction:
     """Backward recursion over horizon T = mu*h from the zero terminal value."""
     check_count(mu, "mu")
-    if mu > 0:
-        table = table_for(spec, tri, grid, h, table)
     u = np.zeros((grid.n_levels, tri.n_vertices))
+    if mu > 0:
+        sweeper = Sweeper(table_for(spec, tri, grid, h, table))
     for _ in range(mu):
-        u = sweep(u, table)
+        u = sweeper(u)
     return GridFunction(u.T.copy())

@@ -23,7 +23,7 @@ from monohjb import (
     sup_norm_diff,
 )
 from monohjb import solver
-from monohjb.bellman import TransitionTable, _bound, apply_policy, policy_index, sweep
+from monohjb.bellman import Sweeper, TransitionTable, apply_policy, policy_index, sweep
 from monohjb.mesh import locate_many
 from monohjb.solver import _evaluate, _frozen
 
@@ -410,7 +410,7 @@ class TestSweepKernel:
         )
         # every row's suffix minimum is attained at its own level: all settle
         for policy in (False, True):
-            assert len(_bound(values, table, policy)[1]) == 0
+            assert len(Sweeper(table).open_rows(values, policy)) == 0
 
     def test_mismatched_inputs_are_rejected(self, kernel_case):
         _, tri, grid, _, table = kernel_case
@@ -503,6 +503,48 @@ class TestSweepKernel:
         np.testing.assert_array_equal(choice, expected_choice)
         np.testing.assert_array_equal(value, with_policy)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(2, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+    )
+    def test_reused_sweeper_matches_sweep(self, seed, nl, n_nodes, stencil, h):
+        """One Sweeper over a chain of calls gives `sweep`'s bits on both
+        paths at every call, and its value path gathers the open rows again
+        exactly when S changes.  Scaling a node's values by a power of two
+        keeps S; turning node 0 from rising over the levels (S[a] = a) to
+        falling (S[a] = top) changes it."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
+        scale = rng.choice([1.0, 0.1])
+        # few distinct values, so that exact ties occur
+        values = rng.integers(-2, 3, size=(nl, n_nodes)) * scale
+        values[:, 0] = np.arange(nl) * scale
+        keeps_s = values * 2.0 ** rng.integers(-3, 4, size=n_nodes)
+        changes_s = keeps_s.copy()
+        changes_s[:, 0] = -changes_s[:, 0]
+        chain = [(values, False, True), (values, False, False), (keeps_s, False, False),
+                 (keeps_s, True, None), (keeps_s, False, False), (changes_s, False, True),
+                 (changes_s, True, None), (values, False, True)]
+        sweeper, gathers = Sweeper(table), []
+        gather = Sweeper._gather
+        with mock.patch.object(Sweeper, "_gather",
+                               lambda self, rows: gathers.append(rows) or gather(self, rows)):
+            for v, policy, gathered in chain:
+                before = len(gathers)
+                got = sweeper(v, policy)
+                if gathered is not None:
+                    assert (len(gathers) > before) == gathered
+                want = sweep(v, table, policy)
+                if policy:
+                    assert_same_bits(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+                else:
+                    assert_same_bits(got, want)
+
     def test_every_picard_iterate_matches_level_fold_kernel(self, medium):
         _, _, table = medium
         threshold = 1e-8 * 0.1 / 0.9  # a 1e-8 certificate at lambda h = 0.1
@@ -530,7 +572,7 @@ class TestSweepKernel:
             stage_cost=np.full((2, 1), 100.0), h=0.5, discount=1.0,
         )
         values = np.array([[1.0 + 2.0**-52], [1.0]])
-        np.testing.assert_array_equal(_bound(values, table, True)[1], [0])
+        np.testing.assert_array_equal(Sweeper(table).open_rows(values, True), [0])
         with_policy, choice = sweep(values, table, policy=True)
         np.testing.assert_array_equal(with_policy, [[50.5], [50.5]])
         np.testing.assert_array_equal(choice, [[0], [1]])
@@ -549,7 +591,7 @@ class TestSweepKernel:
             h=0.1, discount=1.0,
         )
         values = np.array([3.0, 2.0, 1.0, 5.0])[:, None] + 0.1 * nodes
-        assert len(_bound(values, table, True)[1]) == 0
+        assert len(Sweeper(table).open_rows(values, True)) == 0
         with_policy, choice = sweep(values, table, policy=True)
         np.testing.assert_array_equal(choice, np.repeat([[2], [2], [2], [3]], n_nodes, axis=1))
         expected, expected_choice = level_fold_sweep(values, table, policy=True)
@@ -614,7 +656,7 @@ class TestSweepKernel:
         levels = np.arange(nl)[:, None]
         values = np.where(nodes % 2 == 0, -levels, levels).astype(float)
         for policy in (False, True):
-            np.testing.assert_array_equal(_bound(values, table, policy)[1],
+            np.testing.assert_array_equal(Sweeper(table).open_rows(values, policy),
                                           np.arange((nl - 1) * n_nodes))
         assert_same_bits(sweep(values, table), level_fold_sweep(values, table))
         with_policy, choice = sweep(values, table, policy=True)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,12 +196,13 @@ def test_evaluate_rejects_wrong_point_size(point):
         evaluate(gf, tri, point, 0)
 
 
-@pytest.mark.parametrize("level_idx", [-1, 3])
+@pytest.mark.parametrize("level_idx", [-1, 3, True, 1.0, 1.5])
 def test_evaluate_rejects_level_outside_the_grid(level_idx):
-    # a negative index must not wrap around to the top levels
+    # a negative index must not wrap around to the top levels, and a boolean
+    # or a float is no level index
     tri = build_uniform(BOX, 0.5)
     gf = GridFunction(np.arange(27.0).reshape(tri.n_vertices, 3))
-    with pytest.raises(ConfigurationError, match=f"level index {level_idx} outside 0..2"):
+    with pytest.raises(ConfigurationError, match=re.escape(f"{level_idx!r}")):
         evaluate(gf, tri, [0.0, 0.0], level_idx)
     assert evaluate(gf, tri, [0.0, 0.0], 2) == 14.0
 

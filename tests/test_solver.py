@@ -26,7 +26,7 @@ from monohjb import (
     sup_norm_diff,
     tail_bound,
 )
-from monohjb import solver
+from monohjb import bellman, solver
 from monohjb.bellman import apply_policy, policy_index
 from monohjb.fespace import nodal_csv
 
@@ -133,6 +133,21 @@ def test_picard_returns_last_sweep_and_its_argmin(paper):
     last, last_policy = apply(exc.value.value, paper, tri, grid, hk, table=table)
     np.testing.assert_array_equal(u.values, last.values)
     np.testing.assert_array_equal(policy.choice, last_policy.choice)
+
+
+def test_picard_gathers_open_rows_again_only_when_the_suffix_argmin_changes(paper, monkeypatch):
+    """Along Picard's iterates the per-node suffix argmin S mostly repeats;
+    the value sweeps gather the open rows again only when it changes (37 of
+    162 sweeps to 1e-8 at k = h = 0.1), and the closing policy sweep once."""
+    tri, grid = setup(paper, 0.1)
+    gathers = []
+    gather = bellman.Sweeper._gather
+    monkeypatch.setattr(bellman.Sweeper, "_gather",
+                        lambda self, rows: gathers.append(rows) or gather(self, rows))
+    opts = SolveOptions(h=0.1, stop_rule="target_bound", target=1e-8)
+    _, _, report = solve(paper, tri, grid, opts)
+    assert report.iterations == 162
+    assert 0 < len(gathers) <= 50
 
 
 class TestHoward:
