@@ -10,8 +10,8 @@ TransitionTable caches those weights; the new value at level a is
 One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
 solve creates one and calls it on every sweep, and `sweep` is one call of a
 new one.  Ties in the minimum always resolve to the smallest admissible b.
-Only `_bellman` (one stencil per row), the sweeper's bound and its fold (the
-minimum over the levels) map interpolants to these Bellman values.
+Only `_bellman` (one stencil per row), the sweeper's two bounds and its
+fold (the minimum over the levels) map interpolants to these Bellman values.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -39,12 +39,15 @@ them, and the column fold walks b from the top down, interpolates column b
 at the open rows of that prefix in one product-sum per stencil vertex and
 folds the result into a running minimum.
 
-A sweeper keeps its workspace for the length of a solve: M, S, the mask
-where a level attains its own M, S at the stencil vertices, the settled
-mask, the product-sum and fold buffers, and h f, computed once.  On the
-value path the open rows depend on S alone.  So the sweeper keeps their
-gather (the rows, where each level's prefix ends, their stencils as node
-ids and h f at them) with a copy of the S it came from, and while S repeats
+A sweeper keeps its workspace for the length of a solve: M (whose buffer
+the below-S bound L reuses), S, the mask where a level attains its own M,
+S at the stencil vertices, the settled mask, the product-sum scratch, and
+h f, computed once.  Its only full-size float buffers are M, the scratch
+and h f: the fold's buffers are sized to the open rows, so a sweeper holds
+no more memory than a sweep of its own uses.  On the value path the open
+rows depend on S alone.  So the sweeper keeps their gather (the rows,
+where each level's prefix ends, their stencils as node ids, h f at them
+and the fold's buffers) with a copy of the S it came from, and while S repeats
 bit for bit it skips the settledness test and the gather: the same S gives
 the same open rows, and the same arithmetic in the same order gives the
 same values.  Along Picard's iterates to 1e-8, S repeats on 233 of 332
@@ -298,10 +301,10 @@ class Sweeper:
         # S at the stencil vertices and the settled mask (`_open_rows`)
         self._s0, self._sj = np.empty(size, dtype=level_type), np.empty(size, dtype=level_type)
         self._settled, self._same = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        # product-sum scratch and the fold's minimum, candidates and argmin
-        self._best, self._cand, self._tmp = np.empty(size), np.empty(size), np.empty(size)
-        self._choice, self._take = np.empty(size, dtype=int), np.empty(size, dtype=bool)
-        # the value path's gather and the S it was made for
+        # product-sum scratch
+        self._tmp = np.empty(size)
+        # the value path's gather, with its fold buffers, and the S it was
+        # made for
         self._gathered, self._last_s = None, np.empty(size, dtype=level_type)
 
     def __call__(self, values: np.ndarray, policy: bool = False):
@@ -386,8 +389,11 @@ class Sweeper:
             if candidates.any():
                 # L[a] is +inf where S[a] = a; otherwise S[a] = S[a+1] and
                 # L[a] = min(values[a], L[a+1]).  Built only here, so a sweep
-                # without candidates pays nothing for the second bound
-                below = np.where(own, np.inf, values)
+                # without candidates pays nothing for the second bound.  M is
+                # read no more, so L takes its buffer
+                below = self._suffix
+                np.copyto(below, values)
+                np.copyto(below, np.inf, where=own)
                 for a in range(nl - 2, -1, -1):
                     np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
                 rows = np.flatnonzero(candidates)
@@ -399,17 +405,22 @@ class Sweeper:
                     rows, idx, wts = slice(None), indices, weights
                 # L is finite at the stencil of a candidate; elsewhere +inf
                 # times a zero weight is NaN, which is never compared
+                n = idx.shape[1]
                 with np.errstate(invalid="ignore"):
-                    low = _bellman(below.ravel(), idx, wts, self.table, rows)
+                    low = _interpolate(below.ravel(), idx, wts, np.empty(n), self._tmp[:n])
+                low *= self._beta
+                low += self._step[rows]
                 settled[rows] |= candidates[rows] & (low > bound[rows])
         return np.flatnonzero(~settled)
 
     def _gather(self, rows):
-        """The open `rows` as `_fold` reads them: (rows, ends, idx, wts, h f).
+        """The open `rows` as `_fold` reads them: (rows, ends, idx, wts, h f,
+        best, cand).
 
         The open rows of levels a <= b are the first ends[b] of rows; idx
         and wts, (nu+1, len(rows)), are their stencils, idx as node ids,
-        since the fold reads one level's column at a time.
+        since the fold reads one level's column at a time.  best and cand
+        are the fold's running minimum and candidates, one per open row.
         """
         table = self.table
         nl, n_nodes = table.stage_cost.shape
@@ -417,7 +428,9 @@ class Sweeper:
         idx = table.indices.take(rows, axis=1)
         for a in range(1, nl):
             idx[:, ends[a - 1]:ends[a]] -= a * n_nodes
-        return rows, ends, idx, table.weights.take(rows, axis=1), self._step.take(rows)
+        n_rows = len(rows)
+        return (rows, ends, idx, table.weights.take(rows, axis=1), self._step.take(rows),
+                np.empty(n_rows), np.empty(n_rows))
 
     def _fold(self, values, gathered, policy=False):
         """Top-down column fold over the gathered open rows.
@@ -428,15 +441,14 @@ class Sweeper:
         policy=True the candidates are mapped to Bellman values before the
         minimum, so that ties are decided on them, and the minimizing b, the
         smallest on ties, is returned as well.  The map is monotone in
-        floating point, so both paths give identical values.  The results
-        are views of the workspace, valid until the next call.
+        floating point, so both paths give identical values.  The values
+        are the gather's buffer, valid until the next call.
         """
-        rows, ends, idx, wts, step = gathered
+        rows, ends, idx, wts, step, best, cand = gathered
         nl, n_rows = len(values), len(rows)
-        best, cand, tmp = self._best[:n_rows], self._cand[:n_rows], self._tmp[:n_rows]
+        tmp = self._tmp[:n_rows]
         if policy:
-            choice, take = self._choice[:n_rows], self._take[:n_rows]
-            choice.fill(nl - 1)
+            choice, take = np.full(n_rows, nl - 1), np.empty(n_rows, dtype=bool)
         for b in range(nl - 1, -1, -1):
             n = ends[b]
             if n == 0:
