@@ -10,8 +10,8 @@ TransitionTable caches those weights; the new value at level a is
 One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
 solve creates one and calls it on every sweep, and `sweep` is one call of a
 new one.  Ties in the minimum always resolve to the smallest admissible b.
-Only `_bellman` (one stencil per row), the sweeper's two bounds and its
-fold (the minimum over the levels) map interpolants to these Bellman values.
+Only `apply_policy` (one frozen stencil per row), the sweeper's two bounds
+and its fold (the minimum over levels) map interpolants to these values.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -260,15 +260,6 @@ def _interpolate(column, idx, wts, out, tmp):
     return out
 
 
-def _bellman(flat, idx, wts, table, rows=slice(None)):
-    """(1 - lambda h) * interp(flat) + h f at the stencils idx, wts of `rows`."""
-    n = idx.shape[1]
-    out = _interpolate(flat, idx, wts, np.empty(n), np.empty(n))
-    out *= 1.0 - table.discount * table.h
-    out += table.h * table.stage_cost.ravel()[rows]
-    return out
-
-
 class Sweeper:
     """The Bellman sweep on one table, with the workspace it reuses.
 
@@ -371,7 +362,8 @@ class Sweeper:
         on the policy path, those whose common S = b* is above a unless the
         below-S bound settles them: per node, L[a] = min over b in [a, S[a])
         of values[b], and a row is settled when the Bellman value of
-        interp(L[a]) is strictly above that of interp(M[a]).
+        interp(L[a]), taken at every row once any row is a candidate, is
+        strictly above that of interp(M[a]).
         """
         indices, weights = self.table.indices, self.table.weights
         s, s0, settled = self._first.ravel(), self._s0, self._settled
@@ -396,21 +388,14 @@ class Sweeper:
                 np.copyto(below, np.inf, where=own)
                 for a in range(nl - 2, -1, -1):
                     np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
-                rows = np.flatnonzero(candidates)
-                if 4 * len(rows) < len(candidates):
-                    idx, wts = indices.take(rows, axis=1), weights.take(rows, axis=1)
-                else:
-                    # gathering most rows' stencils costs more than the
-                    # product-sums it saves
-                    rows, idx, wts = slice(None), indices, weights
-                # L is finite at the stencil of a candidate; elsewhere +inf
-                # times a zero weight is NaN, which is never compared
-                n = idx.shape[1]
+                # L is finite at a candidate's stencil; elsewhere +inf times
+                # a zero weight is NaN, which `candidates` masks out
                 with np.errstate(invalid="ignore"):
-                    low = _interpolate(below.ravel(), idx, wts, np.empty(n), self._tmp[:n])
+                    low = _interpolate(below.ravel(), indices, weights,
+                                       np.empty(s0.size), self._tmp)
                 low *= self._beta
-                low += self._step[rows]
-                settled[rows] |= candidates[rows] & (low > bound[rows])
+                low += self._step
+                settled |= candidates & (low > bound)
         return np.flatnonzero(~settled)
 
     def _gather(self, rows):
@@ -527,7 +512,11 @@ def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) 
 
     `values` and the result are level-major (n_levels, N), as in `sweep`;
     `index` is the frozen policy's policy_index, which reads `values` as
-    one flat vector of length n_levels*N.  `_bellman` returns the values.
+    one flat vector of length n_levels*N.
     """
     _level_major_shape(values, table)
-    return _bellman(values.ravel(), index, table.weights, table).reshape(values.shape)
+    n = index.shape[1]
+    out = _interpolate(values.ravel(), index, table.weights, np.empty(n), np.empty(n))
+    out *= 1.0 - table.discount * table.h
+    out += table.h * table.stage_cost.ravel()
+    return out.reshape(values.shape)

@@ -212,7 +212,7 @@ def cmd_simulate(cfg, out_dir, snap_k) -> int:
     u, _, report = solve(spec, tri, grid, SolveOptions(h=h, **_options(cfg)))
     traj = simulate(spec, tri, grid, u, x0, a0, h, steps)
     gap = cost_consistency(spec, tri, grid, u, traj, h)
-    _write(out_dir, "trajectory.csv", trajectory_csv(traj, grid, spec.discount, h))
+    _write(out_dir, "trajectory.csv", trajectory_csv(traj, grid))
     _write(out_dir, "report.txt", _report_header(cfg, {
         "solve_iterations": report.iterations,
         "guaranteed_error": f"{report.guaranteed_error:.17g}",

@@ -14,6 +14,9 @@ one pass over the axes and one over their order.  Only the candidates over
 the admissible levels are numpy: one `take` of the stencil's rows of the
 value, one matrix-vector product over the levels from a_j up, and the
 discount and stage cost applied in place.
+
+`simulate` alone sums the discounted stage costs; the trajectory keeps the
+running sums, which `cost_consistency` and `trajectory_csv` read.
 """
 
 from __future__ import annotations
@@ -32,15 +35,23 @@ from .problem import ProblemSpec
 
 @dataclass(eq=False)
 class Trajectory:
+    """A closed-loop rollout of n steps; discounted_cumulative[j] is the sum
+    of beta^i * h f(y_i, a_i) over i <= j, beta = 1 - lambda h, as `simulate` summed it."""
+
     states: np.ndarray          # (n+1, nu)
     control_indices: np.ndarray  # (n,) level indices a_0..a_{n-1}
     stage_costs: np.ndarray     # (n,) undiscounted h*f(y_j, a_j)
-    discounted_total: float
+    discounted_cumulative: np.ndarray  # (n,)
     terminal_control: int       # level committed for step n
 
     @property
     def n_steps(self) -> int:
         return len(self.control_indices)
+
+    @property
+    def discounted_total(self) -> float:
+        """The last running sum, 0.0 after no steps."""
+        return float(self.discounted_cumulative[-1]) if self.n_steps else 0.0
 
 
 def check_start(tri: Triangulation, grid: ControlGrid, x0, a0_index: int, steps: int):
@@ -74,7 +85,8 @@ def simulate(
 
     Step j works in Python floats (see the module docstring); the callbacks
     get row j of the preallocated states as a (1, nu) batch.  The result is
-    what the numpy form of each step gives, bit for bit.
+    what the numpy form of each step gives, bit for bit.  The running
+    discounted sum is recorded after every step.
     """
     y = check_start(tri, grid, x0, a0_index, steps)
     check_fits(value, tri, grid)
@@ -85,11 +97,8 @@ def simulate(
 
     states = np.empty((steps + 1, tri.dim))
     states[0] = y
-    controls = []
-    stage_costs = []
-    total = 0.0
-    disc = 1.0
-    a = a0_index
+    controls, stage_costs, cumulative = [], [], []
+    total, disc, a = 0.0, 1.0, a0_index
     for j in range(steps):
         try:
             y, f, candidates = lookahead(V, spec, tri, h, states[j:j + 1], a, levels[a],
@@ -105,6 +114,7 @@ def simulate(
         controls.append(a)
         stage_costs.append(h * f)
         total += disc * h * f
+        cumulative.append(total)
         disc *= beta
         states[j + 1] = y
         a = b
@@ -113,7 +123,7 @@ def simulate(
         states=states,
         control_indices=np.array(controls, dtype=int),
         stage_costs=np.array(stage_costs),
-        discounted_total=total,
+        discounted_cumulative=np.array(cumulative),
         terminal_control=a,
     )
 
@@ -141,19 +151,16 @@ def cost_consistency(
     return abs(traj.discounted_total + beta ** n * tail - head)
 
 
-def trajectory_csv(traj: Trajectory, grid: ControlGrid, discount: float, h: float) -> str:
-    """CSV dump: step,x1,...,a,stage_cost,discounted_cumulative."""
+def trajectory_csv(traj: Trajectory, grid: ControlGrid) -> str:
+    """CSV dump: step,x1,...,a,stage_cost,discounted_cumulative, the last
+    column as `traj.discounted_cumulative` holds it, so ending in the total."""
     nu = traj.states.shape[1]
     coord_names = ",".join(f"x{i + 1}" for i in range(nu))
-    beta = 1.0 - discount * h
     out = io.StringIO()
     out.write(f"step,{coord_names},a,stage_cost,discounted_cumulative\n")
-    cum = 0.0
-    disc = 1.0
     for j in range(traj.n_steps):
-        cum += disc * traj.stage_costs[j]
-        disc *= beta
         coords = ",".join(f"{c:.17g}" for c in traj.states[j])
         a = grid.levels[traj.control_indices[j]]
-        out.write(f"{j},{coords},{a:.17g},{traj.stage_costs[j]:.17g},{cum:.17g}\n")
+        out.write(f"{j},{coords},{a:.17g},{traj.stage_costs[j]:.17g},"
+                  f"{traj.discounted_cumulative[j]:.17g}\n")
     return out.getvalue()

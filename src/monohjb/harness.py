@@ -25,7 +25,7 @@ import numpy as np
 from .bellman import _check_step, lookahead
 from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import GridFunction, control_grid
-from .mesh import build_uniform, locate_many, snap_mesh_size
+from .mesh import build_uniform, locate_many
 from .problem import ProblemSpec, holder_exponent
 from .solver import SolveOptions, solve, solve_finite_horizon
 

@@ -31,6 +31,7 @@ returns their transposes, Fortran-ordered (M, nu+1) views.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,15 +111,41 @@ class MeshReport:
     k_over_d_max: float
 
 
+def _axis_cells(width: float, k: float) -> int:
+    """The cells (width - 2k)/k of the inner box on an axis of this width at
+    mesh size k, when that is a whole number >= 1 to a relative 1e-9; else 0."""
+    ratio = (width - 2.0 * k) / k
+    if not ratio > 0.5:  # also NaN, from k = inf
+        return 0
+    n = round(ratio)
+    return n if abs(ratio - n) <= _COMMENSURATE_TOL * max(1.0, ratio) else 0
+
+
 def snap_mesh_size(domain, k: float) -> float:
-    """Round k to the nearest value commensurate with the domain widths."""
+    """The k' = w/n nearest to k, with w the smallest domain width and n >= 3,
+    that is within a factor of 2 of k and that `build_uniform` accepts on
+    every axis; MeshConstructionError, naming an axis, if there is none."""
     if not 0.0 < k < math.inf:
         raise MeshConstructionError(f"mesh size must be positive and finite, got {k}")
-    lower = np.asarray(domain[0], dtype=float)
-    upper = np.asarray(domain[1], dtype=float)
-    widths = upper - lower
-    n = max(3, int(round(float(np.min(widths)) / k)))
-    return float(np.min(widths)) / n
+    widths = (np.asarray(domain[1], dtype=float) - np.asarray(domain[0], dtype=float)).tolist()
+    w = min(widths)
+    lo, hi, near = max(3, math.ceil(w / (2.0 * k))), math.floor(2.0 * w / k), math.floor(w / k)
+    rejected = None  # the nearest candidate and the first axis that rejects it
+    # the n at or below w/k and those above it, each in order of |w/n - k|
+    for n in heapq.merge(range(min(near, hi), lo - 1, -1), range(max(near + 1, lo), hi + 1),
+                         key=lambda n: abs(w / n - k)):
+        cells = [_axis_cells(width, w / n) for width in widths]
+        if all(cells):
+            return w / n
+        rejected = rejected or (w / n, cells.index(0))
+    if rejected is None:
+        raise MeshConstructionError(
+            f"no mesh size {w}/n with n >= 3 on axis {widths.index(w)} is within a factor "
+            f"of 2 of k={k}")
+    near_k, ax = rejected
+    raise MeshConstructionError(
+        f"no mesh size {w}/n within a factor of 2 of k={k} is commensurate with every axis; "
+        f"the nearest, {near_k}, is not with axis {ax} width {widths[ax]}")
 
 
 def build_uniform(domain, k: float) -> Triangulation:
@@ -129,21 +156,15 @@ def build_uniform(domain, k: float) -> Triangulation:
         raise MeshConstructionError(f"mesh size must be positive, got {k}")
     widths = upper - lower
     nu = lower.shape[0]
-    cells = np.empty(nu, dtype=int)
-    for ax in range(nu):
-        inner = widths[ax] - 2.0 * k
-        if inner <= 0:
-            raise MeshConstructionError(
-                f"mesh size k={k} leaves an empty inner box on axis {ax}"
-            )
-        ratio = inner / k
-        n = int(round(ratio))
-        if n < 1 or abs(ratio - n) > _COMMENSURATE_TOL * max(1.0, ratio):
-            raise MeshConstructionError(
-                f"k={k} is not commensurate with axis {ax} width {widths[ax]}"
-                " (use the snap-k option to round it)"
-            )
-        cells[ax] = n
+    cells = np.array([_axis_cells(width, k) for width in widths.tolist()], dtype=int)
+    if not cells.all():
+        ax = int(np.argmin(cells))
+        if widths[ax] <= 2.0 * k:
+            raise MeshConstructionError(f"mesh size k={k} leaves an empty inner box on axis {ax}")
+        raise MeshConstructionError(
+            f"k={k} is not commensurate with axis {ax} width {widths[ax]}"
+            " (use the snap-k option to round it)"
+        )
 
     axes = [lower[ax] + k * np.arange(1, cells[ax] + 2) for ax in range(nu)]
     om_lower = np.array([a[0] for a in axes])

@@ -55,8 +55,10 @@ class SolveOptions:
         if self.stop_rule not in ("paper", "target_bound"):
             raise ConfigurationError(f"unknown stop rule {self.stop_rule!r}")
         target = self.target
+        # a boolean would pass as the target 1.0
         if self.stop_rule == "target_bound" and (
-                target is None or not math.isfinite(target) or target <= 0):
+                target is None or isinstance(target, (bool, np.bool_))
+                or not math.isfinite(target) or target <= 0):
             raise ConfigurationError(
                 f"target_bound stop rule needs a positive finite target, got {target}")
         if self.stop_rule == "paper" and self.target is not None:
@@ -263,6 +265,7 @@ def solve_finite_horizon(
     table: TransitionTable | None = None,
 ) -> GridFunction:
     """Backward recursion over horizon T = mu*h from the zero terminal value."""
+    _check_step(h, spec.discount)
     check_count(mu, "mu")
     u = np.zeros((grid.n_levels, tri.n_vertices))
     if mu > 0:

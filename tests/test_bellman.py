@@ -20,6 +20,7 @@ from monohjb import (
     control_grid,
     greedy_policy,
     lookahead,
+    solve_finite_horizon,
     sup_norm_diff,
 )
 from monohjb import solver
@@ -83,6 +84,15 @@ class TestFixedControl:
         tri, grid = coarse
         with pytest.raises(ConfigurationError):
             brute_force_oracle(paper, tri, grid, 1.5, 1)
+
+    @pytest.mark.parametrize("h", [1.5, 0.0, -1.0, np.nan])
+    def test_recursion_rejects_bad_step(self, paper, coarse, h):
+        """The recursion checks the step as the oracle does, also at mu = 0,
+        where it would otherwise return zeros without reading h."""
+        tri, grid = coarse
+        for run in (brute_force_oracle, solve_finite_horizon):
+            with pytest.raises(ConfigurationError, match="time step"):
+                run(paper, tri, grid, h, 0)
 
 
 _TIE_POOL = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])

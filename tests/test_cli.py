@@ -140,6 +140,18 @@ def test_simulate(tmp_path):
     assert len(lines) == 51
 
 
+def test_simulate_csv_ends_in_the_reported_total(tmp_path):
+    """trajectory.csv's last running sum is report.txt's discounted_total,
+    character for character; a second summation rounded it differently
+    on this start."""
+    cfg = write_config(tmp_path, k=0.1, h=0.1,
+                       simulate={"x0": [0.5, 0.25], "a0": 0.2, "steps": 40})
+    assert run("simulate", cfg, tmp_path / "out") == 0
+    last = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")[-1]
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert f"discounted_total: {last.split(',')[-1]}\n" in report
+
+
 @pytest.mark.parametrize("x0", [[0.3], [0.3, 0.3, 0.3]])
 def test_simulate_wrong_start_size(tmp_path, capsys, x0):
     cfg = write_config(tmp_path, simulate={"x0": x0, "a0": 0.0, "steps": 5})
@@ -394,3 +406,50 @@ def test_sweep_forwards_stop_rule(tmp_path, monkeypatch):
     assert len(rows) == 2
     # the paper rule stops after 1 and 3 iterations, certified 0.125 and 0.105
     assert all(r.guaranteed_error <= 1e-10 for r in rows)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("problem: [unclosed\n", "cannot parse config"),
+    ("- problem\n- k\n", "config must be a mapping"),
+    ("problem: paper_example_2d\nk: 0.5\nsimulate: [1, 2]\n",
+     "section 'simulate' must be a mapping"),
+    ("problem: paper_example_2d\nh: 0.5\n", "missing required key 'k'"),
+])
+def test_malformed_config_is_config_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    assert run("solve", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run("solve", cfg, out) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+
+
+def test_sweep_snap_k(tmp_path, capsys):
+    cfg = write_config(tmp_path, sweep={"k_list": [0.3]})
+    assert run("sweep", cfg, tmp_path / "out", "--snap-k") == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")
+    # 0.3 snaps to 2/7 on the paper's box of width 2
+    assert rows[1].startswith(f"{2.0 / 7.0:.17g},")
+
+
+def test_one_row_sweep_has_no_rate(tmp_path):
+    cfg = write_config(tmp_path, sweep={"k_list": [0.5]})
+    assert run("sweep", cfg, tmp_path / "out") == 0
+    assert "fitted_rate: n/a" in (tmp_path / "out" / "report.txt").read_text()
+
+
+def test_sweep_missing_its_target_exit_code(tmp_path):
+    cfg = write_config(tmp_path, stop_rule="target_bound", target=1e-12, max_iterations=1,
+                       sweep={"k_list": [0.5, 0.25]})
+    assert run("sweep", cfg, tmp_path / "out") == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "all_converged: False" in report
+    assert "rows: 2" in report

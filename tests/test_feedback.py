@@ -137,13 +137,25 @@ def test_nan_start_is_out_of_domain(paper):
 
 
 def test_trajectory_csv_layout(paper, solved):
+    """Every row prints the running sum simulate recorded, so the last one
+    is the total; on this start a second summation of the stage costs
+    would round the last digit differently."""
     tri, grid, u = solved
-    traj = simulate(paper, tri, grid, u, np.array([0.5, 0.5]), 0, 0.1, 5)
-    lines = trajectory_csv(traj, grid, paper.discount, 0.1).strip().split("\n")
+    traj = simulate(paper, tri, grid, u, np.array([0.5, 0.25]), 2, 0.1, 40)
+    lines = trajectory_csv(traj, grid).strip().split("\n")
     assert lines[0] == "step,x1,x2,a,stage_cost,discounted_cumulative"
-    assert len(lines) == 6
-    last = lines[-1].split(",")
-    assert float(last[-1]) == pytest.approx(traj.discounted_total, rel=1e-12)
+    assert len(lines) == 41
+    printed = [float(line.split(",")[-1]) for line in lines[1:]]
+    assert printed == traj.discounted_cumulative.tolist()
+    assert printed[-1] == traj.discounted_total
+
+
+def test_no_steps_total_is_zero(paper, solved):
+    tri, grid, u = solved
+    traj = simulate(paper, tri, grid, u, np.array([0.5, 0.25]), 2, 0.1, 0)
+    assert traj.discounted_cumulative.shape == (0,)
+    assert traj.discounted_total == 0.0
+    assert trajectory_csv(traj, grid) == "step,x1,x2,a,stage_cost,discounted_cumulative\n"
 
 
 def test_non_finite_cost_names_the_step(paper):
@@ -166,6 +178,14 @@ def test_non_finite_cost_names_the_step(paper):
     # x1 = 0.5 * 0.8^j first drops below 0.2 at step 5
     assert "cost of step 5 under control level 10" in str(exc.value)
     assert exc.value.level == grid.m
+
+
+def test_start_level_above_the_top_is_config_error(paper):
+    tri = build_uniform(paper.domain, 0.5)
+    grid = control_grid(0.5)
+    value = GridFunction.zeros(tri, grid)
+    with pytest.raises(ConfigurationError, match="initial control index 3 outside the grid"):
+        simulate(paper, tri, grid, value, np.array([0.0, 0.0]), grid.m + 1, 0.5, 5)
 
 
 @pytest.mark.parametrize("x0", [[0.3], [0.3, 0.3, 0.3], 0.3, [[0.3, 0.3]]])

@@ -92,6 +92,16 @@ def test_sup_norm_diff(tg):
     assert sup_norm_diff(gf2, GridFunction(v)) == 5.0
 
 
+@pytest.mark.parametrize("values,message", [
+    (np.zeros(4), "must be 2-d"),
+    (np.array([[0.0, np.nan]]), "must be finite"),
+    (np.array([[np.inf, 0.0]]), "must be finite"),
+])
+def test_grid_function_rejects_bad_values(values, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        GridFunction(values)
+
+
 def test_sup_norm_dimension_mismatch(tg):
     tri, grid = tg
     with pytest.raises(DimensionMismatchError):

@@ -81,6 +81,11 @@ class TestBoundShapes:
         with pytest.raises(ConfigurationError, match="horizon T must be nonnegative"):
             shape(paper, T)
 
+    @pytest.mark.parametrize("n", [-1, 41])
+    def test_phi_n_step_outside_horizon(self, paper, n):
+        with pytest.raises(ConfigurationError, match=f"step {n} outside horizon"):
+            phi_n(paper, n, 0.1, 4.0)
+
     def test_infinite_horizon(self, paper, toy_1d):
         assert phi_T(paper, math.inf) == math.inf
         assert phi_T(constants(1.0, 2.0), math.inf) == 1.0
@@ -178,10 +183,15 @@ class TestOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached the table kernel")
 
+        names = ("build_table", "table_for", "sweep", "Sweeper", "_interpolate", "apply_policy")
+        patched = set()
         for module in (monohjb, bellman, solver, harness):
-            for name in ("build_table", "table_for", "sweep", "_bound", "_fold", "_bellman"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
+                    patched.add(name)
+        # a name that no module has any more would forbid nothing
+        assert patched == set(names)
         with pytest.raises(AssertionError, match="table kernel"):
             solve_finite_horizon(paper, tri, grid, 0.25, 3)
         oracle = brute_force_oracle(paper, tri, grid, 0.25, 3)

@@ -57,6 +57,30 @@ def test_snap_mesh_size():
     build_uniform(BOX, k)  # must now succeed
 
 
+def test_snap_mesh_size_on_every_axis():
+    """1/3, nearest to 0.3 on the narrow axis, leaves 3.5 cells on the wide
+    one; 1/4 is the nearest that both axes accept."""
+    domain = (np.zeros(2), np.array([1.0, 1.5]))
+    with pytest.raises(MeshConstructionError, match="axis 1 width 1.5"):
+        build_uniform(domain, 1.0 / 3.0)
+    k = snap_mesh_size(domain, 0.3)
+    assert k == 0.25
+    assert build_uniform(domain, k).nodes_per_axis == (3, 5)
+
+
+def test_snap_mesh_size_above_two_thirds_of_the_width():
+    """k = 1.5 on width 2: w/3 = 2/3 is no longer within a factor of 2."""
+    with pytest.raises(MeshConstructionError, match="n >= 3 on axis 0"):
+        snap_mesh_size(BOX, 1.5)
+
+
+def test_snap_mesh_size_incommensurate_axes():
+    """No 1/n with 3 <= n <= 6 divides sqrt 2 - 2/n into whole cells."""
+    domain = (np.zeros(2), np.array([1.0, math.sqrt(2.0)]))
+    with pytest.raises(MeshConstructionError, match="axis 1 width 1.414"):
+        snap_mesh_size(domain, 0.3)
+
+
 @pytest.mark.parametrize("k", [np.nan, 0.0, -0.1])
 def test_mesh_size_not_positive(k):
     with pytest.raises(MeshConstructionError, match="mesh size must be positive"):
@@ -170,6 +194,12 @@ class TestHypotheses:
         tri = build_uniform(BOX, 0.5)
         rep = check_hypotheses(tri, paper, 0.5, control_grid(0.5).levels)
         assert rep.hip1_ok and rep.hip2_ok
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan])
+    def test_step_must_be_positive(self, paper, h):
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(MeshConstructionError, match="time step must be positive"):
+            check_hypotheses(tri, paper, h, control_grid(0.5).levels)
 
     def test_large_step_violates_hip2(self, paper):
         tri = build_uniform(BOX, 0.5)

@@ -115,6 +115,10 @@ def test_spec_validation():
         )
     with pytest.raises(ConfigurationError):
         _spec_with(1.0, 2.0, gamma=1.5)
+    with pytest.raises(ConfigurationError, match="corners must be 1-d arrays of equal length"):
+        dataclasses.replace(_spec_with(1.0, 2.0), domain=(np.zeros(1), np.ones(2)))
+    with pytest.raises(ConfigurationError, match="bound_f must be nonnegative"):
+        dataclasses.replace(_spec_with(1.0, 2.0), bound_f=-1.0)
 
 
 class TestEstimateConstants:

@@ -48,7 +48,7 @@ def test_options_validation(paper):
         SolveOptions(h=0.1, target=1e-6).validate(1.0)
     with pytest.raises(ConfigurationError):
         SolveOptions(h=0.1, max_iterations=0).validate(1.0)
-    for target in (np.nan, np.inf, 0.0, -1e-6):
+    for target in (np.nan, np.inf, 0.0, -1e-6, True, np.True_):
         with pytest.raises(ConfigurationError, match="positive finite target"):
             SolveOptions(h=0.1, stop_rule="target_bound", target=target).validate(1.0)
 
