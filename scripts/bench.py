@@ -15,7 +15,8 @@ one more solve; for Howard the passes over each block of levels of each
 policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
 the policy, the nodal CSV of the mu = 4 value (also its bytes and
 nanoseconds per line; timed in a fresh process that holds only the mesh and
-that value, so the heap the other rows leave does not set its time), and
+that value, where each call pays for the pages of its output, and in this
+process after the rows above, as `nodal_csv_in_process`), and
 the rollout layers: one-point `locate` over a
 fixed set of points (also as microseconds per call), one-point `level_data`
 (the problem callbacks and their check, as a rollout step calls them; also
@@ -79,7 +80,8 @@ ROLLOUT_STARTS = 41   # every start level once at k = h = 0.025
 ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
 FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "sweep_policy",
-               "finite_mu4", "sweep_mu4", "sweep_policy_mu4", "nodal_csv")
+               "finite_mu4", "sweep_mu4", "sweep_policy_mu4", "nodal_csv",
+               "nodal_csv_in_process")
 # the solver row skipped at the second finest size
 TIGHT_PICARD = "picard_1e-8"
 
@@ -212,7 +214,7 @@ def bench_size(spec, k):
     layer("sweep_policy_1e-8", lambda: sweep(tight_values, table, policy=True))
     share("sweep_policy_1e-8", tight_values, policy=True)
     # the mu = 4 value exists at every size, the Picard ones do not; timed
-    # in a fresh process, since in this one the writer's time depended on
+    # in a fresh process too, since in this one the writer's time depends on
     # what the rows above leave on the heap
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         seconds, n_bytes = pool.apply(nodal_csv_alone, (k, finite.values))
@@ -221,6 +223,7 @@ def bench_size(spec, k):
     rows["nodal_csv"].update(bytes=n_bytes, lines=n_lines,
                              ns_per_line=rows["nodal_csv"]["seconds"] / n_lines * 1e9)
     print(f"k=h={k:<6g} {'':<18} {rows['nodal_csv']['ns_per_line']:10.1f} ns per line")
+    layer("nodal_csv_in_process", lambda: nodal_csv(finite, tri, grid))
     points = np.random.default_rng(1).uniform(tri.lower, tri.upper, size=(LOCATE_POINTS, tri.dim))
     if layer("locate", lambda: [locate(tri, p) for p in points]) is not None:
         rows["locate"].update(points=LOCATE_POINTS,

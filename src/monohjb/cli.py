@@ -121,14 +121,19 @@ def _read(cfg: dict, key: str, kind=str, default=None):
         raise ConfigurationError(f"config key {key!r} has invalid value {cfg[key]!r}") from exc
 
 
+def _snap(domain, k: float) -> float:
+    """snap_mesh_size(domain, k), saying on stderr when it differs from k."""
+    snapped = snap_mesh_size(domain, k)
+    if snapped != k:
+        print(f"snapped k from {k} to {snapped}", file=sys.stderr)
+    return snapped
+
+
 def _setup(cfg: dict, snap_k: bool):
     spec = builtin(_read(cfg, "problem"))
     k = _read(cfg, "k", float)
     if snap_k:
-        snapped = snap_mesh_size(spec.domain, k)
-        if snapped != k:
-            print(f"snapped k from {k} to {snapped}", file=sys.stderr)
-        k = snapped
+        k = _snap(spec.domain, k)
     h = _read(cfg, "h", float, k)
     tri = build_uniform(spec.domain, k)
     grid = control_grid(h)
@@ -228,7 +233,7 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
     sub = _read(cfg, "sweep", dict)
     k_list = _read(sub, "k_list", lambda ks: [float(k) for k in ks])
     if snap_k:
-        k_list = [snap_mesh_size(spec.domain, k) for k in k_list]
+        k_list = [_snap(spec.domain, k) for k in k_list]
     coupling = _read(sub, "coupling", str, "h=k")
     if coupling == "h=k" and "c" in sub:
         raise ConfigurationError("sweep.c is read only by the h=c*k^(2/3) coupling")

@@ -121,13 +121,25 @@ def _axis_cells(width: float, k: float) -> int:
     return n if abs(ratio - n) <= _COMMENSURATE_TOL * max(1.0, ratio) else 0
 
 
+def _corners(domain) -> tuple[np.ndarray, np.ndarray]:
+    """The domain's lower and upper corners as float arrays; MeshConstructionError
+    unless every coordinate is finite."""
+    lower = np.asarray(domain[0], dtype=float)
+    upper = np.asarray(domain[1], dtype=float)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise MeshConstructionError(
+            f"domain corners must be finite, got {lower.tolist()} and {upper.tolist()}")
+    return lower, upper
+
+
 def snap_mesh_size(domain, k: float) -> float:
     """The k' = w/n nearest to k, with w the smallest domain width and n >= 3,
     that is within a factor of 2 of k and that `build_uniform` accepts on
     every axis; MeshConstructionError, naming an axis, if there is none."""
     if not 0.0 < k < math.inf:
         raise MeshConstructionError(f"mesh size must be positive and finite, got {k}")
-    widths = (np.asarray(domain[1], dtype=float) - np.asarray(domain[0], dtype=float)).tolist()
+    lower, upper = _corners(domain)
+    widths = (upper - lower).tolist()
     w = min(widths)
     lo, hi, near = max(3, math.ceil(w / (2.0 * k))), math.floor(2.0 * w / k), math.floor(w / k)
     rejected = None  # the nearest candidate and the first axis that rejects it
@@ -150,8 +162,7 @@ def snap_mesh_size(domain, k: float) -> float:
 
 def build_uniform(domain, k: float) -> Triangulation:
     """Uniform Kuhn triangulation of the inner box [lower+k, upper-k]."""
-    lower = np.asarray(domain[0], dtype=float)
-    upper = np.asarray(domain[1], dtype=float)
+    lower, upper = _corners(domain)
     if not k > 0:
         raise MeshConstructionError(f"mesh size must be positive, got {k}")
     widths = upper - lower

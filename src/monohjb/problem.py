@@ -56,6 +56,9 @@ class ProblemSpec:
             raise ConfigurationError(f"discount must be positive, got {self.discount}")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigurationError("domain corners must be 1-d arrays of equal length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ConfigurationError(
+                f"domain corners must be finite, got {lower.tolist()} and {upper.tolist()}")
         if not np.all(lower < upper):
             raise ConfigurationError("domain lower corner must be strictly below upper")
         for c in ("lip_g", "bound_g", "lip_f", "bound_f"):

@@ -440,6 +440,13 @@ def test_sweep_snap_k(tmp_path, capsys):
     assert rows[1].startswith(f"{2.0 / 7.0:.17g},")
 
 
+def test_sweep_snap_k_reports_each_snapped_k(tmp_path, capsys):
+    # as solve, simulate and check-mesh do; 0.5 already fits the box
+    cfg = write_config(tmp_path, sweep={"k_list": [0.3, 0.5]})
+    assert run("sweep", cfg, tmp_path / "out", "--snap-k") == 0
+    assert capsys.readouterr().err == f"snapped k from 0.3 to {2.0 / 7.0}\n"
+
+
 def test_one_row_sweep_has_no_rate(tmp_path):
     cfg = write_config(tmp_path, sweep={"k_list": [0.5]})
     assert run("sweep", cfg, tmp_path / "out") == 0

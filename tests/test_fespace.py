@@ -16,7 +16,7 @@ from monohjb import (
     level_index,
     sup_norm_diff,
 )
-from monohjb.fespace import nodal_csv
+from monohjb.fespace import _format17, nodal_csv
 
 BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
@@ -196,6 +196,47 @@ def test_nodal_csv_peak_memory_near_output_size():
         tracemalloc.stop()
     # the buffer, with its growth margin, and the decoded text live together
     assert peak <= 2.5 * len(text)
+
+
+def percent_g(values):
+    return [b"%.17g" % x for x in values]
+
+
+def powers_of_ten_and_neighbours():
+    powers = [float(f"1e{e}") for e in range(-5, 18)]
+    return [y for p in powers for y in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+
+
+# 1e-4 and 1e16 bound the numpy path of _format17; the double 1e-14 lies
+# below 10**-14, yet its 17 digits round up into that decade
+FORMAT_EDGES = [*powers_of_ten_and_neighbours(), 9.9999999999999995e-05, 1e16 - 2,
+                1e-14, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def test_format17_edges():
+    v = np.array(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
+    assert _format17(v) == percent_g(v.tolist())
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_format17_matches_percent_g(xs):
+    assert _format17(np.array(xs)) == percent_g(xs)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True),
+                min_size=1, max_size=64))
+def test_format17_matches_percent_g_in_fixed_notation(xs):
+    assert _format17(np.array(xs)) == percent_g(xs)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_format17_matches_percent_g_on_bit_patterns(bits):
+    v = np.array(bits, dtype=np.uint64).view(np.float64)
+    v = v[np.isfinite(v)]
+    assert _format17(v) == percent_g(v.tolist())
 
 
 @pytest.mark.parametrize("point", [[0.3], [0.3, 0.3, 0.3], 0.3])

@@ -87,6 +87,15 @@ def test_mesh_size_not_positive(k):
         build_uniform(BOX, k)
 
 
+@pytest.mark.parametrize("corner", [np.inf, -np.inf, np.nan])
+def test_non_finite_domain_corner(corner):
+    # an infinite width used to reach round() and raise OverflowError
+    domain = ([-1.0, -1.0], [1.0, corner])
+    for make in (build_uniform, snap_mesh_size):
+        with pytest.raises(MeshConstructionError, match="domain corners must be finite"):
+            make(domain, 0.5)
+
+
 @pytest.mark.parametrize("k", [np.nan, np.inf, 0.0, -0.1])
 def test_snap_mesh_size_not_positive_and_finite(k):
     with pytest.raises(MeshConstructionError, match="mesh size must be positive and finite"):

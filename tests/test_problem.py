@@ -121,6 +121,12 @@ def test_spec_validation():
         dataclasses.replace(_spec_with(1.0, 2.0), bound_f=-1.0)
 
 
+@pytest.mark.parametrize("corner", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_domain_corner(paper, corner):
+    with pytest.raises(ConfigurationError, match="domain corners must be finite"):
+        dataclasses.replace(paper, domain=([-1.0, -1.0], [1.0, corner]))
+
+
 class TestEstimateConstants:
     def test_paper_example_within_declared(self, paper):
         est = estimate_constants(paper, 10_000, seed=7)
