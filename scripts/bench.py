@@ -12,7 +12,8 @@ rule and to a 1e-8 certified error (with their iteration counts and
 certificates; for Picard the milliseconds per sweep, counting the closing
 policy sweep, and the number of sweeps that gathered their open rows, from
 one more solve; for Howard the passes over each block of levels of each
-policy evaluation), one sweep at the Howard 1e-8 value, value-only and with
+policy evaluation and the tracemalloc peak of one more solve, on the built
+table), one sweep at the Howard 1e-8 value, value-only and with
 the policy, the nodal CSV of the mu = 4 value (also its bytes and
 nanoseconds per line; timed in a fresh process that holds only the mesh and
 that value, where each call pays for the pages of its output, and in this
@@ -35,8 +36,8 @@ Usage: python3 scripts/bench.py [--out bench.json]
 
 At k = h = 0.025 the Picard 1e-8 row is skipped (about 700 sweeps, over
 10 s a run).  At 0.0125 every row is skipped but the set-up rows, the two
-sweeps on random values, the mu = 4 rows and the nodal CSV, so the default
-run stays within a few minutes.
+sweeps on random values, the mu = 4 rows, Howard 1e-8 (about 3 s a solve)
+and the nodal CSV, so the default run stays within a few minutes.
 """
 
 import argparse
@@ -46,6 +47,7 @@ import os
 import platform
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -80,7 +82,7 @@ ROLLOUT_STARTS = 41   # every start level once at k = h = 0.025
 ROLLOUT_STEPS = 100
 # the rows run at the finest size; the others take minutes there
 FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "sweep_policy",
-               "finite_mu4", "sweep_mu4", "sweep_policy_mu4", "nodal_csv",
+               "finite_mu4", "sweep_mu4", "sweep_policy_mu4", "howard_1e-8", "nodal_csv",
                "nodal_csv_in_process")
 # the solver row skipped at the second finest size
 TIGHT_PICARD = "picard_1e-8"
@@ -94,6 +96,16 @@ def timed(fn):
         out = fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), out
+
+
+def traced_peak_mb(fn):
+    """The tracemalloc peak of one fn() call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def nodal_csv_alone(k, values):
@@ -196,7 +208,12 @@ def bench_size(spec, k):
             rows[name].update(iterations=report.iterations,
                               guaranteed_error=report.guaranteed_error)
             if opts.method == "howard":
-                rows[name]["evaluation_iterations"] = report.evaluation_iterations
+                rows[name].update(
+                    evaluation_iterations=report.evaluation_iterations,
+                    tracemalloc_peak_mb=traced_peak_mb(
+                        lambda: solve(spec, tri, grid, opts, table=table)))
+                print(f"k=h={k:<6g} {'':<18} {rows[name]['tracemalloc_peak_mb']:10.2f} MB "
+                      f"tracemalloc peak")
             else:
                 # a value sweep per iteration, then the closing policy sweep
                 sweeps = report.iterations + 1

@@ -235,9 +235,7 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
     if snap_k:
         k_list = [_snap(spec.domain, k) for k in k_list]
     coupling = _read(sub, "coupling", str, "h=k")
-    if coupling == "h=k" and "c" in sub:
-        raise ConfigurationError("sweep.c is read only by the h=c*k^(2/3) coupling")
-    c = _read(sub, "c", float, 1.0)
+    c = _read(sub, "c", float) if "c" in sub else None
     rows = run_sweep(spec, k_list, coupling=coupling, c=c, **_options(cfg))
     try:
         rate = fit_rate_rows(rows)
@@ -297,6 +295,8 @@ def cmd_bounds(cfg, out_dir, snap_k) -> int:
     sub = _read(cfg, "bounds", dict)
     T = _read(sub, "T", float)
     k = _read(cfg, "k", float, 0.1)
+    if snap_k:
+        k = _snap(spec.domain, k)
     h = _read(cfg, "h", float, k)
     n = _read(sub, "n", _integer, 0)
     _check_step(h, spec.discount)

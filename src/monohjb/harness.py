@@ -106,14 +106,16 @@ def run_sweep(
     spec: ProblemSpec,
     k_list: Sequence[float],
     coupling: str = "h=k",
-    c: float = 1.0,
+    c: Optional[float] = None,
     **options,
 ) -> list[SweepRow]:
     """Solve over a ladder of mesh sizes and tabulate errors.
 
     `options` are the SolveOptions fields other than h (method, stop_rule,
     target, max_iterations) of every solve; h comes from k and the coupling
-    rule.
+    rule, so an `h` option is a ConfigurationError.  Only the
+    h=c*k^(2/3) coupling reads `c`, None there meaning 1.0; a `c` with the
+    h=k coupling is a ConfigurationError.
 
     The finest k is solved first and kept as the one reference:
     error_vs_reference compares each coarser solution against it, as soon
@@ -122,12 +124,16 @@ def run_sweep(
     error_vs_analytic compares the a=1 slice against the problem's closed
     form when one is registered.  Rows are returned in descending k.
     """
+    if "h" in options:
+        raise ConfigurationError("h comes from k and the coupling rule; run_sweep takes no h")
+    if coupling == "h=k" and c is not None:
+        raise ConfigurationError("c is read only by the h=c*k^(2/3) coupling")
     if not k_list:
         raise ConfigurationError("k_list must be nonempty")
     rows = []
     ref = None
     for k in sorted(set(float(k) for k in k_list)):
-        h = _coupled_h(k, coupling, c)
+        h = _coupled_h(k, coupling, 1.0 if c is None else c)
         tri = build_uniform(spec.domain, k)
         grid = control_grid(h)
         try:

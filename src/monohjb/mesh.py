@@ -31,7 +31,6 @@ returns their transposes, Fortran-ordered (M, nu+1) views.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -141,11 +140,10 @@ def snap_mesh_size(domain, k: float) -> float:
     lower, upper = _corners(domain)
     widths = (upper - lower).tolist()
     w = min(widths)
-    lo, hi, near = max(3, math.ceil(w / (2.0 * k))), math.floor(2.0 * w / k), math.floor(w / k)
+    lo, hi = max(3, math.ceil(w / (2.0 * k))), math.floor(2.0 * w / k)
     rejected = None  # the nearest candidate and the first axis that rejects it
-    # the n at or below w/k and those above it, each in order of |w/n - k|
-    for n in heapq.merge(range(min(near, hi), lo - 1, -1), range(max(near + 1, lo), hi + 1),
-                         key=lambda n: abs(w / n - k)):
+    # in order of |w/n - k|, the smaller n first on a tie
+    for n in sorted(range(lo, hi + 1), key=lambda n: abs(w / n - k)):
         cells = [_axis_cells(width, w / n) for width in widths]
         if all(cells):
             return w / n

@@ -13,10 +13,11 @@ lowers the level, so each level reads only itself and levels already
 evaluated.  It walks blocks of consecutive whole levels that fit a fixed
 row budget (`_BLOCK_ROWS`) and iterates each block jointly, so a pass is a
 few numpy calls on several levels where the levels are small.  Every row
-iterates one map (`_frozen`) with its weight on its own position solved
-exactly (none if it switches), so a change is not damped at Picard's rate
-1 - lambda h.  However accurate that evaluation is, the certificate comes
-from the greedy sweep's residual after it, as for Picard.
+of a block iterates one map (`_frozen`, built for that block when it is
+reached) with its weight on its own position solved exactly (none if it
+switches), so a change is not damped at Picard's rate 1 - lambda h.
+However accurate that evaluation is, the certificate comes from the greedy
+sweep's residual after it, as for Picard.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 # attributes: perfbench/spans.py traces them under these names.
 from .bellman import (  # noqa: F401
     PolicyField, Sweeper, TransitionTable, _check_step, _interpolate, apply, apply_policy,
-    policy_index, table_for,
+    table_for,
 )
 from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
@@ -123,24 +124,29 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
 _BLOCK_ROWS = 8192
 
 
-def _frozen(choice: np.ndarray, table: TransitionTable):
-    """The frozen policy `choice` as one map v <- base + interp(w; scaled) per row.
+def _frozen(choice: np.ndarray, table: TransitionTable, low: int, top: int):
+    """The frozen policy `choice` on levels low .. top-1, as one map
+    v <- base + interp(w; scaled) per row.
 
-    Row (a, i) reads its stencil at level b = choice[a, i] (`policy_index`)
-    and puts weight p on its own position a*N + i (duplicates summed; p = 0
-    if it switches, b > a).  Its frozen equation
-    v = h f + beta (p v + interp(w; woff)), with woff the weights off its
-    own position and beta = 1 - lambda h, solves for its own value as
-    v = (h f + beta interp(w; woff)) / (1 - beta p).  Returns, level-major
-    over the rows, the positions, woff * beta / (1 - beta p) and
-    h f / (1 - beta p).
+    Row (a, i) reads its stencil at level b = choice[a, i], the table's
+    level-a positions shifted by (b - a)*N, and puts weight p on its own
+    position a*N + i (duplicates summed; p = 0 if it switches, b > a).  Its
+    frozen equation v = h f + beta (p v + interp(w; woff)), with woff the
+    weights off its own position and beta = 1 - lambda h, solves for its
+    own value as v = (h f + beta interp(w; woff)) / (1 - beta p).  Reads
+    only the block's columns of the table and rows of `choice`, which the
+    solver's own sweep produced, so they are not checked again.  Returns,
+    level-major over the block's rows, the positions in the whole
+    level-major vector, woff * beta / (1 - beta p) and h f / (1 - beta p).
     """
-    index = policy_index(choice, table)
-    own = index == np.arange(index.shape[1])
+    n_nodes = table.stage_cost.shape[1]
+    rows = slice(low * n_nodes, top * n_nodes)
+    index = table.indices[:, rows] + (choice[low:top] - np.arange(low, top)[:, None]).ravel() * n_nodes
+    own = index == np.arange(rows.start, rows.stop)
     beta = 1.0 - table.discount * table.h
-    denom = 1.0 - beta * np.where(own, table.weights, 0.0).sum(axis=0)
-    scaled = np.where(own, 0.0, table.weights) * (beta / denom)
-    return index, scaled, table.h * table.stage_cost.ravel() / denom
+    denom = 1.0 - beta * np.where(own, table.weights[:, rows], 0.0).sum(axis=0)
+    scaled = np.where(own, 0.0, table.weights[:, rows]) * (beta / denom)
+    return index, scaled, table.h * table.stage_cost[low:top].ravel() / denom
 
 
 def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
@@ -151,28 +157,28 @@ def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
     the levels above it.  The levels are walked in blocks of consecutive
     whole levels, top block first, each as many levels as fit
     `_BLOCK_ROWS` rows (at least one): the levels above a block are final
-    when it is reached.  Starting from `values`, every row of the block
-    iterates v <- base + interp(w; scaled) (`_frozen`, `bellman._interpolate`),
-    each row's own weight solved exactly, until a pass changes the block by
-    at most `tolerance`, or for max_iterations passes.  A pass is Jacobi over
-    the block: a row that switches to a level of its own block reads that
+    when it is reached.  Each block's map (`_frozen`) and pass buffers are
+    built when the block is reached, so only one block's are held at a
+    time.  Starting from `values`, every row of the block iterates
+    v <- base + interp(w; scaled) (`bellman._interpolate`), each row's own
+    weight solved exactly, until a pass changes the block by at most
+    `tolerance`, or for max_iterations passes.  A pass is Jacobi over the
+    block: a row that switches to a level of its own block reads that
     level's previous iterate, one that switches to a finished level reads
     its final value.  A stay row then has a frozen residual of at most
     beta (1 - p) * tolerance, a switching row at most beta * tolerance.
     Returns the level-major values and the number of passes over blocks.
     """
     nl, n_nodes = values.shape
-    index, scaled, base = _frozen(choice, table)
     w = values.copy()
     flat = w.ravel()
     per_block = max(1, _BLOCK_ROWS // n_nodes)
-    width = min(per_block, nl) * n_nodes
-    new_buf, tmp_buf = np.empty(width), np.empty(width)
     passes = 0
     for top in range(nl, 0, -per_block):
-        rows = slice(max(top - per_block, 0) * n_nodes, top * n_nodes)
-        idx, wts, b, block = index[:, rows], scaled[:, rows], base[rows], flat[rows]
-        new, tmp = new_buf[:block.size], tmp_buf[:block.size]
+        low = max(top - per_block, 0)
+        idx, wts, b = _frozen(choice, table, low, top)
+        block = flat[low * n_nodes:top * n_nodes]
+        new, tmp = np.empty(block.size), np.empty(block.size)
         for _ in range(max_iterations):
             _interpolate(flat, idx, wts, new, tmp)
             new += b

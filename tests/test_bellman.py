@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -740,7 +741,7 @@ class TestLevelEvaluation:
                 for pos, wt in zip(table.indices[:, row], table.weights[:, row]):
                     matrix[row, choice[a, i] * n_nodes + pos - a * n_nodes] -= beta * wt
                     own[row] += wt if stays and pos - a * n_nodes == i else 0.0
-        np.testing.assert_allclose(_frozen(choice, table)[2],
+        np.testing.assert_allclose(_frozen(choice, table, 0, nl)[2],
                                    h * table.stage_cost.ravel() / (1 - beta * own),
                                    rtol=1e-15, atol=0)
         exact = np.linalg.solve(matrix, h * table.stage_cost.ravel()).reshape(nl, n_nodes)
@@ -748,6 +749,24 @@ class TestLevelEvaluation:
             with blocks_of(levels, n_nodes):
                 w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, table, 1e-15, 10_000)
             np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
+
+    def test_holds_one_block(self, paper):
+        """Howard's first evaluation, the stay policy from zero under the
+        paper rule's tolerance, at k = h = 0.025, where a block is one level
+        of 6,241 rows: its peak stays below half of the table's stencils,
+        since each block's map and buffers are built when it is reached."""
+        k = 0.025
+        tri, grid = build_uniform(paper.domain, k), control_grid(k)
+        table = build_table(paper, tri, grid, k)
+        values = np.zeros(table.stage_cost.shape)
+        choice = np.indices(values.shape)[0]
+        tracemalloc.start()
+        try:
+            _evaluate(values, choice, table, k * k * paper.discount * k, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (table.indices.nbytes + table.weights.nbytes)
 
 
 class TestOperatorProperties:

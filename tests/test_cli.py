@@ -3,6 +3,7 @@ import math
 import pytest
 import yaml
 
+from monohjb import builtin, theoretical_envelope
 from monohjb.cli import main
 from monohjb.harness import run_sweep
 
@@ -343,6 +344,30 @@ def test_bounds_rejects_inadmissible_sizes(tmp_path, capsys, overrides, message)
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ") and message in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def bounds_config(tmp_path, k):
+    """A bounds config without h, which then defaults to k."""
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"problem": "paper_example_2d", "k": k, "bounds": {"T": 4.0}}))
+    return path
+
+
+def test_bounds_snap_k(tmp_path, capsys):
+    """No mesh of the paper's box of width 2 accepts k = 0.3; the envelope
+    is the one at the snapped k, which h defaults to, as a solve uses it."""
+    assert run("bounds", bounds_config(tmp_path, 0.3), tmp_path / "out", "--snap-k") == 0
+    captured = capsys.readouterr()
+    assert captured.err == "snapped k from 0.3 to 0.2857142857142857\n"
+    values = dict(line.split(" = ") for line in captured.out.splitlines())
+    spec = builtin("paper_example_2d")
+    assert float(values["envelope"]) == theoretical_envelope(spec, 2.0 / 7.0, 2.0 / 7.0)
+
+
+def test_bounds_snap_k_rejects_non_finite_k(tmp_path, capsys):
+    assert run("bounds", bounds_config(tmp_path, math.nan), tmp_path / "out", "--snap-k") == 1
+    assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
 
 

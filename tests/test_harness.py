@@ -273,6 +273,20 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(paper, [])
 
+    def test_c_is_read_only_by_the_two_thirds_coupling(self, paper):
+        """Under h=k a c would be ignored; under h=c*k^(2/3) no c means 1."""
+        with pytest.raises(ConfigurationError, match=r"c is read only by the h=c\*k\^\(2/3\)"):
+            run_sweep(paper, [0.5], coupling="h=k", c=2.0)
+        (default,) = run_sweep(paper, [0.5], coupling="h=c*k^(2/3)")
+        (one,) = run_sweep(paper, [0.5], coupling="h=c*k^(2/3)", c=1.0)
+        assert default == one
+
+    def test_h_option_rejected(self, paper):
+        """h comes from k and the coupling; it used to reach SolveOptions
+        twice and raise TypeError."""
+        with pytest.raises(ConfigurationError, match="takes no h"):
+            run_sweep(paper, [0.5], h=0.1)
+
     @pytest.mark.parametrize("top_free", [False, True])
     @pytest.mark.parametrize("coupling", ["h=k", "h=c*k^(2/3)"])
     def test_reference_error_matches_node_loop(self, paper, coupling, top_free):
