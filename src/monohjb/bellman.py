@@ -10,8 +10,11 @@ TransitionTable caches those weights; the new value at level a is
 One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
 solve creates one and calls it on every sweep, and `sweep` is one call of a
 new one.  Ties in the minimum always resolve to the smallest admissible b.
-Only `apply_policy` (one frozen stencil per row), the sweeper's two bounds
-and its fold (the minimum over levels) map interpolants to these values.
+Only `apply_policy` (one frozen stencil per row), Howard's frozen maps
+(`_frozen`), the sweeper's two bounds and its fold (the minimum over
+levels) map interpolants to these values.  The bounds read each row's
+stencil at its own level, as the table stores it; `_positions` is the one
+reader of given rows' stencils at a chosen level, for the others.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -106,11 +109,11 @@ class TransitionTable:
     and `weights`, shape (nu+1, n_levels*N), is the stencil of the image of
     node i under level a, and row j lists the j-th stencil vertex of every
     such (a, i), as its position a*N + v in level-major values of length
-    n_levels*N; adding (b - a)*N reads vertex v at level b.  `stage_cost`
-    holds f at the nodes, shape (n_levels, N); its `ravel()` lines up with
-    the stencil columns.  The level and node counts are read from its shape.
-    `source` is the (spec, tri, grid) that `build_table` read, () for a
-    table built by hand.
+    n_levels*N; `_positions` reads it at another level b, as b*N + v.
+    `stage_cost` holds f at the nodes, shape (n_levels, N); its `ravel()`
+    lines up with the stencil columns.  The level and node counts are read
+    from its shape.  `source` is the (spec, tri, grid) that `build_table`
+    read, () for a table built by hand.
     """
 
     indices: np.ndarray     # (nu+1, n_levels*N) int
@@ -245,11 +248,26 @@ def lookahead(values: np.ndarray, spec: ProblemSpec, tri: Triangulation, h: floa
     return image, f, candidates
 
 
+def _positions(table: TransitionTable, rows: np.ndarray, level) -> np.ndarray:
+    """The stencils of the level-major table rows `rows` as positions at
+    `level`, one int or one per row: vertex v of row (a, i), stored as
+    a*N + v, becomes level*N + v, so level 0 gives node ids.
+
+    The one place a stored stencil is read at another level than its
+    row's.  Returns a new C-ordered (nu+1, len(rows)) array, so that
+    `_interpolate` reads each stencil vertex's positions contiguously.
+    """
+    n_nodes = table.stage_cost.shape[1]
+    return table.indices.take(rows, axis=1) + (level - rows // n_nodes) * n_nodes
+
+
 def _interpolate(column, idx, wts, out, tmp):
     """out = sum_j column[idx[j]] * wts[j]: one product-sum per stencil vertex.
 
-    The indices are in range by construction; mode="clip" only skips the
-    bounds check of the default mode.
+    The positions are in range by construction: the table checks its own,
+    and `_positions` shifts them to levels of a checked policy or of one
+    the sweep produced.  mode="clip" only skips the default mode's bounds
+    check.
     """
     np.take(column, idx[0], out=out, mode="clip")
     out *= wts[0]
@@ -410,12 +428,9 @@ class Sweeper:
         table = self.table
         nl, n_nodes = table.stage_cost.shape
         ends = np.searchsorted(rows, np.arange(1, nl + 1) * n_nodes)
-        idx = table.indices.take(rows, axis=1)
-        for a in range(1, nl):
-            idx[:, ends[a - 1]:ends[a]] -= a * n_nodes
         n_rows = len(rows)
-        return (rows, ends, idx, table.weights.take(rows, axis=1), self._step.take(rows),
-                np.empty(n_rows), np.empty(n_rows))
+        return (rows, ends, _positions(table, rows, 0), table.weights.take(rows, axis=1),
+                self._step.take(rows), np.empty(n_rows), np.empty(n_rows))
 
     def _fold(self, values, gathered, policy=False):
         """Top-down column fold over the gathered open rows.
@@ -492,31 +507,47 @@ def greedy_policy(
     return pol
 
 
-def policy_index(choice: np.ndarray, table: TransitionTable) -> np.ndarray:
-    """Stencil-major gather index of a frozen policy, (nu+1, n_levels*N).
+def _frozen(choice: np.ndarray, table: TransitionTable, low: int, top: int):
+    """The frozen policy `choice` on levels low .. top-1, as one map
+    v <- base + interp(w; scaled) per row.
 
-    `choice` is level-major, (n_levels, N), as `sweep` returns it: row
-    (a, i) of the frozen operator reads its stencil at column level
-    b = choice[a, i], which is the table's level-a position shifted by
-    (b - a)*N.
+    Row (a, i) reads its stencil at level b = choice[a, i] (`_positions`)
+    and puts weight p on its own position a*N + i (duplicates summed; p = 0
+    if it switches, b > a).  Its frozen equation v = h f + beta (p v +
+    interp(w; woff)), with woff the weights off its own position and
+    beta = 1 - lambda h, solves for its own value as
+    v = (h f + beta interp(w; woff)) / (1 - beta p).  Reads only the
+    block's columns of the table and rows of `choice`, which the solver's
+    own sweep produced, so they are not checked again.  Returns, level-major
+    over the block's rows, the positions in the whole level-major vector
+    (C-ordered), woff * beta / (1 - beta p) and h f / (1 - beta p).
     """
-    nl, n_nodes = table.stage_cost.shape
-    levels = np.arange(nl)[:, None]
-    if choice.shape != (nl, n_nodes) or np.any((choice < levels) | (choice >= nl)):
-        raise ConfigurationError("policy does not fit the table's levels and nodes")
-    return table.indices + ((choice - levels) * n_nodes).ravel()
+    n_nodes = table.stage_cost.shape[1]
+    rows = np.arange(low * n_nodes, top * n_nodes)
+    index = _positions(table, rows, choice[low:top].ravel())
+    own = index == rows
+    weights = table.weights[:, low * n_nodes:top * n_nodes]
+    beta = 1.0 - table.discount * table.h
+    denom = 1.0 - beta * np.where(own, weights, 0.0).sum(axis=0)
+    scaled = np.where(own, 0.0, weights) * (beta / denom)
+    return index, scaled, table.h * table.stage_cost[low:top].ravel() / denom
 
 
-def apply_policy(values: np.ndarray, index: np.ndarray, table: TransitionTable) -> np.ndarray:
+def apply_policy(values: np.ndarray, choice: np.ndarray, table: TransitionTable) -> np.ndarray:
     """One policy-evaluation sweep: the operator with the min frozen at a policy.
 
-    `values` and the result are level-major (n_levels, N), as in `sweep`;
-    `index` is the frozen policy's policy_index, which reads `values` as
-    one flat vector of length n_levels*N.
+    `values`, the policy `choice` and the result are level-major
+    (n_levels, N), as in `sweep`: row (a, i) reads its stencil at level
+    choice[a, i].  A choice of another shape than the values, or one that
+    `PolicyField` rejects, raises ConfigurationError.
     """
-    _level_major_shape(values, table)
-    n = index.shape[1]
-    out = _interpolate(values.ravel(), index, table.weights, np.empty(n), np.empty(n))
+    shape = _level_major_shape(values, table)
+    if np.shape(choice) != shape:
+        raise ConfigurationError(
+            f"policy of shape {np.shape(choice)} does not match the table's {shape}")
+    rows = np.arange(values.size)
+    index = _positions(table, rows, PolicyField(np.asarray(choice).T).choice.T.ravel())
+    out = _interpolate(values.ravel(), index, table.weights, np.empty(rows.size), np.empty(rows.size))
     out *= 1.0 - table.discount * table.h
     out += table.h * table.stage_cost.ravel()
-    return out.reshape(values.shape)
+    return out.reshape(shape)

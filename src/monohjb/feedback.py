@@ -140,8 +140,9 @@ def cost_consistency(
 
     |sum of discounted stage costs + beta^n * u(y_n, a_n) - u(y_0, a_0)|;
     near zero when the value is close to the fixed point and interpolation
-    error along the path is small.
+    error along the path is small.  The step is checked as in `simulate`.
     """
+    _check_step(h, spec.discount)
     check_fits(value, tri, grid)
     beta = 1.0 - spec.discount * h
     n = traj.n_steps

@@ -30,6 +30,9 @@ class ControlGrid:
 
 def control_grid(h: float) -> ControlGrid:
     """Equispaced control levels {i*h}; requires 1/h to be an integer."""
+    # a boolean would pass as the step 1.0
+    if isinstance(h, (bool, np.bool_)):
+        raise ConfigurationError(f"control step must be a number, got {h!r}")
     if not h > 0:
         raise ConfigurationError(f"control step must be positive, got {h}")
     inv = 1.0 / h

@@ -61,6 +61,7 @@ def phi_n(spec: ProblemSpec, n: int, h: float, T: float) -> float:
     _check_horizon(T)
     if not 0 <= n * h <= T + 1e-12:
         raise ConfigurationError(f"step {n} outside horizon T={T} at h={h}")
+    check_count(n, "n")
     lg, lam = spec.lip_g, spec.discount
     if lg > lam:
         return math.exp((lg - lam) * T + lam * n * h)
@@ -170,12 +171,18 @@ def run_sweep(
 
 
 def fit_rate(ks: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(k)."""
+    """Least-squares slope of log(error) against log(k).
+
+    Every k must be positive and finite; rows whose error is zero or not
+    finite are left out of the fit.
+    """
     ks = np.asarray(ks, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    keep = errors > 0
+    if not np.all((ks > 0) & np.isfinite(ks)):
+        raise ConfigurationError(f"rate fit needs positive finite k, got {ks.tolist()}")
+    keep = (errors > 0) & np.isfinite(errors)
     if keep.sum() < 2:
-        raise ConfigurationError("rate fit needs at least 2 rows with positive errors")
+        raise ConfigurationError("rate fit needs at least 2 rows with positive finite errors")
     slope, _ = np.polyfit(np.log(ks[keep]), np.log(errors[keep]), 1)
     return float(slope)
 

@@ -433,8 +433,8 @@ def check_hypotheses(
     limit; with no compact given we report the inset k itself, the distance
     from the inner box to the domain boundary).
     """
-    if not h > 0:
-        raise MeshConstructionError(f"time step must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise MeshConstructionError(f"time step must be positive and finite, got {h}")
     diam = _max_norm_diameters(tri)
     hip1_ok = bool(abs(diam.max() - tri.k) <= 1e-12 * tri.k and np.all(diam <= tri.k * (1 + 1e-12)))
 
@@ -447,6 +447,10 @@ def check_hypotheses(
     if compact is not None:
         c_lo = np.asarray(compact[0], dtype=float)
         c_hi = np.asarray(compact[1], dtype=float)
+        if c_lo.shape != (tri.dim,) or c_hi.shape != (tri.dim,):
+            raise MeshConstructionError(
+                f"compact box corners of shapes {c_lo.shape} and {c_hi.shape} do not fit "
+                f"the {tri.dim}-d mesh; each must have shape ({tri.dim},)")
         hip3_margin = float(min(np.min(c_lo - tri.lower), np.min(tri.upper - c_hi)))
     else:
         hip3_margin = tri.k

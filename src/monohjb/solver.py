@@ -13,11 +13,12 @@ lowers the level, so each level reads only itself and levels already
 evaluated.  It walks blocks of consecutive whole levels that fit a fixed
 row budget (`_BLOCK_ROWS`) and iterates each block jointly, so a pass is a
 few numpy calls on several levels where the levels are small.  Every row
-of a block iterates one map (`_frozen`, built for that block when it is
-reached) with its weight on its own position solved exactly (none if it
-switches), so a change is not damped at Picard's rate 1 - lambda h.
+of a block iterates one map (`bellman._frozen`, built for that block when
+it is reached) with its weight on its own position solved exactly (none if
+it switches), so a change is not damped at Picard's rate 1 - lambda h.
 However accurate that evaluation is, the certificate comes from the greedy
-sweep's residual after it, as for Picard.
+sweep's residual after it, as for Picard.  The solver reads no stencil of
+the table itself: the sweeps and the frozen maps are bellman's.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 # apply, apply_policy and sup_norm_diff are not called here but stay module
 # attributes: perfbench/spans.py traces them under these names.
 from .bellman import (  # noqa: F401
-    PolicyField, Sweeper, TransitionTable, _check_step, _interpolate, apply, apply_policy,
-    table_for,
+    PolicyField, Sweeper, TransitionTable, _check_step, _frozen, _interpolate, apply,
+    apply_policy, table_for,
 )
 from .errors import ConfigurationError, NonConvergenceError, check_count
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
@@ -124,31 +125,6 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
 _BLOCK_ROWS = 8192
 
 
-def _frozen(choice: np.ndarray, table: TransitionTable, low: int, top: int):
-    """The frozen policy `choice` on levels low .. top-1, as one map
-    v <- base + interp(w; scaled) per row.
-
-    Row (a, i) reads its stencil at level b = choice[a, i], the table's
-    level-a positions shifted by (b - a)*N, and puts weight p on its own
-    position a*N + i (duplicates summed; p = 0 if it switches, b > a).  Its
-    frozen equation v = h f + beta (p v + interp(w; woff)), with woff the
-    weights off its own position and beta = 1 - lambda h, solves for its
-    own value as v = (h f + beta interp(w; woff)) / (1 - beta p).  Reads
-    only the block's columns of the table and rows of `choice`, which the
-    solver's own sweep produced, so they are not checked again.  Returns,
-    level-major over the block's rows, the positions in the whole
-    level-major vector, woff * beta / (1 - beta p) and h f / (1 - beta p).
-    """
-    n_nodes = table.stage_cost.shape[1]
-    rows = slice(low * n_nodes, top * n_nodes)
-    index = table.indices[:, rows] + (choice[low:top] - np.arange(low, top)[:, None]).ravel() * n_nodes
-    own = index == np.arange(rows.start, rows.stop)
-    beta = 1.0 - table.discount * table.h
-    denom = 1.0 - beta * np.where(own, table.weights[:, rows], 0.0).sum(axis=0)
-    scaled = np.where(own, 0.0, table.weights[:, rows]) * (beta / denom)
-    return index, scaled, table.h * table.stage_cost[low:top].ravel() / denom
-
-
 def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
               tolerance: float, max_iterations: int):
     """The value of the frozen policy `choice`, one block of levels at a time.
@@ -157,9 +133,9 @@ def _evaluate(values: np.ndarray, choice: np.ndarray, table: TransitionTable,
     the levels above it.  The levels are walked in blocks of consecutive
     whole levels, top block first, each as many levels as fit
     `_BLOCK_ROWS` rows (at least one): the levels above a block are final
-    when it is reached.  Each block's map (`_frozen`) and pass buffers are
-    built when the block is reached, so only one block's are held at a
-    time.  Starting from `values`, every row of the block iterates
+    when it is reached.  Each block's map (`bellman._frozen`) and pass
+    buffers are built when the block is reached, so only one block's are
+    held at a time.  Starting from `values`, every row of the block iterates
     v <- base + interp(w; scaled) (`bellman._interpolate`), each row's own
     weight solved exactly, until a pass changes the block by at most
     `tolerance`, or for max_iterations passes.  A pass is Jacobi over the
@@ -209,7 +185,7 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     eval_tolerance = threshold * table.discount * table.h
     sweeper = Sweeper(table)
     u = np.zeros(table.stage_cost.shape)
-    choice = np.indices(u.shape)[0]
+    choice = np.repeat(np.arange(len(u))[:, None], u.shape[1], axis=1)
     history, evaluations = [], []
     for _ in range(max_iterations):
         w, passes = _evaluate(u, choice, table, eval_tolerance, max_iterations)

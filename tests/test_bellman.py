@@ -25,9 +25,9 @@ from monohjb import (
     sup_norm_diff,
 )
 from monohjb import solver
-from monohjb.bellman import Sweeper, TransitionTable, apply_policy, policy_index, sweep
+from monohjb.bellman import Sweeper, TransitionTable, _frozen, apply_policy, sweep
 from monohjb.mesh import locate_many
-from monohjb.solver import _evaluate, _frozen
+from monohjb.solver import _evaluate
 
 
 @pytest.fixture(scope="module")
@@ -444,16 +444,17 @@ class TestSweepKernel:
                 TransitionTable(indices=indices, weights=weights, stage_cost=stage_cost,
                                 h=table.h, discount=table.discount)
         levels = np.arange(grid.n_levels)[:, None]
+        values = np.zeros((grid.n_levels, tri.n_vertices))
         for choice in [np.full((grid.n_levels, tri.n_vertices), grid.n_levels),
                        np.zeros((tri.n_vertices, grid.n_levels), dtype=int),
                        np.broadcast_to(levels - 1, (grid.n_levels, tri.n_vertices))]:
             with pytest.raises(ConfigurationError):
-                policy_index(choice, table)
-        index = policy_index(np.broadcast_to(levels, (grid.n_levels, tri.n_vertices)), table)
+                apply_policy(values, choice, table)
+        choice = np.broadcast_to(levels, (grid.n_levels, tri.n_vertices))
         for values in [np.zeros((tri.n_vertices, grid.n_levels)),
                        np.zeros(grid.n_levels * tri.n_vertices)]:
             with pytest.raises(ConfigurationError):
-                apply_policy(values, index, table)
+                apply_policy(values, choice, table)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -720,7 +721,7 @@ class TestLevelEvaluation:
         start = rng.uniform(-1, 1, size=(nl, n_nodes))
         with blocks_of(block_levels or nl, n_nodes):
             w, _ = _evaluate(start, choice, table, tolerance, 10_000)
-        residual = np.abs(apply_policy(w, policy_index(choice, table), table) - w).max()
+        residual = np.abs(apply_policy(w, choice, table) - w).max()
         assert residual <= (1.0 - h) * tolerance + 1e-14
 
     @pytest.mark.parametrize("seed", range(5))
@@ -749,6 +750,48 @@ class TestLevelEvaluation:
             with blocks_of(levels, n_nodes):
                 w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, table, 1e-15, 10_000)
             np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
+
+    def test_frozen_positions_are_c_ordered(self):
+        """Each block's positions are the stored ones shifted to the chosen
+        level, as one C-ordered array: `_interpolate` reads one stencil
+        vertex's row at a time, and a strided row slows every pass."""
+        rng = np.random.default_rng(3)
+        nl, n_nodes = 4, 6
+        table = random_table(rng, nl, n_nodes, 3, 0.25, rng.normal(size=(nl, n_nodes)))
+        choice = random_choice(rng, nl, n_nodes)
+        for low, top in ((0, nl), (1, 3), (3, 4)):
+            index = _frozen(choice, table, low, top)[0]
+            assert index.flags.c_contiguous
+            rows = np.arange(low * n_nodes, top * n_nodes)
+            shift = (choice[low:top].ravel() - rows // n_nodes) * n_nodes
+            np.testing.assert_array_equal(index, table.indices[:, rows] + shift)
+
+    @pytest.mark.parametrize("bad", ["above_top", "far_above_top", "below_own_level",
+                                     "node_major", "fraction", "boolean"])
+    def test_apply_policy_rejects_a_bad_choice(self, bad):
+        """apply_policy takes the policy, not gather positions, and checks
+        it: no caller's number reaches the gather's mode="clip"."""
+        rng = np.random.default_rng(4)
+        nl, n_nodes = 3, 5
+        table = random_table(rng, nl, n_nodes, 3, 0.25, rng.normal(size=(nl, n_nodes)))
+        values = rng.normal(size=(nl, n_nodes))
+        choice = random_choice(rng, nl, n_nodes)
+        assert apply_policy(values, choice, table).shape == (nl, n_nodes)
+        if bad == "above_top":
+            choice[0, 0] = nl
+        elif bad == "far_above_top":
+            choice = np.full((nl, n_nodes), 10**9)
+        elif bad == "below_own_level":
+            choice[2, 1] = 1
+        elif bad == "node_major":
+            choice = np.full((n_nodes, nl), nl - 1)
+        elif bad == "fraction":
+            choice = choice.astype(float)
+            choice[0, 0] = 0.5
+        else:
+            choice = np.ones((nl, n_nodes), dtype=bool)
+        with pytest.raises(ConfigurationError):
+            apply_policy(values, choice, table)
 
     def test_holds_one_block(self, paper):
         """Howard's first evaluation, the stay policy from zero under the

@@ -102,6 +102,15 @@ def test_cost_consistency_rejects_value_of_another_grid(paper, solved):
         cost_consistency(paper, tri, grid, coarse_u, traj, 0.1)
 
 
+def test_cost_consistency_checks_the_step(paper, solved):
+    """As in simulate: with discount 1 the step 2.0 gives beta = -1."""
+    tri, grid, u = solved
+    traj = simulate(paper, tri, grid, u, np.array([0.5, 0.5]), 0, 0.1, 3)
+    for h in (2.0, 0.0, np.nan):
+        with pytest.raises(ConfigurationError, match="time step must satisfy"):
+            cost_consistency(paper, tri, grid, u, traj, h)
+
+
 def test_trajectory_exits_domain():
     expanding = ProblemSpec(
         dynamics=lambda x, a: 2.0 * np.asarray(x, dtype=float),

@@ -42,6 +42,12 @@ def test_control_grid_rejects_non_positive_step(h):
         control_grid(h)
 
 
+@pytest.mark.parametrize("h", [True, np.bool_(True)])
+def test_control_grid_rejects_a_boolean_step(h):
+    with pytest.raises(ConfigurationError, match="control step must be a number"):
+        control_grid(h)
+
+
 def test_level_index_roundtrip():
     g = control_grid(0.25)
     assert level_index(g, 0.75) == 3

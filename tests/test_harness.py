@@ -86,6 +86,11 @@ class TestBoundShapes:
         with pytest.raises(ConfigurationError, match=f"step {n} outside horizon"):
             phi_n(paper, n, 0.1, 4.0)
 
+    @pytest.mark.parametrize("n", [0.5, True, np.float64(2.0)])
+    def test_phi_n_step_must_be_an_integer(self, paper, n):
+        with pytest.raises(ConfigurationError, match="n must be an integer"):
+            phi_n(paper, n, 0.1, 1.0)
+
     def test_infinite_horizon(self, paper, toy_1d):
         assert phi_T(paper, math.inf) == math.inf
         assert phi_T(constants(1.0, 2.0), math.inf) == 1.0
@@ -115,6 +120,23 @@ class TestFitRate:
     def test_too_few_points(self):
         with pytest.raises(ConfigurationError):
             fit_rate([0.1], [0.01])
+
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_k_must_be_positive_and_finite(self, capfd, bad):
+        ks = np.array([0.4, 0.2, bad])
+        with pytest.raises(ConfigurationError, match="positive finite k"):
+            fit_rate(ks, [0.16, 0.04, 0.01])
+        # no numpy warning and no LAPACK message on stderr
+        assert capfd.readouterr().err == ""
+
+    def test_non_finite_error_is_dropped(self):
+        ks = np.array([0.4, 0.2, 0.1, 0.05])
+        errors = ks ** 2
+        errors[0] = math.inf
+        assert fit_rate(ks, errors) == pytest.approx(2.0, abs=1e-10)
+        errors[1] = math.nan
+        assert fit_rate(ks, errors) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestOracle:

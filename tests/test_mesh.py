@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +217,13 @@ class TestHypotheses:
         rep = check_hypotheses(tri, paper, 2.0, control_grid(0.5).levels)
         assert not rep.hip2_ok
 
+    def test_infinite_step_is_rejected(self, paper):
+        tri = build_uniform(BOX, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshConstructionError, match="time step must be positive"):
+                check_hypotheses(tri, paper, math.inf, control_grid(0.5).levels)
+
     def test_uniform_diameter_ratio(self, paper):
         tri = build_uniform(BOX, 0.5)
         rep = check_hypotheses(tri, paper, 0.5, control_grid(0.5).levels)
@@ -230,6 +239,20 @@ class TestHypotheses:
             compact=(np.array([-0.25, -0.25]), np.array([0.25, 0.25])),
         )
         assert rep.hip3_margin == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("compact", [
+        ([0.0], [1.0]),
+        (np.zeros(3), np.ones(3)),
+        (np.zeros((1, 2)), np.ones(2)),
+        (0.0, [1.0, 1.0]),
+    ])
+    def test_compact_corners_must_fit_the_mesh(self, paper, compact):
+        """A corner of another shape than (nu,) is not broadcast: ([0], [1])
+        on the 2-d mesh used to give the margin -0.25."""
+        tri = build_uniform(BOX, 0.25)
+        shapes = f"{np.shape(compact[0])} and {np.shape(compact[1])}"
+        with pytest.raises(MeshConstructionError, match=re.escape(shapes)):
+            check_hypotheses(tri, paper, 0.25, control_grid(0.25).levels, compact=compact)
 
 
 def test_dump_format():

@@ -27,7 +27,7 @@ from monohjb import (
     tail_bound,
 )
 from monohjb import bellman, solver
-from monohjb.bellman import apply_policy, policy_index
+from monohjb.bellman import apply_policy
 from monohjb.fespace import nodal_csv
 
 
@@ -243,7 +243,7 @@ def test_apply_policy_matches_node_loop(paper):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(nl, n_nodes))
     choice = np.array([[rng.integers(a, nl) for _ in range(n_nodes)] for a in range(nl)])
-    got = apply_policy(values, policy_index(choice, table), table)
+    got = apply_policy(values, choice, table)
     assert got.shape == (nl, n_nodes)
     beta = 1.0 - paper.discount * hk
     expected = np.empty_like(values)
