@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfDomainError
+from .errors import ConfigurationError, OutOfDomainError, is_boolean
 from .fespace import ControlGrid, GridFunction, check_fits
 from .mesh import Triangulation, _euler_images, _locate_point, locate_many
 from .problem import ProblemSpec, level_data
@@ -146,7 +146,7 @@ def _level_major_shape(values: np.ndarray, table: TransitionTable) -> tuple:
 
 
 def _check_step(h: float, lam: float):
-    if not 0.0 < h < 1.0 / lam:
+    if is_boolean(h) or not 0.0 < h < 1.0 / lam:
         raise ConfigurationError(
             f"time step must satisfy 0 < h < 1/discount = {1.0 / lam}, got {h}"
         )

@@ -224,6 +224,7 @@ def cmd_simulate(cfg, out_dir, snap_k) -> int:
         "discounted_total": f"{traj.discounted_total:.17g}",
         "bellman_identity_gap": f"{gap:.17g}",
         "terminal_control": f"{grid.levels[traj.terminal_control]:.17g}",
+        "terminal_state": "[" + ", ".join(f"{x:.17g}" for x in traj.states[-1]) + "]",
     }))
     return 0
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the solver package, and the check of count
-arguments that raises one of them."""
+"""Exception types shared across the solver package, and the checks of count
+and boolean arguments that the entry points raise them with."""
 
 import numbers
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -15,6 +17,12 @@ def check_count(value, name: str, least: int = 0):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigurationError(f"{name} must be at least {least}, got {value}")
+
+
+def is_boolean(value) -> bool:
+    """Whether value is a Python or numpy bool, which a numeric range check
+    would read as 0 or 1; no step, size, level or horizon is one."""
+    return isinstance(value, (bool, np.bool_))
 
 
 class UnknownProblemError(LookupError):

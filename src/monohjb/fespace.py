@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, check_count
+from .errors import ConfigurationError, DimensionMismatchError, check_count, is_boolean
 from .mesh import Triangulation, locate
 
 _INV_TOL = 1e-9
@@ -31,7 +31,7 @@ class ControlGrid:
 def control_grid(h: float) -> ControlGrid:
     """Equispaced control levels {i*h}; requires 1/h to be an integer."""
     # a boolean would pass as the step 1.0
-    if isinstance(h, (bool, np.bool_)):
+    if is_boolean(h):
         raise ConfigurationError(f"control step must be a number, got {h!r}")
     if not h > 0:
         raise ConfigurationError(f"control step must be positive, got {h}")
@@ -45,7 +45,7 @@ def control_grid(h: float) -> ControlGrid:
 def level_index(grid: ControlGrid, a: float) -> int:
     """Map a control value to its grid index; the value must sit on the grid."""
     idx = np.rint(a / grid.h)  # NaN for a NaN value, which fails the range check
-    if not 0 <= idx <= grid.m or abs(a - idx * grid.h) > _INV_TOL:
+    if is_boolean(a) or not 0 <= idx <= grid.m or abs(a - idx * grid.h) > _INV_TOL:
         raise ConfigurationError(f"control value {a} is not a grid level (h={grid.h})")
     return int(idx)
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bellman import _check_step, lookahead
-from .errors import ConfigurationError, NonConvergenceError, check_count
+from .errors import ConfigurationError, NonConvergenceError, check_count, is_boolean
 from .fespace import GridFunction, control_grid
 from .mesh import build_uniform, locate_many
 from .problem import ProblemSpec, holder_exponent
@@ -33,7 +33,7 @@ from .solver import SolveOptions, solve, solve_finite_horizon
 def theoretical_envelope(spec: ProblemSpec, h: float, k: float) -> float:
     """Shape of the total error bound, (h + k/sqrt(h))^gamma, with gamma the
     Holder exponent of the value function (`problem.holder_exponent`)."""
-    if not (0 < h < math.inf and 0 <= k < math.inf):
+    if is_boolean(h) or is_boolean(k) or not (0 < h < math.inf and 0 <= k < math.inf):
         raise ConfigurationError(f"need finite h > 0 and k >= 0, got h={h}, k={k}")
     return (h + k / math.sqrt(h)) ** holder_exponent(spec)
 
@@ -41,7 +41,7 @@ def theoretical_envelope(spec: ProblemSpec, h: float, k: float) -> float:
 def _check_horizon(T: float):
     """Raise ConfigurationError unless the horizon T is >= 0 (+inf allowed)."""
     # written so that a NaN horizon fails
-    if not T >= 0:
+    if is_boolean(T) or not T >= 0:
         raise ConfigurationError(f"horizon T must be nonnegative, got {T}")
 
 
@@ -173,11 +173,16 @@ def run_sweep(
 def fit_rate(ks: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(k).
 
-    Every k must be positive and finite; rows whose error is zero or not
-    finite are left out of the fit.
+    ks and errors must be 1-d and of equal length.  Every k must be
+    positive and finite; rows whose error is zero or not finite are left out
+    of the fit.
     """
     ks = np.asarray(ks, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if ks.ndim != 1 or ks.shape != errors.shape:
+        raise ConfigurationError(
+            f"rate fit needs 1-d ks and errors of equal length, got shapes {ks.shape} "
+            f"and {errors.shape}")
     if not np.all((ks > 0) & np.isfinite(ks)):
         raise ConfigurationError(f"rate fit needs positive finite k, got {ks.tolist()}")
     keep = (errors > 0) & np.isfinite(errors)

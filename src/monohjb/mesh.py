@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MeshConstructionError, OutOfDomainError
+from .errors import DimensionMismatchError, MeshConstructionError, OutOfDomainError, is_boolean
 from .problem import ProblemSpec, level_data
 
 _COMMENSURATE_TOL = 1e-9
@@ -135,7 +135,7 @@ def snap_mesh_size(domain, k: float) -> float:
     """The k' = w/n nearest to k, with w the smallest domain width and n >= 3,
     that is within a factor of 2 of k and that `build_uniform` accepts on
     every axis; MeshConstructionError, naming an axis, if there is none."""
-    if not 0.0 < k < math.inf:
+    if is_boolean(k) or not 0.0 < k < math.inf:
         raise MeshConstructionError(f"mesh size must be positive and finite, got {k}")
     lower, upper = _corners(domain)
     widths = (upper - lower).tolist()
@@ -161,7 +161,7 @@ def snap_mesh_size(domain, k: float) -> float:
 def build_uniform(domain, k: float) -> Triangulation:
     """Uniform Kuhn triangulation of the inner box [lower+k, upper-k]."""
     lower, upper = _corners(domain)
-    if not k > 0:
+    if is_boolean(k) or not k > 0:
         raise MeshConstructionError(f"mesh size must be positive, got {k}")
     widths = upper - lower
     nu = lower.shape[0]
@@ -422,6 +422,10 @@ def check_hypotheses(
 ) -> MeshReport:
     """Validate the triangulation against the scheme's mesh hypotheses.
 
+    h must be a positive finite number and control_levels a nonempty 1-d
+    array of values in [0, 1], the controls a ProblemSpec's callables accept;
+    anything else raises MeshConstructionError.
+
     hip2_ok tests exactly the points the Bellman operator evaluates: every
     vertex pushed one Euler step under every control level must stay inside
     the inner box by the locator's own test (`_inside`), so it holds exactly
@@ -433,14 +437,23 @@ def check_hypotheses(
     limit; with no compact given we report the inset k itself, the distance
     from the inner box to the domain boundary).
     """
-    if not 0 < h < math.inf:
+    if is_boolean(h) or not 0 < h < math.inf:
         raise MeshConstructionError(f"time step must be positive and finite, got {h}")
+    try:
+        levels = np.asarray(control_levels, dtype=float)
+    except (TypeError, ValueError):
+        levels = None
+    # written so that NaN fails
+    if levels is None or levels.ndim != 1 or not levels.size or not np.all(
+            (levels >= 0.0) & (levels <= 1.0)):
+        raise MeshConstructionError(
+            f"control levels must be a nonempty 1-d array of values in [0, 1], "
+            f"got {control_levels!r}")
     diam = _max_norm_diameters(tri)
     hip1_ok = bool(abs(diam.max() - tri.k) <= 1e-12 * tri.k and np.all(diam <= tri.k * (1 + 1e-12)))
 
     # stencil-major, so the test's inner loops run over the nodes; all()
     # stops at the first failing level, before the next level's callbacks
-    levels = np.asarray(control_levels, dtype=float)
     hip2_ok = all(_inside(tri, images.T.copy()).all()
                   for images, _ in _euler_images(spec, tri, h, levels))
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    ConfigurationError, InvalidProblemDataError, UnknownProblemError, check_count,
+    ConfigurationError, InvalidProblemDataError, UnknownProblemError, check_count, is_boolean,
 )
 
 Vector = np.ndarray
@@ -52,8 +52,9 @@ class ProblemSpec:
         lower = np.asarray(self.domain[0], dtype=float)
         upper = np.asarray(self.domain[1], dtype=float)
         object.__setattr__(self, "domain", (lower, upper))
-        if self.discount <= 0:
-            raise ConfigurationError(f"discount must be positive, got {self.discount}")
+        if is_boolean(self.discount) or not 0 < self.discount < math.inf:
+            raise ConfigurationError(
+                f"discount must be positive and finite, got {self.discount!r}")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ConfigurationError("domain corners must be 1-d arrays of equal length")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -62,8 +63,10 @@ class ProblemSpec:
         if not np.all(lower < upper):
             raise ConfigurationError("domain lower corner must be strictly below upper")
         for c in ("lip_g", "bound_g", "lip_f", "bound_f"):
-            if getattr(self, c) < 0:
-                raise ConfigurationError(f"{c} must be nonnegative")
+            value = getattr(self, c)
+            # written so that NaN fails
+            if not value >= 0:
+                raise ConfigurationError(f"{c} must be nonnegative, got {value}")
         if self.gamma_override is not None and not (0.0 < self.gamma_override < 1.0):
             raise ConfigurationError("gamma_override must lie in (0,1)")
 

@@ -36,7 +36,7 @@ from .bellman import (  # noqa: F401
     PolicyField, Sweeper, TransitionTable, _check_step, _frozen, _interpolate, apply,
     apply_policy, table_for,
 )
-from .errors import ConfigurationError, NonConvergenceError, check_count
+from .errors import ConfigurationError, NonConvergenceError, check_count, is_boolean
 from .fespace import ControlGrid, GridFunction, sup_norm_diff  # noqa: F401
 from .mesh import Triangulation
 from .problem import ProblemSpec
@@ -59,7 +59,7 @@ class SolveOptions:
         target = self.target
         # a boolean would pass as the target 1.0
         if self.stop_rule == "target_bound" and (
-                target is None or isinstance(target, (bool, np.bool_))
+                target is None or is_boolean(target)
                 or not math.isfinite(target) or target <= 0):
             raise ConfigurationError(
                 f"target_bound stop rule needs a positive finite target, got {target}")

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 import yaml
 
-from monohjb import builtin, theoretical_envelope
+from monohjb import (
+    SolveOptions, build_uniform, builtin, control_grid, level_index, simulate, solve,
+    theoretical_envelope,
+)
 from monohjb.cli import main
 from monohjb.harness import run_sweep
 
@@ -151,6 +155,25 @@ def test_simulate_csv_ends_in_the_reported_total(tmp_path):
     last = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")[-1]
     report = (tmp_path / "out" / "report.txt").read_text()
     assert f"discounted_total: {last.split(',')[-1]}\n" in report
+
+
+def test_simulate_reports_the_terminal_state(tmp_path):
+    """report.txt's terminal_state is the state after the last step, where
+    bellman_identity_gap is evaluated and which trajectory.csv (steps 0 to
+    n - 1) does not hold; it parses back to the library's, bit for bit."""
+    cfg = write_config(tmp_path, k=0.1, h=0.1,
+                       simulate={"x0": [0.5, 0.5], "a0": 1.0, "steps": 100})
+    assert run("simulate", cfg, tmp_path / "out") == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    line = next(l for l in report.splitlines() if l.startswith("terminal_state: "))
+    reported = np.array([float(x) for x in line.split(": ", 1)[1].strip("[]").split(", ")])
+
+    spec = builtin("paper_example_2d")
+    tri = build_uniform(spec.domain, 0.1)
+    grid = control_grid(0.1)
+    u, _, _ = solve(spec, tri, grid, SolveOptions(h=0.1))
+    traj = simulate(spec, tri, grid, u, np.array([0.5, 0.5]), level_index(grid, 1.0), 0.1, 100)
+    assert reported.tobytes() == traj.states[-1].tobytes()
 
 
 @pytest.mark.parametrize("x0", [[0.3], [0.3, 0.3, 0.3]])

@@ -1,21 +1,30 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from monohjb import (
     ConfigurationError,
+    GridFunction,
+    MeshConstructionError,
     ProblemSpec,
     SolveOptions,
     brute_force_oracle,
+    build_table,
     build_uniform,
+    check_hypotheses,
     control_grid,
+    cost_consistency,
     evaluate,
     fit_rate,
+    level_index,
     phi_T,
     phi_n,
     run_sweep,
+    simulate,
+    snap_mesh_size,
     solve,
     solve_finite_horizon,
     sup_norm_diff,
@@ -130,6 +139,14 @@ class TestFitRate:
         # no numpy warning and no LAPACK message on stderr
         assert capfd.readouterr().err == ""
 
+    def test_inputs_must_line_up(self):
+        """A short error list raised numpy's IndexError, and 2-d inputs were
+        fitted as one flat list."""
+        with pytest.raises(ConfigurationError, match=r"shapes \(3,\) and \(2,\)"):
+            fit_rate([0.4, 0.2, 0.1], [0.16, 0.04])
+        with pytest.raises(ConfigurationError, match=r"shapes \(2, 2\) and \(2, 2\)"):
+            fit_rate([[0.4, 0.2], [0.1, 0.05]], [[0.16, 0.04], [0.01, 0.0025]])
+
     def test_non_finite_error_is_dropped(self):
         ks = np.array([0.4, 0.2, 0.1, 0.05])
         errors = ks ** 2
@@ -137,6 +154,49 @@ class TestFitRate:
         assert fit_rate(ks, errors) == pytest.approx(2.0, abs=1e-10)
         errors[1] = math.nan
         assert fit_rate(ks, errors) == pytest.approx(2.0, abs=1e-10)
+
+
+# Each entry point that reads a step, a mesh size, a level or a horizon, with
+# a flag b in that place; float(True) is 1, which passed every range check.
+_BOOLEAN_CALLS = {
+    "solve": (lambda c, b: solve(c.spec, c.tri, c.grid, SolveOptions(h=b)), ConfigurationError),
+    "build_table": (lambda c, b: build_table(c.spec, c.tri, c.grid, b), ConfigurationError),
+    "simulate": (lambda c, b: simulate(c.spec, c.tri, c.grid, c.u, np.zeros(2), 0, b, 1),
+                 ConfigurationError),
+    "cost_consistency": (lambda c, b: cost_consistency(c.spec, c.tri, c.grid, c.u, c.traj, b),
+                         ConfigurationError),
+    "solve_finite_horizon": (lambda c, b: solve_finite_horizon(c.spec, c.tri, c.grid, b, 1),
+                             ConfigurationError),
+    "brute_force_oracle": (lambda c, b: brute_force_oracle(c.spec, c.tri, c.grid, b, 1),
+                           ConfigurationError),
+    "snap_mesh_size": (lambda c, b: snap_mesh_size(c.spec.domain, b), MeshConstructionError),
+    "build_uniform": (lambda c, b: build_uniform((np.full(2, -2.0), np.full(2, 2.0)), b),
+                      MeshConstructionError),
+    "check_hypotheses": (lambda c, b: check_hypotheses(c.tri, c.spec, b, c.grid.levels),
+                         MeshConstructionError),
+    "level_index": (lambda c, b: level_index(c.grid, b), ConfigurationError),
+    "envelope_h": (lambda c, b: theoretical_envelope(c.spec, b, 0.5), ConfigurationError),
+    "envelope_k": (lambda c, b: theoretical_envelope(c.spec, 0.5, b), ConfigurationError),
+    "phi_T": (lambda c, b: phi_T(c.spec, b), ConfigurationError),
+    "phi_n": (lambda c, b: phi_n(c.spec, 0, 0.5, b), ConfigurationError),
+    "tail_bound": (lambda c, b: tail_bound(c.spec, b), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy_bool"])
+@pytest.mark.parametrize("name", sorted(_BOOLEAN_CALLS))
+def test_a_boolean_is_not_a_step_size_level_or_horizon(paper, name, flag):
+    """At discount 0.5 the step h = True passed as h = 1, and solve certified
+    0.25 at it; each entry point now raises the error of its other bad values."""
+    spec = dataclasses.replace(paper, discount=0.5)
+    tri = build_uniform(spec.domain, 0.5)
+    grid = control_grid(0.5)
+    u = GridFunction.zeros(tri, grid)
+    traj = simulate(spec, tri, grid, u, np.zeros(2), 0, 0.5, 1)
+    case = SimpleNamespace(spec=spec, tri=tri, grid=grid, u=u, traj=traj)
+    call, error = _BOOLEAN_CALLS[name]
+    with pytest.raises(error):
+        call(case, flag)
 
 
 class TestOracle:

@@ -224,6 +224,16 @@ class TestHypotheses:
             with pytest.raises(MeshConstructionError, match="time step must be positive"):
                 check_hypotheses(tri, paper, math.inf, control_grid(0.5).levels)
 
+    @pytest.mark.parametrize("levels", [
+        [], [[0.0, 1.0]], [0.0, math.nan], [0.0, math.inf], [-0.5, 0.0], [0.0, 1.5], ["low"],
+    ], ids=["empty", "2d", "nan", "inf", "below_0", "above_1", "text"])
+    def test_control_levels_must_be_a_vector_in_the_unit_interval(self, paper, levels):
+        """[] gave hip2_ok after checking no level, and [[0, 1]] let numpy's
+        TypeError escape."""
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(MeshConstructionError, match="control levels must be a nonempty 1-d"):
+            check_hypotheses(tri, paper, 0.5, levels)
+
     def test_uniform_diameter_ratio(self, paper):
         tri = build_uniform(BOX, 0.5)
         rep = check_hypotheses(tri, paper, 0.5, control_grid(0.5).levels)

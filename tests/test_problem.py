@@ -121,6 +121,23 @@ def test_spec_validation():
         dataclasses.replace(_spec_with(1.0, 2.0), bound_f=-1.0)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("discount", math.nan, "discount must be positive and finite"),
+    ("discount", math.inf, "discount must be positive and finite"),
+    ("discount", True, "discount must be positive and finite"),
+    ("discount", np.bool_(True), "discount must be positive and finite"),
+    ("lip_g", math.nan, "lip_g must be nonnegative"),
+    ("bound_g", math.nan, "bound_g must be nonnegative"),
+    ("lip_f", math.nan, "lip_f must be nonnegative"),
+    ("bound_f", math.nan, "bound_f must be nonnegative"),
+])
+def test_spec_rejects_non_finite_numbers(paper, field, value, message):
+    """A NaN discount surfaced later as "1/discount = nan", a NaN lip_g as
+    "discount equals lip_g", and a NaN bound_f as a NaN tail bound."""
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(paper, **{field: value})
+
+
 @pytest.mark.parametrize("corner", [math.inf, -math.inf, math.nan])
 def test_spec_rejects_non_finite_domain_corner(paper, corner):
     with pytest.raises(ConfigurationError, match="domain corners must be finite"):
