@@ -8,12 +8,16 @@ which includes that point location), one Bellman sweep value-only and with
 the argmin policy (on random values), the finite-horizon recursion with mu = 4
 steps and one sweep at its result, value-only and with the policy (the
 greedy policy of that recursion), Picard and Howard under the paper stop
-rule and to a 1e-8 certified error (with their iteration counts and
-certificates; for Picard the milliseconds per sweep, counting the closing
-policy sweep, and the number of sweeps that gathered their open rows, from
-one more solve; for Howard the passes over each block of levels of each
-policy evaluation and the tracemalloc peak of one more solve, on the built
-table), one sweep at the Howard 1e-8 value, value-only and with
+rule and to a 1e-8 certified error, and Picard to 1e-12 (with their
+iteration counts and certificates; for Picard the milliseconds per sweep,
+counting the closing policy sweep, and, from one more solve, the first
+sweep that decides rows (`Sweeper.decided_levels`), the number of decision
+checks (sweeps given a change while undecided rows remain), the rows left
+undecided at the stop and the mean milliseconds per value sweep before and
+after the first deciding sweep, that sweep itself in neither; for Howard
+the passes over each block of levels of each policy evaluation and the
+tracemalloc peak of one more solve, on the built table), one sweep at the
+Howard 1e-8 value, value-only and with
 the policy, the nodal CSV of the mu = 4 value (also its bytes and
 nanoseconds per line; timed in a fresh process that holds only the mesh and
 that value, where each call pays for the pages of its output, and in this
@@ -34,10 +38,11 @@ version, as JSON.
 
 Usage: python3 scripts/bench.py [--out bench.json]
 
-At k = h = 0.025 the Picard 1e-8 row is skipped (about 700 sweeps, over
-10 s a run).  At 0.0125 every row is skipped but the set-up rows, the two
-sweeps on random values, the mu = 4 rows, Howard 1e-8 (about 3 s a solve)
-and the nodal CSV, so the default run stays within a few minutes.
+At k = h = 0.025 the Picard 1e-8 and 1e-12 rows are skipped (about 700
+sweeps to 1e-8, over 10 s a run).  At 0.0125 every row is skipped but the
+set-up rows, the two sweeps on random values, the mu = 4 rows, Howard 1e-8
+(about 3 s a solve) and the nodal CSV, so the default run stays within a
+few minutes.
 """
 
 import argparse
@@ -74,6 +79,7 @@ from monohjb.problem import level_data
 
 SIZES = (0.1, 0.05, 0.025, 0.0125)
 TIGHT = 1e-8
+TIGHTER = 1e-12
 MU = 4
 REPEATS = 5
 LOCATE_POINTS = 2000
@@ -84,8 +90,8 @@ ROLLOUT_STEPS = 100
 FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "sweep_policy",
                "finite_mu4", "sweep_mu4", "sweep_policy_mu4", "howard_1e-8", "nodal_csv",
                "nodal_csv_in_process")
-# the solver row skipped at the second finest size
-TIGHT_PICARD = "picard_1e-8"
+# the solver rows skipped at the second finest size
+TIGHT_PICARD = ("picard_1e-8", "picard_1e-12")
 
 
 def timed(fn):
@@ -120,23 +126,46 @@ def settled_share(values, table, policy=False):
     return 1.0 - len(Sweeper(table).open_rows(values, policy)) / values.size
 
 
-def gathers(fn):
-    """The number of sweeps that gather their open rows (`Sweeper._gather`)
-    during fn()."""
-    calls = []
-    gather = Sweeper._gather
-    with mock.patch.object(Sweeper, "_gather",
-                           lambda self, rows: calls.append(rows) or gather(self, rows)):
+def decisions(fn):
+    """How the value sweeps of the Picard solve fn() decide rows: the first
+    sweep (counted from 1) that decides any, the number of decision checks,
+    the rows undecided at the stop and the mean milliseconds per value sweep
+    before and after the first deciding sweep (None where there is none)."""
+    sweeps = []  # (seconds, given a change, undecided rows before, after)
+    call = Sweeper.__call__
+
+    def record(self, values, policy=False, change=None):
+        before = int((self.decided_levels() < 0).sum())
+        t0 = time.perf_counter()
+        out = call(self, values, policy, change)
+        seconds = time.perf_counter() - t0
+        if not policy:
+            sweeps.append((seconds, change is not None, before,
+                           int((self.decided_levels() < 0).sum())))
+        return out
+
+    with mock.patch.object(Sweeper, "__call__", record):
         fn()
-    return len(calls)
+    first = next((n for n, (_, _, before, after) in enumerate(sweeps) if after < before), None)
+
+    def mean_ms(part):
+        return statistics.mean(seconds for seconds, *_ in part) * 1e3 if part else None
+
+    return {
+        "first_deciding_sweep": None if first is None else first + 1,
+        "decision_checks": sum(checked and before > 0 for _, checked, before, _ in sweeps),
+        "undecided_at_stop": sweeps[-1][3],
+        "ms_per_sweep_before_deciding": mean_ms(sweeps if first is None else sweeps[:first]),
+        "ms_per_sweep_after_deciding": None if first is None else mean_ms(sweeps[first + 1:]),
+    }
 
 
 def bench_size(spec, k):
     rows = {}
 
     def skip(name):
-        # at 0.025: Picard about 700 sweeps (over 10 s)
-        if (name == TIGHT_PICARD and k == SIZES[-2]) or \
+        # at 0.025: Picard about 700 sweeps to 1e-8 (over 10 s)
+        if (name in TIGHT_PICARD and k == SIZES[-2]) or \
                 (k == SIZES[-1] and name not in FINEST_ROWS):
             rows[name] = {"seconds": None}
             print(f"k=h={k:<6g} {name:<18} skipped")
@@ -199,6 +228,7 @@ def bench_size(spec, k):
     for name, opts in (
         ("picard_paper", SolveOptions(h=k)),
         ("picard_1e-8", SolveOptions(h=k, **tight)),
+        ("picard_1e-12", SolveOptions(h=k, stop_rule="target_bound", target=TIGHTER)),
         ("howard_paper", SolveOptions(h=k, method="howard")),
         ("howard_1e-8", SolveOptions(h=k, method="howard", **tight)),
     ):
@@ -219,9 +249,16 @@ def bench_size(spec, k):
                 sweeps = report.iterations + 1
                 rows[name].update(
                     ms_per_sweep=rows[name]["seconds"] / sweeps * 1e3,
-                    gathered=gathers(lambda: solve(spec, tri, grid, opts, table=table)))
-                print(f"k=h={k:<6g} {'':<18} {rows[name]['ms_per_sweep']:10.3f} ms per sweep, "
-                      f"{rows[name]['gathered']} of {sweeps} sweeps gathered")
+                    **decisions(lambda: solve(spec, tri, grid, opts, table=table)))
+                row = rows[name]
+                print(f"k=h={k:<6g} {'':<18} {row['ms_per_sweep']:10.3f} ms per sweep; first "
+                      f"deciding sweep {row['first_deciding_sweep']}, "
+                      f"{row['decision_checks']} checks, {row['undecided_at_stop']} rows "
+                      f"undecided at the stop")
+                if row["first_deciding_sweep"] is not None:
+                    print(f"k=h={k:<6g} {'':<18} {row['ms_per_sweep_before_deciding']:10.3f} ms "
+                          f"per sweep before deciding, "
+                          f"{row['ms_per_sweep_after_deciding']:.3f} after")
             solved[name] = u
     tight_values = solved.get("howard_1e-8")
     if tight_values is not None:

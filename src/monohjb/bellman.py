@@ -11,8 +11,8 @@ One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
 solve creates one and calls it on every sweep, and `sweep` is one call of a
 new one.  Ties in the minimum always resolve to the smallest admissible b.
 Only `apply_policy` (one frozen stencil per row), Howard's frozen maps
-(`_frozen`), the sweeper's two bounds and its fold (the minimum over
-levels) map interpolants to these values.  The bounds read each row's
+(`_frozen`), the sweeper's two bounds, its decided rows and its fold (the
+minimum over levels) map interpolants to these values.  The bounds read each row's
 stencil at its own level, as the table stores it; `_positions` is the one
 reader of given rows' stencils at a chosen level, for the others.
 
@@ -43,24 +43,60 @@ at the open rows of that prefix in one product-sum per stencil vertex and
 folds the result into a running minimum.
 
 A sweeper keeps its workspace for the length of a solve: M (whose buffer
-the below-S bound L reuses), S, the mask where a level attains its own M,
-S at the stencil vertices, the settled mask, the product-sum scratch, and
-h f, computed once.  Its only full-size float buffers are M, the scratch
-and h f: the fold's buffers are sized to the open rows, so a sweeper holds
-no more memory than a sweep of its own uses.  On the value path the open
-rows depend on S alone.  So the sweeper keeps their gather (the rows,
-where each level's prefix ends, their stencils as node ids, h f at them
-and the fold's buffers) with a copy of the S it came from, and while S repeats
-bit for bit it skips the settledness test and the gather: the same S gives
-the same open rows, and the same arithmetic in the same order gives the
-same values.  Along Picard's iterates to 1e-8, S repeats on 233 of 332
-sweeps at k = h = 0.05.  The policy path gathers its open rows on every
-call, since its below-S bound reads the values.  Every call returns new
-arrays, never views of the workspace.
+the below-S bound L reuses) next to a copy of the values, S and the S of
+the bound before it, the mask where a level attains its own M, S at the
+stencil vertices, the settled mask, the product-sum scratch, and h f,
+computed once.  The fold's buffers are sized to the open rows, so a
+sweeper holds little more memory than a sweep of its own uses.  Every call
+returns new arrays, never views of the workspace.
+
+Decided rows (the classical test for suboptimal actions in value
+iteration, MacQueen 1967, made exact).  Picard's iterates u_n = A(u_{n-1})
+contract: |A u - A v| <= q |u - v| in the sup norm, with q = beta s and s
+the largest sum of a row's weights (1 up to rounding for P1 weights).  So
+with delta = |u_n - u_{n-1}|, the changes after u_n are at most
+q^j (q delta), and every later iterate stays within their sum,
+D = q delta / (1 - q), of u_n; for s = 1 that is u_n's own certificate
+delta (1 - lambda h) / (lambda h).  A candidate interp(u[b]) is a weighted
+sum of values, so it moves by at most s D.  A row whose second smallest
+candidate exceeds its smallest by more than 2 s D, plus the rounding
+allowance below, therefore keeps the level b* of its smallest at every
+later sweep, and strictly below every other level's.  A value sweep given
+delta (`Sweeper._decide`) tests every undecided row so: a folded row by the
+second smallest the fold returns, a settled row by the smaller of
+interp(L[a]) and interp(M[b* + 1]), which lie below every candidate but
+b*'s.  Later value sweeps give a decided row one product-sum at b*: the
+same numbers in the same order as the fold's candidate of b*, which is
+the strict minimum, so the value is the same bits.  The undecided rows
+alone go through the bound and the fold.  Their bound and the decided
+rows' candidates are one product-sum over all rows, on M followed by a
+copy of the values: an undecided row's positions point into M at its own
+level, a decided row's into the copy at b*.
+
+The rounding allowance.  Write eps for the largest difference between a
+computed sweep and A in exact arithmetic (with the stored weights, beta
+and h f), and u = 2^-53.  A product-sum of k = nu + 1 terms is off by at
+most gamma s X with gamma = k u / (1 - k u), where X bounds the values;
+the multiply by beta and the add of h f round once each, so
+eps <= c (s X + P) with c = (k + 4) u and P the largest |h f|.  A computed
+sweep maps values bounded by X to values bounded by (q + c s) X + (1 + c) P,
+so X = max(|u_n| + delta, (1 + c) P / (1 - q - c s)) bounds u_{n-1} and
+every later iterate.  The exact residual of u_n is at most q delta + eps,
+and the computed iterates stray from the exact ones started at u_n by at
+most eps / (1 - q), so every later iterate stays within
+(q delta + 2 eps) / (1 - q) of u_n.  Each computed candidate, at u_n and
+later, is within gamma s X of its exact value.  The margin is thus
+2 s (q delta + 2 eps) / (1 - q) + 4 gamma s X, times 1 + 64 u for the
+roundings in computing it, in delta and in the gap's subtraction
+(`Sweeper._margin`).  1 - q is formed as (1 - beta) - beta (s - 1), where
+1 - beta is exact for beta >= 1/2.  Along Picard's iterates at
+k = h = 0.05 the allowance stays near 1e-13, while 2 D is at least 1.4e-7
+at every check that finds undecided rows.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -267,12 +303,13 @@ def _interpolate(column, idx, wts, out, tmp):
     The positions are in range by construction: the table checks its own,
     and `_positions` shifts them to levels of a checked policy or of one
     the sweep produced.  mode="clip" only skips the default mode's bounds
-    check.
+    check.  The array method skips `np.take`'s Python wrapper, which cost
+    about 2 us a call, more than the gather itself on a fold's few rows.
     """
-    np.take(column, idx[0], out=out, mode="clip")
+    column.take(idx[0], out=out, mode="clip")
     out *= wts[0]
     for j in range(1, len(idx)):
-        np.take(column, idx[j], out=tmp, mode="clip")
+        column.take(idx[j], out=tmp, mode="clip")
         tmp *= wts[j]
         out += tmp
     return out
@@ -289,10 +326,11 @@ class Sweeper:
 
     The minimum over b is settled row by row from per-node suffix minima
     (`_bound`, `_open_rows`), and only the rows left open run the column
-    fold (`_fold`) on their gathered stencils (`_gather`), which the value
-    path keeps while S repeats.  Those return the Bellman values, which are
-    taken as they are.  The module docstring shows why both paths are exact,
-    bit for bit, and why the kept gather is.
+    fold (`_fold`) on their gathered stencils (`_gather`).  A value sweep
+    given `change` also decides rows (`_decide`); every later value sweep
+    gives a decided row one product-sum at its level and sends only the
+    undecided rows through the bound and the fold.  The module docstring
+    shows why every path is exact, bit for bit.
     """
 
     def __init__(self, table: TransitionTable):
@@ -303,51 +341,110 @@ class Sweeper:
         self._levels = np.arange(nl, dtype=level_type)[:, None]
         self._beta = 1.0 - table.discount * table.h
         self._step = table.h * table.stage_cost.ravel()
-        # per node M, S and where a level attains its own M (`_bound`)
-        self._suffix = np.empty((nl, n_nodes))
-        self._first = np.empty((nl, n_nodes), dtype=level_type)
+        # per node M (`_bound`), followed by a copy of the values once a
+        # row is decided (`_decide`); S and the S of the bound before
+        # (`s_repeats`), the first filled with nl, no level, so that no S
+        # repeats it; and where a level attains its own M
+        self._both = np.empty((1, nl, n_nodes))
+        self._suffix = self._both[0]
+        self._first = np.full((nl, n_nodes), nl, dtype=level_type)
+        self._before = np.zeros((nl, n_nodes), dtype=level_type)
         self._own = np.empty((nl, n_nodes), dtype=bool)
         # S at the stencil vertices and the settled mask (`_open_rows`)
         self._s0, self._sj = np.empty(size, dtype=level_type), np.empty(size, dtype=level_type)
         self._settled, self._same = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         # product-sum scratch
         self._tmp = np.empty(size)
-        # the value path's gather, with its fold buffers, and the S it was
-        # made for
-        self._gathered, self._last_s = None, np.empty(size, dtype=level_type)
+        # the value path's decisions (`_decide`), None until a sweep decides
+        # a row: every row's stencil as positions in `_both`, at M of its
+        # own level while it is undecided and at the values of its decided
+        # level after, and the undecided rows with their stencils
+        self._decided = None
+        # the weight sum and |h f| bounds of `_margin`, from its first call
+        self._sums = None
+        self._last_gather = None
 
-    def __call__(self, values: np.ndarray, policy: bool = False):
+    def __call__(self, values: np.ndarray, policy: bool = False, change: float | None = None):
+        """One sweep of `values`.  `change` is given only on Picard's value
+        path: the sup-norm change of `values` from the iterate it was swept
+        from.  The sweep then decides rows for the sweeps of every later
+        iterate, so from then on the value path must be called on those
+        iterates alone; the policy path and `open_rows` ignore decisions."""
         nl, n_nodes = _level_major_shape(values, self.table)
-        best = self._bound(values)
         if policy:
+            best = self._bellman(self._bound(values))
             rows = self._open_rows(values, best, policy=True)
             # a settled row's choice is the S its stencil vertices share
             choice = self._s0.astype(int)
             best[rows], choice[rows] = self._fold(values, self._gather(rows), policy=True)
             return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
-        s = self._first.ravel()
-        if self._gathered is None or not np.array_equal(s, self._last_s):
-            self._gathered = self._gather(self._open_rows(values, best))
-            np.copyto(self._last_s, s)
-        best[self._gathered[0]] = self._fold(values, self._gathered)
-        return best.reshape(nl, n_nodes)
+        pos, rows, idx = self._decided or (self.table.indices, None, self.table.indices)
+        if rows is not None:
+            np.copyto(self._both[1], values)
+        if rows is None or len(rows):
+            # the undecided rows' bound and the decided rows' candidate at
+            # their level, in one product-sum
+            raw = self._bound(values, pos)
+            opened = self._open_rows(values, None, idx=idx)
+            gathered = self._gather(opened if rows is None else rows[opened])
+            # held until the next value sweep gathers: freed at the end of
+            # this one, its pages went back to the system and the next
+            # sweep faulted them in again (73,000 against 8,400 minor faults
+            # in a paper-rule solve at k = h = 0.025, a tenth of its time)
+            self._last_gather = gathered
+            if change is None:
+                raw[gathered[0]] = self._fold(values, gathered)
+            else:
+                raw[gathered[0]], argmin, runner = self._fold(values, gathered, second=True)
+                self._decide(values, change, rows, idx, raw, opened, argmin, runner)
+        else:
+            raw = _interpolate(self._both.ravel(), pos, self.table.weights,
+                               np.empty(values.size), self._tmp)
+        return self._bellman(raw).reshape(nl, n_nodes)
+
+    @property
+    def s_repeats(self) -> bool:
+        """Whether the suffix argmin S of the last sweep is, bit for bit, the
+        one of the sweep before it."""
+        return np.array_equal(self._first, self._before)
+
+    def decided_levels(self) -> np.ndarray:
+        """The level each decided row keeps on the value path, level-major
+        (n_levels, N); -1 for the rows not decided."""
+        nl, n_nodes = self.table.stage_cost.shape
+        size = nl * n_nodes
+        levels = np.full(size, -1)
+        if self._decided is not None:
+            # a decided row's positions point into the copy, past M
+            pos = self._decided[0][0]
+            done = pos >= size
+            levels[done] = (pos[done] - size) // n_nodes
+        return levels.reshape(nl, n_nodes)
 
     def open_rows(self, values: np.ndarray, policy: bool = False) -> np.ndarray:
         """The sorted level-major numbers of the rows whose minimum the bounds
         of a sweep of `values` leave open, on the value or the policy path."""
         _level_major_shape(values, self.table)
-        return self._open_rows(values, self._bound(values), policy)
+        return self._open_rows(values, self._bellman(self._bound(values)), policy)
 
-    def _bound(self, values):
-        """The suffix-minimum bound of every row, as a new level-major array.
+    def _bellman(self, raw):
+        """beta * raw + h f in place, on every row."""
+        raw *= self._beta
+        raw += self._step
+        return raw
+
+    def _bound(self, values, pos=None):
+        """The suffix-minimum bound interp(M[a]) of every row, as a new
+        level-major array; with `pos`, the positions of the decided state,
+        a decided row's candidate at its level instead.
 
         Per node, M[a] = min over b >= a of values[b] and S[a] is the
-        smallest b that attains it.  Returns the Bellman values of
-        interp(M[a]) at the stencil of every row (a, i), which a sweep
-        returns as they are for a settled row, and leaves M, S and the mask
-        values[a] == M[a] in the workspace.
+        smallest b that attains it.  For a settled row the bound is its
+        smallest candidate.  Leaves M, S and the mask values[a] == M[a] in
+        the workspace, and the S it replaces in `_before`.
         """
         nl = len(values)
+        self._first, self._before = self._before, self._first
         suffix, first, own, levels = self._suffix, self._first, self._own, self._levels
         # one top-down pass per array; a loop over levels beats
         # minimum.accumulate along axis 0 by 3-5x
@@ -363,58 +460,138 @@ class Sweeper:
         np.copyto(first, levels, where=own)
         for a in range(nl - 2, -1, -1):
             np.minimum(first[a + 1], first[a], out=first[a])
-        # row (a, i) reads its stencil at its own level, as the table holds it
-        bound = _interpolate(suffix.ravel(), self.table.indices, self.table.weights,
-                             np.empty(suffix.size), self._tmp)
-        bound *= self._beta
-        bound += self._step
-        return bound
+        # row (a, i) reads its stencil at its own level, as the table holds
+        # it, and so M, the first block of `_both`
+        return _interpolate(self._both.ravel(), self.table.indices if pos is None else pos,
+                            self.table.weights, np.empty(values.size), self._tmp)
 
-    def _open_rows(self, values, bound, policy=False):
-        """The sorted level-major numbers of the rows whose minimum `bound`
-        does not settle.
+    def _below(self, values):
+        """The below-S bound in M's buffer: per node, L[a] = min over b in
+        [a, S[a]) of values[b], +inf where S[a] = a.  Where S[a] > a,
+        S[a] = S[a+1] and L[a] = min(values[a], L[a+1])."""
+        below, own = self._suffix, self._own
+        np.copyto(below, values)
+        np.copyto(below, np.inf, where=own)
+        for a in range(len(values) - 2, -1, -1):
+            np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
+        return below
 
-        Leaves S at the first stencil vertex of every row in the workspace,
-        which for a settled row is its common S and, on the policy path, its
-        choice.  Open are the rows whose stencil vertices differ in S and,
-        on the policy path, those whose common S = b* is above a unless the
-        below-S bound settles them: per node, L[a] = min over b in [a, S[a])
-        of values[b], and a row is settled when the Bellman value of
-        interp(L[a]), taken at every row once any row is a candidate, is
-        strictly above that of interp(M[a]).
+    def _open_rows(self, values, bound, policy=False, idx=None):
+        """The sorted positions, among the rows of the stencils idx (every
+        row by default), of those whose minimum `bound` does not settle.
+
+        Leaves S at the first stencil vertex of each of those rows in the
+        workspace, which for a settled row is its common S and, on the
+        policy path, its choice.  Open are the rows whose stencil vertices
+        differ in S and, on the policy path, those whose common S = b* is
+        above a unless the below-S bound settles them: a row is settled
+        when the Bellman value of interp(L[a]), taken at every row once any
+        row is a candidate, is strictly above `bound`, that of
+        interp(M[a]).  Only the policy path reads `bound`, and only it
+        takes the stencils of every row.
         """
-        indices, weights = self.table.indices, self.table.weights
-        s, s0, settled = self._first.ravel(), self._s0, self._settled
-        np.take(s, indices[0], out=s0, mode="clip")
+        if idx is None:
+            idx = self.table.indices
+        n = idx.shape[1]
+        s, s0, settled = self._first.ravel(), self._s0[:n], self._settled[:n]
+        s.take(idx[0], out=s0, mode="clip")
         settled.fill(True)
-        for j in range(1, len(indices)):
-            np.take(s, indices[j], out=self._sj, mode="clip")
-            settled &= np.equal(self._sj, s0, out=self._same)
+        for j in range(1, len(idx)):
+            s.take(idx[j], out=self._sj[:n], mode="clip")
+            settled &= np.equal(self._sj[:n], s0, out=self._same[:n])
         if policy:
             nl, n_nodes = values.shape
-            own = self._own
             raised = (s0.reshape(nl, n_nodes) != self._levels).ravel()
             candidates = settled & raised
             settled &= ~raised
             if candidates.any():
-                # L[a] is +inf where S[a] = a; otherwise S[a] = S[a+1] and
-                # L[a] = min(values[a], L[a+1]).  Built only here, so a sweep
-                # without candidates pays nothing for the second bound.  M is
-                # read no more, so L takes its buffer
-                below = self._suffix
-                np.copyto(below, values)
-                np.copyto(below, np.inf, where=own)
-                for a in range(nl - 2, -1, -1):
-                    np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
-                # L is finite at a candidate's stencil; elsewhere +inf times
-                # a zero weight is NaN, which `candidates` masks out
+                # built only here, so a sweep without candidates pays nothing
+                # for the second bound; M is read no more.  L is finite at a
+                # candidate's stencil; elsewhere +inf times a zero weight is
+                # NaN, which `candidates` masks out
                 with np.errstate(invalid="ignore"):
-                    low = _interpolate(below.ravel(), indices, weights,
-                                       np.empty(s0.size), self._tmp)
-                low *= self._beta
-                low += self._step
-                settled |= candidates & (low > bound)
+                    low = _interpolate(self._below(values).ravel(), idx, self.table.weights,
+                                       np.empty(n), self._tmp)
+                settled |= candidates & (self._bellman(low) > bound)
         return np.flatnonzero(~settled)
+
+    def _decide(self, values, change, rows, idx, raw, opened, argmin, runner):
+        """Decide the swept rows whose smallest candidate is below every
+        other by more than `_margin`: the sweeps of every later iterate give
+        them that candidate's level.
+
+        rows are the undecided rows (None: every row) and idx their
+        stencils, raw the smallest candidate of every row, and `opened` the
+        positions of the folded ones among `rows`, whose minimizing level
+        and second smallest candidate the fold returned as argmin and
+        runner.  A settled row's level is its common S = b*; below its
+        second smallest candidate lie interp(M[b* + 1]), the suffix bound
+        over the levels above b*, and interp(L[a]), the below-S bound over
+        a .. b* - 1, so the smaller of the two stands in for it, which only
+        makes the test stricter.
+        """
+        table = self.table
+        nl, n_nodes = values.shape
+        n = idx.shape[1]
+        if rows is None:
+            rows = np.arange(n)
+        levels = self._s0[:n].astype(np.intp)
+        levels[opened] = argmin
+        second = np.full(n, np.inf)
+        second[opened] = runner
+        settled = np.ones(n, dtype=bool)
+        settled[opened] = False
+        # read before `_below` takes M's buffer
+        up = np.flatnonzero(settled & (levels < nl - 1))
+        second[up] = _interpolate(
+            self._suffix.ravel(), _positions(table, rows[up], levels[up] + 1),
+            table.weights.take(rows[up], axis=1), np.empty(len(up)), np.empty(len(up)))
+        down = np.flatnonzero(settled & (levels > rows // n_nodes))
+        if len(down):
+            low = _interpolate(self._below(values).ravel(), idx.take(down, axis=1),
+                               table.weights.take(rows[down], axis=1),
+                               np.empty(len(down)), np.empty(len(down)))
+            second[down] = np.minimum(second[down], low)
+        decided = second - raw[rows] > self._margin(values, change)
+        done = np.flatnonzero(decided)
+        if len(done) == 0:
+            return
+        if self._decided is None:
+            # the first decided rows: room for the copy of the values they
+            # read, and their positions; M is read no more in this sweep
+            self._both = np.empty((2, nl, n_nodes))
+            self._suffix = self._both[0]
+            pos = table.indices.copy()
+        else:
+            pos = self._decided[0]
+        # the decided rows read the copy of the values, the second block
+        pos[:, rows[done]] = _positions(table, rows[done], levels[done]) + values.size
+        kept = np.flatnonzero(~decided)
+        self._decided = (pos, rows[kept], idx.take(kept, axis=1))
+
+    def _margin(self, values, change):
+        """The gap between a row's two smallest candidates above which no
+        later iterate changes its minimizing level, for an iterate `values`
+        whose last change was `change`; +inf when the weights are too large
+        for a contraction.  The module docstring derives it."""
+        unit = 2.0 ** -53
+        k = len(self.table.indices)
+        gamma = k * unit / (1.0 - k * unit)
+        c = (k + 4) * unit
+        if self._sums is None:
+            # the largest weight sum of a row, rounded up, and the largest |h f|
+            self._sums = (float(np.abs(self.table.weights).sum(axis=0).max()) * (1.0 + 2.0 * gamma),
+                          float(np.abs(self._step).max()))
+        s, p = self._sums
+        beta = self._beta
+        # 1 - q for q = beta s; 1 - beta is exact for beta >= 1/2, so that a
+        # small lambda h loses no digits here
+        slack = (1.0 - beta) - beta * (s - 1.0)
+        if not slack > c * s:
+            return math.inf
+        x = max(float(np.abs(values).max()) + change, (1.0 + c) * p / (slack - c * s))
+        drift = (beta * s * change + 2.0 * c * (s * x + p)) / slack
+        return (2.0 * s * drift + 4.0 * gamma * s * x) * (1.0 + 64.0 * unit)
 
     def _gather(self, rows):
         """The open `rows` as `_fold` reads them: (rows, ends, idx, wts, h f,
@@ -432,23 +609,28 @@ class Sweeper:
         return (rows, ends, _positions(table, rows, 0), table.weights.take(rows, axis=1),
                 self._step.take(rows), np.empty(n_rows), np.empty(n_rows))
 
-    def _fold(self, values, gathered, policy=False):
+    def _fold(self, values, gathered, policy=False, second=False):
         """Top-down column fold over the gathered open rows.
 
         Column b of values is interpolated at the open rows of levels
         a <= b in one product-sum per stencil vertex and folded into a
-        running minimum.  Returns the Bellman values of the minimum; with
-        policy=True the candidates are mapped to Bellman values before the
-        minimum, so that ties are decided on them, and the minimizing b, the
-        smallest on ties, is returned as well.  The map is monotone in
-        floating point, so both paths give identical values.  The values
-        are the gather's buffer, valid until the next call.
+        running minimum, which is returned.  With policy=True the
+        candidates are mapped to Bellman values before the minimum, so that
+        ties are decided on them, and the minimizing b, the smallest on
+        ties, is returned as well.  With second=True the candidates stay
+        interpolants, and the minimizing b and the second smallest
+        candidate (equal to the smallest on a tie) are returned too.  The
+        value path maps its minimum afterwards; the map is monotone in
+        floating point, so both paths give identical values.  The minimum
+        is the gather's buffer, valid until the next call.
         """
         rows, ends, idx, wts, step, best, cand = gathered
         nl, n_rows = len(values), len(rows)
         tmp = self._tmp[:n_rows]
-        if policy:
+        if policy or second:
             choice, take = np.full(n_rows, nl - 1), np.empty(n_rows, dtype=bool)
+        if second:
+            runner = np.full(n_rows, np.inf)
         for b in range(nl - 1, -1, -1):
             n = ends[b]
             if n == 0:
@@ -461,15 +643,19 @@ class Sweeper:
                 c += step[:n]
             if top:
                 continue
-            if policy:
+            if policy or second:
                 # choice = b where c <= best; b descends, so ties keep the smallest b
                 np.less_equal(c, best[:n], out=take[:n])
                 np.copyto(choice[:n], b, where=take[:n])
+            if second:
+                # the runner-up is the smaller of itself and the loser of c
+                # against the running minimum
+                np.minimum(runner[:n], np.maximum(best[:n], c, out=tmp[:n]), out=runner[:n])
             np.minimum(best[:n], c, out=best[:n])
         if policy:
             return best, choice
-        best *= self._beta
-        best += step
+        if second:
+            return best, choice, runner
         return best
 
 

@@ -57,8 +57,12 @@ def phi_T(spec: ProblemSpec, T: float) -> float:
 
 
 def phi_n(spec: ProblemSpec, n: int, h: float, T: float) -> float:
-    """Growth factor of the time-discretization bound at backward step n."""
+    """Growth factor of the time-discretization bound at backward step n.
+
+    The step h is checked as the solver checks it (`bellman._check_step`).
+    """
     _check_horizon(T)
+    _check_step(h, spec.discount)
     if not 0 <= n * h <= T + 1e-12:
         raise ConfigurationError(f"step {n} outside horizon T={T} at h={h}")
     check_count(n, "n")

@@ -424,7 +424,8 @@ def check_hypotheses(
 
     h must be a positive finite number and control_levels a nonempty 1-d
     array of values in [0, 1], the controls a ProblemSpec's callables accept;
-    anything else raises MeshConstructionError.
+    anything else, booleans among the levels too, raises
+    MeshConstructionError.
 
     hip2_ok tests exactly the points the Bellman operator evaluates: every
     vertex pushed one Euler step under every control level must stay inside
@@ -440,7 +441,10 @@ def check_hypotheses(
     if is_boolean(h) or not 0 < h < math.inf:
         raise MeshConstructionError(f"time step must be positive and finite, got {h}")
     try:
-        levels = np.asarray(control_levels, dtype=float)
+        # the float cast would read booleans as the levels 0 and 1
+        boolean = np.asarray(control_levels).dtype.kind == "b" or (
+            isinstance(control_levels, (list, tuple)) and any(map(is_boolean, control_levels)))
+        levels = None if boolean else np.asarray(control_levels, dtype=float)
     except (TypeError, ValueError):
         levels = None
     # written so that NaN fails

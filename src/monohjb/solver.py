@@ -19,6 +19,25 @@ it switches), so a change is not damped at Picard's rate 1 - lambda h.
 However accurate that evaluation is, the certificate comes from the greedy
 sweep's residual after it, as for Picard.  The solver reads no stencil of
 the table itself: the sweeps and the frozen maps are bellman's.
+
+Picard's sweeps decide rows along the way (`bellman.Sweeper`).  The rule:
+a row whose second smallest candidate exceeds its smallest by more than
+2 D, plus a rounding allowance, keeps the level of its smallest for the
+rest of the solve, where D = delta (1 - lambda h) / (lambda h) is the
+current iterate's own certificate and delta its last sup-norm change.
+Why: the operator contracts by 1 - lambda h, so the changes after the
+iterate sum to at most D, and every later iterate, hence every candidate
+(a weighted average of values), stays within D of where it is now; two
+candidates close in by at most 2 D.  The allowance bounds the rounding of
+the sweeps in that argument: each computed sweep is within a few units in
+the last place of the exact operator, an error the contraction sums to
+its own geometric series (the bellman module docstring derives it; it is
+near 1e-13 at k = h = 0.05, against 2 D >= 1.4e-7).  The checks run at
+the sweep after the first repeat of the per-node suffix argmin S, and
+then at each sweep whose certificate has halved since the last check.  A
+decided row then costs one product-sum, and Picard's iterates, residual
+history, iteration count, policy and certificate stay bit for bit those
+of plain sweeps.
 """
 
 from __future__ import annotations
@@ -97,19 +116,30 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
 
     The iterates are value-only sweeps of one `Sweeper` on level-major
     vectors; the returned (values, choice) come from one policy sweep of the
-    previous iterate, whose values equal the last iterate exactly.  Returns
+    previous iterate, whose values equal the last iterate exactly.  The
+    sweep of the iterate after the first repeat of the suffix argmin S, and
+    then each one whose certificate (proportional to its change) has
+    halved since the last such sweep, is given that change, so that it
+    decides the rows whose minimizing level no later iterate can move
+    (`bellman.Sweeper._decide`); the iterates keep their bits.  Returns
     level-major (values, choice) and the residual history.
     """
     sweeper = Sweeper(table)
     u = np.zeros(table.stage_cost.shape)
     # one buffer for the residual: a fresh difference and its absolute
     # value took several times the arithmetic, in allocation
-    change = np.empty(u.shape)
+    diff = np.empty(u.shape)
     history = []
+    # the change at or below which the next sweep decides, once S repeated
+    due = None
     for _ in range(max_iterations):
-        prev, u = u, sweeper(u)
-        np.subtract(u, prev, out=change)
-        history.append(float(np.abs(change, out=change).max()))
+        change = None
+        if history and (sweeper.s_repeats if due is None else history[-1] <= due):
+            change = history[-1]
+            due = change / 2
+        prev, u = u, sweeper(u, change=change)
+        np.subtract(u, prev, out=diff)
+        history.append(float(np.abs(diff, out=diff).max()))
         if history[-1] <= threshold:
             break
     u, choice = sweeper(prev, policy=True)

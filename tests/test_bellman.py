@@ -525,10 +525,11 @@ class TestSweepKernel:
     )
     def test_reused_sweeper_matches_sweep(self, seed, nl, n_nodes, stencil, h):
         """One Sweeper over a chain of calls gives `sweep`'s bits on both
-        paths at every call, and its value path gathers the open rows again
-        exactly when S changes.  Scaling a node's values by a power of two
+        paths at every call, and `s_repeats` tells exactly whether S is the
+        one of the call before.  Scaling a node's values by a power of two
         keeps S; turning node 0 from rising over the levels (S[a] = a) to
-        falling (S[a] = top) changes it."""
+        falling (S[a] = top) changes it.  No call is given a change, so no
+        row is decided."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
         scale = rng.choice([1.0, 0.1])
@@ -538,24 +539,128 @@ class TestSweepKernel:
         keeps_s = values * 2.0 ** rng.integers(-3, 4, size=n_nodes)
         changes_s = keeps_s.copy()
         changes_s[:, 0] = -changes_s[:, 0]
-        chain = [(values, False, True), (values, False, False), (keeps_s, False, False),
-                 (keeps_s, True, None), (keeps_s, False, False), (changes_s, False, True),
-                 (changes_s, True, None), (values, False, True)]
-        sweeper, gathers = Sweeper(table), []
-        gather = Sweeper._gather
-        with mock.patch.object(Sweeper, "_gather",
-                               lambda self, rows: gathers.append(rows) or gather(self, rows)):
-            for v, policy, gathered in chain:
-                before = len(gathers)
-                got = sweeper(v, policy)
-                if gathered is not None:
-                    assert (len(gathers) > before) == gathered
-                want = sweep(v, table, policy)
-                if policy:
-                    assert_same_bits(got[0], want[0])
-                    np.testing.assert_array_equal(got[1], want[1])
-                else:
-                    assert_same_bits(got, want)
+        chain = [(values, False, False), (values, False, True), (keeps_s, False, True),
+                 (keeps_s, True, True), (keeps_s, False, True), (changes_s, False, False),
+                 (changes_s, True, True), (values, False, False)]
+        sweeper = Sweeper(table)
+        assert not sweeper.s_repeats
+        for v, policy, repeats in chain:
+            got = sweeper(v, policy)
+            assert sweeper.s_repeats == repeats
+            want = sweep(v, table, policy)
+            if policy:
+                assert_same_bits(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+            else:
+                assert_same_bits(got, want)
+        assert np.all(sweeper.decided_levels() == -1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.1, 0.9),
+        tie_share=st.floats(0.0, 1.0),
+    )
+    def test_picard_matches_a_loop_of_fresh_sweeps(self, seed, nl, n_nodes, stencil, h,
+                                                   tie_share):
+        """`solver._picard` decides rows along its iterates; fresh `sweep`
+        calls never do.  To a 1e-12 residual, every iterate, the residual
+        history and the returned values and policy agree byte for byte.
+        The stage costs have ties and signed zeros, drawn as `_TIE_POOL`
+        draws values."""
+        rng = np.random.default_rng(seed)
+        shape = (nl, n_nodes)
+        cost = np.where(rng.random(shape) < tie_share, rng.choice(_TIE_POOL, shape),
+                        rng.uniform(-2, 2, shape))
+        table = random_table(rng, nl, n_nodes, stencil, h, cost)
+        iterates = []
+        call = Sweeper.__call__
+
+        def record(self, values, policy=False, change=None):
+            out = call(self, values, policy, change)
+            if not policy:
+                iterates.append(out)
+            return out
+
+        threshold = 1e-12
+        with mock.patch.object(Sweeper, "__call__", record):
+            value, choice, history, _ = solver._picard(table, threshold, 10_000)
+        u, want, want_history = np.zeros(shape), [], []
+        while not want_history or want_history[-1] > threshold:
+            prev, u = u, sweep(u, table)
+            want.append(u)
+            want_history.append(float(np.abs(u - prev).max()))
+        assert len(iterates) == len(want)
+        for got, expected in zip(iterates, want):
+            assert_same_bits(got, expected)
+        assert_same_bits(np.array(history), np.array(want_history))
+        want_value, want_choice = sweep(prev, table, policy=True)
+        assert_same_bits(value, want_value)
+        assert_same_bits(choice, want_choice)
+
+    def test_candidates_drifting_apart_by_twice_the_certificate(self):
+        """Row (0, 1) reads node 1, whose level-0 value rises as 1 - 0.9^n
+        while its level-1 value, read from node 0's falling one, is
+        0.99 + 0.9^n.  Their gap 2 * 0.9^n - 0.01 stays just below twice
+        the certificate 0.9^n until they cross near n = 50.  So the row is
+        decided only after the crossing, at level 1, and every iterate is a
+        fresh sweep's; a margin below two certificates would decide it at
+        level 0 before the crossing."""
+        table = TransitionTable(
+            indices=np.array([[0, 1, 2, 2]]), weights=np.ones((1, 4)),
+            stage_cost=np.array([[0.0, 1.0], [-1.0, 18.9]]), h=0.1, discount=1.0)
+        iterates, levels = [], []
+        call = Sweeper.__call__
+
+        def record(self, values, policy=False, change=None):
+            out = call(self, values, policy, change)
+            if not policy:
+                iterates.append(out)
+                levels.append(self.decided_levels()[0, 1])
+            return out
+
+        with mock.patch.object(Sweeper, "__call__", record):
+            solver._picard(table, 1e-12, 10_000)
+        u = np.zeros((2, 2))
+        for got in iterates:
+            u = sweep(u, table)
+            assert_same_bits(got, u)
+        first = next(n for n, level in enumerate(levels) if level >= 0)
+        assert first > 50 and levels[-1] == 1
+
+    def test_decided_levels_stay_the_dense_argmin(self, medium):
+        """Along Picard's iterates to a 1e-12 certificate on the k = h = 0.1
+        paper mesh, each row decided by an earlier sweep keeps, at every
+        later sweep, the level where a dense evaluation of all its
+        candidates has its minimum (the smallest such level on ties)."""
+        _, _, table = medium
+        nl, n_nodes = table.stage_cost.shape
+        idx, weights = table.indices - level_offsets(nl, n_nodes), table.weights
+        decided = []
+        call = Sweeper.__call__
+
+        def check(self, values, policy=False, change=None):
+            if not policy:
+                levels = self.decided_levels().ravel()
+                rows = np.flatnonzero(levels >= 0)
+                candidates = np.full((nl * n_nodes, nl), np.inf)
+                for b in range(nl):
+                    n = (b + 1) * n_nodes
+                    c = values[b].take(idx[0, :n]) * weights[0, :n]
+                    for j in range(1, len(idx)):
+                        c += values[b].take(idx[j, :n]) * weights[j, :n]
+                    candidates[:n, b] = c
+                np.testing.assert_array_equal(candidates[rows].argmin(axis=1), levels[rows])
+                decided.append(len(rows))
+            return call(self, values, policy, change)
+
+        with mock.patch.object(Sweeper, "__call__", check):
+            solver._picard(table, 1e-12 * 0.1 / 0.9, 10_000)
+        assert decided[0] == 0
+        assert decided[-1] > 0.9 * nl * n_nodes
 
     def test_every_picard_iterate_matches_level_fold_kernel(self, medium):
         _, _, table = medium

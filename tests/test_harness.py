@@ -95,6 +95,14 @@ class TestBoundShapes:
         with pytest.raises(ConfigurationError, match=f"step {n} outside horizon"):
             phi_n(paper, n, 0.1, 4.0)
 
+    @pytest.mark.parametrize("n,h", [(2, 1.5), (0, 1.0), (0, -5.0), (0, 0.0), (0, math.nan),
+                                     (0, True), (0, np.bool_(True))])
+    def test_phi_n_time_step_is_checked(self, paper, n, h):
+        """phi_n(paper, 2, 1.5, 4.0) returned 1096.63 and phi_n(paper, 0,
+        True, 4.0) 54.598; the step is checked as the solver checks it."""
+        with pytest.raises(ConfigurationError, match="time step must satisfy"):
+            phi_n(paper, n, h, 4.0)
+
     @pytest.mark.parametrize("n", [0.5, True, np.float64(2.0)])
     def test_phi_n_step_must_be_an_integer(self, paper, n):
         with pytest.raises(ConfigurationError, match="n must be an integer"):
@@ -179,6 +187,7 @@ _BOOLEAN_CALLS = {
     "envelope_k": (lambda c, b: theoretical_envelope(c.spec, 0.5, b), ConfigurationError),
     "phi_T": (lambda c, b: phi_T(c.spec, b), ConfigurationError),
     "phi_n": (lambda c, b: phi_n(c.spec, 0, 0.5, b), ConfigurationError),
+    "phi_n_h": (lambda c, b: phi_n(c.spec, 0, b, 4.0), ConfigurationError),
     "tail_bound": (lambda c, b: tail_bound(c.spec, b), ConfigurationError),
 }
 

@@ -234,6 +234,16 @@ class TestHypotheses:
         with pytest.raises(MeshConstructionError, match="control levels must be a nonempty 1-d"):
             check_hypotheses(tri, paper, 0.5, levels)
 
+    @pytest.mark.parametrize("levels", [
+        [True, False], np.array([True, False]), [0.0, True], [np.bool_(False), 0.5],
+    ], ids=["bools", "bool_array", "mixed", "numpy_bool"])
+    def test_boolean_control_levels_are_rejected(self, paper, levels):
+        """[True, False] gave hip2_ok=True: the float cast read the flags as
+        the levels 1 and 0."""
+        tri = build_uniform(BOX, 0.5)
+        with pytest.raises(MeshConstructionError, match="control levels must be a nonempty 1-d"):
+            check_hypotheses(tri, paper, 0.5, levels)
+
     def test_uniform_diameter_ratio(self, paper):
         tri = build_uniform(BOX, 0.5)
         rep = check_hypotheses(tri, paper, 0.5, control_grid(0.5).levels)

@@ -135,19 +135,39 @@ def test_picard_returns_last_sweep_and_its_argmin(paper):
     np.testing.assert_array_equal(policy.choice, last_policy.choice)
 
 
-def test_picard_gathers_open_rows_again_only_when_the_suffix_argmin_changes(paper, monkeypatch):
-    """Along Picard's iterates the per-node suffix argmin S mostly repeats;
-    the value sweeps gather the open rows again only when it changes (37 of
-    162 sweeps to 1e-8 at k = h = 0.1), and the closing policy sweep once."""
+def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
+    """Picard's first deciding sweep is the one after the first sweep whose
+    per-node suffix argmin S repeats the one before; each later one is the
+    first whose change is at most half the last deciding sweep's.  Each is
+    given the change of the iterate it sweeps.  At k = h = 0.1 to 1e-8 the
+    sweeps decide rows, and the iterations stay 162."""
     tri, grid = setup(paper, 0.1)
-    gathers = []
-    gather = bellman.Sweeper._gather
-    monkeypatch.setattr(bellman.Sweeper, "_gather",
-                        lambda self, rows: gathers.append(rows) or gather(self, rows))
+    calls = []
+    call = bellman.Sweeper.__call__
+
+    def record(self, values, policy=False, change=None):
+        repeats = self.s_repeats
+        out = call(self, values, policy, change)
+        if not policy:
+            calls.append((repeats, change, int((self.decided_levels() >= 0).sum())))
+        return out
+
+    monkeypatch.setattr(bellman.Sweeper, "__call__", record)
     opts = SolveOptions(h=0.1, stop_rule="target_bound", target=1e-8)
     _, _, report = solve(paper, tri, grid, opts)
-    assert report.iterations == 162
-    assert 0 < len(gathers) <= 50
+    assert report.iterations == len(calls) == 162
+    history = report.residual_history
+    first = next(n for n, (repeats, _, _) in enumerate(calls) if repeats)
+    assert first > 1 and all(change is None for _, change, _ in calls[:first])
+    due = None
+    for n in range(first, len(calls)):
+        change = calls[n][1]
+        if due is None or history[n - 1] <= due:
+            assert change == history[n - 1]
+            due = change / 2
+        else:
+            assert change is None
+    assert calls[-1][2] > 0
 
 
 class TestHoward:
