@@ -11,10 +11,12 @@ greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error, and Picard to 1e-12 (with their
 iteration counts and certificates; for Picard the milliseconds per sweep,
 counting the closing policy sweep, and, from one more solve, the first
-sweep that decides rows (`Sweeper.decided_levels`), the number of decision
-checks (sweeps given a change while undecided rows remain), the rows left
-undecided at the stop and the mean milliseconds per value sweep before and
-after the first deciding sweep, that sweep itself in neither; for Howard
+check (the first sweep given a change, which keeps each row's live
+levels), the number of checks, the live (row, level) pairs at the first
+check and at the stop (`Sweeper.live_pairs`), the rows left with more than
+one live level at the stop, and the milliseconds per value sweep before
+the first check, of the first check, per check and per value sweep after
+the first check, the checks counted apart; for Howard
 the passes over each block of levels of each policy evaluation and the
 tracemalloc peak of one more solve, on the built table), one sweep at the
 Howard 1e-8 value, value-only and with
@@ -127,36 +129,44 @@ def settled_share(values, table, policy=False):
 
 
 def decisions(fn):
-    """How the value sweeps of the Picard solve fn() decide rows: the first
-    sweep (counted from 1) that decides any, the number of decision checks,
-    the rows undecided at the stop and the mean milliseconds per value sweep
-    before and after the first deciding sweep (None where there is none)."""
-    sweeps = []  # (seconds, given a change, undecided rows before, after)
+    """How the value sweeps of the Picard solve fn() drop levels: the first
+    check (the first sweep given a change, counted from 1), the number of
+    checks, the live (row, level) pairs right after the first check and at
+    the stop (`Sweeper.live_pairs`), the rows with more than one live level
+    at the stop, and the milliseconds of the value sweeps: the mean before
+    the first check, the first check, the mean per check and the mean per
+    sweep after the first check that is no check (None where there is none)."""
+    sweeps = []  # (seconds, given a change, live pairs after, undecided rows after)
     call = Sweeper.__call__
 
     def record(self, values, policy=False, change=None):
-        before = int((self.decided_levels() < 0).sum())
         t0 = time.perf_counter()
         out = call(self, values, policy, change)
         seconds = time.perf_counter() - t0
         if not policy:
-            sweeps.append((seconds, change is not None, before,
+            live = self.live_pairs()
+            sweeps.append((seconds, change is not None, None if live is None else len(live[0]),
                            int((self.decided_levels() < 0).sum())))
         return out
 
     with mock.patch.object(Sweeper, "__call__", record):
         fn()
-    first = next((n for n, (_, _, before, after) in enumerate(sweeps) if after < before), None)
+    first = next((n for n, (_, checked, *_) in enumerate(sweeps) if checked), None)
+    after = [] if first is None else sweeps[first + 1:]
 
     def mean_ms(part):
         return statistics.mean(seconds for seconds, *_ in part) * 1e3 if part else None
 
     return {
-        "first_deciding_sweep": None if first is None else first + 1,
-        "decision_checks": sum(checked and before > 0 for _, checked, before, _ in sweeps),
+        "first_check_sweep": None if first is None else first + 1,
+        "checks": sum(checked for _, checked, *_ in sweeps),
+        "live_pairs_at_first_check": None if first is None else sweeps[first][2],
+        "live_pairs_at_stop": sweeps[-1][2],
         "undecided_at_stop": sweeps[-1][3],
-        "ms_per_sweep_before_deciding": mean_ms(sweeps if first is None else sweeps[:first]),
-        "ms_per_sweep_after_deciding": None if first is None else mean_ms(sweeps[first + 1:]),
+        "ms_per_sweep_before_first_check": mean_ms(sweeps if first is None else sweeps[:first]),
+        "ms_first_check": None if first is None else sweeps[first][0] * 1e3,
+        "ms_per_check": mean_ms([s for s in sweeps if s[1]]),
+        "ms_per_sweep_after_first_check": mean_ms([s for s in after if not s[1]]),
     }
 
 
@@ -252,13 +262,15 @@ def bench_size(spec, k):
                     **decisions(lambda: solve(spec, tri, grid, opts, table=table)))
                 row = rows[name]
                 print(f"k=h={k:<6g} {'':<18} {row['ms_per_sweep']:10.3f} ms per sweep; first "
-                      f"deciding sweep {row['first_deciding_sweep']}, "
-                      f"{row['decision_checks']} checks, {row['undecided_at_stop']} rows "
-                      f"undecided at the stop")
-                if row["first_deciding_sweep"] is not None:
-                    print(f"k=h={k:<6g} {'':<18} {row['ms_per_sweep_before_deciding']:10.3f} ms "
-                          f"per sweep before deciding, "
-                          f"{row['ms_per_sweep_after_deciding']:.3f} after")
+                      f"check at sweep {row['first_check_sweep']}, {row['checks']} checks, "
+                      f"{row['undecided_at_stop']} rows undecided at the stop")
+                if row["first_check_sweep"] is not None:
+                    print(f"k=h={k:<6g} {'':<18} {row['live_pairs_at_first_check']:10d} live "
+                          f"pairs at the first check, {row['live_pairs_at_stop']} at the stop")
+                    print(f"k=h={k:<6g} {'':<18} {row['ms_per_sweep_before_first_check']:10.3f} ms "
+                          f"per sweep before the first check, {row['ms_first_check']:.3f} the "
+                          f"first check, {row['ms_per_check']:.3f} per check, "
+                          f"{row['ms_per_sweep_after_first_check']:.3f} per other sweep after")
             solved[name] = u
     tight_values = solved.get("howard_1e-8")
     if tight_values is not None:

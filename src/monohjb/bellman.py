@@ -11,10 +11,10 @@ One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
 solve creates one and calls it on every sweep, and `sweep` is one call of a
 new one.  Ties in the minimum always resolve to the smallest admissible b.
 Only `apply_policy` (one frozen stencil per row), Howard's frozen maps
-(`_frozen`), the sweeper's two bounds, its decided rows and its fold (the
-minimum over levels) map interpolants to these values.  The bounds read each row's
-stencil at its own level, as the table stores it; `_positions` is the one
-reader of given rows' stencils at a chosen level, for the others.
+(`_frozen`), the sweeper's two bounds, its live levels and its fold (the
+minimum over levels) map interpolants to these values.  The bounds read each
+row's stencil at its own level, as the table stores it; `_positions` is the
+one reader of given rows' stencils at a chosen level, for the others.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -43,35 +43,44 @@ at the open rows of that prefix in one product-sum per stencil vertex and
 folds the result into a running minimum.
 
 A sweeper keeps its workspace for the length of a solve: M (whose buffer
-the below-S bound L reuses) next to a copy of the values, S and the S of
-the bound before it, the mask where a level attains its own M, S at the
-stencil vertices, the settled mask, the product-sum scratch, and h f,
-computed once.  The fold's buffers are sized to the open rows, so a
-sweeper holds little more memory than a sweep of its own uses.  Every call
-returns new arrays, never views of the workspace.
+the below-S bound L reuses), S and the S of the bound before it, the mask
+where a level attains its own M, S at the stencil vertices, the settled
+mask, the product-sum scratch, and h f, computed once.  The fold's buffers
+are sized to the open rows and the live levels' to the pairs they hold,
+so a sweeper holds little more memory than a sweep of its own uses.  Every
+call returns new arrays, never views of the workspace.
 
-Decided rows (the classical test for suboptimal actions in value
-iteration, MacQueen 1967, made exact).  Picard's iterates u_n = A(u_{n-1})
-contract: |A u - A v| <= q |u - v| in the sup norm, with q = beta s and s
-the largest sum of a row's weights (1 up to rounding for P1 weights).  So
-with delta = |u_n - u_{n-1}|, the changes after u_n are at most
-q^j (q delta), and every later iterate stays within their sum,
-D = q delta / (1 - q), of u_n; for s = 1 that is u_n's own certificate
-delta (1 - lambda h) / (lambda h).  A candidate interp(u[b]) is a weighted
-sum of values, so it moves by at most s D.  A row whose second smallest
-candidate exceeds its smallest by more than 2 s D, plus the rounding
-allowance below, therefore keeps the level b* of its smallest at every
-later sweep, and strictly below every other level's.  A value sweep given
-delta (`Sweeper._decide`) tests every undecided row so: a folded row by the
-second smallest the fold returns, a settled row by the smaller of
-interp(L[a]) and interp(M[b* + 1]), which lie below every candidate but
-b*'s.  Later value sweeps give a decided row one product-sum at b*: the
-same numbers in the same order as the fold's candidate of b*, which is
-the strict minimum, so the value is the same bits.  The undecided rows
-alone go through the bound and the fold.  Their bound and the decided
-rows' candidates are one product-sum over all rows, on M followed by a
-copy of the values: an undecided row's positions point into M at its own
-level, a decided row's into the copy at b*.
+Live levels (the classical test for suboptimal actions in value
+iteration, MacQueen 1967, applied per level and made exact).  Picard's
+iterates u_n = A(u_{n-1}) contract: |A u - A v| <= q |u - v| in the sup
+norm, with q = beta s and s the largest sum of a row's weights (1 up to
+rounding for P1 weights).  So with delta = |u_n - u_{n-1}|, the changes
+after u_n are at most q^j (q delta), and every later iterate stays within
+their sum, D = q delta / (1 - q), of u_n; for s = 1 that is u_n's own
+certificate delta (1 - lambda h) / (lambda h).  A candidate interp(u[b])
+is a weighted sum of values, so it moves by at most s D.  Let level b's
+candidate exceed the row's smallest, that of level b*, by more than 2 s D
+plus the rounding allowance below.  Then at every later sweep b's
+candidate stays strictly above b*'s, hence strictly above the row's
+minimum: it can never again equal the minimum, let alone undercut it.
+Dropping b therefore changes no later minimum, not even its bits on a
+tie: a fold's result is the bits of the levels that attain the minimum,
+met in their order, and b is never among them.
+
+The first value sweep given delta (`Sweeper._first_live`) computes every
+candidate once and keeps, per row, its live levels: those whose candidate
+lies within that margin (`Sweeper._margin`) of the smallest, which the
+sweep has just computed.  The top level's rows keep their own level
+alone.  Each later value sweep (`Sweeper._live_min`) reads the values at
+the live levels only: one product-sum over every row at its highest live
+level, one over the other live levels, and their fold into the minimum by
+`np.minimum.at`, each row's levels from the top down.  That is the column
+fold's order, and each candidate is the same numbers in the same product
+as there, so the minimum keeps its bits.  A later sweep given delta drops
+the live levels that the same test, on its own candidates and margin,
+rules out (`Sweeper._drop`).  A row with one live level left is decided:
+it costs one product-sum.  Neither the bounds nor the fold run on this
+path.
 
 The rounding allowance.  Write eps for the largest difference between a
 computed sweep and A in exact arithmetic (with the stored weights, beta
@@ -91,7 +100,7 @@ roundings in computing it, in delta and in the gap's subtraction
 (`Sweeper._margin`).  1 - q is formed as (1 - beta) - beta (s - 1), where
 1 - beta is exact for beta >= 1/2.  Along Picard's iterates at
 k = h = 0.05 the allowance stays near 1e-13, while 2 D is at least 1.4e-7
-at every check that finds undecided rows.
+at every check that finds a row with more than one live level.
 """
 
 from __future__ import annotations
@@ -294,11 +303,16 @@ def _positions(table: TransitionTable, rows: np.ndarray, level) -> np.ndarray:
     `_interpolate` reads each stencil vertex's positions contiguously.
     """
     n_nodes = table.stage_cost.shape[1]
-    return table.indices.take(rows, axis=1) + (level - rows // n_nodes) * n_nodes
+    out, shift = table.indices.take(rows, axis=1), rows // n_nodes
+    np.subtract(level, shift, out=shift)
+    shift *= n_nodes
+    out += shift
+    return out
 
 
-def _interpolate(column, idx, wts, out, tmp):
+def _interpolate(column, idx, wts, out, tmp, rows=None, wtmp=None):
     """out = sum_j column[idx[j]] * wts[j]: one product-sum per stencil vertex.
+    With `rows`, each wts[j] is read at those rows, into `wtmp`.
 
     The positions are in range by construction: the table checks its own,
     and `_positions` shifts them to levels of a checked policy or of one
@@ -307,10 +321,10 @@ def _interpolate(column, idx, wts, out, tmp):
     about 2 us a call, more than the gather itself on a fold's few rows.
     """
     column.take(idx[0], out=out, mode="clip")
-    out *= wts[0]
+    out *= wts[0] if rows is None else wts[0].take(rows, out=wtmp, mode="clip")
     for j in range(1, len(idx)):
         column.take(idx[j], out=tmp, mode="clip")
-        tmp *= wts[j]
+        tmp *= wts[j] if rows is None else wts[j].take(rows, out=wtmp, mode="clip")
         out += tmp
     return out
 
@@ -326,11 +340,11 @@ class Sweeper:
 
     The minimum over b is settled row by row from per-node suffix minima
     (`_bound`, `_open_rows`), and only the rows left open run the column
-    fold (`_fold`) on their gathered stencils (`_gather`).  A value sweep
-    given `change` also decides rows (`_decide`); every later value sweep
-    gives a decided row one product-sum at its level and sends only the
-    undecided rows through the bound and the fold.  The module docstring
-    shows why every path is exact, bit for bit.
+    fold (`_fold`) on their gathered stencils (`_gather`).  The first value
+    sweep given `change` also keeps every row's live levels (`_first_live`);
+    from then on a value sweep reads each row at its live levels alone
+    (`_live_min`) and each sweep given `change` drops more of them.  The
+    module docstring shows why every path is exact, bit for bit.
     """
 
     def __init__(self, table: TransitionTable):
@@ -341,12 +355,10 @@ class Sweeper:
         self._levels = np.arange(nl, dtype=level_type)[:, None]
         self._beta = 1.0 - table.discount * table.h
         self._step = table.h * table.stage_cost.ravel()
-        # per node M (`_bound`), followed by a copy of the values once a
-        # row is decided (`_decide`); S and the S of the bound before
+        # per node M (`_bound`), S and the S of the bound before
         # (`s_repeats`), the first filled with nl, no level, so that no S
         # repeats it; and where a level attains its own M
-        self._both = np.empty((1, nl, n_nodes))
-        self._suffix = self._both[0]
+        self._suffix = np.empty((nl, n_nodes))
         self._first = np.full((nl, n_nodes), nl, dtype=level_type)
         self._before = np.zeros((nl, n_nodes), dtype=level_type)
         self._own = np.empty((nl, n_nodes), dtype=bool)
@@ -355,11 +367,10 @@ class Sweeper:
         self._settled, self._same = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         # product-sum scratch
         self._tmp = np.empty(size)
-        # the value path's decisions (`_decide`), None until a sweep decides
-        # a row: every row's stencil as positions in `_both`, at M of its
-        # own level while it is undecided and at the values of its decided
-        # level after, and the undecided rows with their stencils
-        self._decided = None
+        # the value path's live levels (`_keep`), None until the first sweep
+        # given a change: every row's stencil at its highest live level, as
+        # positions in the values, and the other live (row, level) pairs
+        self._live = None
         # the weight sum and |h f| bounds of `_margin`, from its first call
         self._sums = None
         self._last_gather = None
@@ -367,9 +378,10 @@ class Sweeper:
     def __call__(self, values: np.ndarray, policy: bool = False, change: float | None = None):
         """One sweep of `values`.  `change` is given only on Picard's value
         path: the sup-norm change of `values` from the iterate it was swept
-        from.  The sweep then decides rows for the sweeps of every later
-        iterate, so from then on the value path must be called on those
-        iterates alone; the policy path and `open_rows` ignore decisions."""
+        from.  The sweep then drops the levels that no later iterate's
+        minimum can reach, so from then on the value path must be called on
+        those iterates alone; the policy path and `open_rows` read every
+        level."""
         nl, n_nodes = _level_major_shape(values, self.table)
         if policy:
             best = self._bellman(self._bound(values))
@@ -378,28 +390,23 @@ class Sweeper:
             choice = self._s0.astype(int)
             best[rows], choice[rows] = self._fold(values, self._gather(rows), policy=True)
             return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
-        pos, rows, idx = self._decided or (self.table.indices, None, self.table.indices)
-        if rows is not None:
-            np.copyto(self._both[1], values)
-        if rows is None or len(rows):
-            # the undecided rows' bound and the decided rows' candidate at
-            # their level, in one product-sum
-            raw = self._bound(values, pos)
-            opened = self._open_rows(values, None, idx=idx)
-            gathered = self._gather(opened if rows is None else rows[opened])
-            # held until the next value sweep gathers: freed at the end of
-            # this one, its pages went back to the system and the next
-            # sweep faulted them in again (73,000 against 8,400 minor faults
-            # in a paper-rule solve at k = h = 0.025, a tenth of its time)
-            self._last_gather = gathered
-            if change is None:
-                raw[gathered[0]] = self._fold(values, gathered)
-            else:
-                raw[gathered[0]], argmin, runner = self._fold(values, gathered, second=True)
-                self._decide(values, change, rows, idx, raw, opened, argmin, runner)
-        else:
-            raw = _interpolate(self._both.ravel(), pos, self.table.weights,
-                               np.empty(values.size), self._tmp)
+        if self._live is not None:
+            raw, highest = self._live_min(values, change is not None)
+            if change is not None:
+                self._drop(values, change, raw, highest)
+            return self._bellman(raw).reshape(nl, n_nodes)
+        raw = self._bound(values)
+        gathered = self._gather(self._open_rows(values, None))
+        # held until the next value sweep gathers: freed at the end of this
+        # one, its pages went back to the system and the next sweep faulted
+        # them in again (73,000 against 8,400 minor faults in a paper-rule
+        # solve at k = h = 0.025, a tenth of its time)
+        self._last_gather = gathered
+        raw[gathered[0]] = self._fold(values, gathered)
+        if change is not None:
+            margin = self._margin(values, change)
+            if margin < math.inf:
+                self._keep(*self._first_live(values, raw, margin))
         return self._bellman(raw).reshape(nl, n_nodes)
 
     @property
@@ -408,17 +415,27 @@ class Sweeper:
         one of the sweep before it."""
         return np.array_equal(self._first, self._before)
 
+    def live_pairs(self):
+        """The live (row, level) pairs of the value path, as level-major row
+        numbers and their levels, every row's highest live level first;
+        None before the first sweep given a change."""
+        if self._live is None:
+            return None
+        top, rows, pos = self._live[:3]
+        n_nodes = self.table.stage_cost.shape[1]
+        return (np.concatenate([np.arange(top.shape[1]), rows]),
+                np.concatenate([top[0] // n_nodes, pos[0] // n_nodes]))
+
     def decided_levels(self) -> np.ndarray:
-        """The level each decided row keeps on the value path, level-major
-        (n_levels, N); -1 for the rows not decided."""
+        """The level of each row that has one live level left on the value
+        path, level-major (n_levels, N); -1 for the rows with more, and for
+        every row before the first sweep given a change."""
         nl, n_nodes = self.table.stage_cost.shape
-        size = nl * n_nodes
-        levels = np.full(size, -1)
-        if self._decided is not None:
-            # a decided row's positions point into the copy, past M
-            pos = self._decided[0][0]
-            done = pos >= size
-            levels[done] = (pos[done] - size) // n_nodes
+        levels = np.full(nl * n_nodes, -1)
+        if self._live is not None:
+            top, rows = self._live[:2]
+            levels[:] = top[0] // n_nodes
+            levels[rows] = -1
         return levels.reshape(nl, n_nodes)
 
     def open_rows(self, values: np.ndarray, policy: bool = False) -> np.ndarray:
@@ -433,10 +450,9 @@ class Sweeper:
         raw += self._step
         return raw
 
-    def _bound(self, values, pos=None):
+    def _bound(self, values):
         """The suffix-minimum bound interp(M[a]) of every row, as a new
-        level-major array; with `pos`, the positions of the decided state,
-        a decided row's candidate at its level instead.
+        level-major array.
 
         Per node, M[a] = min over b >= a of values[b] and S[a] is the
         smallest b that attains it.  For a settled row the bound is its
@@ -460,10 +476,9 @@ class Sweeper:
         np.copyto(first, levels, where=own)
         for a in range(nl - 2, -1, -1):
             np.minimum(first[a + 1], first[a], out=first[a])
-        # row (a, i) reads its stencil at its own level, as the table holds
-        # it, and so M, the first block of `_both`
-        return _interpolate(self._both.ravel(), self.table.indices if pos is None else pos,
-                            self.table.weights, np.empty(values.size), self._tmp)
+        # row (a, i) reads its stencil at its own level, as the table holds it
+        return _interpolate(suffix.ravel(), self.table.indices, self.table.weights,
+                            np.empty(values.size), self._tmp)
 
     def _below(self, values):
         """The below-S bound in M's buffer: per node, L[a] = min over b in
@@ -476,29 +491,26 @@ class Sweeper:
             np.minimum(below[a + 1], below[a], out=below[a], where=~own[a])
         return below
 
-    def _open_rows(self, values, bound, policy=False, idx=None):
-        """The sorted positions, among the rows of the stencils idx (every
-        row by default), of those whose minimum `bound` does not settle.
+    def _open_rows(self, values, bound, policy=False):
+        """The sorted level-major numbers of the rows whose minimum `bound`
+        does not settle.
 
-        Leaves S at the first stencil vertex of each of those rows in the
-        workspace, which for a settled row is its common S and, on the
-        policy path, its choice.  Open are the rows whose stencil vertices
-        differ in S and, on the policy path, those whose common S = b* is
-        above a unless the below-S bound settles them: a row is settled
-        when the Bellman value of interp(L[a]), taken at every row once any
-        row is a candidate, is strictly above `bound`, that of
-        interp(M[a]).  Only the policy path reads `bound`, and only it
-        takes the stencils of every row.
+        Leaves S at the first stencil vertex of each row in the workspace,
+        which for a settled row is its common S and, on the policy path,
+        its choice.  Open are the rows whose stencil vertices differ in S
+        and, on the policy path, those whose common S = b* is above a
+        unless the below-S bound settles them: a row is settled when the
+        Bellman value of interp(L[a]), taken at every row once any row is a
+        candidate, is strictly above `bound`, that of interp(M[a]).  Only
+        the policy path reads `bound`.
         """
-        if idx is None:
-            idx = self.table.indices
-        n = idx.shape[1]
-        s, s0, settled = self._first.ravel(), self._s0[:n], self._settled[:n]
+        idx = self.table.indices
+        s, s0, settled = self._first.ravel(), self._s0, self._settled
         s.take(idx[0], out=s0, mode="clip")
         settled.fill(True)
         for j in range(1, len(idx)):
-            s.take(idx[j], out=self._sj[:n], mode="clip")
-            settled &= np.equal(self._sj[:n], s0, out=self._same[:n])
+            s.take(idx[j], out=self._sj, mode="clip")
+            settled &= np.equal(self._sj, s0, out=self._same)
         if policy:
             nl, n_nodes = values.shape
             raised = (s0.reshape(nl, n_nodes) != self._levels).ravel()
@@ -511,69 +523,115 @@ class Sweeper:
                 # NaN, which `candidates` masks out
                 with np.errstate(invalid="ignore"):
                     low = _interpolate(self._below(values).ravel(), idx, self.table.weights,
-                                       np.empty(n), self._tmp)
+                                       np.empty(len(s0)), self._tmp)
                 settled |= candidates & (self._bellman(low) > bound)
         return np.flatnonzero(~settled)
 
-    def _decide(self, values, change, rows, idx, raw, opened, argmin, runner):
-        """Decide the swept rows whose smallest candidate is below every
-        other by more than `_margin`: the sweeps of every later iterate give
-        them that candidate's level.
-
-        rows are the undecided rows (None: every row) and idx their
-        stencils, raw the smallest candidate of every row, and `opened` the
-        positions of the folded ones among `rows`, whose minimizing level
-        and second smallest candidate the fold returned as argmin and
-        runner.  A settled row's level is its common S = b*; below its
-        second smallest candidate lie interp(M[b* + 1]), the suffix bound
-        over the levels above b*, and interp(L[a]), the below-S bound over
-        a .. b* - 1, so the smaller of the two stands in for it, which only
-        makes the test stricter.
-        """
+    def _first_live(self, values, raw, margin):
+        """The live levels of every row: the levels b >= a whose candidate
+        lies within `margin` of raw, the row's smallest, from one pass over
+        every candidate: for each shift d, from the top down, the rows of
+        levels a < nl - d at level a + d.  A row's first live level so met
+        is its highest, whose positions the returned `top` holds; the
+        returned (rows, levels) list the other live levels in the order
+        met, each row's from the top down.  The top level's rows keep their
+        own level alone."""
         table = self.table
         nl, n_nodes = values.shape
-        n = idx.shape[1]
-        if rows is None:
-            rows = np.arange(n)
-        levels = self._s0[:n].astype(np.intp)
-        levels[opened] = argmin
-        second = np.full(n, np.inf)
-        second[opened] = runner
-        settled = np.ones(n, dtype=bool)
-        settled[opened] = False
-        # read before `_below` takes M's buffer
-        up = np.flatnonzero(settled & (levels < nl - 1))
-        second[up] = _interpolate(
-            self._suffix.ravel(), _positions(table, rows[up], levels[up] + 1),
-            table.weights.take(rows[up], axis=1), np.empty(len(up)), np.empty(len(up)))
-        down = np.flatnonzero(settled & (levels > rows // n_nodes))
-        if len(down):
-            low = _interpolate(self._below(values).ravel(), idx.take(down, axis=1),
-                               table.weights.take(rows[down], axis=1),
-                               np.empty(len(down)), np.empty(len(down)))
-            second[down] = np.minimum(second[down], low)
-        decided = second - raw[rows] > self._margin(values, change)
-        done = np.flatnonzero(decided)
-        if len(done) == 0:
+        flat, cand = values.ravel(), np.empty(values.size)
+        # the shift of each row's highest live level, -1 until it is met
+        high = np.full(values.size, -1, dtype=np.intp)
+        rows, levels = [], []
+        for d in range(nl - 1, -1, -1):
+            n = (nl - d) * n_nodes
+            # the stored positions a*N + v read from level d on: a + d
+            c = _interpolate(flat[d * n_nodes:], table.indices[:, :n], table.weights[:, :n],
+                             cand[:n], self._tmp[:n])
+            c -= raw[:n]
+            live = c <= margin
+            below = np.flatnonzero(live & (high[:n] >= 0))
+            np.copyto(high[:n], d, where=live & (high[:n] < 0))
+            rows.append(below)
+            levels.append((below // n_nodes + d).astype(self._levels.dtype))
+        every = np.arange(values.size)
+        high += every // n_nodes
+        return _positions(table, every, high), np.concatenate(rows), np.concatenate(levels)
+
+    def _keep(self, top, rows, levels):
+        """Make the live levels: each row's highest at the positions `top`,
+        and the pairs (rows, levels), which list each row's other levels
+        from the top down, so that the fold meets them in that order."""
+        self._live = (top, rows, _positions(self.table, rows, levels), np.empty(len(rows)),
+                      np.empty(min(len(rows), top.shape[1])))
+
+    def _live_min(self, values, check):
+        """The smallest candidate of every row over its live levels: one
+        product-sum at each row's highest live level, one at every other
+        live level, into the pairs' candidate buffer, and their fold into
+        the minimum, each row's levels from the top down, as the column
+        fold meets them.  With `check`, also returns the candidates at the
+        highest live levels, for `_drop`."""
+        top, rows, pos, cand, wtmp = self._live
+        weights, size = self.table.weights, values.size
+        flat = values.ravel()
+        raw = _interpolate(flat, top, weights, np.empty(size), self._tmp)
+        highest = raw.copy() if check else None
+        # in chunks of the row count, so that the row-sized scratch serves
+        for start in range(0, len(rows), size):
+            part = slice(start, start + size)
+            n = len(rows[part])
+            _interpolate(flat, pos[:, part], weights, cand[part], self._tmp[:n],
+                         rows=rows[part], wtmp=wtmp[:n])
+        # pair by pair, each row's levels from the top down: like np.minimum
+        # it keeps its second argument on a tie, so each minimum gets the
+        # column fold's bits
+        np.minimum.at(raw, rows, cand)
+        return raw, highest
+
+    def _drop(self, values, change, raw, highest):
+        """Drop the live levels whose candidate, as the last `_live_min`
+        left it, lies more than `_margin` above raw, the row's minimum;
+        `highest` holds the candidates at the rows' highest live levels.  A
+        row whose highest live level is dropped takes its first kept one
+        instead."""
+        top, rows, pos, cand, wtmp = self._live
+        if len(rows) == 0:
+            # with one live level a row's candidate is its minimum
             return
-        if self._decided is None:
-            # the first decided rows: room for the copy of the values they
-            # read, and their positions; M is read no more in this sweep
-            self._both = np.empty((2, nl, n_nodes))
-            self._suffix = self._both[0]
-            pos = table.indices.copy()
-        else:
-            pos = self._decided[0]
-        # the decided rows read the copy of the values, the second block
-        pos[:, rows[done]] = _positions(table, rows[done], levels[done]) + values.size
-        kept = np.flatnonzero(~decided)
-        self._decided = (pos, rows[kept], idx.take(kept, axis=1))
+        margin = self._margin(values, change)
+        if margin == math.inf:
+            return
+        size = len(raw)
+        for start in range(0, len(rows), size):
+            part = slice(start, start + size)
+            cand[part] -= raw.take(rows[part], out=wtmp[:len(rows[part])], mode="clip")
+        kept = cand <= margin
+        # the old pairs are freed as soon as they are read, before the new
+        # ones are built
+        self._live = None
+        del cand, wtmp
+        levels = np.floor_divide(pos[0], values.shape[1], casting="unsafe",
+                                 out=np.empty(len(rows), dtype=self._levels.dtype))[kept]
+        rows = rows[kept]
+        del pos, kept
+        highest -= raw
+        dead = np.flatnonzero(highest > margin)
+        if len(dead):
+            first = np.full(size, len(rows))
+            np.minimum.at(first, rows, np.arange(len(rows)))
+            heads = first[dead]
+            top[:, dead] = _positions(self.table, dead, levels[heads])
+            other = np.ones(len(rows), dtype=bool)
+            other[heads] = False
+            rows, levels = rows[other], levels[other]
+        self._keep(top, rows, levels)
 
     def _margin(self, values, change):
-        """The gap between a row's two smallest candidates above which no
-        later iterate changes its minimizing level, for an iterate `values`
-        whose last change was `change`; +inf when the weights are too large
-        for a contraction.  The module docstring derives it."""
+        """The gap above a row's smallest candidate beyond which a level's
+        candidate stays above the row's minimum at every later iterate, for
+        an iterate `values` whose last change was `change`; +inf when the
+        weights are too large for a contraction.  The module docstring
+        derives it."""
         unit = 2.0 ** -53
         k = len(self.table.indices)
         gamma = k * unit / (1.0 - k * unit)
@@ -609,7 +667,7 @@ class Sweeper:
         return (rows, ends, _positions(table, rows, 0), table.weights.take(rows, axis=1),
                 self._step.take(rows), np.empty(n_rows), np.empty(n_rows))
 
-    def _fold(self, values, gathered, policy=False, second=False):
+    def _fold(self, values, gathered, policy=False):
         """Top-down column fold over the gathered open rows.
 
         Column b of values is interpolated at the open rows of levels
@@ -617,20 +675,16 @@ class Sweeper:
         running minimum, which is returned.  With policy=True the
         candidates are mapped to Bellman values before the minimum, so that
         ties are decided on them, and the minimizing b, the smallest on
-        ties, is returned as well.  With second=True the candidates stay
-        interpolants, and the minimizing b and the second smallest
-        candidate (equal to the smallest on a tie) are returned too.  The
-        value path maps its minimum afterwards; the map is monotone in
-        floating point, so both paths give identical values.  The minimum
-        is the gather's buffer, valid until the next call.
+        ties, is returned as well.  The value path maps its minimum
+        afterwards; the map is monotone in floating point, so both paths
+        give identical values.  The minimum is the gather's buffer, valid
+        until the next call.
         """
         rows, ends, idx, wts, step, best, cand = gathered
         nl, n_rows = len(values), len(rows)
         tmp = self._tmp[:n_rows]
-        if policy or second:
+        if policy:
             choice, take = np.full(n_rows, nl - 1), np.empty(n_rows, dtype=bool)
-        if second:
-            runner = np.full(n_rows, np.inf)
         for b in range(nl - 1, -1, -1):
             n = ends[b]
             if n == 0:
@@ -643,19 +697,13 @@ class Sweeper:
                 c += step[:n]
             if top:
                 continue
-            if policy or second:
+            if policy:
                 # choice = b where c <= best; b descends, so ties keep the smallest b
                 np.less_equal(c, best[:n], out=take[:n])
                 np.copyto(choice[:n], b, where=take[:n])
-            if second:
-                # the runner-up is the smaller of itself and the loser of c
-                # against the running minimum
-                np.minimum(runner[:n], np.maximum(best[:n], c, out=tmp[:n]), out=runner[:n])
             np.minimum(best[:n], c, out=best[:n])
         if policy:
             return best, choice
-        if second:
-            return best, choice, runner
         return best
 
 

@@ -20,24 +20,27 @@ However accurate that evaluation is, the certificate comes from the greedy
 sweep's residual after it, as for Picard.  The solver reads no stencil of
 the table itself: the sweeps and the frozen maps are bellman's.
 
-Picard's sweeps decide rows along the way (`bellman.Sweeper`).  The rule:
-a row whose second smallest candidate exceeds its smallest by more than
-2 D, plus a rounding allowance, keeps the level of its smallest for the
-rest of the solve, where D = delta (1 - lambda h) / (lambda h) is the
-current iterate's own certificate and delta its last sup-norm change.
-Why: the operator contracts by 1 - lambda h, so the changes after the
-iterate sum to at most D, and every later iterate, hence every candidate
-(a weighted average of values), stays within D of where it is now; two
-candidates close in by at most 2 D.  The allowance bounds the rounding of
-the sweeps in that argument: each computed sweep is within a few units in
-the last place of the exact operator, an error the contraction sums to
-its own geometric series (the bellman module docstring derives it; it is
-near 1e-13 at k = h = 0.05, against 2 D >= 1.4e-7).  The checks run at
-the sweep after the first repeat of the per-node suffix argmin S, and
-then at each sweep whose certificate has halved since the last check.  A
-decided row then costs one product-sum, and Picard's iterates, residual
-history, iteration count, policy and certificate stay bit for bit those
-of plain sweeps.
+Picard's sweeps drop levels along the way (`bellman.Sweeper`), by the
+classical test for suboptimal actions applied per level.  The rule: a
+level whose candidate exceeds the row's smallest by more than 2 D, plus a
+rounding allowance, stays strictly above the row's minimum at every later
+sweep, where D = delta (1 - lambda h) / (lambda h) is the current iterate's own
+certificate and delta its last sup-norm change.  Why: the operator
+contracts by 1 - lambda h, so the changes after the iterate sum to at most
+D, and every later iterate, hence every candidate (a weighted average of
+values), stays within D of where it is now; two candidates close in by at
+most 2 D.  The allowance bounds the rounding of the sweeps in that
+argument: each computed sweep is within a few units in the last place of
+the exact operator, an error the contraction sums to its own geometric
+series (the bellman module docstring derives it; it is near 1e-13 at
+k = h = 0.05, against 2 D >= 1.4e-7).  The first check runs at the sweep
+after the first repeat of the per-node suffix argmin S: one pass over
+every candidate keeps each row's live levels.  Each later check runs at
+the sweep whose certificate has halved since the last one and drops more.
+From the first check on, a sweep reads each row at its live levels only,
+one product-sum for a row with one live level left, and Picard's
+iterates, residual history, iteration count, policy and certificate stay
+bit for bit those of plain sweeps.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
     sweep of the iterate after the first repeat of the suffix argmin S, and
     then each one whose certificate (proportional to its change) has
     halved since the last such sweep, is given that change, so that it
-    decides the rows whose minimizing level no later iterate can move
-    (`bellman.Sweeper._decide`); the iterates keep their bits.  Returns
-    level-major (values, choice) and the residual history.
+    drops the levels that no later iterate's minimum can reach
+    (`bellman.Sweeper`); the iterates keep their bits.  Returns level-major
+    (values, choice) and the residual history.
     """
     sweeper = Sweeper(table)
     u = np.zeros(table.stage_cost.shape)
@@ -130,7 +133,7 @@ def _picard(table: TransitionTable, threshold: float, max_iterations: int):
     # value took several times the arithmetic, in allocation
     diff = np.empty(u.shape)
     history = []
-    # the change at or below which the next sweep decides, once S repeated
+    # the change at or below which the next sweep drops levels, once S repeated
     due = None
     for _ in range(max_iterations):
         change = None
@@ -208,7 +211,11 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
     returns A w with its greedy policy, so the returned value carries the
     same guaranteed-error contract as Picard's, however accurate the
     evaluation: the bound holds whether or not the policy has settled.
-    max_iterations caps the outer iterations and the passes of each block.
+    Stops short of it once the greedy policy repeats the policy just
+    evaluated and the residual did not fall below the previous one: the
+    residual then sits at the sweeps' rounding floor, and repeating the
+    evaluation would keep it there.  max_iterations caps the outer
+    iterations and the passes of each block.
     Returns level-major (values, choice), the residual history and, per
     outer iteration, the evaluation's passes over each block, summed.
     """
@@ -221,9 +228,14 @@ def _howard(table: TransitionTable, threshold: float, max_iterations: int):
         w, passes = _evaluate(u, choice, table, eval_tolerance, max_iterations)
         evaluations.append(passes)
         # improvement step doubles as the residual check
-        u, choice = sweeper(w, policy=True)
+        u, greedy = sweeper(w, policy=True)
         history.append(float(np.abs(u - w).max()))
-        if history[-1] <= threshold:
+        # the greedy policy is the one just evaluated and the residual did
+        # not fall: the next iteration would evaluate that policy again, to
+        # the same rounding floor, so stop (`solve` raises)
+        stalled = len(history) > 1 and history[-1] >= history[-2] and np.array_equal(greedy, choice)
+        choice = greedy
+        if history[-1] <= threshold or stalled:
             break
     return u, choice, history, evaluations
 
@@ -242,7 +254,8 @@ def solve(
     `bellman.table_for`).  Returns the value, its greedy policy and a
     report whose guaranteed_error bounds the sup-norm distance of the
     value to the fixed point.  If the stop rule is not met within
-    opts.max_iterations, raises NonConvergenceError carrying all three.
+    opts.max_iterations, or Howard stalls above it (`_howard`), raises
+    NonConvergenceError carrying all three.
     """
     opts.validate(spec.discount)
     table = table_for(spec, tri, grid, opts.h, table)
@@ -259,12 +272,16 @@ def solve(
         converged=history[-1] <= threshold, evaluation_iterations=evaluations,
     )
     if not report.converged:
-        raise NonConvergenceError(
-            f"{opts.method.capitalize()} iteration did not meet the stop rule within "
-            f"{opts.max_iterations} iterations (last residual "
-            f"{report.final_residual:.3e}, threshold {threshold:.3e})",
-            value=value, policy=policy, report=report,
-        )
+        residual = report.final_residual
+        if report.iterations < opts.max_iterations:
+            reason = (f"stalled after {report.iterations} iterations at residual "
+                      f"{residual:.3e}, above the threshold {threshold:.3e}: its greedy "
+                      f"policy repeats the policy it evaluated and the residual did not fall")
+        else:
+            reason = (f"did not meet the stop rule within {opts.max_iterations} iterations "
+                      f"(last residual {residual:.3e}, threshold {threshold:.3e})")
+        raise NonConvergenceError(f"{opts.method.capitalize()} iteration {reason}",
+                                  value=value, policy=policy, report=report)
     return value, policy, report
 
 

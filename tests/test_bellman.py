@@ -382,6 +382,29 @@ def random_table(rng, nl, n_nodes, stencil, h, stage_cost):
     )
 
 
+def with_crossing(table, gap):
+    """`table` with two rows whose candidates cross late in Picard's
+    iterates, as in `test_candidates_drifting_apart_by_twice_the_certificate`:
+    on nodes 0 and 1 of the two top levels T and L = T - 1, with
+    beta = 1 - h and the discount 1, node 0 falls to -1 at T as
+    -1 + beta^n, and row (L, 1) reads node 1, whose value at L rises as
+    1 - beta^n while its value at T falls as 1 - gap + beta^n.  They cross
+    where beta^n = gap / 2."""
+    nl, n_nodes = table.stage_cost.shape
+    indices, weights, cost = table.indices.copy(), table.weights.copy(), table.stage_cost.copy()
+    top, low = nl - 1, nl - 2
+    beta = 1.0 - table.h
+    for (a, i), node, f in [((top, 0), 0, -1.0), ((top, 1), 0, (1.0 - gap + beta) / table.h),
+                            ((low, 0), 0, 0.0), ((low, 1), 1, 1.0)]:
+        row = a * n_nodes + i
+        indices[:, row] = a * n_nodes + node
+        weights[:, row] = 0.0
+        weights[0, row] = 1.0
+        cost[a, i] = f
+    return TransitionTable(indices=indices, weights=weights, stage_cost=cost, h=table.h,
+                           discount=table.discount)
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -529,7 +552,7 @@ class TestSweepKernel:
         one of the call before.  Scaling a node's values by a power of two
         keeps S; turning node 0 from rising over the levels (S[a] = a) to
         falling (S[a] = top) changes it.  No call is given a change, so no
-        row is decided."""
+        level is dropped."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
         scale = rng.choice([1.0, 0.1])
@@ -553,7 +576,7 @@ class TestSweepKernel:
                 np.testing.assert_array_equal(got[1], want[1])
             else:
                 assert_same_bits(got, want)
-        assert np.all(sweeper.decided_levels() == -1)
+        assert np.all(sweeper.decided_levels() == -1) and sweeper.live_pairs() is None
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -563,19 +586,23 @@ class TestSweepKernel:
         stencil=st.integers(2, 4),
         h=st.floats(0.1, 0.9),
         tie_share=st.floats(0.0, 1.0),
+        gap=st.one_of(st.none(), st.floats(1e-9, 0.5)),
     )
     def test_picard_matches_a_loop_of_fresh_sweeps(self, seed, nl, n_nodes, stencil, h,
-                                                   tie_share):
-        """`solver._picard` decides rows along its iterates; fresh `sweep`
+                                                   tie_share, gap):
+        """`solver._picard` drops levels along its iterates; fresh `sweep`
         calls never do.  To a 1e-12 residual, every iterate, the residual
         history and the returned values and policy agree byte for byte.
         The stage costs have ties and signed zeros, drawn as `_TIE_POOL`
-        draws values."""
+        draws values, and with a gap two live levels of a row cross
+        (`with_crossing`), for many draws after the first check."""
         rng = np.random.default_rng(seed)
         shape = (nl, n_nodes)
         cost = np.where(rng.random(shape) < tie_share, rng.choice(_TIE_POOL, shape),
                         rng.uniform(-2, 2, shape))
         table = random_table(rng, nl, n_nodes, stencil, h, cost)
+        if gap is not None and nl >= 2 and n_nodes >= 2:
+            table = with_crossing(table, gap)
         iterates = []
         call = Sweeper.__call__
 
@@ -600,6 +627,87 @@ class TestSweepKernel:
         want_value, want_choice = sweep(prev, table, policy=True)
         assert_same_bits(value, want_value)
         assert_same_bits(choice, want_choice)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(2, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.1, 0.9),
+        tie_share=st.floats(0.0, 1.0),
+        scale=st.integers(-8, 6),
+        gap=st.one_of(st.none(), st.floats(1e-9, 0.5)),
+    )
+    def test_dropped_levels_stay_above_the_dense_minimum(self, seed, nl, n_nodes, stencil, h,
+                                                         tie_share, scale, gap):
+        """At every value sweep after Picard's first check, each admissible
+        (row, level) that is not live lies strictly above the row's minimum
+        over all its candidates, computed densely in the sweeps' own
+        product-sum; each row keeps a live level, and only admissible ones.
+        Stage costs with ties and signed zeros, scaled by 1e-8 to 1e6, and
+        rows whose candidates cross (`with_crossing`)."""
+        rng = np.random.default_rng(seed)
+        shape = (nl, n_nodes)
+        cost = np.where(rng.random(shape) < tie_share, rng.choice(_TIE_POOL, shape),
+                        rng.uniform(-2, 2, shape)) * 10.0 ** scale
+        table = random_table(rng, nl, n_nodes, stencil, h, cost)
+        if gap is not None and n_nodes >= 2:
+            table = with_crossing(table, gap)
+        idx, weights = table.indices - level_offsets(nl, n_nodes), table.weights
+        own = np.repeat(np.arange(nl), n_nodes)
+        admissible = np.arange(nl)[None, :] >= own[:, None]
+        checked = []
+        call = Sweeper.__call__
+
+        def check(self, values, policy=False, change=None):
+            live = self.live_pairs()
+            if not policy and live is not None:
+                candidates = np.full((nl * n_nodes, nl), np.inf)
+                for b in range(nl):
+                    n = (b + 1) * n_nodes
+                    c = values[b].take(idx[0, :n]) * weights[0, :n]
+                    for j in range(1, len(idx)):
+                        c += values[b].take(idx[j, :n]) * weights[j, :n]
+                    candidates[:n, b] = c
+                kept = np.zeros((nl * n_nodes, nl), dtype=bool)
+                kept[live] = True
+                assert not np.any(kept & ~admissible) and np.all(kept.any(axis=1))
+                rows, levels = np.nonzero(admissible & ~kept)
+                smallest = candidates.min(axis=1)
+                assert np.all(candidates[rows, levels] > smallest[rows])
+                checked.append(len(rows))
+            return call(self, values, policy, change)
+
+        with mock.patch.object(Sweeper, "__call__", check):
+            solver._picard(table, 1e-12 * 10.0 ** scale, 10_000)
+        assert all(later >= earlier for earlier, later in zip(checked, checked[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+    )
+    def test_live_levels_fold_as_the_column_fold(self, seed, nl, n_nodes, stencil, h):
+        """A check given a change so large that it drops no level leaves
+        every admissible level live; a later value sweep then folds them all
+        and must give `sweep`'s bits, on values with exact ties and signed
+        zeros, where the order of the fold decides which zero a tie keeps."""
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1.0, 0.1])
+        # a stage cost of -0.0 keeps the sign of a zero minimum in the value
+        table = random_table(rng, nl, n_nodes, stencil, h,
+                             rng.choice(_TIE_POOL, size=(nl, n_nodes)) * scale)
+        sweeper = Sweeper(table)
+        sweeper(np.zeros((nl, n_nodes)), change=1e100)
+        assert len(sweeper.live_pairs()[0]) == nl * (nl + 1) // 2 * n_nodes
+        for _ in range(3):
+            # nonnegative, so that many rows' minimum is a zero
+            values = rng.choice([-0.0, 0.0, 1.0], size=(nl, n_nodes)) * scale
+            assert_same_bits(sweeper(values), sweep(values, table))
 
     def test_candidates_drifting_apart_by_twice_the_certificate(self):
         """Row (0, 1) reads node 1, whose level-0 value rises as 1 - 0.9^n
@@ -633,9 +741,10 @@ class TestSweepKernel:
 
     def test_decided_levels_stay_the_dense_argmin(self, medium):
         """Along Picard's iterates to a 1e-12 certificate on the k = h = 0.1
-        paper mesh, each row decided by an earlier sweep keeps, at every
-        later sweep, the level where a dense evaluation of all its
-        candidates has its minimum (the smallest such level on ties)."""
+        paper mesh, each row that an earlier sweep left with one live level,
+        a decided row, keeps, at every later sweep, the level where a dense
+        evaluation of all its candidates has its minimum (the smallest such
+        level on ties)."""
         _, _, table = medium
         nl, n_nodes = table.stage_cost.shape
         idx, weights = table.indices - level_offsets(nl, n_nodes), table.weights

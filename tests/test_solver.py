@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from unittest import mock
 
 import numpy as np
@@ -136,11 +137,13 @@ def test_picard_returns_last_sweep_and_its_argmin(paper):
 
 
 def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
-    """Picard's first deciding sweep is the one after the first sweep whose
+    """Picard's first check is the sweep after the first sweep whose
     per-node suffix argmin S repeats the one before; each later one is the
-    first whose change is at most half the last deciding sweep's.  Each is
-    given the change of the iterate it sweeps.  At k = h = 0.1 to 1e-8 the
-    sweeps decide rows, and the iterations stay 162."""
+    first whose change is at most half the last check's.  Each is given the
+    change of the iterate it sweeps.  The first check gives every row its
+    live levels; only checks drop any, and a row is decided once one live
+    level is left.  At k = h = 0.1 to 1e-8 every row is decided by the
+    stop, and the iterations stay 162."""
     tri, grid = setup(paper, 0.1)
     calls = []
     call = bellman.Sweeper.__call__
@@ -149,7 +152,9 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
         repeats = self.s_repeats
         out = call(self, values, policy, change)
         if not policy:
-            calls.append((repeats, change, int((self.decided_levels() >= 0).sum())))
+            live = self.live_pairs()
+            decided = int((self.decided_levels() >= 0).sum())
+            calls.append((repeats, change, None if live is None else len(live[0]), decided))
         return out
 
     monkeypatch.setattr(bellman.Sweeper, "__call__", record)
@@ -157,20 +162,48 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
     _, _, report = solve(paper, tri, grid, opts)
     assert report.iterations == len(calls) == 162
     history = report.residual_history
-    first = next(n for n, (repeats, _, _) in enumerate(calls) if repeats)
-    assert first > 1 and all(change is None for _, change, _ in calls[:first])
+    first = next(n for n, (repeats, *_) in enumerate(calls) if repeats)
+    assert first > 1
+    assert all(change is None and pairs is None and decided == 0
+               for _, change, pairs, decided in calls[:first])
     due = None
     for n in range(first, len(calls)):
-        change = calls[n][1]
+        change, pairs, _ = calls[n][1:]
         if due is None or history[n - 1] <= due:
             assert change == history[n - 1]
             due = change / 2
         else:
-            assert change is None
-    assert calls[-1][2] > 0
+            assert change is None and pairs == calls[n - 1][2]
+        if n > first:
+            assert pairs <= calls[n - 1][2]
+    rows = tri.n_vertices * grid.n_levels
+    assert all(pairs >= rows for _, _, pairs, _ in calls[first:])
+    # the top level's rows have one live level from the first check on
+    assert calls[first][3] >= tri.n_vertices
+    assert calls[-1][2] == calls[-1][3] == rows
 
 
 class TestHoward:
+    def test_stalls_at_the_rounding_floor_fails_fast(self, paper):
+        """The paper problem with cost + 1000 ("offset") has values near
+        1000, and at k = h = 0.1 Howard's residual sits at 3.41e-13 from the
+        second outer iteration on, above the 1e-12 target's threshold
+        1.1e-13, with an unchanged policy.  The third iteration, which
+        repeats the policy it evaluated without a lower residual, raises,
+        naming the residual reached."""
+        offset = dataclasses.replace(
+            paper, cost=lambda x, a: paper.cost(x, a) + 1000.0, bound_f=paper.bound_f + 1000.0)
+        tri, grid = setup(offset, 0.1)
+        opts = SolveOptions(h=0.1, method="howard", stop_rule="target_bound", target=1e-12)
+        t0 = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match=r"stalled .* residual 3\.411e-13") as exc:
+            solve(offset, tri, grid, opts)
+        assert time.perf_counter() - t0 < 1.0
+        report = exc.value.report
+        assert report.iterations <= 3 and not report.converged
+        history = report.residual_history
+        assert history[-1] >= history[-2] > opts.residual_threshold(offset.discount)
+
     def test_zero_cost_converges_to_zero(self, zero_cost_2d):
         tri, grid = setup(zero_cost_2d, 0.5)
         u, _, report = solve(
