@@ -11,8 +11,8 @@ greedy policy of that recursion), Picard and Howard under the paper stop
 rule and to a 1e-8 certified error, and Picard to 1e-12 (with their
 iteration counts and certificates; for Picard the milliseconds per sweep,
 counting the closing policy sweep, and, from one more solve, the first
-check (the first sweep given a change, which keeps each row's live
-levels), the number of checks, the live (row, level) pairs at the first
+check (the first value sweep to which `Sweeper.picard` gives a change,
+which keeps each row's live levels), the number of checks, the live (row, level) pairs at the first
 check and at the stop (`Sweeper.live_pairs`), the rows left with more than
 one live level at the stop, and the milliseconds per value sweep before
 the first check, of the first check, per check and per value sweep after
@@ -129,27 +129,26 @@ def settled_share(values, table, policy=False):
 
 
 def decisions(fn):
-    """How the value sweeps of the Picard solve fn() drop levels: the first
-    check (the first sweep given a change, counted from 1), the number of
-    checks, the live (row, level) pairs right after the first check and at
+    """How the value sweeps of the Picard solve fn() drop levels, as
+    `Sweeper.picard` runs them (`Sweeper._sweep`, given a change at a
+    check): the first check (counted from 1), the number of checks, the live (row, level) pairs right after the first check and at
     the stop (`Sweeper.live_pairs`), the rows with more than one live level
     at the stop, and the milliseconds of the value sweeps: the mean before
     the first check, the first check, the mean per check and the mean per
     sweep after the first check that is no check (None where there is none)."""
-    sweeps = []  # (seconds, given a change, live pairs after, undecided rows after)
-    call = Sweeper.__call__
+    sweeps = []  # (seconds, a check, live pairs after, undecided rows after)
+    call = Sweeper._sweep
 
-    def record(self, values, policy=False, change=None):
+    def record(self, values, change):
         t0 = time.perf_counter()
-        out = call(self, values, policy, change)
+        out = call(self, values, change)
         seconds = time.perf_counter() - t0
-        if not policy:
-            live = self.live_pairs()
-            sweeps.append((seconds, change is not None, None if live is None else len(live[0]),
-                           int((self.decided_levels() < 0).sum())))
+        live = self.live_pairs()
+        sweeps.append((seconds, change is not None, None if live is None else len(live[0]),
+                       int((self.decided_levels() < 0).sum())))
         return out
 
-    with mock.patch.object(Sweeper, "__call__", record):
+    with mock.patch.object(Sweeper, "_sweep", record):
         fn()
     first = next((n for n, (_, checked, *_) in enumerate(sweeps) if checked), None)
     after = [] if first is None else sweeps[first + 1:]

@@ -7,9 +7,10 @@ TransitionTable caches those weights; the new value at level a is
     min over b >= a of  (1 - lambda*h) * interp(w(., b), x^i + h g(x^i, a))
                         + h * f(x^i, a)
 
-One kernel, `Sweeper`, computes it on level-major values (n_levels, N); a
-solve creates one and calls it on every sweep, and `sweep` is one call of a
-new one.  Ties in the minimum always resolve to the smallest admissible b.
+One kernel, `Sweeper`, computes it on level-major values (n_levels, N): a
+call is the operator, `sweep` is one call of a new one, and
+`Sweeper.picard` runs Picard iteration, the one path that drops levels
+(below).  Ties in the minimum always resolve to the smallest admissible b.
 Only `apply_policy` (one frozen stencil per row), Howard's frozen maps
 (`_frozen`), the sweeper's two bounds, its live levels and its fold (the
 minimum over levels) map interpolants to these values.  The bounds read each
@@ -67,7 +68,11 @@ Dropping b therefore changes no later minimum, not even its bits on a
 tie: a fold's result is the bits of the levels that attain the minimum,
 met in their order, and b is never among them.
 
-The first value sweep given delta (`Sweeper._first_live`) computes every
+Picard's loop (`Sweeper.picard`) owns the test.  It checks at the sweep
+after the first whose per-node suffix argmin S repeats the one before,
+and then at each sweep whose certificate has halved since the last
+check; a check is a value sweep given its iterate's delta
+(`Sweeper._sweep`).  The first check (`Sweeper._first_live`) computes every
 candidate once and keeps, per row, its live levels: those whose candidate
 lies within that margin (`Sweeper._margin`) of the smallest, which the
 sweep has just computed.  The top level's rows keep their own level
@@ -76,11 +81,12 @@ the live levels only: one product-sum over every row at its highest live
 level, one over the other live levels, and their fold into the minimum by
 `np.minimum.at`, each row's levels from the top down.  That is the column
 fold's order, and each candidate is the same numbers in the same product
-as there, so the minimum keeps its bits.  A later sweep given delta drops
-the live levels that the same test, on its own candidates and margin,
-rules out (`Sweeper._drop`).  A row with one live level left is decided:
-it costs one product-sum.  Neither the bounds nor the fold run on this
-path.
+as there, so the minimum keeps its bits.  A later check drops the live
+levels that the same test, on its own candidates and margin, rules out
+(`Sweeper._drop`).  A row with one live level left is decided: it costs
+one product-sum.  Neither the bounds nor the fold run on this
+path.  The loop lets the live levels go before its closing policy sweep,
+so every other sweep, and every call, reads all levels.
 
 The rounding allowance.  Write eps for the largest difference between a
 computed sweep and A in exact arithmetic (with the stored weights, beta
@@ -332,19 +338,23 @@ def _interpolate(column, idx, wts, out, tmp, rows=None, wtmp=None):
 class Sweeper:
     """The Bellman sweep on one table, with the workspace it reuses.
 
-    A solve creates one and calls it on every sweep; `sweep` makes one per
-    call.  Called on level-major values (n_levels, N), it returns the new
-    level-major values; with policy=True it returns (values, choice), where
-    choice[a, i] is the minimizing column level b, the smallest admissible
-    one on ties.  The returned arrays are new on every call.
+    Called on level-major values (n_levels, N), it is the operator A: it
+    returns the new level-major values; with policy=True it returns
+    (values, choice), where choice[a, i] is the minimizing column level b,
+    the smallest admissible one on ties.  The returned arrays are new on
+    every call.  Howard's improvement sweeps and the finite-horizon
+    recursion call one sweeper on every sweep; `sweep` makes one per call;
+    `picard` runs Picard iteration on its own.
 
     The minimum over b is settled row by row from per-node suffix minima
     (`_bound`, `_open_rows`), and only the rows left open run the column
-    fold (`_fold`) on their gathered stencils (`_gather`).  The first value
-    sweep given `change` also keeps every row's live levels (`_first_live`);
-    from then on a value sweep reads each row at its live levels alone
-    (`_live_min`) and each sweep given `change` drops more of them.  The
-    module docstring shows why every path is exact, bit for bit.
+    fold (`_fold`) on their gathered stencils (`_gather`).  `picard` alone
+    drops levels, by checks of its own iterates (`_sweep` given a change):
+    the first keeps every row's live levels (`_first_live`), the later
+    value sweeps read each row at its live levels alone (`_live_min`) and
+    each later check drops more of them (`_drop`).  It lets them go before
+    it returns, so a call always reads every level.  The module docstring
+    shows why every path is exact, bit for bit.
     """
 
     def __init__(self, table: TransitionTable):
@@ -367,21 +377,16 @@ class Sweeper:
         self._settled, self._same = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         # product-sum scratch
         self._tmp = np.empty(size)
-        # the value path's live levels (`_keep`), None until the first sweep
-        # given a change: every row's stencil at its highest live level, as
-        # positions in the values, and the other live (row, level) pairs
+        # `picard`'s live levels (`_keep`), None until its first check and
+        # after it returns: every row's stencil at its highest live level,
+        # as positions in the values, and the other live (row, level) pairs
         self._live = None
         # the weight sum and |h f| bounds of `_margin`, from its first call
         self._sums = None
         self._last_gather = None
 
-    def __call__(self, values: np.ndarray, policy: bool = False, change: float | None = None):
-        """One sweep of `values`.  `change` is given only on Picard's value
-        path: the sup-norm change of `values` from the iterate it was swept
-        from.  The sweep then drops the levels that no later iterate's
-        minimum can reach, so from then on the value path must be called on
-        those iterates alone; the policy path and `open_rows` read every
-        level."""
+    def __call__(self, values: np.ndarray, policy: bool = False):
+        """The operator A on `values`: one sweep of every level."""
         nl, n_nodes = _level_major_shape(values, self.table)
         if policy:
             best = self._bellman(self._bound(values))
@@ -390,11 +395,52 @@ class Sweeper:
             choice = self._s0.astype(int)
             best[rows], choice[rows] = self._fold(values, self._gather(rows), policy=True)
             return best.reshape(nl, n_nodes), choice.reshape(nl, n_nodes)
+        return self._sweep(values, None)
+
+    def picard(self, threshold: float, max_iterations: int):
+        """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the residual is at most
+        threshold, or for max_iterations sweeps.
+
+        The sweep of the iterate after the first repeat of the suffix argmin
+        S (`s_repeats`), and then each one whose certificate (proportional
+        to its change) has halved since the last such sweep, is a check: it
+        is given that change and drops the levels that no later iterate's
+        minimum can reach (the module docstring); the iterates keep their
+        bits.  The live levels are let go before the closing policy sweep
+        of the previous iterate, whose values equal the last iterate
+        exactly.  Returns level-major (values, choice) and the residual
+        history.
+        """
+        u = np.zeros(self.table.stage_cost.shape)
+        # one buffer for the residual: a fresh difference and its absolute
+        # value took several times the arithmetic, in allocation
+        diff = np.empty(u.shape)
+        history = []
+        # the change at or below which the next sweep checks, once S repeated
+        due = None
+        for _ in range(max_iterations):
+            check = bool(history) and (self.s_repeats if due is None else history[-1] <= due)
+            if check:
+                due = history[-1] / 2
+            prev, u = u, self._sweep(u, history[-1] if check else None)
+            np.subtract(u, prev, out=diff)
+            history.append(float(np.abs(diff, out=diff).max()))
+            if history[-1] <= threshold:
+                break
+        self._live = None
+        u, choice = self(prev, policy=True)
+        return u, choice, history
+
+    def _sweep(self, values, change):
+        """One value sweep of `values`, on the sweeper's live levels once it
+        holds them.  A `change`, the sup-norm change of `values` from the
+        iterate it was swept from, makes the sweep a check, which keeps or
+        drops live levels: only `picard` gives one, on its own iterates."""
         if self._live is not None:
             raw, highest = self._live_min(values, change is not None)
             if change is not None:
                 self._drop(values, change, raw, highest)
-            return self._bellman(raw).reshape(nl, n_nodes)
+            return self._bellman(raw).reshape(values.shape)
         raw = self._bound(values)
         gathered = self._gather(self._open_rows(values, None))
         # held until the next value sweep gathers: freed at the end of this
@@ -407,7 +453,7 @@ class Sweeper:
             margin = self._margin(values, change)
             if margin < math.inf:
                 self._keep(*self._first_live(values, raw, margin))
-        return self._bellman(raw).reshape(nl, n_nodes)
+        return self._bellman(raw).reshape(values.shape)
 
     @property
     def s_repeats(self) -> bool:
@@ -416,9 +462,9 @@ class Sweeper:
         return np.array_equal(self._first, self._before)
 
     def live_pairs(self):
-        """The live (row, level) pairs of the value path, as level-major row
-        numbers and their levels, every row's highest live level first;
-        None before the first sweep given a change."""
+        """The live (row, level) pairs of `picard`'s value sweeps, as
+        level-major row numbers and their levels, every row's highest live
+        level first; None before its first check and after it returns."""
         if self._live is None:
             return None
         top, rows, pos = self._live[:3]
@@ -427,9 +473,9 @@ class Sweeper:
                 np.concatenate([top[0] // n_nodes, pos[0] // n_nodes]))
 
     def decided_levels(self) -> np.ndarray:
-        """The level of each row that has one live level left on the value
-        path, level-major (n_levels, N); -1 for the rows with more, and for
-        every row before the first sweep given a change."""
+        """The level of each row that has one live level left in `picard`'s
+        value sweeps, level-major (n_levels, N); -1 for the rows with more,
+        and for every row before its first check and after it returns."""
         nl, n_nodes = self.table.stage_cost.shape
         levels = np.full(nl * n_nodes, -1)
         if self._live is not None:

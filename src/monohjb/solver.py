@@ -2,10 +2,12 @@
 
 `solve` is the one entry: it validates the options, gets the transition
 table (`bellman.table_for`), runs Picard iteration (the contractive Bellman
-operator from the zero function) or Howard iteration (evaluation of a
-frozen policy, carried as far as the stop rule needs, then greedy
-improvement) as `opts.method` says, and certifies the result with the a
-posteriori bound ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
+operator from the zero function; `bellman.Sweeper.picard`, whose level
+elimination the bellman module docstring derives) or Howard iteration
+(evaluation of a frozen policy, carried as far as the stop rule needs,
+then greedy improvement) as `opts.method` says, and certifies the result
+with the a posteriori bound
+||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
 
 Howard evaluates each frozen policy top level first (`_evaluate`), as the
 paper's finite sequence of stopping-time problems: the operator never
@@ -19,28 +21,6 @@ it switches), so a change is not damped at Picard's rate 1 - lambda h.
 However accurate that evaluation is, the certificate comes from the greedy
 sweep's residual after it, as for Picard.  The solver reads no stencil of
 the table itself: the sweeps and the frozen maps are bellman's.
-
-Picard's sweeps drop levels along the way (`bellman.Sweeper`), by the
-classical test for suboptimal actions applied per level.  The rule: a
-level whose candidate exceeds the row's smallest by more than 2 D, plus a
-rounding allowance, stays strictly above the row's minimum at every later
-sweep, where D = delta (1 - lambda h) / (lambda h) is the current iterate's own
-certificate and delta its last sup-norm change.  Why: the operator
-contracts by 1 - lambda h, so the changes after the iterate sum to at most
-D, and every later iterate, hence every candidate (a weighted average of
-values), stays within D of where it is now; two candidates close in by at
-most 2 D.  The allowance bounds the rounding of the sweeps in that
-argument: each computed sweep is within a few units in the last place of
-the exact operator, an error the contraction sums to its own geometric
-series (the bellman module docstring derives it; it is near 1e-13 at
-k = h = 0.05, against 2 D >= 1.4e-7).  The first check runs at the sweep
-after the first repeat of the per-node suffix argmin S: one pass over
-every candidate keeps each row's live levels.  Each later check runs at
-the sweep whose certificate has halved since the last one and drops more.
-From the first check on, a sweep reads each row at its live levels only,
-one product-sum for a row with one live level left, and Picard's
-iterates, residual history, iteration count, policy and certificate stay
-bit for bit those of plain sweeps.
 """
 
 from __future__ import annotations
@@ -111,42 +91,6 @@ class SolveReport:
     @property
     def final_residual(self) -> float:
         return self.residual_history[-1] if self.residual_history else float("inf")
-
-
-def _picard(table: TransitionTable, threshold: float, max_iterations: int):
-    """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the residual is at most
-    threshold.
-
-    The iterates are value-only sweeps of one `Sweeper` on level-major
-    vectors; the returned (values, choice) come from one policy sweep of the
-    previous iterate, whose values equal the last iterate exactly.  The
-    sweep of the iterate after the first repeat of the suffix argmin S, and
-    then each one whose certificate (proportional to its change) has
-    halved since the last such sweep, is given that change, so that it
-    drops the levels that no later iterate's minimum can reach
-    (`bellman.Sweeper`); the iterates keep their bits.  Returns level-major
-    (values, choice) and the residual history.
-    """
-    sweeper = Sweeper(table)
-    u = np.zeros(table.stage_cost.shape)
-    # one buffer for the residual: a fresh difference and its absolute
-    # value took several times the arithmetic, in allocation
-    diff = np.empty(u.shape)
-    history = []
-    # the change at or below which the next sweep drops levels, once S repeated
-    due = None
-    for _ in range(max_iterations):
-        change = None
-        if history and (sweeper.s_repeats if due is None else history[-1] <= due):
-            change = history[-1]
-            due = change / 2
-        prev, u = u, sweeper(u, change=change)
-        np.subtract(u, prev, out=diff)
-        history.append(float(np.abs(diff, out=diff).max()))
-        if history[-1] <= threshold:
-            break
-    u, choice = sweeper(prev, policy=True)
-    return u, choice, history, []
 
 
 # Rows per block of levels that _evaluate iterates jointly.  A block holds
@@ -261,8 +205,11 @@ def solve(
     table = table_for(spec, tri, grid, opts.h, table)
     threshold = opts.residual_threshold(spec.discount)
     t0 = time.perf_counter()
-    loop = _picard if opts.method == "picard" else _howard
-    u, choice, history, evaluations = loop(table, threshold, opts.max_iterations)
+    if opts.method == "picard":
+        u, choice, history = Sweeper(table).picard(threshold, opts.max_iterations)
+        evaluations = []
+    else:
+        u, choice, history, evaluations = _howard(table, threshold, opts.max_iterations)
     value, policy = GridFunction(u.T.copy()), PolicyField(choice.T.copy())
     lam_h = spec.discount * opts.h
     report = SolveReport(

@@ -551,8 +551,7 @@ class TestSweepKernel:
         paths at every call, and `s_repeats` tells exactly whether S is the
         one of the call before.  Scaling a node's values by a power of two
         keeps S; turning node 0 from rising over the levels (S[a] = a) to
-        falling (S[a] = top) changes it.  No call is given a change, so no
-        level is dropped."""
+        falling (S[a] = top) changes it.  A call drops no level."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
         scale = rng.choice([1.0, 0.1])
@@ -590,7 +589,7 @@ class TestSweepKernel:
     )
     def test_picard_matches_a_loop_of_fresh_sweeps(self, seed, nl, n_nodes, stencil, h,
                                                    tie_share, gap):
-        """`solver._picard` drops levels along its iterates; fresh `sweep`
+        """`Sweeper.picard` drops levels along its iterates; fresh `sweep`
         calls never do.  To a 1e-12 residual, every iterate, the residual
         history and the returned values and policy agree byte for byte.
         The stage costs have ties and signed zeros, drawn as `_TIE_POOL`
@@ -604,17 +603,16 @@ class TestSweepKernel:
         if gap is not None and nl >= 2 and n_nodes >= 2:
             table = with_crossing(table, gap)
         iterates = []
-        call = Sweeper.__call__
+        call = Sweeper._sweep
 
-        def record(self, values, policy=False, change=None):
-            out = call(self, values, policy, change)
-            if not policy:
-                iterates.append(out)
+        def record(self, values, change):
+            out = call(self, values, change)
+            iterates.append(out)
             return out
 
         threshold = 1e-12
-        with mock.patch.object(Sweeper, "__call__", record):
-            value, choice, history, _ = solver._picard(table, threshold, 10_000)
+        with mock.patch.object(Sweeper, "_sweep", record):
+            value, choice, history = Sweeper(table).picard(threshold, 10_000)
         u, want, want_history = np.zeros(shape), [], []
         while not want_history or want_history[-1] > threshold:
             prev, u = u, sweep(u, table)
@@ -658,11 +656,11 @@ class TestSweepKernel:
         own = np.repeat(np.arange(nl), n_nodes)
         admissible = np.arange(nl)[None, :] >= own[:, None]
         checked = []
-        call = Sweeper.__call__
+        call = Sweeper._sweep
 
-        def check(self, values, policy=False, change=None):
+        def check(self, values, change):
             live = self.live_pairs()
-            if not policy and live is not None:
+            if live is not None:
                 candidates = np.full((nl * n_nodes, nl), np.inf)
                 for b in range(nl):
                     n = (b + 1) * n_nodes
@@ -677,10 +675,10 @@ class TestSweepKernel:
                 smallest = candidates.min(axis=1)
                 assert np.all(candidates[rows, levels] > smallest[rows])
                 checked.append(len(rows))
-            return call(self, values, policy, change)
+            return call(self, values, change)
 
-        with mock.patch.object(Sweeper, "__call__", check):
-            solver._picard(table, 1e-12 * 10.0 ** scale, 10_000)
+        with mock.patch.object(Sweeper, "_sweep", check):
+            Sweeper(table).picard(1e-12 * 10.0 ** scale, 10_000)
         assert all(later >= earlier for earlier, later in zip(checked, checked[1:]))
 
     @settings(max_examples=200, deadline=None)
@@ -702,7 +700,7 @@ class TestSweepKernel:
         table = random_table(rng, nl, n_nodes, stencil, h,
                              rng.choice(_TIE_POOL, size=(nl, n_nodes)) * scale)
         sweeper = Sweeper(table)
-        sweeper(np.zeros((nl, n_nodes)), change=1e100)
+        sweeper._sweep(np.zeros((nl, n_nodes)), 1e100)
         assert len(sweeper.live_pairs()[0]) == nl * (nl + 1) // 2 * n_nodes
         for _ in range(3):
             # nonnegative, so that many rows' minimum is a zero
@@ -721,17 +719,16 @@ class TestSweepKernel:
             indices=np.array([[0, 1, 2, 2]]), weights=np.ones((1, 4)),
             stage_cost=np.array([[0.0, 1.0], [-1.0, 18.9]]), h=0.1, discount=1.0)
         iterates, levels = [], []
-        call = Sweeper.__call__
+        call = Sweeper._sweep
 
-        def record(self, values, policy=False, change=None):
-            out = call(self, values, policy, change)
-            if not policy:
-                iterates.append(out)
-                levels.append(self.decided_levels()[0, 1])
+        def record(self, values, change):
+            out = call(self, values, change)
+            iterates.append(out)
+            levels.append(self.decided_levels()[0, 1])
             return out
 
-        with mock.patch.object(Sweeper, "__call__", record):
-            solver._picard(table, 1e-12, 10_000)
+        with mock.patch.object(Sweeper, "_sweep", record):
+            Sweeper(table).picard(1e-12, 10_000)
         u = np.zeros((2, 2))
         for got in iterates:
             u = sweep(u, table)
@@ -749,27 +746,51 @@ class TestSweepKernel:
         nl, n_nodes = table.stage_cost.shape
         idx, weights = table.indices - level_offsets(nl, n_nodes), table.weights
         decided = []
-        call = Sweeper.__call__
+        call = Sweeper._sweep
 
-        def check(self, values, policy=False, change=None):
-            if not policy:
-                levels = self.decided_levels().ravel()
-                rows = np.flatnonzero(levels >= 0)
-                candidates = np.full((nl * n_nodes, nl), np.inf)
-                for b in range(nl):
-                    n = (b + 1) * n_nodes
-                    c = values[b].take(idx[0, :n]) * weights[0, :n]
-                    for j in range(1, len(idx)):
-                        c += values[b].take(idx[j, :n]) * weights[j, :n]
-                    candidates[:n, b] = c
-                np.testing.assert_array_equal(candidates[rows].argmin(axis=1), levels[rows])
-                decided.append(len(rows))
-            return call(self, values, policy, change)
+        def check(self, values, change):
+            levels = self.decided_levels().ravel()
+            rows = np.flatnonzero(levels >= 0)
+            candidates = np.full((nl * n_nodes, nl), np.inf)
+            for b in range(nl):
+                n = (b + 1) * n_nodes
+                c = values[b].take(idx[0, :n]) * weights[0, :n]
+                for j in range(1, len(idx)):
+                    c += values[b].take(idx[j, :n]) * weights[j, :n]
+                candidates[:n, b] = c
+            np.testing.assert_array_equal(candidates[rows].argmin(axis=1), levels[rows])
+            decided.append(len(rows))
+            return call(self, values, change)
 
-        with mock.patch.object(Sweeper, "__call__", check):
-            solver._picard(table, 1e-12 * 0.1 / 0.9, 10_000)
+        with mock.patch.object(Sweeper, "_sweep", check):
+            Sweeper(table).picard(1e-12 * 0.1 / 0.9, 10_000)
         assert decided[0] == 0
         assert decided[-1] > 0.9 * nl * n_nodes
+
+    def test_operator_is_stateless_after_picard(self, medium):
+        """After `picard` has dropped levels to a 1e-8 certificate on the
+        k = h = 0.1 paper mesh, a call of the same sweeper on other values
+        is the operator A on every level: both paths give `sweep`'s bits,
+        and the sweeper holds no live levels."""
+        _, _, table = medium
+        checks = []
+        call = Sweeper._sweep
+
+        def record(self, values, change):
+            checks.append(change is not None)
+            return call(self, values, change)
+
+        sweeper = Sweeper(table)
+        with mock.patch.object(Sweeper, "_sweep", record):
+            sweeper.picard(1e-8 * 0.1 / 0.9, 10_000)
+        assert sum(checks) == 19
+        values = np.random.default_rng(7).uniform(-1.0, 1.0, table.stage_cost.shape)
+        assert_same_bits(sweeper(values), sweep(values, table))
+        got, got_choice = sweeper(values, policy=True)
+        want, want_choice = sweep(values, table, policy=True)
+        assert_same_bits(got, want)
+        assert_same_bits(got_choice, want_choice)
+        assert sweeper.live_pairs() is None
 
     def test_every_picard_iterate_matches_level_fold_kernel(self, medium):
         _, _, table = medium

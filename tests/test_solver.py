@@ -142,45 +142,49 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
     first whose change is at most half the last check's.  Each is given the
     change of the iterate it sweeps.  The first check gives every row its
     live levels; only checks drop any, and a row is decided once one live
-    level is left.  At k = h = 0.1 to 1e-8 every row is decided by the
-    stop, and the iterations stay 162."""
-    tri, grid = setup(paper, 0.1)
-    calls = []
-    call = bellman.Sweeper.__call__
+    level is left.  At k = h = 0.1 and at 0.05 (the certified_picard
+    benchmark's solve) to 1e-8, every row is decided by the stop, and the
+    iterations, the first check's sweep (counted from 1) and the number of
+    checks stay as pinned."""
+    call = bellman.Sweeper._sweep
 
-    def record(self, values, policy=False, change=None):
+    def record(self, values, change):
         repeats = self.s_repeats
-        out = call(self, values, policy, change)
-        if not policy:
-            live = self.live_pairs()
-            decided = int((self.decided_levels() >= 0).sum())
-            calls.append((repeats, change, None if live is None else len(live[0]), decided))
+        out = call(self, values, change)
+        live = self.live_pairs()
+        decided = int((self.decided_levels() >= 0).sum())
+        calls.append((repeats, change, None if live is None else len(live[0]), decided))
         return out
 
-    monkeypatch.setattr(bellman.Sweeper, "__call__", record)
-    opts = SolveOptions(h=0.1, stop_rule="target_bound", target=1e-8)
-    _, _, report = solve(paper, tri, grid, opts)
-    assert report.iterations == len(calls) == 162
-    history = report.residual_history
-    first = next(n for n, (repeats, *_) in enumerate(calls) if repeats)
-    assert first > 1
-    assert all(change is None and pairs is None and decided == 0
-               for _, change, pairs, decided in calls[:first])
-    due = None
-    for n in range(first, len(calls)):
-        change, pairs, _ = calls[n][1:]
-        if due is None or history[n - 1] <= due:
-            assert change == history[n - 1]
-            due = change / 2
-        else:
-            assert change is None and pairs == calls[n - 1][2]
-        if n > first:
-            assert pairs <= calls[n - 1][2]
-    rows = tri.n_vertices * grid.n_levels
-    assert all(pairs >= rows for _, _, pairs, _ in calls[first:])
-    # the top level's rows have one live level from the first check on
-    assert calls[first][3] >= tri.n_vertices
-    assert calls[-1][2] == calls[-1][3] == rows
+    monkeypatch.setattr(bellman.Sweeper, "_sweep", record)
+    for hk, iterations, first_check, checks in [(0.1, 162, 31, 19), (0.05, 333, 70, 19)]:
+        tri, grid = setup(paper, hk)
+        calls = []
+        opts = SolveOptions(h=hk, stop_rule="target_bound", target=1e-8)
+        _, _, report = solve(paper, tri, grid, opts)
+        assert report.iterations == len(calls) == iterations
+        history = report.residual_history
+        first = next(n for n, (repeats, *_) in enumerate(calls) if repeats)
+        assert first > 1
+        assert all(change is None and pairs is None and decided == 0
+                   for _, change, pairs, decided in calls[:first])
+        due = None
+        for n in range(first, len(calls)):
+            change, pairs, _ = calls[n][1:]
+            if due is None or history[n - 1] <= due:
+                assert change == history[n - 1]
+                due = change / 2
+            else:
+                assert change is None and pairs == calls[n - 1][2]
+            if n > first:
+                assert pairs <= calls[n - 1][2]
+        rows = tri.n_vertices * grid.n_levels
+        assert all(pairs >= rows for _, _, pairs, _ in calls[first:])
+        # the top level's rows have one live level from the first check on
+        assert calls[first][3] >= tri.n_vertices
+        assert calls[-1][2] == calls[-1][3] == rows
+        assert first + 1 == first_check
+        assert sum(change is not None for _, change, _, _ in calls) == checks
 
 
 class TestHoward:
