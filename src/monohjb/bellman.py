@@ -8,14 +8,15 @@ TransitionTable caches those weights; the new value at level a is
                         + h * f(x^i, a)
 
 One kernel, `Sweeper`, computes it on level-major values (n_levels, N): a
-call is the operator, `sweep` is one call of a new one, and
-`Sweeper.picard` runs Picard iteration, the one path that drops levels
-(below).  Ties in the minimum always resolve to the smallest admissible b.
-Only `apply_policy` (one frozen stencil per row), Howard's frozen maps
-(`_frozen`), the sweeper's two bounds, its live levels and its fold (the
-minimum over levels) map interpolants to these values.  The bounds read each
-row's stencil at its own level, as the table stores it; `_positions` is the
-one reader of given rows' stencils at a chosen level, for the others.
+call is the operator, `sweep` is one call of a new one, `Sweeper.picard`
+runs Picard iteration, the one path that drops levels (below), and
+`Sweeper.howard` runs Howard's policy iteration (at the end).  Ties in the
+minimum always resolve to the smallest admissible b.  Only `apply_policy`
+(one frozen stencil per row), Howard's frozen maps (`Sweeper._frozen`), the
+sweeper's two bounds, its live levels and its fold (the minimum over
+levels) map interpolants to these values.  The bounds read each row's
+stencil at its own level, as the table stores it; `_positions` is the one
+reader of given rows' stencils at a chosen level, for the others.
 
 `lookahead` is the operator at one point before the minimum, every
 admissible b at once, from the callbacks and the scalar locator; it reads no
@@ -86,7 +87,8 @@ levels that the same test, on its own candidates and margin, rules out
 (`Sweeper._drop`).  A row with one live level left is decided: it costs
 one product-sum.  Neither the bounds nor the fold run on this
 path.  The loop lets the live levels go before its closing policy sweep,
-so every other sweep, and every call, reads all levels.
+or as an exception leaves it, so every other sweep, and every call, reads
+all levels.
 
 The rounding allowance.  Write eps for the largest difference between a
 computed sweep and A in exact arithmetic (with the stored weights, beta
@@ -107,6 +109,19 @@ roundings in computing it, in delta and in the gap's subtraction
 1 - beta is exact for beta >= 1/2.  Along Picard's iterates at
 k = h = 0.05 the allowance stays near 1e-13, while 2 D is at least 1.4e-7
 at every check that finds a row with more than one live level.
+
+Howard (`Sweeper.howard`) evaluates each frozen policy top level first
+(`Sweeper._evaluate`), as the paper's finite sequence of stopping-time
+problems: the operator never lowers the level, so each level reads only
+itself and levels already evaluated.  It walks blocks of consecutive whole
+levels that fit a fixed row budget (`_BLOCK_ROWS`) and iterates each block
+jointly, so a pass is a few numpy calls on several levels where the levels
+are small.  Every row of a block iterates one map (`Sweeper._frozen`, built
+for that block when it is reached, from the sweeper's beta and h f) with
+its weight on its own position solved exactly (none if it switches), so a
+change is not damped at Picard's rate 1 - lambda h.  However accurate that
+evaluation is, the certificate comes from the greedy sweep's residual
+after it, as for Picard.
 """
 
 from __future__ import annotations
@@ -117,7 +132,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfDomainError, is_boolean
+from .errors import ConfigurationError, OutOfDomainError, check_count, is_boolean
 from .fespace import ControlGrid, GridFunction, check_fits
 from .mesh import Triangulation, _euler_images, _locate_point, locate_many
 from .problem import ProblemSpec, level_data
@@ -186,6 +201,10 @@ class TransitionTable:
         low, high = per_level.min(axis=(0, 2)) - start, per_level.max(axis=(0, 2)) - start
         if low.min() < 0 or high.max() >= n_nodes:
             raise ConfigurationError("stencil position outside its column's level block")
+        # the bounds and `_margin` hold for nonnegative weights only, and a
+        # NaN weight would make every value NaN
+        if not (self.weights.min() >= 0.0 and self.weights.max() < math.inf):
+            raise ConfigurationError("stencil weights must be finite and nonnegative")
 
 
 def _level_major_shape(values: np.ndarray, table: TransitionTable) -> tuple:
@@ -335,6 +354,15 @@ def _interpolate(column, idx, wts, out, tmp, rows=None, wtmp=None):
     return out
 
 
+# Rows per block of levels that `Sweeper._evaluate` iterates jointly.  A
+# block holds whole levels, at least one; on the paper problem all 11 levels
+# at k = h = 0.1, 5 at 0.05 and one at 0.025 and finer.  Smaller blocks pay
+# numpy's per-call overhead on every pass; larger ones keep passing over
+# levels that have settled (one block of all levels is about a third
+# slower than one level per block at 0.025).
+_BLOCK_ROWS = 8192
+
+
 class Sweeper:
     """The Bellman sweep on one table, with the workspace it reuses.
 
@@ -342,9 +370,11 @@ class Sweeper:
     returns the new level-major values; with policy=True it returns
     (values, choice), where choice[a, i] is the minimizing column level b,
     the smallest admissible one on ties.  The returned arrays are new on
-    every call.  Howard's improvement sweeps and the finite-horizon
-    recursion call one sweeper on every sweep; `sweep` makes one per call;
-    `picard` runs Picard iteration on its own.
+    every call.  The finite-horizon recursion calls one sweeper on every
+    sweep; `sweep` makes one per call; `picard` runs Picard iteration and
+    `howard` Howard's policy iteration: its evaluation (`_evaluate`, block
+    by block on `_frozen` maps) reads the sweeper's beta, h f and scratch,
+    and its improvement sweeps are calls.
 
     The minimum over b is settled row by row from per-node suffix minima
     (`_bound`, `_open_rows`), and only the rows left open run the column
@@ -399,7 +429,7 @@ class Sweeper:
 
     def picard(self, threshold: float, max_iterations: int):
         """Iterate u_n = A(u_{n-1}) from u_0 = 0 until the residual is at most
-        threshold, or for max_iterations sweeps.
+        threshold, or for max_iterations sweeps (at least 1).
 
         The sweep of the iterate after the first repeat of the suffix argmin
         S (`s_repeats`), and then each one whose certificate (proportional
@@ -408,9 +438,10 @@ class Sweeper:
         minimum can reach (the module docstring); the iterates keep their
         bits.  The live levels are let go before the closing policy sweep
         of the previous iterate, whose values equal the last iterate
-        exactly.  Returns level-major (values, choice) and the residual
-        history.
+        exactly, and also when the loop raises.  Returns level-major
+        (values, choice) and the residual history.
         """
+        check_count(max_iterations, "max_iterations", 1)
         u = np.zeros(self.table.stage_cost.shape)
         # one buffer for the residual: a fresh difference and its absolute
         # value took several times the arithmetic, in allocation
@@ -418,18 +449,128 @@ class Sweeper:
         history = []
         # the change at or below which the next sweep checks, once S repeated
         due = None
-        for _ in range(max_iterations):
-            check = bool(history) and (self.s_repeats if due is None else history[-1] <= due)
-            if check:
-                due = history[-1] / 2
-            prev, u = u, self._sweep(u, history[-1] if check else None)
-            np.subtract(u, prev, out=diff)
-            history.append(float(np.abs(diff, out=diff).max()))
-            if history[-1] <= threshold:
-                break
-        self._live = None
+        try:
+            for _ in range(max_iterations):
+                check = bool(history) and (self.s_repeats if due is None else history[-1] <= due)
+                if check:
+                    due = history[-1] / 2
+                prev, u = u, self._sweep(u, history[-1] if check else None)
+                np.subtract(u, prev, out=diff)
+                history.append(float(np.abs(diff, out=diff).max()))
+                if history[-1] <= threshold:
+                    break
+        finally:
+            self._live = None
         u, choice = self(prev, policy=True)
         return u, choice, history
+
+    def howard(self, threshold: float, max_iterations: int):
+        """Policy iteration: evaluate a frozen policy, then improve greedily.
+
+        The first policy is the stay policy, choice[a, i] = a: the greedy
+        policy of the zero function, since ties go to the smallest b.  Each
+        policy is evaluated block of levels by block, top block first
+        (`_evaluate`), warm-started from the last greedy value, each block
+        until a pass changes it by at most threshold * lambda*h.  Stops once
+        the residual ||A w - w|| of the evaluated value w is at most
+        threshold and returns A w with its greedy policy, so the returned
+        value carries the same guaranteed-error contract as Picard's,
+        however accurate the evaluation: the bound holds whether or not the
+        policy has settled.  Stops short of it once the greedy policy
+        repeats the policy just evaluated and the residual did not fall
+        below the previous one: the residual then sits at the sweeps'
+        rounding floor, and repeating the evaluation would keep it there.
+        max_iterations (at least 1) caps the outer iterations and the
+        passes of each block.  Returns level-major (values, choice), the
+        residual history and, per outer iteration, the evaluation's passes
+        over each block, summed.
+        """
+        check_count(max_iterations, "max_iterations", 1)
+        eval_tolerance = threshold * self.table.discount * self.table.h
+        u = np.zeros(self.table.stage_cost.shape)
+        choice = np.repeat(np.arange(len(u))[:, None], u.shape[1], axis=1)
+        history, evaluations = [], []
+        for _ in range(max_iterations):
+            # each greedy value is new and read only here: evaluated in place
+            w, passes = self._evaluate(u, choice, eval_tolerance, max_iterations)
+            evaluations.append(passes)
+            # improvement step doubles as the residual check
+            u, greedy = self(w, policy=True)
+            history.append(float(np.abs(u - w).max()))
+            # the greedy policy is the one just evaluated and the residual did
+            # not fall: the next iteration would evaluate that policy again, to
+            # the same rounding floor, so stop (`solve` raises)
+            stalled = (len(history) > 1 and history[-1] >= history[-2]
+                       and np.array_equal(greedy, choice))
+            choice = greedy
+            if history[-1] <= threshold or stalled:
+                break
+        return u, choice, history, evaluations
+
+    def _evaluate(self, values, choice, tolerance, max_iterations):
+        """The value of the frozen policy `choice`, one block of levels at a
+        time, computed in place in the C-ordered `values`.
+
+        The operator never lowers the level, so a level reads only itself
+        and the levels above it.  The levels are walked in blocks of
+        consecutive whole levels, top block first, each as many levels as
+        fit `_BLOCK_ROWS` rows (at least one): the levels above a block are
+        final when it is reached.  Each block's map (`_frozen`) and pass
+        buffer are built when the block is reached, so only one block's are
+        held at a time; the product-sum scratch is the sweeper's.  Starting
+        from `values`, every row of the block iterates
+        v <- base + interp(w; scaled), each row's own weight solved exactly,
+        until a pass changes the block by at most `tolerance`, or for
+        max_iterations passes.  A pass is Jacobi over the block: a row that
+        switches to a level of its own block reads that level's previous
+        iterate, one that switches to a finished level reads its final
+        value.  A stay row then has a frozen residual of at most
+        beta (1 - p) * tolerance, a switching row at most beta * tolerance.
+        Returns `values` and the number of passes over blocks.
+        """
+        nl, n_nodes = values.shape
+        flat = values.ravel()
+        per_block = max(1, _BLOCK_ROWS // n_nodes)
+        passes = 0
+        for top in range(nl, 0, -per_block):
+            low = max(top - per_block, 0)
+            idx, wts, b = self._frozen(choice, low, top)
+            block = flat[low * n_nodes:top * n_nodes]
+            new = np.empty(block.size)
+            for _ in range(max_iterations):
+                _interpolate(flat, idx, wts, new, self._tmp[:block.size])
+                new += b
+                passes += 1
+                change = float(np.abs(new - block).max())
+                block[:] = new
+                if change <= tolerance:
+                    break
+        return values, passes
+
+    def _frozen(self, choice, low, top):
+        """The frozen policy `choice` on levels low .. top-1, as one map
+        v <- base + interp(w; scaled) per row.
+
+        Row (a, i) reads its stencil at level b = choice[a, i] (`_positions`)
+        and puts weight p on its own position a*N + i (duplicates summed;
+        p = 0 if it switches, b > a).  Its frozen equation v = h f + beta
+        (p v + interp(w; woff)), with woff the weights off its own position,
+        solves for its own value as v = (h f + beta interp(w; woff)) /
+        (1 - beta p).  Reads only the block's columns of the table, of h f
+        and rows of `choice`, which the sweeper's own sweep produced, so
+        they are not checked again.  Returns, level-major over the block's
+        rows, the positions in the whole level-major vector (C-ordered),
+        woff * beta / (1 - beta p) and h f / (1 - beta p).
+        """
+        n_nodes = self.table.stage_cost.shape[1]
+        span = slice(low * n_nodes, top * n_nodes)
+        rows = np.arange(span.start, span.stop)
+        index = _positions(self.table, rows, choice[low:top].ravel())
+        own = index == rows
+        weights = self.table.weights[:, span]
+        denom = 1.0 - self._beta * np.where(own, weights, 0.0).sum(axis=0)
+        scaled = np.where(own, 0.0, weights) * (self._beta / denom)
+        return index, scaled, self._step[span] / denom
 
     def _sweep(self, values, change):
         """One value sweep of `values`, on the sweeper's live levels once it
@@ -785,32 +926,6 @@ def greedy_policy(
     """Argmin field of the operator applied to gf (smallest b on ties)."""
     _, pol = apply(gf, spec, tri, grid, h, table=table)
     return pol
-
-
-def _frozen(choice: np.ndarray, table: TransitionTable, low: int, top: int):
-    """The frozen policy `choice` on levels low .. top-1, as one map
-    v <- base + interp(w; scaled) per row.
-
-    Row (a, i) reads its stencil at level b = choice[a, i] (`_positions`)
-    and puts weight p on its own position a*N + i (duplicates summed; p = 0
-    if it switches, b > a).  Its frozen equation v = h f + beta (p v +
-    interp(w; woff)), with woff the weights off its own position and
-    beta = 1 - lambda h, solves for its own value as
-    v = (h f + beta interp(w; woff)) / (1 - beta p).  Reads only the
-    block's columns of the table and rows of `choice`, which the solver's
-    own sweep produced, so they are not checked again.  Returns, level-major
-    over the block's rows, the positions in the whole level-major vector
-    (C-ordered), woff * beta / (1 - beta p) and h f / (1 - beta p).
-    """
-    n_nodes = table.stage_cost.shape[1]
-    rows = np.arange(low * n_nodes, top * n_nodes)
-    index = _positions(table, rows, choice[low:top].ravel())
-    own = index == rows
-    weights = table.weights[:, low * n_nodes:top * n_nodes]
-    beta = 1.0 - table.discount * table.h
-    denom = 1.0 - beta * np.where(own, weights, 0.0).sum(axis=0)
-    scaled = np.where(own, 0.0, weights) * (beta / denom)
-    return index, scaled, table.h * table.stage_cost[low:top].ravel() / denom
 
 
 def apply_policy(values: np.ndarray, choice: np.ndarray, table: TransitionTable) -> np.ndarray:

@@ -24,10 +24,9 @@ from monohjb import (
     solve_finite_horizon,
     sup_norm_diff,
 )
-from monohjb import solver
-from monohjb.bellman import Sweeper, TransitionTable, _frozen, apply_policy, sweep
+from monohjb import bellman
+from monohjb.bellman import Sweeper, TransitionTable, apply_policy, sweep
 from monohjb.mesh import locate_many
-from monohjb.solver import _evaluate
 
 
 @pytest.fixture(scope="module")
@@ -479,6 +478,23 @@ class TestSweepKernel:
             with pytest.raises(ConfigurationError):
                 apply_policy(values, choice, table)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_table_rejects_a_weight_that_is_negative_or_not_finite(self, bad):
+        """The bounds assume nonnegative weights: with weights (2, -1) on
+        nodes 0 and 1 for row (0, 0) of 2 levels of 2 nodes, and values
+        [[0, 0], [1, 10]], a sweep settled that row at 0.0 while the minimum
+        over its levels is -7.2.  A NaN or infinite weight made every value
+        NaN.  The table with that weight 0 is accepted."""
+        def table(weight):
+            weights = np.array([[2.0, 1.0, 1.0, 1.0], [weight, 0.0, 0.0, 0.0]])
+            return TransitionTable(
+                indices=np.array([[0, 1, 0, 1], [1, 0, 1, 0]]) + level_offsets(2, 2),
+                weights=weights, stage_cost=np.zeros((2, 2)), h=0.1, discount=1.0)
+
+        table(0.0)
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            table(bad)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -792,6 +808,42 @@ class TestSweepKernel:
         assert_same_bits(got_choice, want_choice)
         assert sweeper.live_pairs() is None
 
+    def test_picard_lets_go_of_live_levels_when_it_raises(self, medium):
+        """An exception raised in `picard`'s loop after its first check, here
+        at the 60th sweep of a 1e-12 solve on the k = h = 0.1 paper mesh,
+        reaches the caller, and the sweeper it leaves holds no live levels:
+        a call is the operator A on every level, with `sweep`'s bits."""
+        _, _, table = medium
+        held = []
+        call = Sweeper._sweep
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(self, values, change):
+            if len(held) == 59:
+                raise Interrupted
+            out = call(self, values, change)
+            held.append(self.live_pairs() is not None)
+            return out
+
+        sweeper = Sweeper(table)
+        with mock.patch.object(Sweeper, "_sweep", interrupt), pytest.raises(Interrupted):
+            sweeper.picard(1e-12, 10_000)
+        assert held[-1]
+        assert sweeper.live_pairs() is None
+        values = np.random.default_rng(0).uniform(-1.0, 1.0, table.stage_cost.shape)
+        assert_same_bits(sweeper(values), sweep(values, table))
+
+    @pytest.mark.parametrize("method", ["picard", "howard"])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, None])
+    def test_iterations_reject_a_bad_max_iterations(self, medium, method, bad):
+        """A cap that is no integer of at least 1 raises ConfigurationError
+        before any sweep: a loop of no sweep has no iterate to return."""
+        _, _, table = medium
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            getattr(Sweeper(table), method)(1e-8, bad)
+
     def test_every_picard_iterate_matches_level_fold_kernel(self, medium):
         _, _, table = medium
         threshold = 1e-8 * 0.1 / 0.9  # a 1e-8 certificate at lambda h = 0.1
@@ -920,8 +972,8 @@ def random_choice(rng, nl, n_nodes):
 
 
 def blocks_of(levels, n_nodes):
-    """`_evaluate` walking blocks of `levels` whole levels of n_nodes rows."""
-    return mock.patch.object(solver, "_BLOCK_ROWS", levels * n_nodes)
+    """`Sweeper._evaluate` walking blocks of `levels` whole levels of n_nodes rows."""
+    return mock.patch.object(bellman, "_BLOCK_ROWS", levels * n_nodes)
 
 
 class TestLevelEvaluation:
@@ -955,7 +1007,7 @@ class TestLevelEvaluation:
                 choice[a] = rng.integers(a + 1, nl, size=n_nodes)
         start = rng.uniform(-1, 1, size=(nl, n_nodes))
         with blocks_of(block_levels or nl, n_nodes):
-            w, _ = _evaluate(start, choice, table, tolerance, 10_000)
+            w, _ = Sweeper(table)._evaluate(start, choice, tolerance, 10_000)
         residual = np.abs(apply_policy(w, choice, table) - w).max()
         assert residual <= (1.0 - h) * tolerance + 1e-14
 
@@ -977,13 +1029,13 @@ class TestLevelEvaluation:
                 for pos, wt in zip(table.indices[:, row], table.weights[:, row]):
                     matrix[row, choice[a, i] * n_nodes + pos - a * n_nodes] -= beta * wt
                     own[row] += wt if stays and pos - a * n_nodes == i else 0.0
-        np.testing.assert_allclose(_frozen(choice, table, 0, nl)[2],
+        np.testing.assert_allclose(Sweeper(table)._frozen(choice, 0, nl)[2],
                                    h * table.stage_cost.ravel() / (1 - beta * own),
                                    rtol=1e-15, atol=0)
         exact = np.linalg.solve(matrix, h * table.stage_cost.ravel()).reshape(nl, n_nodes)
         for levels in (1, 2, nl):
             with blocks_of(levels, n_nodes):
-                w, _ = _evaluate(np.zeros((nl, n_nodes)), choice, table, 1e-15, 10_000)
+                w, _ = Sweeper(table)._evaluate(np.zeros((nl, n_nodes)), choice, 1e-15, 10_000)
             np.testing.assert_allclose(w, exact, rtol=0, atol=1e-13)
 
     def test_frozen_positions_are_c_ordered(self):
@@ -995,7 +1047,7 @@ class TestLevelEvaluation:
         table = random_table(rng, nl, n_nodes, 3, 0.25, rng.normal(size=(nl, n_nodes)))
         choice = random_choice(rng, nl, n_nodes)
         for low, top in ((0, nl), (1, 3), (3, 4)):
-            index = _frozen(choice, table, low, top)[0]
+            index = Sweeper(table)._frozen(choice, low, top)[0]
             assert index.flags.c_contiguous
             rows = np.arange(low * n_nodes, top * n_nodes)
             shift = (choice[low:top].ravel() - rows // n_nodes) * n_nodes
@@ -1038,9 +1090,11 @@ class TestLevelEvaluation:
         table = build_table(paper, tri, grid, k)
         values = np.zeros(table.stage_cost.shape)
         choice = np.indices(values.shape)[0]
+        # built first: the sweeper's workspace is held for the whole solve
+        sweeper = Sweeper(table)
         tracemalloc.start()
         try:
-            _evaluate(values, choice, table, k * k * paper.discount * k, 10_000)
+            sweeper._evaluate(values, choice, k * k * paper.discount * k, 10_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

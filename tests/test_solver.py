@@ -27,7 +27,7 @@ from monohjb import (
     sup_norm_diff,
     tail_bound,
 )
-from monohjb import bellman, solver
+from monohjb import bellman
 from monohjb.bellman import apply_policy
 from monohjb.fespace import nodal_csv
 
@@ -265,7 +265,7 @@ class TestHoward:
         table = build_table(paper, tri, grid, hk)
         opts = SolveOptions(h=hk, method="howard", **rule)
         u, policy, report = solve(paper, tri, grid, opts, table=table)
-        with mock.patch.object(solver, "_BLOCK_ROWS", tri.n_vertices):
+        with mock.patch.object(bellman, "_BLOCK_ROWS", tri.n_vertices):
             u1, policy1, report1 = solve(paper, tri, grid, opts, table=table)
         assert u.values.tobytes() == u1.values.tobytes()
         np.testing.assert_array_equal(policy.choice, policy1.choice)
