@@ -12,11 +12,12 @@ rule and to a 1e-8 certified error, and Picard to 1e-12 (with their
 iteration counts and certificates; for Picard the milliseconds per sweep,
 counting the closing policy sweep, and, from one more solve, the first
 check (the first value sweep to which `Sweeper.picard` gives a change,
-which keeps each row's live levels), the number of checks, the live (row, level) pairs at the first
-check and at the stop (`Sweeper.live_pairs`), the rows left with more than
-one live level at the stop, and the milliseconds per value sweep before
-the first check, of the first check, per check and per value sweep after
-the first check, the checks counted apart; for Howard
+which keeps each row's live levels), the number of checks, the live (row,
+level) pairs after the first and the second check and at the stop
+(`Sweeper.live_pairs`), the rows left with more than one live level at the
+stop, the milliseconds per value sweep before the first check, of the
+first check, per check and per value sweep after the first check, the
+checks counted apart, and the first check's minor page faults; for Howard
 the passes over each block of levels of each policy evaluation and the
 tracemalloc peak of one more solve, on the built table), one sweep at the
 Howard 1e-8 value, value-only and with
@@ -52,6 +53,7 @@ import json
 import multiprocessing
 import os
 import platform
+import resource
 import statistics
 import time
 import tracemalloc
@@ -131,26 +133,32 @@ def settled_share(values, table, policy=False):
 def decisions(fn):
     """How the value sweeps of the Picard solve fn() drop levels, as
     `Sweeper.picard` runs them (`Sweeper._sweep`, given a change at a
-    check): the first check (counted from 1), the number of checks, the live (row, level) pairs right after the first check and at
-    the stop (`Sweeper.live_pairs`), the rows with more than one live level
-    at the stop, and the milliseconds of the value sweeps: the mean before
+    check): the first check (counted from 1), the number of checks, the
+    live (row, level) pairs right after the first and the second check and
+    at the stop (`Sweeper.live_pairs`), the rows with more than one live
+    level at the stop, the milliseconds of the value sweeps: the mean before
     the first check, the first check, the mean per check and the mean per
-    sweep after the first check that is no check (None where there is none)."""
-    sweeps = []  # (seconds, a check, live pairs after, undecided rows after)
+    sweep after the first check that is no check, and the minor page faults
+    of the first check (None where there is none)."""
+    # (seconds, a check, live pairs after, undecided rows after, minor faults)
+    sweeps = []
     call = Sweeper._sweep
 
     def record(self, values, change):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         out = call(self, values, change)
         seconds = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         live = self.live_pairs()
         sweeps.append((seconds, change is not None, None if live is None else len(live[0]),
-                       int((self.decided_levels() < 0).sum())))
+                       int((self.decided_levels() < 0).sum()), faults))
         return out
 
     with mock.patch.object(Sweeper, "_sweep", record):
         fn()
-    first = next((n for n, (_, checked, *_) in enumerate(sweeps) if checked), None)
+    checks = [n for n, (_, checked, *_) in enumerate(sweeps) if checked]
+    first = checks[0] if checks else None
     after = [] if first is None else sweeps[first + 1:]
 
     def mean_ms(part):
@@ -160,12 +168,14 @@ def decisions(fn):
         "first_check_sweep": None if first is None else first + 1,
         "checks": sum(checked for _, checked, *_ in sweeps),
         "live_pairs_at_first_check": None if first is None else sweeps[first][2],
+        "live_pairs_at_second_check": sweeps[checks[1]][2] if len(checks) > 1 else None,
         "live_pairs_at_stop": sweeps[-1][2],
         "undecided_at_stop": sweeps[-1][3],
         "ms_per_sweep_before_first_check": mean_ms(sweeps if first is None else sweeps[:first]),
         "ms_first_check": None if first is None else sweeps[first][0] * 1e3,
         "ms_per_check": mean_ms([s for s in sweeps if s[1]]),
         "ms_per_sweep_after_first_check": mean_ms([s for s in after if not s[1]]),
+        "first_check_minor_faults": None if first is None else sweeps[first][4],
     }
 
 
@@ -265,7 +275,9 @@ def bench_size(spec, k):
                       f"{row['undecided_at_stop']} rows undecided at the stop")
                 if row["first_check_sweep"] is not None:
                     print(f"k=h={k:<6g} {'':<18} {row['live_pairs_at_first_check']:10d} live "
-                          f"pairs at the first check, {row['live_pairs_at_stop']} at the stop")
+                          f"pairs after the first check, {row['live_pairs_at_second_check']} "
+                          f"after the second, {row['live_pairs_at_stop']} at the stop; "
+                          f"{row['first_check_minor_faults']} minor page faults in the first check")
                     print(f"k=h={k:<6g} {'':<18} {row['ms_per_sweep_before_first_check']:10.3f} ms "
                           f"per sweep before the first check, {row['ms_first_check']:.3f} the "
                           f"first check, {row['ms_per_check']:.3f} per check, "

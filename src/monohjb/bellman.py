@@ -53,37 +53,67 @@ so a sweeper holds little more memory than a sweep of its own uses.  Every
 call returns new arrays, never views of the workspace.
 
 Live levels (the classical test for suboptimal actions in value
-iteration, MacQueen 1967, applied per level and made exact).  Picard's
-iterates u_n = A(u_{n-1}) contract: |A u - A v| <= q |u - v| in the sup
-norm, with q = beta s and s the largest sum of a row's weights (1 up to
-rounding for P1 weights).  So with delta = |u_n - u_{n-1}|, the changes
-after u_n are at most q^j (q delta), and every later iterate stays within
-their sum, D = q delta / (1 - q), of u_n; for s = 1 that is u_n's own
-certificate delta (1 - lambda h) / (lambda h).  A candidate interp(u[b])
-is a weighted sum of values, so it moves by at most s D.  Let level b's
-candidate exceed the row's smallest, that of level b*, by more than 2 s D
-plus the rounding allowance below.  Then at every later sweep b's
-candidate stays strictly above b*'s, hence strictly above the row's
-minimum: it can never again equal the minimum, let alone undercut it.
-Dropping b therefore changes no later minimum, not even its bits on a
-tie: a fold's result is the bits of the levels that attain the minimum,
-met in their order, and b is never among them.
+iteration, MacQueen 1967, applied per level and made exact).  Write s and
+s_lo for the largest and the smallest sum of a row's weights (1 up to
+rounding for P1 weights) and q = beta s < 1, the contraction factor of A in
+the sup norm.  The operator never lowers the level, so the rows of levels b
+and above read values on those levels only: for each b they form a closed
+system, the paper's finite sequence of stopping-time problems.  On it A is
+monotone, the weights being nonnegative, and adding a constant t to the
+values adds beta s_j t to row j, s_j its weight sum.  So if the change
+Delta = u_n - u_{n-1} of Picard's iterates lies within [l, r] on levels b
+and above, the next change lies within [beta s_lo l, q r] there when
+l >= 0, and [q l, q r] when l <= 0 <= r (beta s_lo r above when r < 0).
+Summed over the later sweeps, as in MacQueen's bounds (J. Math. Anal.
+Appl. 14, 1966), every later iterate stays within [down(l), up(r)] of u_n
+on those levels, with Q = q / (1 - q), Q_lo = beta s_lo / (1 - beta s_lo),
+up(r) = Q r for r >= 0 and Q_lo r below, and down(l) = Q_lo l for l >= 0
+and Q l below.  Let r_a be the largest entry of Delta on levels a and
+above and l_b the smallest on levels b and above.  In a row of level a, a
+candidate interp(u[b]) is a weighted sum of level b's values, so it moves
+by at least s_j down(l_b) and the row's smallest, of a level b* >= a, by at
+most s_j up(r_a): their gap shrinks by at most
+
+    s (up(r_a) - down(l_b)) = s Q (r_a - l_b + theta (l_b+ + r_a-)),
+
+with l_b+ = max(l_b, 0), r_a- = max(-r_a, 0) and
+theta = 1 - Q_lo / Q = (s - s_lo) / (s (1 - beta s_lo)), at most 1.  One of
+l_b+ and r_a- is 0, as r_a >= l_b, and both are where r_a >= 0 >= l_b.  So
+where a suffix's changes have one sign, s_lo bounds its moves, not q, which
+would claim more than rows of smaller weight sums give.  Let level b's
+candidate exceed the row's smallest by more than that plus the rounding
+allowance below.  Then at every later sweep b's candidate stays strictly
+above the smallest's, hence strictly above the row's minimum: it can never
+again equal the minimum, let alone undercut it.  Dropping b therefore
+changes no later minimum, not even its bits on a tie: a fold's result is
+the bits of the levels that attain the minimum, met in their order, and b
+is never among them.  With delta = max |Delta|, r_a - l_b <= 2 delta, and
+where l_b+ or r_a- is positive, r_a - l_b + theta (l_b+ + r_a-) <= delta:
+the margin is at most 2 s Q delta, twice the iterate's own certificate
+delta (1 - lambda h) / (lambda h) for s = 1, and equals it where one value
+falls by delta while another rises by delta.  Along Picard's iterates on
+the paper problem no value falls after sweep 10 and each level's smallest
+change grows with the level, so most margins lie far below that: at
+k = h = 0.05 the first check's run from 2.2e-6 to 7.3e-3, against 1.5e-2
+for twice the certificate.
 
 Picard's loop (`Sweeper.picard`) owns the test.  It checks at the sweep
 after the first whose per-node suffix argmin S repeats the one before,
 and then at each sweep whose certificate has halved since the last
-check; a check is a value sweep given its iterate's delta
-(`Sweeper._sweep`).  The first check (`Sweeper._first_live`) computes every
+check; a check is a value sweep given, per level, the smallest and the
+largest entry of its iterate's last change (`Sweeper._sweep`), which the
+loop takes from the signed difference before it takes its absolute value
+for the residual.  The first check (`Sweeper._first_live`) computes every
 candidate once and keeps, per row, its live levels: those whose candidate
-lies within that margin (`Sweeper._margin`) of the smallest, which the
-sweep has just computed.  The top level's rows keep their own level
-alone.  Each later value sweep (`Sweeper._live_min`) reads the values at
-the live levels only: one product-sum over every row at its highest live
+lies within the margin margin[a, b] (`Sweeper._margin`) of the smallest,
+which the sweep has just computed.  The top level's rows keep their own
+level alone.  Each later value sweep (`Sweeper._live_min`) reads the values
+at the live levels only: one product-sum over every row at its highest live
 level, one over the other live levels, and their fold into the minimum by
 `np.minimum.at`, each row's levels from the top down.  That is the column
 fold's order, and each candidate is the same numbers in the same product
 as there, so the minimum keeps its bits.  A later check drops the live
-levels that the same test, on its own candidates and margin, rules out
+levels that the same test, on its own candidates and margins, rules out
 (`Sweeper._drop`).  A row with one live level left is decided: it costs
 one product-sum.  Neither the bounds nor the fold run on this
 path.  The loop lets the live levels go before its closing policy sweep,
@@ -98,17 +128,30 @@ the multiply by beta and the add of h f round once each, so
 eps <= c (s X + P) with c = (k + 4) u and P the largest |h f|.  A computed
 sweep maps values bounded by X to values bounded by (q + c s) X + (1 + c) P,
 so X = max(|u_n| + delta, (1 + c) P / (1 - q - c s)) bounds u_{n-1} and
-every later iterate.  The exact residual of u_n is at most q delta + eps,
-and the computed iterates stray from the exact ones started at u_n by at
-most eps / (1 - q), so every later iterate stays within
-(q delta + 2 eps) / (1 - q) of u_n.  Each computed candidate, at u_n and
-later, is within gamma s X of its exact value.  The margin is thus
-2 s (q delta + 2 eps) / (1 - q) + 4 gamma s X, times 1 + 64 u for the
-roundings in computing it, in delta and in the gap's subtraction
+every later iterate.  The exact next change A u_n - u_n differs from
+A u_n - A u_{n-1} by the rounding of u_n, at most eps, and the computed
+iterates stray from the exact ones started at u_n by at most eps / (1 - q).
+up and down have slopes at most 1 / (1 - q), so each widens by
+2 eps / (1 - q), and the gap's bound by 4 eps / (1 - q).  The ranges come
+from the computed difference fl(u_n - u_{n-1}), which is within u |Delta|
+of Delta entry by entry: the exact r_a and l_b lie within
+u delta / (1 - u) of the computed ones.  Where r_a >= 0 >= l_b that is at
+most a factor 1 + 2u on r_a - l_b; elsewhere it is that factor and at most
+4u (l_b+ + r_a-) more.  Each computed candidate, at u_n and later, is within gamma s X of its
+exact value.  With s rounded up and s_lo down, the margin of level b in a
+row of level a is thus
+
+    s (q (r_a - l_b + theta' (l_b+ + r_a-)) + 4 eps) / (1 - q) + 4 gamma s X,
+
+with theta' = min(1, (s - s_lo) / (s (1 - q))) + 4u, at least theta + 4u
+as 1 - q <= 1 - beta s_lo, times 1 + 64 u for
+the roundings in computing it, in r_a - l_b and in the gap's subtraction
 (`Sweeper._margin`).  1 - q is formed as (1 - beta) - beta (s - 1), where
-1 - beta is exact for beta >= 1/2.  Along Picard's iterates at
-k = h = 0.05 the allowance stays near 1e-13, while 2 D is at least 1.4e-7
-at every check that finds a row with more than one live level.
+1 - beta is exact for beta >= 1/2.  `_margin` forms half the bracket, so
+where r_a = delta and l_b = -delta its number is, bit for bit, the
+symmetric margin 2 s (q delta + 2 eps) / (1 - q) + 4 gamma s X times
+1 + 64 u.  Along Picard's iterates at k = h = 0.05 the allowance stays near
+1e-13.
 
 Howard (`Sweeper.howard`) evaluates each frozen policy top level first
 (`Sweeper._evaluate`), as the paper's finite sequence of stopping-time
@@ -379,10 +422,11 @@ class Sweeper:
     The minimum over b is settled row by row from per-node suffix minima
     (`_bound`, `_open_rows`), and only the rows left open run the column
     fold (`_fold`) on their gathered stencils (`_gather`).  `picard` alone
-    drops levels, by checks of its own iterates (`_sweep` given a change):
-    the first keeps every row's live levels (`_first_live`), the later
-    value sweeps read each row at its live levels alone (`_live_min`) and
-    each later check drops more of them (`_drop`).  It lets them go before
+    drops levels, by checks of its own iterates (`_sweep` given the range
+    of a change on each level): the first keeps every row's live levels
+    (`_first_live`), the later value sweeps read each row at its live
+    levels alone (`_live_min`) and each later check drops more of them
+    (`_drop`).  It lets them go before
     it returns, so a call always reads every level.  The module docstring
     shows why every path is exact, bit for bit.
     """
@@ -434,12 +478,13 @@ class Sweeper:
         The sweep of the iterate after the first repeat of the suffix argmin
         S (`s_repeats`), and then each one whose certificate (proportional
         to its change) has halved since the last such sweep, is a check: it
-        is given that change and drops the levels that no later iterate's
-        minimum can reach (the module docstring); the iterates keep their
-        bits.  The live levels are let go before the closing policy sweep
-        of the previous iterate, whose values equal the last iterate
-        exactly, and also when the loop raises.  Returns level-major
-        (values, choice) and the residual history.
+        is given that change's smallest and largest entry on each level and
+        drops the levels that no later iterate's minimum can reach (the
+        module docstring); the iterates keep their bits.  The live levels
+        are let go before the closing policy sweep of the previous iterate,
+        whose values equal the last iterate exactly, and also when the loop
+        raises.  Returns level-major (values, choice) and the residual
+        history.
         """
         check_count(max_iterations, "max_iterations", 1)
         u = np.zeros(self.table.stage_cost.shape)
@@ -447,18 +492,22 @@ class Sweeper:
         # value took several times the arithmetic, in allocation
         diff = np.empty(u.shape)
         history = []
-        # the change at or below which the next sweep checks, once S repeated
-        due = None
+        # the change at or below which the next sweep checks, once S repeated,
+        # and the next sweep's check: the per-level range of its change
+        due, check = None, None
         try:
             for _ in range(max_iterations):
-                check = bool(history) and (self.s_repeats if due is None else history[-1] <= due)
-                if check:
-                    due = history[-1] / 2
-                prev, u = u, self._sweep(u, history[-1] if check else None)
+                prev, u = u, self._sweep(u, check)
                 np.subtract(u, prev, out=diff)
                 history.append(float(np.abs(diff, out=diff).max()))
                 if history[-1] <= threshold:
                     break
+                check = None
+                if self.s_repeats if due is None else history[-1] <= due:
+                    due = history[-1] / 2
+                    # the signed change again, which the absolute value replaced
+                    np.subtract(u, prev, out=diff)
+                    check = diff.min(axis=1), diff.max(axis=1)
         finally:
             self._live = None
         u, choice = self(prev, policy=True)
@@ -572,15 +621,16 @@ class Sweeper:
         scaled = np.where(own, 0.0, weights) * (self._beta / denom)
         return index, scaled, self._step[span] / denom
 
-    def _sweep(self, values, change):
+    def _sweep(self, values, check):
         """One value sweep of `values`, on the sweeper's live levels once it
-        holds them.  A `change`, the sup-norm change of `values` from the
-        iterate it was swept from, makes the sweep a check, which keeps or
+        holds them.  A `check`, the smallest and the largest entry on each
+        level of the change of `values` from the iterate it was swept from
+        (two arrays of n_levels), makes the sweep a check, which keeps or
         drops live levels: only `picard` gives one, on its own iterates."""
         if self._live is not None:
-            raw, highest = self._live_min(values, change is not None)
-            if change is not None:
-                self._drop(values, change, raw, highest)
+            raw, highest = self._live_min(values, check is not None)
+            if check is not None:
+                self._drop(values, check, raw, highest)
             return self._bellman(raw).reshape(values.shape)
         raw = self._bound(values)
         gathered = self._gather(self._open_rows(values, None))
@@ -590,9 +640,9 @@ class Sweeper:
         # solve at k = h = 0.025, a tenth of its time)
         self._last_gather = gathered
         raw[gathered[0]] = self._fold(values, gathered)
-        if change is not None:
-            margin = self._margin(values, change)
-            if margin < math.inf:
+        if check is not None:
+            margin = self._margin(values, check)
+            if margin is not None:
                 self._keep(*self._first_live(values, raw, margin))
         return self._bellman(raw).reshape(values.shape)
 
@@ -716,9 +766,9 @@ class Sweeper:
 
     def _first_live(self, values, raw, margin):
         """The live levels of every row: the levels b >= a whose candidate
-        lies within `margin` of raw, the row's smallest, from one pass over
-        every candidate: for each shift d, from the top down, the rows of
-        levels a < nl - d at level a + d.  A row's first live level so met
+        lies within margin[a, b] of raw, the row's smallest, from one pass
+        over every candidate: for each shift d, from the top down, the rows
+        of levels a < nl - d at level a + d.  A row's first live level so met
         is its highest, whose positions the returned `top` holds; the
         returned (rows, levels) list the other live levels in the order
         met, each row's from the top down.  The top level's rows keep their
@@ -735,7 +785,7 @@ class Sweeper:
             c = _interpolate(flat[d * n_nodes:], table.indices[:, :n], table.weights[:, :n],
                              cand[:n], self._tmp[:n])
             c -= raw[:n]
-            live = c <= margin
+            live = (c.reshape(-1, n_nodes) <= np.diagonal(margin, d)[:, None]).ravel()
             below = np.flatnonzero(live & (high[:n] >= 0))
             np.copyto(high[:n], d, where=live & (high[:n] < 0))
             rows.append(below)
@@ -775,34 +825,37 @@ class Sweeper:
         np.minimum.at(raw, rows, cand)
         return raw, highest
 
-    def _drop(self, values, change, raw, highest):
-        """Drop the live levels whose candidate, as the last `_live_min`
-        left it, lies more than `_margin` above raw, the row's minimum;
-        `highest` holds the candidates at the rows' highest live levels.  A
-        row whose highest live level is dropped takes its first kept one
-        instead."""
+    def _drop(self, values, check, raw, highest):
+        """Drop the live levels b of each row, of level a, whose candidate,
+        as the last `_live_min` left it, lies more than margin[a, b]
+        (`_margin`) above raw, the row's minimum; `highest` holds the
+        candidates at the rows' highest live levels.  A row whose highest
+        live level is dropped takes its first kept one instead."""
         top, rows, pos, cand, wtmp = self._live
         if len(rows) == 0:
             # with one live level a row's candidate is its minimum
             return
-        margin = self._margin(values, change)
-        if margin == math.inf:
+        margin = self._margin(values, check)
+        if margin is None:
             return
+        nl, n_nodes = values.shape
         size = len(raw)
         for start in range(0, len(rows), size):
             part = slice(start, start + size)
             cand[part] -= raw.take(rows[part], out=wtmp[:len(rows[part])], mode="clip")
-        kept = cand <= margin
+        levels = np.floor_divide(pos[0], n_nodes, casting="unsafe",
+                                 out=np.empty(len(rows), dtype=self._levels.dtype))
+        kept = cand <= margin[rows // n_nodes, levels]
         # the old pairs are freed as soon as they are read, before the new
         # ones are built
         self._live = None
         del cand, wtmp
-        levels = np.floor_divide(pos[0], values.shape[1], casting="unsafe",
-                                 out=np.empty(len(rows), dtype=self._levels.dtype))[kept]
-        rows = rows[kept]
+        levels, rows = levels[kept], rows[kept]
         del pos, kept
         highest -= raw
-        dead = np.flatnonzero(highest > margin)
+        # margin[a, b] at each row's highest live level b
+        high = np.take_along_axis(margin, (top[0] // n_nodes).reshape(nl, n_nodes), axis=1)
+        dead = np.flatnonzero(highest > high.ravel())
         if len(dead):
             first = np.full(size, len(rows))
             np.minimum.at(first, rows, np.arange(len(rows)))
@@ -813,29 +866,45 @@ class Sweeper:
             rows, levels = rows[other], levels[other]
         self._keep(top, rows, levels)
 
-    def _margin(self, values, change):
-        """The gap above a row's smallest candidate beyond which a level's
-        candidate stays above the row's minimum at every later iterate, for
-        an iterate `values` whose last change was `change`; +inf when the
-        weights are too large for a contraction.  The module docstring
-        derives it."""
+    def _margin(self, values, check):
+        """margin[a, b], for levels b >= a: the gap above the smallest
+        candidate of a row of level a beyond which level b's candidate stays
+        above the row's minimum at every later iterate, for an iterate
+        `values` whose last change lies on each level c between check[0][c]
+        and check[1][c]; None when the weights are too large for a
+        contraction.  The module docstring derives it."""
         unit = 2.0 ** -53
         k = len(self.table.indices)
         gamma = k * unit / (1.0 - k * unit)
         c = (k + 4) * unit
         if self._sums is None:
-            # the largest weight sum of a row, rounded up, and the largest |h f|
-            self._sums = (float(np.abs(self.table.weights).sum(axis=0).max()) * (1.0 + 2.0 * gamma),
-                          float(np.abs(self._step).max()))
-        s, p = self._sums
+            # the largest weight sum of a row, rounded up, the smallest,
+            # rounded down, and the largest |h f|
+            sums = self.table.weights.sum(axis=0)
+            self._sums = (float(sums.max()) * (1.0 + 2.0 * gamma),
+                          float(sums.min()) * (1.0 - 2.0 * gamma), float(np.abs(self._step).max()))
+        s, s_low, p = self._sums
         beta = self._beta
         # 1 - q for q = beta s; 1 - beta is exact for beta >= 1/2, so that a
         # small lambda h loses no digits here
         slack = (1.0 - beta) - beta * (s - 1.0)
         if not slack > c * s:
-            return math.inf
+            return None
+        low, high = check
+        change = max(float(high.max()), -float(low.min()))
         x = max(float(np.abs(values).max()) + change, (1.0 + c) * p / (slack - c * s))
-        drift = (beta * s * change + 2.0 * c * (s * x + p)) / slack
+        # the largest change on levels a and above, the smallest on b and above
+        rise = np.maximum.accumulate(high[::-1])[::-1]
+        fall = np.minimum.accumulate(low[::-1])[::-1]
+        # theta' of the module docstring: a one-signed suffix's moves are
+        # bounded with the smallest weight sum, and the change was rounded
+        theta = min(1.0, (s - s_low) / (s * slack)) + 4.0 * unit
+        spread = rise[:, None] - fall
+        spread += theta * (np.maximum(fall, 0.0) + np.maximum(-rise, 0.0)[:, None])
+        # half of it: for rise = delta and fall = -delta, delta itself, and
+        # the margin of twice the certificate, bit for bit
+        spread /= 2.0
+        drift = (beta * s * spread + 2.0 * c * (s * x + p)) / slack
         return (2.0 * s * drift + 4.0 * gamma * s * x) * (1.0 + 64.0 * unit)
 
     def _gather(self, rows):

@@ -236,13 +236,20 @@ def _format17(v: np.ndarray) -> list[bytes]:
 def nodal_csv(gf: GridFunction, tri: Triangulation, grid: ControlGrid) -> str:
     """Dump nodal values as CSV: node,x1,...,a,value (17 significant digits).
 
+    The text of `_nodal_csv_bytes`, decoded once."""
+    return _nodal_csv_bytes(gf, tri, grid).decode()
+
+
+def _nodal_csv_bytes(gf: GridFunction, tri: Triangulation, grid: ControlGrid) -> bytearray:
+    """`nodal_csv` as ASCII bytes, which `monohjb solve` writes as they are.
+
     Every number is written as `format(v, ".17g")` writes it.  Per batch of
     _CSV_BATCH nodes, `_format17` turns the batch's coordinates and values
     into those bytes in numpy, and one bytes `%` puts them through `%s`
     into a template holding each node's `i,` and each level's `a,`
-    (formatted once).  The batches land in one growing bytearray, decoded
-    once at the end: the peak of traced memory is about 2.2 times the
-    output.
+    (formatted once).  The batches land in one growing bytearray, the
+    result: with `nodal_csv`'s decode the peak of traced memory is about
+    2.2 times the output.
 
     Both the one buffer and the fixed batches matter for a run that builds
     a table after writing (fine_horizon in perfbench, k = h = 0.025, about
@@ -266,4 +273,4 @@ def nodal_csv(gf: GridFunction, tri: Triangulation, grid: ControlGrid) -> str:
         template = b"".join(line.replace(b"\0", node % (s + j, *text[j * dim:(j + 1) * dim]))
                             for j in range(e - s))
         out += template % tuple(text[(e - s) * dim:])
-    return out.decode()
+    return out

@@ -381,19 +381,27 @@ def random_table(rng, nl, n_nodes, stencil, h, stage_cost):
     )
 
 
-def with_crossing(table, gap):
+def with_crossing(table, gap, rising=False):
     """`table` with two rows whose candidates cross late in Picard's
-    iterates, as in `test_candidates_drifting_apart_by_twice_the_certificate`:
-    on nodes 0 and 1 of the two top levels T and L = T - 1, with
-    beta = 1 - h and the discount 1, node 0 falls to -1 at T as
-    -1 + beta^n, and row (L, 1) reads node 1, whose value at L rises as
-    1 - beta^n while its value at T falls as 1 - gap + beta^n.  They cross
-    where beta^n = gap / 2."""
+    iterates, on nodes 0 and 1 of the two top levels T and L = T - 1, with
+    beta = 1 - h and the discount 1.  Row (L, 1) reads node 1, whose value
+    at L rises as 1 - beta^n, and row (T, 1) reads node 0 at T.  Falling,
+    as in `test_candidates_drifting_apart_by_twice_the_certificate`, node
+    0 falls to -1 at T as -1 + beta^n, so node 1's value at T falls as
+    1 - gap + beta^n: they cross where beta^n = gap / 2.  Rising, as in
+    `test_candidates_rising_apart_by_the_range_of_their_change`, node 0
+    rises to 1/2 at T as (1 - beta^n) / 2, so node 1's value at T rises as
+    1 - gap - beta^n / 2, and all four rows rise: they cross where
+    beta^n = 2 gap."""
     nl, n_nodes = table.stage_cost.shape
     indices, weights, cost = table.indices.copy(), table.weights.copy(), table.stage_cost.copy()
     top, low = nl - 1, nl - 2
     beta = 1.0 - table.h
-    for (a, i), node, f in [((top, 0), 0, -1.0), ((top, 1), 0, (1.0 - gap + beta) / table.h),
+    if rising:
+        ends = [0.5, (1.0 - gap - 0.5 * beta) / table.h]
+    else:
+        ends = [-1.0, (1.0 - gap + beta) / table.h]
+    for (a, i), node, f in [((top, 0), 0, ends[0]), ((top, 1), 0, ends[1]),
                             ((low, 0), 0, 0.0), ((low, 1), 1, 1.0)]:
         row = a * n_nodes + i
         indices[:, row] = a * n_nodes + node
@@ -602,22 +610,24 @@ class TestSweepKernel:
         h=st.floats(0.1, 0.9),
         tie_share=st.floats(0.0, 1.0),
         gap=st.one_of(st.none(), st.floats(1e-9, 0.5)),
+        rising=st.booleans(),
     )
     def test_picard_matches_a_loop_of_fresh_sweeps(self, seed, nl, n_nodes, stencil, h,
-                                                   tie_share, gap):
+                                                   tie_share, gap, rising):
         """`Sweeper.picard` drops levels along its iterates; fresh `sweep`
         calls never do.  To a 1e-12 residual, every iterate, the residual
         history and the returned values and policy agree byte for byte.
         The stage costs have ties and signed zeros, drawn as `_TIE_POOL`
         draws values, and with a gap two live levels of a row cross
-        (`with_crossing`), for many draws after the first check."""
+        (`with_crossing`, falling or rising), for many draws after the
+        first check."""
         rng = np.random.default_rng(seed)
         shape = (nl, n_nodes)
         cost = np.where(rng.random(shape) < tie_share, rng.choice(_TIE_POOL, shape),
                         rng.uniform(-2, 2, shape))
         table = random_table(rng, nl, n_nodes, stencil, h, cost)
         if gap is not None and nl >= 2 and n_nodes >= 2:
-            table = with_crossing(table, gap)
+            table = with_crossing(table, gap, rising)
         iterates = []
         call = Sweeper._sweep
 
@@ -652,22 +662,28 @@ class TestSweepKernel:
         tie_share=st.floats(0.0, 1.0),
         scale=st.integers(-8, 6),
         gap=st.one_of(st.none(), st.floats(1e-9, 0.5)),
+        nonnegative=st.booleans(),
     )
     def test_dropped_levels_stay_above_the_dense_minimum(self, seed, nl, n_nodes, stencil, h,
-                                                         tie_share, scale, gap):
+                                                         tie_share, scale, gap, nonnegative):
         """At every value sweep after Picard's first check, each admissible
         (row, level) that is not live lies strictly above the row's minimum
         over all its candidates, computed densely in the sweeps' own
         product-sum; each row keeps a live level, and only admissible ones.
         Stage costs with ties and signed zeros, scaled by 1e-8 to 1e6, and
-        rows whose candidates cross (`with_crossing`)."""
+        rows whose candidates cross (`with_crossing`).  Nonnegative costs,
+        with rising crossings, make every iterate rise from 0, so that the
+        smallest change over each closed set of levels is at least 0, where
+        the margin is smallest."""
         rng = np.random.default_rng(seed)
         shape = (nl, n_nodes)
         cost = np.where(rng.random(shape) < tie_share, rng.choice(_TIE_POOL, shape),
                         rng.uniform(-2, 2, shape)) * 10.0 ** scale
+        if nonnegative:
+            cost = np.abs(cost)
         table = random_table(rng, nl, n_nodes, stencil, h, cost)
         if gap is not None and n_nodes >= 2:
-            table = with_crossing(table, gap)
+            table = with_crossing(table, gap, rising=nonnegative)
         idx, weights = table.indices - level_offsets(nl, n_nodes), table.weights
         own = np.repeat(np.arange(nl), n_nodes)
         admissible = np.arange(nl)[None, :] >= own[:, None]
@@ -716,7 +732,7 @@ class TestSweepKernel:
         table = random_table(rng, nl, n_nodes, stencil, h,
                              rng.choice(_TIE_POOL, size=(nl, n_nodes)) * scale)
         sweeper = Sweeper(table)
-        sweeper._sweep(np.zeros((nl, n_nodes)), 1e100)
+        sweeper._sweep(np.zeros((nl, n_nodes)), (np.full(nl, -1e100), np.full(nl, 1e100)))
         assert len(sweeper.live_pairs()[0]) == nl * (nl + 1) // 2 * n_nodes
         for _ in range(3):
             # nonnegative, so that many rows' minimum is a zero
@@ -751,6 +767,78 @@ class TestSweepKernel:
             assert_same_bits(got, u)
         first = next(n for n, level in enumerate(levels) if level >= 0)
         assert first > 50 and levels[-1] == 1
+
+    def test_candidates_rising_apart_by_the_range_of_their_change(self):
+        """Row (0, 1) reads node 1, whose level-0 value rises as 1 - 0.9^n
+        while its level-1 value, read from node 0's rising one, rises as
+        0.9975 - 0.5 * 0.9^n.  Every value rises, so the margin of level 1
+        is the range of the last change over levels 0 and up less the
+        smallest over level 1: about 0.5 * 0.9^n, what the gap
+        0.5 * 0.9^n - 0.0025 of the two candidates is yet to lose.  They
+        cross near n = 50, so the row is decided only after the crossing,
+        at level 1, and every iterate is a fresh sweep's; a margin nine
+        tenths as large would decide it at level 0 at the first check."""
+        table = TransitionTable(
+            indices=np.array([[0, 1, 2, 2]]), weights=np.ones((1, 4)),
+            stage_cost=np.array([[0.0, 1.0], [0.5, 5.475]]), h=0.1, discount=1.0)
+        iterates, levels = [], []
+        call = Sweeper._sweep
+
+        def record(self, values, change):
+            out = call(self, values, change)
+            iterates.append(out)
+            levels.append(self.decided_levels()[0, 1])
+            return out
+
+        with mock.patch.object(Sweeper, "_sweep", record):
+            Sweeper(table).picard(1e-12, 10_000)
+        u = np.zeros((2, 2))
+        for got in iterates:
+            u = sweep(u, table)
+            assert_same_bits(got, u)
+        assert np.all(np.diff(np.array(iterates), axis=0) >= 0)
+        # the sweep of iterates[n - 1] is the first that may decide level 1
+        crossing = next(n for n, u in enumerate(iterates) if u[1, 1] < u[0, 1]) + 1
+        first = next(n for n, level in enumerate(levels) if level >= 0)
+        assert crossing > 50 and first >= crossing and levels[-1] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.01, 0.99),
+        offset=st.sampled_from([-1.0, 0.0, 1.0]),
+        scale=st.integers(-12, 2),
+    )
+    def test_margin_is_at_most_the_symmetric_one(self, seed, nl, n_nodes, stencil, h,
+                                                 offset, scale):
+        """For a change whose per-level ranges have any signs, every
+        margin[a, b], b >= a, is at most the margin of the symmetric range
+        [-delta, delta] on every level, delta the largest |change|: the
+        margin of twice the certificate.  Where the largest change on the
+        levels from a up is delta and the smallest from b up is -delta, the
+        two are the same number.  Row weight sums spread over [1/2, 1], and
+        an offset makes many draws' changes one-signed."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.normal(size=(nl, n_nodes)))
+        table = TransitionTable(
+            indices=table.indices, weights=table.weights * rng.uniform(0.5, 1.0, nl * n_nodes),
+            stage_cost=table.stage_cost, h=h, discount=1.0)
+        values = rng.normal(size=(nl, n_nodes))
+        low, high = np.sort(rng.normal(size=(2, nl)) + offset * rng.uniform(0, 3), axis=0)
+        low, high = low * 10.0 ** scale, high * 10.0 ** scale
+        delta = max(high.max(), -low.min())
+        sweeper = Sweeper(table)
+        margin = sweeper._margin(values, (low, high))
+        symmetric = sweeper._margin(values, (np.full(nl, -delta), np.full(nl, delta)))
+        admissible = np.triu(np.ones((nl, nl), dtype=bool))
+        assert np.all(margin[admissible] <= symmetric[admissible])
+        rise = np.maximum.accumulate(high[::-1])[::-1]
+        fall = np.minimum.accumulate(low[::-1])[::-1]
+        worst = admissible & (rise[:, None] == delta) & (fall[None, :] == -delta)
+        np.testing.assert_array_equal(margin[worst], symmetric[worst])
 
     def test_decided_levels_stay_the_dense_argmin(self, medium):
         """Along Picard's iterates to a 1e-12 certificate on the k = h = 0.1

@@ -9,6 +9,7 @@ from monohjb import (
     theoretical_envelope,
 )
 from monohjb.cli import main
+from monohjb.fespace import nodal_csv
 from monohjb.harness import run_sweep
 
 
@@ -111,6 +112,17 @@ def test_idempotent_csv(tmp_path):
     run("solve", cfg, tmp_path / "b")
     assert (tmp_path / "a" / "value.csv").read_bytes() == (tmp_path / "b" / "value.csv").read_bytes()
     assert (tmp_path / "a" / "policy.csv").read_bytes() == (tmp_path / "b" / "policy.csv").read_bytes()
+
+
+def test_value_csv_is_the_text_of_nodal_csv(tmp_path):
+    """`monohjb solve` writes value.csv as the bytes that `nodal_csv` of
+    the solved value encodes to."""
+    cfg = write_config(tmp_path, k=0.1, h=0.1)
+    assert run("solve", cfg, tmp_path / "out") == 0
+    spec = builtin("paper_example_2d")
+    tri, grid = build_uniform(spec.domain, 0.1), control_grid(0.1)
+    u, _, _ = solve(spec, tri, grid, SolveOptions(h=0.1))
+    assert (tmp_path / "out" / "value.csv").read_bytes() == nodal_csv(u, tri, grid).encode()
 
 
 def test_workers_flag_rejected(tmp_path):

@@ -145,7 +145,7 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
     level is left.  At k = h = 0.1 and at 0.05 (the certified_picard
     benchmark's solve) to 1e-8, every row is decided by the stop, and the
     iterations, the first check's sweep (counted from 1) and the number of
-    checks stay as pinned."""
+    checks and the live pairs after the first check stay as pinned."""
     call = bellman.Sweeper._sweep
 
     def record(self, values, change):
@@ -157,7 +157,8 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
         return out
 
     monkeypatch.setattr(bellman.Sweeper, "_sweep", record)
-    for hk, iterations, first_check, checks in [(0.1, 162, 31, 19), (0.05, 333, 70, 19)]:
+    for hk, iterations, first_check, checks, pairs_after_first in [
+            (0.1, 162, 31, 19, 5_379), (0.05, 333, 70, 19, 57_207)]:
         tri, grid = setup(paper, hk)
         calls = []
         opts = SolveOptions(h=hk, stop_rule="target_bound", target=1e-8)
@@ -172,8 +173,9 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
         for n in range(first, len(calls)):
             change, pairs, _ = calls[n][1:]
             if due is None or history[n - 1] <= due:
-                assert change == history[n - 1]
-                due = change / 2
+                low, high = change
+                assert max(high.max(), -low.min()) == history[n - 1]
+                due = history[n - 1] / 2
             else:
                 assert change is None and pairs == calls[n - 1][2]
             if n > first:
@@ -185,6 +187,7 @@ def test_picard_decides_rows_once_the_suffix_argmin_repeats(paper, monkeypatch):
         assert calls[-1][2] == calls[-1][3] == rows
         assert first + 1 == first_check
         assert sum(change is not None for _, change, _, _ in calls) == checks
+        assert calls[first][2] == pairs_after_first
 
 
 class TestHoward:
