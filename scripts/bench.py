@@ -34,8 +34,10 @@ committed level cycled over 0..m (also as microseconds per call) and
 100-step `simulate` under that value, as the median over a fixed set of
 starts, their start levels cycled over 0..m, of each start's median, with
 the quartiles over the starts (also as microseconds per step).  Every sweep
-row, and the mu = 4 row for each of its sweeps, reports the share of rows
-whose minimum the bounds settle (`Sweeper.open_rows`, on the row's own path).
+row reports the share of rows whose minimum the bounds settle
+(`Sweeper.open_rows`, on the row's own path), and the mu = 4 row reports it
+for each of its mu - 1 sweeps: the recursion starts from A(0), its known
+first step, and sweeps from there, never the zero function.
 Prints one line per layer and writes all of it, with nproc and the numpy
 version, as JSON.
 
@@ -232,8 +234,9 @@ def bench_size(spec, k):
     layer("sweep_policy", lambda: sweep(values, table, policy=True))
     share("sweep_policy", values, policy=True)
     finite = layer("finite_mu4", lambda: solve_finite_horizon(spec, tri, grid, k, MU, table=table))
-    w, shares = np.zeros_like(values), []
-    for _ in range(MU):
+    # the recursion's sweeps, from its first step A(0)
+    w, shares = sweep(np.zeros_like(values), table), []
+    for _ in range(MU - 1):
         shares.append(settled_share(w, table))
         w = sweep(w, table)
     rows["finite_mu4"]["settled_share"] = shares

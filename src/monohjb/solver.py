@@ -11,6 +11,11 @@ the result with the a posteriori bound
 ||u_n - u*|| <= Delta_n * (1 - lambda h) / (lambda h).
 The solver reads no stencil of the table itself: both iterations are one
 `Sweeper`'s.
+
+`solve_finite_horizon` runs the backward recursion u_n = A(u_{n-1}) from
+the zero terminal value.  Its first step is known, A(0) = h f with every
+zero +0.0, so it starts from there and sweeps mu - 1 times; the values are
+those of mu sweeps from zero, bit for bit (its docstring says why).
 """
 
 from __future__ import annotations
@@ -140,12 +145,25 @@ def solve_finite_horizon(
     mu: int,
     table: TransitionTable | None = None,
 ) -> GridFunction:
-    """Backward recursion over horizon T = mu*h from the zero terminal value."""
+    """Backward recursion over horizon T = mu*h from the zero terminal value.
+
+    The first step is known: every candidate of the zero function is
+    beta * 0 + h f, so u_1 = A(0) is the sweeper's own map of a zero
+    interpolant, and mu - 1 sweeps follow.  That is A(0) bit for bit: the
+    sweep interpolates zeros with the weights of a table `build_table`
+    built, which `locate_many` clips with np.maximum(w, 0.0), so they are
+    nonnegative and never -0.0; every interpolant is then +0.0 and every
+    row's minimum beta * +0.0 + h f, which is +0.0 where h f is -0.0 (plain
+    h f would keep -0.0 there, as the paper's cost gives at a = 0).  mu = 0
+    returns zeros and builds no table.
+    """
     _check_step(h, spec.discount)
     check_count(mu, "mu")
-    u = np.zeros((grid.n_levels, tri.n_vertices))
-    if mu > 0:
-        sweeper = Sweeper(table_for(spec, tri, grid, h, table))
-    for _ in range(mu):
+    shape = (grid.n_levels, tri.n_vertices)
+    if mu == 0:
+        return GridFunction(np.zeros(shape[::-1]))
+    sweeper = Sweeper(table_for(spec, tri, grid, h, table))
+    u = sweeper._bellman(np.zeros(shape[0] * shape[1])).reshape(shape)
+    for _ in range(mu - 1):
         u = sweeper(u)
     return GridFunction(u.T.copy())

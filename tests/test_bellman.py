@@ -1189,6 +1189,84 @@ class TestLevelEvaluation:
         assert peak < 0.5 * (table.indices.nbytes + table.weights.nbytes)
 
 
+def kernel_outputs(table, values, choice, threshold):
+    """The bytes of every kernel path on `table`, one stage at a time: both
+    sweeps of `values` and `apply_policy` of `choice`, then Picard with the
+    live pairs after each of its value sweeps, then Howard with its
+    evaluation passes.  A caller that compares stage by stage stops at the
+    first that differs, before a broken kernel runs a solve to its cap."""
+    def as_bytes(*arrays):
+        return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+    yield as_bytes(sweep(values, table), *sweep(values, table, policy=True),
+                   apply_policy(values, choice, table))
+    live = []
+    call = Sweeper._sweep
+
+    def record(self, v, check):
+        out = call(self, v, check)
+        pairs = self.live_pairs()
+        live.append(None if pairs is None else (pairs[0].tobytes(), pairs[1].tobytes()))
+        return out
+
+    with mock.patch.object(Sweeper, "_sweep", record):
+        value, policy, history = Sweeper(table).picard(threshold, 1000)
+    yield as_bytes(value, policy), history, live
+    value, policy, history, passes = Sweeper(table).howard(threshold, 1000)
+    yield as_bytes(value, policy), history, passes
+
+
+def assert_same_outputs(table, values, choice, threshold, rows):
+    """`kernel_outputs` with product-sums in blocks of `rows` rows gives
+    those of one pass over every row, stage by stage; returns the stages."""
+    whole = list(kernel_outputs(table, values, choice, threshold))
+    with mock.patch.object(bellman, "_INTERPOLATE_ROWS", rows):
+        for got, want in zip(kernel_outputs(table, values, choice, threshold), whole):
+            assert got == want
+    return whole
+
+
+class TestInterpolationBlocks:
+    """Full-row product-sums walked in blocks of `_INTERPOLATE_ROWS` rows,
+    here blocks that do not divide the row count, give the bytes of one
+    pass over every row."""
+
+    @pytest.mark.parametrize("rows", [7, 1])
+    def test_paper_table(self, paper, rows):
+        # 81 nodes and 6 levels: 486 rows, 69 blocks of 7 and one of 3
+        k = 0.2
+        tri, grid = build_uniform(paper.domain, k), control_grid(k)
+        table = build_table(paper, tri, grid, k)
+        shape = table.stage_cost.shape
+        assert shape[0] * shape[1] % 7 and shape[0] * shape[1] < bellman._INTERPOLATE_ROWS
+        rng = np.random.default_rng(0)
+        values = rng.uniform(-1, 1, size=shape)
+        choice = random_choice(rng, *shape)
+        lam_h = paper.discount * k
+        _, picard, howard = assert_same_outputs(table, values, choice,
+                                                1e-8 * lam_h / (1.0 - lam_h), rows)
+        # Picard checks, drops levels and decides rows; Howard evaluates
+        # more than one policy
+        assert sum(pairs is not None for pairs in picard[2]) > 1 and len(howard[2]) > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nl=st.integers(1, 6),
+        n_nodes=st.integers(1, 12),
+        stencil=st.integers(2, 4),
+        h=st.floats(0.1, 0.9),
+        rows=st.sampled_from([7, 1]),
+    )
+    def test_random_tables(self, seed, nl, n_nodes, stencil, h, rows):
+        """Stage costs and values with ties and signed zeros."""
+        rng = np.random.default_rng(seed)
+        shape = (nl, n_nodes)
+        table = random_table(rng, nl, n_nodes, stencil, h, rng.choice(_TIE_POOL, shape))
+        values = rng.choice(_TIE_POOL, shape)
+        assert_same_outputs(table, values, random_choice(rng, nl, n_nodes), 1e-8, rows)
+
+
 class TestOperatorProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -28,7 +28,7 @@ from monohjb import (
     tail_bound,
 )
 from monohjb import bellman
-from monohjb.bellman import apply_policy
+from monohjb.bellman import apply_policy, sweep
 from monohjb.fespace import nodal_csv
 
 
@@ -359,23 +359,35 @@ class TestFiniteHorizon:
         assert sup_norm(u) == 0.0
 
     def test_one_step_is_stage_cost(self, paper):
+        """The recursion starts at A(0) without a sweep: one step is a sweep
+        of the zero function bit for bit, h f where it is not zero.  Four
+        entries of h f are -0.0 at k = h = 0.5; the sweep interpolates
+        zeros to +0.0, so the value has +0.0 there."""
         tri, grid = setup(paper, 0.5)
-        u = solve_finite_horizon(paper, tri, grid, 0.5, 1)
+        table = build_table(paper, tri, grid, 0.5)
+        u = solve_finite_horizon(paper, tri, grid, 0.5, 1, table=table).values
         expected = np.array(
             [[0.5 * paper.cost(x, a) for a in grid.levels] for x in tri.vertices]
         )
-        np.testing.assert_allclose(u.values, expected, atol=1e-14)
+        np.testing.assert_allclose(u, expected, atol=1e-14)
+        assert u.tobytes() == sweep(np.zeros(table.stage_cost.shape), table).T.tobytes()
+        step = (table.h * table.stage_cost).T
+        negative_zero = (step == 0.0) & np.signbit(step)
+        assert negative_zero.sum() == 4
+        assert not np.signbit(u[negative_zero]).any()
 
     def test_matches_apply_loop(self, paper):
-        hk, mu = 0.1, 10
-        tri, grid = setup(paper, hk)
-        table = build_table(paper, tri, grid, hk)
-        got = solve_finite_horizon(paper, tri, grid, hk, mu, table=table)
-        u = GridFunction.zeros(tri, grid)
-        for _ in range(mu):
-            u, _ = apply(u, paper, tri, grid, hk, table=table)
-        assert got.values.flags.c_contiguous
-        np.testing.assert_allclose(got.values, u.values, rtol=0, atol=1e-13)
+        """mu sweeps of the zero function, bit for bit."""
+        for hk in (0.5, 0.1):
+            tri, grid = setup(paper, hk)
+            table = build_table(paper, tri, grid, hk)
+            for mu in (1, 2, 10):
+                got = solve_finite_horizon(paper, tri, grid, hk, mu, table=table)
+                u = np.zeros(table.stage_cost.shape)
+                for _ in range(mu):
+                    u = sweep(u, table)
+                assert got.values.flags.c_contiguous
+                assert got.values.tobytes() == u.T.tobytes(), (hk, mu)
 
     def test_negative_steps_rejected(self, paper):
         tri, grid = setup(paper, 0.5)
