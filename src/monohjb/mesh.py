@@ -21,11 +21,12 @@ return the same vertex ids and weights, bit for bit.
 
 The vectorized path sorts nothing.  It ranks each axis against every other
 by whole-array comparisons, O(nu^2) of them, and builds the sorted offsets
-and the vertex steps from the ranks with masked copies.  It clamps and clips
-by passing the bound second to np.maximum and np.minimum, which return it on
-a tie as np.clip does, so a -0.0 on a 0.0 bound comes out as 0.0, as in the
-scalar core.  It computes ids and weights stencil-major, (nu+1, M), and
-returns their transposes, Fortran-ordered (M, nu+1) views.
+and the vertex steps by scattering each axis to its rank, one fancy
+assignment each.  It clamps and clips by passing the bound second to
+np.maximum and np.minimum, which return it on a tie as np.clip does, so a
+-0.0 on a 0.0 bound comes out as 0.0, as in the scalar core.  It computes
+ids and weights stencil-major, (nu+1, M), and returns their transposes,
+Fortran-ordered (M, nu+1) views.
 """
 
 from __future__ import annotations
@@ -218,6 +219,15 @@ def locate_many(tri: Triangulation, points: np.ndarray):
     its offset is strictly larger, so ties go to the lower axis.  The clamp
     and the weight clip pass the bound second to np.maximum and np.minimum,
     which return it on a tie, so signed zeros come out as in `locate`.
+
+    The sorted offsets and the vertex steps are one scatter each: point j's
+    axis goes to the flat slot rank * M + j of the (nu, M) sorted rows.  The
+    positions are np.intp, not the int8 of the ranks, because they reach
+    nu * M - 1: a 2-D batch of more than 16,384 points passes int16's
+    32,767, and intp is the index type numpy takes without a cast.  Each
+    point's ranks are a permutation of 0..nu-1 and every offset is finite
+    once the inside test has passed, so every slot is written exactly once,
+    with the offset and the stride of the axis of that rank.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     c = tri.constants
@@ -256,15 +266,17 @@ def locate_many(tri: Triangulation, points: np.ndarray):
             rank[j] -= passes
 
     # the simplex walks from the cell's base node one unit step along each
-    # axis in that order; flat ids are C-order strides
+    # axis in that order; flat ids are C-order strides.  Point j's axis ax
+    # goes to the flat slot rank[ax, j] * M + j of the sorted rows
     strides = c.node_strides_array
+    pos = rank.astype(np.intp)
+    pos *= M
+    pos += np.arange(M)
+    pos = pos.ravel()
     s_sorted = np.empty((nu, M))
+    s_sorted.ravel()[pos] = s.ravel()
     idx = np.empty((nu + 1, M), dtype=int)
-    for m in range(nu):
-        for ax in range(nu):
-            at = rank[ax] == m
-            np.copyto(s_sorted[m], s[ax], where=at)
-            np.copyto(idx[m + 1], strides[ax], where=at)
+    idx[1:].ravel()[pos] = np.repeat(strides, M)
     cell *= strides[:, None]
     np.sum(cell, axis=0, out=idx[0])
     for m in range(nu):

@@ -568,6 +568,56 @@ def _argsort_locate_many(tri, points):
     return idx, W
 
 
+def _assert_table_matches_reference(spec, h):
+    """`build_table` at k = h equals, bit for bit, the table assembled level
+    by level from the reference locator."""
+    tri = build_uniform(spec.domain, h)
+    grid = control_grid(h)
+    table = build_table(spec, tri, grid, h)
+    N = tri.n_vertices
+    indices, weights, costs = [], [], []
+    for ai, a in enumerate(grid.levels):
+        g, f = level_data(spec, tri.vertices, float(a), ai)
+        idx, w = _argsort_locate_many(tri, tri.vertices + h * g)
+        indices.append(idx.T + ai * N)
+        weights.append(w.T)
+        costs.append(f)
+    expected = (np.concatenate(indices, axis=1), np.concatenate(weights, axis=1),
+                np.array(costs))
+    for got, want in zip((table.indices, table.weights, table.stage_cost), expected):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def _large_batch(tri, per_kind=5000):
+    """Every vertex of tri, then per_kind points of each kind, shuffled: on
+    Kuhn diagonals (2 to 4 axes, as many as there are, in one cell at one
+    offset, so their in-cell offsets tie), with coordinates in the snap band
+    around a box face, with coordinates 0.0 or -0.0, and uniform."""
+    rng = np.random.default_rng(tri.dim)
+    nu, k, eps = tri.dim, tri.k, tri.snap_tolerance
+
+    def uniform():
+        return rng.uniform(tri.lower, tri.upper, size=(per_kind, nu))
+
+    diagonal = uniform()
+    # every axis has the same lower corner and cell count in these meshes
+    cells = rng.integers(0, tri.cells_per_axis[0], size=per_kind)
+    ties = rng.integers(min(2, nu), min(4, nu) + 1, size=per_kind)
+    for row, (cell, offset, width) in enumerate(zip(cells, rng.uniform(size=per_kind), ties)):
+        diagonal[row, rng.permutation(nu)[:width]] = tri.lower[0] + k * (cell + offset)
+    snap = uniform()
+    faces = np.where(rng.integers(0, 2, size=snap.shape) == 1, tri.upper, tri.lower)
+    moved = rng.integers(0, 2, size=snap.shape) == 1
+    snap[moved] = (faces + rng.uniform(-0.99, 0.99, size=snap.shape) * eps)[moved]
+    zeros = uniform()
+    signed = rng.integers(0, 3, size=zeros.shape)
+    zeros[signed == 1] = 0.0
+    zeros[signed == 2] = -0.0
+    points = np.concatenate([tri.vertices, diagonal, snap, zeros, uniform()])
+    return points[rng.permutation(len(points))]
+
+
 class TestScalarLocate:
     """`locate` (one point, scalar arithmetic) against the `locate_many` row."""
 
@@ -687,6 +737,21 @@ class TestSortFreeLocate:
             assert out.shape == (tri.n_vertices, dim + 1)
             assert out.T.flags.c_contiguous
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mesh", [_cube_mesh, _corner_mesh], ids=["cube", "corner"])
+    def test_large_batch_matches_argsort_reference(self, mesh, dim):
+        """Over 20,000 points in one batch, so that the flat positions
+        rank * M + j of the scatter pass 32,767 from 2-D up."""
+        tri = mesh(dim)
+        points = _large_batch(tri)
+        assert len(points) >= 20_000
+        idx, w = locate_many(tri, points)
+        expected = _argsort_locate_many(tri, points)
+        for got, want in ((idx, expected[0]), (w, expected[1])):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(np.signbit(w), np.signbit(expected[1]))
+
     def test_table_3d_matches_argsort_reference(self):
         """A 3-D problem's `build_table` equals, bit for bit, the table
         assembled level by level from the reference locator."""
@@ -696,20 +761,9 @@ class TestSortFreeLocate:
             discount=1.0, domain=(-np.ones(3), np.ones(3)),
             lip_g=2.0, bound_g=2.0, lip_f=2.0 * math.sqrt(3.0), bound_f=3.0,
         )
-        h = 0.25
-        tri = build_uniform(spec.domain, 0.25)
-        grid = control_grid(h)
-        table = build_table(spec, tri, grid, h)
-        N = tri.n_vertices
-        indices, weights, costs = [], [], []
-        for ai, a in enumerate(grid.levels):
-            g, f = level_data(spec, tri.vertices, float(a), ai)
-            idx, w = _argsort_locate_many(tri, tri.vertices + h * g)
-            indices.append(idx.T + ai * N)
-            weights.append(w.T)
-            costs.append(f)
-        expected = (np.concatenate(indices, axis=1), np.concatenate(weights, axis=1),
-                    np.array(costs))
-        for got, want in zip((table.indices, table.weights, table.stage_cost), expected):
-            assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes()
+        _assert_table_matches_reference(spec, 0.25)
+
+    def test_paper_table_matches_argsort_reference(self, paper):
+        """The same on the paper problem at k = h = 0.05, the certified
+        workloads' own table: 21 levels of 1,521 nodes."""
+        _assert_table_matches_reference(paper, 0.05)
