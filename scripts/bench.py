@@ -18,8 +18,9 @@ level) pairs after the first and the second check and at the stop
 stop, the milliseconds per value sweep before the first check, of the
 first check, per check and per value sweep after the first check, the
 checks counted apart, and the first check's minor page faults; for Howard
-the passes over each block of levels of each policy evaluation and the
-tracemalloc peak of one more solve, on the built table), one sweep at the
+the passes over each block of levels of each policy evaluation; for Howard
+and for Picard to 1e-8 the tracemalloc peak of one more solve, on the built
+table), one sweep at the
 Howard 1e-8 value, value-only and with
 the policy, the nodal CSV of the mu = 4 value (also its bytes and
 nanoseconds per line; timed in a fresh process that holds only the mesh and
@@ -98,6 +99,8 @@ FINEST_ROWS = ("mesh", "check_hypotheses", "locate_many", "table", "sweep", "swe
                "nodal_csv_in_process")
 # the solver rows skipped at the second finest size
 TIGHT_PICARD = ("picard_1e-8", "picard_1e-12")
+# the solver rows that also report the tracemalloc peak of one more solve
+TRACED = ("picard_1e-8", "howard_paper", "howard_1e-8")
 
 
 def timed(fn):
@@ -259,13 +262,13 @@ def bench_size(spec, k):
             u, _, report = out
             rows[name].update(iterations=report.iterations,
                               guaranteed_error=report.guaranteed_error)
-            if opts.method == "howard":
-                rows[name].update(
-                    evaluation_iterations=report.evaluation_iterations,
-                    tracemalloc_peak_mb=traced_peak_mb(
-                        lambda: solve(spec, tri, grid, opts, table=table)))
+            if name in TRACED:
+                rows[name]["tracemalloc_peak_mb"] = traced_peak_mb(
+                    lambda: solve(spec, tri, grid, opts, table=table))
                 print(f"k=h={k:<6g} {'':<18} {rows[name]['tracemalloc_peak_mb']:10.2f} MB "
                       f"tracemalloc peak")
+            if opts.method == "howard":
+                rows[name]["evaluation_iterations"] = report.evaluation_iterations
             else:
                 # a value sweep per iteration, then the closing policy sweep
                 sweeps = report.iterations + 1

@@ -153,12 +153,12 @@ symmetric margin 2 s (q delta + 2 eps) / (1 - q) + 4 gamma s X times
 1 + 64 u.  Along Picard's iterates at k = h = 0.05 the allowance stays near
 1e-13.
 
-Every product-sum runs in blocks of rows that fit the L2 cache
-(`_interpolate`) once it has more rows than a block: those over all rows
-(the bounds, the highest live levels, the first check, `apply_policy`)
-and the fold's over many open rows.  The live pairs' product-sums, which
-read their weights at given rows, run whole.  Each row's sum keeps its
-products and their order, so blocks change no value.
+Every caller hands `_interpolate` its own positions and weights, so every
+product-sum runs in blocks of rows that fit the L2 cache once it has more
+rows than a block: those over all rows (the bounds, the highest live
+levels, the first check, `apply_policy`), the live pairs' and the fold's
+over many open rows.  Each row's sum keeps its products and their order,
+so blocks change no value.
 
 Howard (`Sweeper.howard`) evaluates each frozen policy top level first
 (`Sweeper._evaluate`), as the paper's finite sequence of stopping-time
@@ -385,16 +385,17 @@ def _positions(table: TransitionTable, rows: np.ndarray, level) -> np.ndarray:
     return out
 
 
-# Rows per block of a full-row product-sum (`_interpolate` without `rows`).
+# Rows per block of a product-sum (`_interpolate`).
 _INTERPOLATE_ROWS = 32768
 
 
-def _interpolate(column, idx, wts, out, tmp, rows=None, wtmp=None):
+def _interpolate(column, idx, wts, out, tmp):
     """out = sum_j column[idx[j]] * wts[j]: one product-sum per stencil vertex.
-    With `rows`, each wts[j] is read at those rows, into `wtmp`.
+    idx and wts, (nu+1, len(out)), are the caller's own rows' positions and
+    weights: the table's, a gather's, a frozen map's or the live pairs'.
 
-    Without `rows`, more than `_INTERPOLATE_ROWS` rows are walked in blocks
-    of that many, each block's product-sums in the start of `tmp`.  One
+    More than `_INTERPOLATE_ROWS` rows are walked in blocks of that many,
+    each block's product-sums in the start of `tmp`.  One
     pass over every row streams the positions, weights, output and scratch
     through the outer cache levels once per stencil vertex; a block's
     operands stay in cache from one vertex to the next (cache blocking,
@@ -402,8 +403,8 @@ def _interpolate(column, idx, wts, out, tmp, rows=None, wtmp=None):
     products added in the same order, so the blocks change no bit.  A row's operands take about
     64 B for a 2-D stencil (three positions, three weights, its output and
     its scratch), so 32,768 rows fill a 2 MB L2 cache: on the paper problem
-    every call at k = h = 0.05 (31,941 rows) is one block, as before, and
-    one at 0.025 (255,881 rows) is eight.  Smaller blocks pay numpy's
+    every full-row call at k = h = 0.05 (31,941 rows) is one block, and one
+    at 0.025 (255,881 rows) is eight.  Smaller blocks pay numpy's
     per-call overhead more often, and split the calls at 0.05 too: with
     8,192 rows Picard to 1e-8 there was no faster.  The constant is not `_BLOCK_ROWS`, which sizes the
     blocks of whole levels that Howard's evaluation iterates to a fixed
@@ -417,17 +418,17 @@ def _interpolate(column, idx, wts, out, tmp, rows=None, wtmp=None):
     about 2 us a call, more than the gather itself on a fold's few rows.
     """
     n_rows = len(out)
-    if rows is None and n_rows > _INTERPOLATE_ROWS:
+    if n_rows > _INTERPOLATE_ROWS:
         for start in range(0, n_rows, _INTERPOLATE_ROWS):
             part = slice(start, start + _INTERPOLATE_ROWS)
             block = out[part]
             _interpolate(column, idx[:, part], wts[:, part], block, tmp[:len(block)])
         return out
     column.take(idx[0], out=out, mode="clip")
-    out *= wts[0] if rows is None else wts[0].take(rows, out=wtmp, mode="clip")
+    out *= wts[0]
     for j in range(1, len(idx)):
         column.take(idx[j], out=tmp, mode="clip")
-        tmp *= wts[j] if rows is None else wts[j].take(rows, out=wtmp, mode="clip")
+        tmp *= wts[j]
         out += tmp
     return out
 
@@ -489,6 +490,7 @@ class Sweeper:
         # `picard`'s live levels (`_keep`), None until its first check and
         # after it returns: every row's stencil at its highest live level,
         # as positions in the values, and the other live (row, level) pairs
+        # with their positions, weights, candidates and scratch
         self._live = None
         # the weight sum and |h f| bounds of `_margin`, from its first call
         self._sums = None
@@ -832,28 +834,28 @@ class Sweeper:
     def _keep(self, top, rows, levels):
         """Make the live levels: each row's highest at the positions `top`,
         and the pairs (rows, levels), which list each row's other levels
-        from the top down, so that the fold meets them in that order."""
-        self._live = (top, rows, _positions(self.table, rows, levels), np.empty(len(rows)),
-                      np.empty(min(len(rows), top.shape[1])))
+        from the top down, so that the fold meets them in that order.  Each
+        pair keeps its stencil's positions at its level, its row's weights,
+        copied once per check as `_gather` copies the open rows', and a
+        candidate and a scratch entry, so that its product-sum is one
+        `_interpolate` call like every other."""
+        n_pairs = len(rows)
+        self._live = (top, rows, _positions(self.table, rows, levels),
+                      self.table.weights.take(rows, axis=1), np.empty(n_pairs), np.empty(n_pairs))
 
     def _live_min(self, values, check):
         """The smallest candidate of every row over its live levels: one
         product-sum at each row's highest live level, one at every other
         live level, into the pairs' candidate buffer, and their fold into
         the minimum, each row's levels from the top down, as the column
-        fold meets them.  With `check`, also returns the candidates at the
-        highest live levels, for `_drop`."""
-        top, rows, pos, cand, wtmp = self._live
-        weights, size = self.table.weights, values.size
+        fold meets them.  Both product-sums read their own positions and
+        weights.  With `check`, also returns the candidates at the highest
+        live levels, for `_drop`."""
+        top, rows, pos, wts, cand, tmp = self._live
         flat = values.ravel()
-        raw = _interpolate(flat, top, weights, np.empty(size), self._tmp)
+        raw = _interpolate(flat, top, self.table.weights, np.empty(values.size), self._tmp)
         highest = raw.copy() if check else None
-        # in chunks of the row count, so that the row-sized scratch serves
-        for start in range(0, len(rows), size):
-            part = slice(start, start + size)
-            n = len(rows[part])
-            _interpolate(flat, pos[:, part], weights, cand[part], self._tmp[:n],
-                         rows=rows[part], wtmp=wtmp[:n])
+        _interpolate(flat, pos, wts, cand, tmp)
         # pair by pair, each row's levels from the top down: like np.minimum
         # it keeps its second argument on a tie, so each minimum gets the
         # column fold's bits
@@ -865,8 +867,9 @@ class Sweeper:
         as the last `_live_min` left it, lies more than margin[a, b]
         (`_margin`) above raw, the row's minimum; `highest` holds the
         candidates at the rows' highest live levels.  A row whose highest
-        live level is dropped takes its first kept one instead."""
-        top, rows, pos, cand, wtmp = self._live
+        live level is dropped takes its first kept one instead.  The pairs'
+        scratch holds the minimum at each pair's row."""
+        top, rows, pos, wts, cand, tmp = self._live
         if len(rows) == 0:
             # with one live level a row's candidate is its minimum
             return
@@ -874,17 +877,14 @@ class Sweeper:
         if margin is None:
             return
         nl, n_nodes = values.shape
-        size = len(raw)
-        for start in range(0, len(rows), size):
-            part = slice(start, start + size)
-            cand[part] -= raw.take(rows[part], out=wtmp[:len(rows[part])], mode="clip")
+        cand -= raw.take(rows, out=tmp, mode="clip")
         levels = np.floor_divide(pos[0], n_nodes, casting="unsafe",
                                  out=np.empty(len(rows), dtype=self._levels.dtype))
         kept = cand <= margin[rows // n_nodes, levels]
         # the old pairs are freed as soon as they are read, before the new
         # ones are built
         self._live = None
-        del cand, wtmp
+        del wts, cand, tmp
         levels, rows = levels[kept], rows[kept]
         del pos, kept
         highest -= raw
@@ -892,7 +892,7 @@ class Sweeper:
         high = np.take_along_axis(margin, (top[0] // n_nodes).reshape(nl, n_nodes), axis=1)
         dead = np.flatnonzero(highest > high.ravel())
         if len(dead):
-            first = np.full(size, len(rows))
+            first = np.full(len(raw), len(rows))
             np.minimum.at(first, rows, np.arange(len(rows)))
             heads = first[dead]
             top[:, dead] = _positions(self.table, dead, levels[heads])

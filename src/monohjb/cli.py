@@ -260,6 +260,8 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
 
 def cmd_check_mesh(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
+    # the step the solver would reject is no mesh the hypotheses can certify
+    _check_step(h, spec.discount)
     sub = cfg.get("mesh") or {}
     compact = None
     if sub.get("compact") is not None:

@@ -1227,9 +1227,9 @@ def assert_same_outputs(table, values, choice, threshold, rows):
 
 
 class TestInterpolationBlocks:
-    """Full-row product-sums walked in blocks of `_INTERPOLATE_ROWS` rows,
-    here blocks that do not divide the row count, give the bytes of one
-    pass over every row."""
+    """Product-sums walked in blocks of `_INTERPOLATE_ROWS` rows, here
+    blocks that do not divide the row count, give the bytes of one pass
+    over every row: full-row ones, the fold's and Picard's live pairs'."""
 
     @pytest.mark.parametrize("rows", [7, 1])
     def test_paper_table(self, paper, rows):

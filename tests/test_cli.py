@@ -260,6 +260,16 @@ def test_check_mesh_pass(tmp_path):
     assert run("check-mesh", cfg, tmp_path / "ok") == 0
 
 
+def test_check_mesh_rejects_the_step_the_solver_rejects(tmp_path, capsys):
+    # h = 1/discount: the Euler images still fit the mesh, but no solve runs
+    cfg = write_config(tmp_path, k=0.25, h=1.0)
+    assert run("check-mesh", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: time step must satisfy 0 < h < 1/discount")
+    assert not (tmp_path / "out").exists()
+    assert run("solve", cfg, tmp_path / "solve") == 1
+
+
 def test_check_mesh_fail(tmp_path, monkeypatch):
     import numpy as np
 

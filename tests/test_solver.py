@@ -17,6 +17,7 @@ from monohjb import (
     apply,
     brute_force_oracle,
     build_table,
+    builtin,
     build_uniform,
     control_grid,
     greedy_policy,
@@ -560,6 +561,97 @@ class TestExactReference:
         exact = stationary_reference(spec, tri, grid, hk)
         assert np.abs(u.values - exact.T).max() <= report.guaranteed_error + 1e-13
         assert (policy.choice > np.arange(grid.n_levels)).sum() > 1000
+
+
+def offset_2d():
+    """The paper problem with cost + 1000: its values lie near 1000, so a
+    sweep rounds at about 1e-13, and its policy is the paper problem's."""
+    base = builtin("paper_example_2d")
+    return dataclasses.replace(base, cost=lambda x, a: base.cost(x, a) + 1000.0,
+                               bound_f=1001.75, name="offset_2d", analytic_top_slice=None)
+
+
+def longdouble_fixed_point(table, choice, max_passes=10_000):
+    """The fixed point of `table` in np.longdouble, level-major (n_levels, N).
+
+    The table's double weights, its double beta = 1 - lambda h and its
+    double h f are widened, not formed again in long double: values near
+    1000 amplify the rounding of beta about 1e4-fold.  The level-major
+    policy `choice` is evaluated top level first, each level from the
+    solution with its own weight solved exactly, then by passes of
+    v <- h f + beta interp(v) until a pass changes nothing.  Where the
+    greedy residual of that value is not exactly 0, the rows that a level
+    lowers take that level, the smallest on ties, and the evaluation runs
+    again (policy iteration, which ends with an exact fixed point).
+    """
+    ld = np.longdouble
+    nl, n_nodes = table.stage_cost.shape
+    beta = ld(1.0 - table.discount * table.h)
+    step = (table.h * table.stage_cost).astype(ld)
+    nodes = table.indices.reshape(-1, nl, n_nodes) - (np.arange(nl) * n_nodes)[:, None]
+    weights = table.weights.reshape(-1, nl, n_nodes).astype(ld)
+    choice, u = choice.copy(), np.zeros((nl, n_nodes), dtype=ld)
+
+    def candidate(a, b, w):
+        return step[a] + beta * (u[b, nodes[:, a]] * w).sum(axis=0)
+
+    def settle(a, b, w, scale):
+        for _ in range(max_passes):
+            new = candidate(a, b, w) / scale
+            if np.array_equal(new, u[a]):
+                return
+            u[a] = new
+        raise AssertionError(f"no long-double fixed point on level {a}")
+
+    for _ in range(100):
+        for a in range(nl - 1, -1, -1):
+            b = choice[a]
+            own = (nodes[:, a] == np.arange(n_nodes)) & (b == a)
+            scale = 1.0 - beta * np.where(own, weights[:, a], 0.0).sum(axis=0)
+            settle(a, b, np.where(own, 0.0, weights[:, a]), scale)
+            # dividing by 1 is exact: these are passes of the plain map
+            settle(a, b, weights[:, a], 1.0)
+        exact = True
+        for a in range(nl):
+            c = np.stack([candidate(a, b, weights[:, a]) for b in range(a, nl)])
+            lower = c.min(axis=0) < u[a]
+            choice[a, lower] = a + c[:, lower].argmin(axis=0)
+            exact &= not lower.any()
+        if exact:
+            return u
+    raise AssertionError("policy iteration in long double did not end")
+
+
+# the certificate is proved in exact arithmetic only
+_FALSE_CERTIFICATE = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 11, CHANGES.md FOUND lines on false certificates: the "
+    "certificate omits the sweeps' rounding"))
+
+
+class TestLongDoubleReference:
+    """Each solve's distance from the table's own fixed point, computed in
+    long double, against its guaranteed error."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("problem, hk, method, target", [
+        *[pytest.param(builtin("paper_example_2d"), hk, method, target,
+                       id=f"paper-{hk}-{method}-{target or 'paper'}",
+                       marks=_FALSE_CERTIFICATE if (hk, method, target) == (0.1, "picard", None)
+                       else ())
+          for hk in (0.1, 0.05) for method in ("picard", "howard") for target in (None, 1e-12)],
+        pytest.param(offset_2d(), 0.1, "picard", 1e-12, marks=_FALSE_CERTIFICATE,
+                     id="offset-0.1-picard-1e-12"),
+    ])
+    def test_certificate_bounds_the_distance(self, problem, hk, method, target):
+        tri, grid = setup(problem, hk)
+        table = build_table(problem, tri, grid, hk)
+        rule = {} if target is None else {"stop_rule": "target_bound", "target": target}
+        u, policy, report = solve(problem, tri, grid, SolveOptions(h=hk, method=method, **rule),
+                                  table=table)
+        exact = longdouble_fixed_point(table, np.ascontiguousarray(policy.choice.T))
+        distance = np.abs(u.values.T.astype(np.longdouble) - exact).max()
+        assert distance <= report.guaranteed_error
 
 
 def contracting_cube():
