@@ -251,9 +251,10 @@ def bench_size(spec, k):
     solved = {}
     tight = {"stop_rule": "target_bound", "target": TIGHT}
     for name, opts in (
-        ("picard_paper", SolveOptions(h=k)),
-        ("picard_1e-8", SolveOptions(h=k, **tight)),
-        ("picard_1e-12", SolveOptions(h=k, stop_rule="target_bound", target=TIGHTER)),
+        ("picard_paper", SolveOptions(h=k, method="picard")),
+        ("picard_1e-8", SolveOptions(h=k, method="picard", **tight)),
+        ("picard_1e-12", SolveOptions(h=k, method="picard", stop_rule="target_bound",
+                                      target=TIGHTER)),
         ("howard_paper", SolveOptions(h=k, method="howard")),
         ("howard_1e-8", SolveOptions(h=k, method="howard", **tight)),
     ):

@@ -25,7 +25,7 @@ def main():
         tri = build_uniform(spec.domain, hk)
         grid = control_grid(hk)
         t0 = time.perf_counter()
-        u, _, report = solve(spec, tri, grid, SolveOptions(h=hk))
+        u, _, report = solve(spec, tri, grid, SolveOptions(h=hk, method="picard"))
         wall = time.perf_counter() - t0
         exact = spec.analytic_top_slice(tri.vertices)
         slice_err = float(np.abs(u.values[:, grid.m] - exact).max())

@@ -1028,8 +1028,8 @@ def greedy_policy(
     table: TransitionTable | None = None,
 ) -> PolicyField:
     """Argmin field of the operator applied to gf (smallest b on ties)."""
-    _, pol = apply(gf, spec, tri, grid, h, table=table)
-    return pol
+    # resolved here, not in apply, so that table_for's warning names greedy_policy's caller
+    return apply(gf, spec, tri, grid, h, table=table_for(spec, tri, grid, h, table))[1]
 
 
 def apply_policy(values: np.ndarray, choice: np.ndarray, table: TransitionTable) -> np.ndarray:

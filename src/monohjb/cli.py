@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: solve | simulate | sweep | check-mesh | oracle-check | bounds.
-All runs are driven by a YAML config file; unknown keys are hard errors.
+All runs are driven by a YAML config file; unknown keys are hard errors,
+and a null is an invalid value of its key.
 Exit codes: 0 success, 1 config/usage error, 2 numerical non-convergence,
 non-finite problem data or failed check, 3 I/O error.
 """
@@ -94,27 +95,32 @@ def _boolean(value) -> bool:
     return value
 
 
-def _has_boolean(value) -> bool:
-    """Whether value is a YAML true or false, or a list holding one at any depth."""
+def _holds(value, kind) -> bool:
+    """Whether value is of type kind, or a list holding one at any depth."""
     if isinstance(value, list):
-        return any(_has_boolean(item) for item in value)
-    return isinstance(value, bool)
+        return any(_holds(item, kind) for item in value)
+    return isinstance(value, kind)
 
 
-def _read(cfg: dict, key: str, kind=str, default=None):
+_REQUIRED = object()
+
+
+def _read(cfg: dict, key: str, kind=str, default=_REQUIRED):
     """cfg[key] converted by kind (str, float, _integer, dict, ...).
 
-    A missing key gives default; without one it is a config error.  A value
-    that kind rejects is a config error naming the key and the value, and so
-    is a YAML true or false, alone or inside a list, for any kind but
-    _boolean (float(True) is 1).
+    A missing key gives default; without one it is a config error.  A key
+    that is given is read: a value that kind rejects is a config error
+    naming the key and the value, and so is a null (str(None) would be
+    'None', and numpy reads a null in a list as NaN) or a YAML true or
+    false for any kind but _boolean (float(True) is 1), alone or inside a
+    list.
     """
     if key not in cfg:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigurationError(f"config is missing required key {key!r}")
         return default
     try:
-        if kind is not _boolean and _has_boolean(cfg[key]):
+        if _holds(cfg[key], type(None)) or (kind is not _boolean and _holds(cfg[key], bool)):
             raise ValueError(f"{cfg[key]!r} is not a {kind}")
         return kind(cfg[key])
     except (TypeError, ValueError) as exc:
@@ -141,10 +147,10 @@ def _setup(cfg: dict, snap_k: bool):
 
 
 def _options(cfg: dict) -> dict:
-    """The SolveOptions fields other than h that the config sets; the
-    others keep the SolveOptions defaults."""
+    """The SolveOptions fields other than h; a key the config leaves out
+    takes the SolveOptions default."""
     kinds = {"method": str, "stop_rule": str, "target": float, "max_iterations": _integer}
-    return {key: _read(cfg, key, kind) for key, kind in kinds.items() if cfg.get(key) is not None}
+    return {key: _read(cfg, key, kind, getattr(SolveOptions, key)) for key, kind in kinds.items()}
 
 
 def _write(out_dir: Path, name: str, payload):
@@ -242,7 +248,7 @@ def cmd_sweep(cfg, out_dir, snap_k) -> int:
     if snap_k:
         k_list = [_snap(spec.domain, k) for k in k_list]
     coupling = _read(sub, "coupling", str, "h=k")
-    c = _read(sub, "c", float) if "c" in sub else None
+    c = _read(sub, "c", float, None)
     rows = run_sweep(spec, k_list, coupling=coupling, c=c, **_options(cfg))
     try:
         rate = fit_rate_rows(rows)
@@ -262,13 +268,12 @@ def cmd_check_mesh(cfg, out_dir, snap_k) -> int:
     spec, k, h, tri, grid = _setup(cfg, snap_k)
     # the step the solver would reject is no mesh the hypotheses can certify
     _check_step(h, spec.discount)
-    sub = cfg.get("mesh") or {}
-    compact = None
-    if sub.get("compact") is not None:
-        compact = _read(sub, "compact", lambda v: np.asarray(v, dtype=float).reshape(2, tri.dim))
+    sub = _read(cfg, "mesh", dict, {})
+    compact = _read(sub, "compact", lambda v: np.asarray(v, dtype=float).reshape(2, tri.dim), None)
+    dump = _read(sub, "dump", _boolean, False)
     report = check_hypotheses(tri, spec, h, grid.levels, compact=compact)
     ok = report.hip1_ok and report.hip2_ok and report.chi1 > 0 and math.isfinite(report.k_over_d_max)
-    if sub.get("dump") is not None and _read(sub, "dump", _boolean):
+    if dump:
         _write(out_dir, "mesh.txt", mesh_dump(tri))
     _write(out_dir, "mesh_report.txt", _report_header(cfg, {
         "vertices": tri.n_vertices,
@@ -303,7 +308,7 @@ def cmd_bounds(cfg, out_dir, snap_k) -> int:
     spec = builtin(_read(cfg, "problem"))
     sub = _read(cfg, "bounds", dict)
     T = _read(sub, "T", float)
-    k = _read(cfg, "k", float, 0.1)
+    k = _read(cfg, "k", float)
     if snap_k:
         k = _snap(spec.domain, k)
     h = _read(cfg, "h", float, k)

@@ -120,7 +120,8 @@ def run_sweep(
     target, max_iterations) of every solve; h comes from k and the coupling
     rule, so an `h` option is a ConfigurationError.  Only the
     h=c*k^(2/3) coupling reads `c`, None there meaning 1.0; a `c` with the
-    h=k coupling is a ConfigurationError.
+    h=k coupling is a ConfigurationError, and so is a k_list that repeats
+    a mesh size.
 
     The finest k is solved first and kept as the one reference:
     error_vs_reference compares each coarser solution against it, as soon
@@ -133,11 +134,12 @@ def run_sweep(
         raise ConfigurationError("h comes from k and the coupling rule; run_sweep takes no h")
     if coupling == "h=k" and c is not None:
         raise ConfigurationError("c is read only by the h=c*k^(2/3) coupling")
-    if not k_list:
-        raise ConfigurationError("k_list must be nonempty")
+    ks = sorted(float(k) for k in k_list)
+    if not ks or len(set(ks)) < len(ks):
+        raise ConfigurationError(f"k_list must be nonempty and repeat no mesh size: {ks}")
     rows = []
     ref = None
-    for k in sorted(set(float(k) for k in k_list)):
+    for k in ks:
         h = _coupled_h(k, coupling, 1.0 if c is None else c)
         tri = build_uniform(spec.domain, k)
         grid = control_grid(h)

@@ -32,6 +32,10 @@ class ProblemSpec:
     shape raises InvalidProblemDataError (see `level_data`).  Both must be
     defined on the closed domain box times [0,1].  The declared constants
     are authoritative; `estimate_constants` only cross-checks them.
+    `gamma_override` is the Holder exponent `holder_exponent` returns in
+    the borderline case discount == lip_g, the one place it is read; it
+    must lie in (0,1), and giving it for any other discount and lip_g is a
+    ConfigurationError.
     """
 
     dynamics: Callable[[Vector, float], Vector]
@@ -67,8 +71,10 @@ class ProblemSpec:
             # written so that NaN fails
             if not value >= 0:
                 raise ConfigurationError(f"{c} must be nonnegative, got {value}")
-        if self.gamma_override is not None and not (0.0 < self.gamma_override < 1.0):
-            raise ConfigurationError("gamma_override must lie in (0,1)")
+        if self.gamma_override is not None and not (
+                self.discount == self.lip_g and 0.0 < self.gamma_override < 1.0):
+            raise ConfigurationError("gamma_override must lie in (0,1), and is read only "
+                                     "where discount equals lip_g")
 
     @property
     def dim(self) -> int:
@@ -122,8 +128,9 @@ def holder_exponent(spec: ProblemSpec) -> float:
     """Regularity exponent of the value function.
 
     1 when discount dominates the dynamics Lipschitz constant, the ratio
-    discount/lip_g when it does not, and a user-supplied value in (0,1) in
-    the borderline equality case.
+    discount/lip_g when it does not, and `spec.gamma_override` in the
+    borderline equality case, the only case that reads it (`ProblemSpec`
+    rejects it in any other).
     """
     lam, lg = spec.discount, spec.lip_g
     if lam > lg:

@@ -43,7 +43,7 @@ def setups(paper):
 def picard(paper, setups):
     out = {}
     for hk, (tri, grid, table) in setups.items():
-        out[hk] = solve(paper, tri, grid, SolveOptions(h=hk), table=table)
+        out[hk] = solve(paper, tri, grid, SolveOptions(h=hk, method="picard"), table=table)
     return out
 
 
@@ -174,8 +174,8 @@ def test_criterion_08_monotone_feedback(paper, setups, picard):
 
 def test_criterion_09_rerun_determinism(paper, setups):
     tri, grid, table = setups[0.1]
-    u1, _, _ = solve(paper, tri, grid, SolveOptions(h=0.1), table=table)
-    u2, _, _ = solve(paper, tri, grid, SolveOptions(h=0.1))
+    u1, _, _ = solve(paper, tri, grid, SolveOptions(h=0.1, method="picard"), table=table)
+    u2, _, _ = solve(paper, tri, grid, SolveOptions(h=0.1, method="picard"))
     csv1 = nodal_csv(u1, tri, grid)
     csv2 = nodal_csv(u2, tri, grid)
     assert csv1.encode() == csv2.encode()

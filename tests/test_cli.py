@@ -312,6 +312,8 @@ def test_oracle_budget_key_removed(tmp_path):
 @pytest.mark.parametrize("cmd,overrides", [
     ("solve", {"target": 1e-6}),
     ("sweep", {"sweep": {"k_list": [0.5], "coupling": "h=k", "c": 2.0}}),
+    # the second 0.5 would be merged into the first row
+    ("sweep", {"sweep": {"k_list": [0.5, 0.5, 0.25]}}),
 ])
 def test_ineffective_keys_rejected(tmp_path, cmd, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -349,6 +351,18 @@ _START = {"x0": [0.5, 0.5], "a0": 0.0}
     ("simulate", "x0", {"simulate": {"x0": [False, 0.5], "a0": 0.0, "steps": 2}}),
     ("sweep", "k_list", {"sweep": {"k_list": [True, 0.5]}}),
     ("check-mesh", "compact", {"mesh": {"compact": [[-0.25, -0.25], [0.25, True]]}}),
+    # a null is read like any other value, never taken for a missing key
+    ("solve", "problem", {"problem": None}),
+    ("solve", "method", {"method": None}),
+    ("solve", "stop_rule", {"stop_rule": None}),
+    ("solve", "target", {"stop_rule": "target_bound", "target": None}),
+    ("solve", "max_iterations", {"max_iterations": None}),
+    ("check-mesh", "mesh", {"mesh": None}),
+    ("check-mesh", "dump", {"mesh": {"dump": None}}),
+    ("check-mesh", "compact", {"mesh": {"compact": None}}),
+    ("sweep", "coupling", {"sweep": {"k_list": [0.5], "coupling": None}}),
+    # numpy reads a null in a list as NaN, which checked the box [nan, 0.25] x [-0.25, 0.25]
+    ("check-mesh", "compact", {"mesh": {"compact": [[None, -0.25], [0.25, 0.25]]}}),
 ])
 def test_mistyped_value_is_config_error(tmp_path, capsys, cmd, key, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -410,6 +424,17 @@ def test_bounds_snap_k(tmp_path, capsys):
     assert float(values["envelope"]) == theoretical_envelope(spec, 2.0 / 7.0, 2.0 / 7.0)
 
 
+def test_bounds_requires_k(tmp_path, capsys):
+    """A bounds config without k once used k = 0.1 unannounced."""
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"problem": "paper_example_2d", "h": 0.05, "bounds": {"T": 4.0}}))
+    assert run("bounds", path, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: config is missing required key 'k'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_snap_k_rejects_non_finite_k(tmp_path, capsys):
     assert run("bounds", bounds_config(tmp_path, math.nan), tmp_path / "out", "--snap-k") == 1
     assert capsys.readouterr().err.startswith("config error: ")
@@ -428,7 +453,7 @@ def test_mesh_dump_requested(tmp_path):
     assert (tmp_path / "out" / "mesh.txt").exists()
 
 
-@pytest.mark.parametrize("dump", [False, None])
+@pytest.mark.parametrize("dump", [False])
 def test_mesh_dump_not_requested(tmp_path, dump):
     cfg = write_config(tmp_path, mesh={"dump": dump})
     assert run("check-mesh", cfg, tmp_path / "out") == 0

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import monohjb.harness
 from monohjb import (
     ConfigurationError,
     GridFunction,
@@ -363,6 +364,13 @@ class TestSweep:
     def test_empty_rejected(self, paper):
         with pytest.raises(ConfigurationError):
             run_sweep(paper, [])
+
+    def test_repeated_mesh_size_rejected_before_any_solve(self, paper, monkeypatch):
+        """A repeated k was merged into one row, so the sweep ran fewer
+        rows than its k_list names."""
+        monkeypatch.setattr(monohjb.harness, "solve", None)
+        with pytest.raises(ConfigurationError, match="repeat no mesh size"):
+            run_sweep(paper, [0.5, 0.5, 0.25])
 
     def test_c_is_read_only_by_the_two_thirds_coupling(self, paper):
         """Under h=k a c would be ignored; under h=c*k^(2/3) no c means 1."""

@@ -93,6 +93,16 @@ def test_holder_exponent_branches(paper):
         holder_exponent(_spec_with(1.0, 1.0))
 
 
+@pytest.mark.parametrize("lam,lg", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0 + 2 ** -52)])
+def test_gamma_override_is_read_only_on_the_borderline(lam, lg):
+    """holder_exponent reads gamma_override only where discount == lip_g;
+    (1, 2, 0.9) was accepted, and its exponent was 0.5."""
+    with pytest.raises(ConfigurationError, match="read only where discount equals lip_g"):
+        _spec_with(lam, lg, gamma=0.9)
+    assert holder_exponent(_spec_with(lam, lg)) == min(1.0, lam / lg)
+    assert holder_exponent(_spec_with(lam, lam, gamma=0.9)) == 0.9
+
+
 @given(lam=st.floats(0.1, 10), lg=st.floats(0.1, 10), scale=st.floats(0.5, 4))
 def test_holder_exponent_scale_consistent(lam, lg, scale):
     if abs(lam - lg) < 1e-9 or abs(lam * scale - lg * scale) < 1e-12:
@@ -114,7 +124,7 @@ def test_spec_validation():
             lip_g=1.0, bound_g=1.0, lip_f=1.0, bound_f=1.0,
         )
     with pytest.raises(ConfigurationError):
-        _spec_with(1.0, 2.0, gamma=1.5)
+        _spec_with(1.0, 1.0, gamma=1.5)
     with pytest.raises(ConfigurationError, match="corners must be 1-d arrays of equal length"):
         dataclasses.replace(_spec_with(1.0, 2.0), domain=(np.zeros(1), np.ones(2)))
     with pytest.raises(ConfigurationError, match="bound_f must be nonnegative"):

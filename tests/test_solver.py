@@ -435,7 +435,7 @@ def mismatched_tables(paper):
 
 TABLE_USERS = {
     "solve_picard": lambda spec, tri, grid, h, table: solve(
-        spec, tri, grid, SolveOptions(h=h), table=table),
+        spec, tri, grid, SolveOptions(h=h, method="picard"), table=table),
     "solve_howard": lambda spec, tri, grid, h, table: solve(
         spec, tri, grid, SolveOptions(h=h, method="howard"), table=table),
     "apply": lambda spec, tri, grid, h, table: apply(
@@ -462,8 +462,10 @@ def _plain(out):
 @pytest.mark.parametrize("user", sorted(TABLE_USERS))
 def test_mismatched_table_is_rebuilt(paper, mismatched_tables, field, user):
     tri, grid, h, table = mismatched_tables[field]
-    with pytest.warns(UserWarning, match="does not fit"):
+    with pytest.warns(UserWarning, match="does not fit") as record:
         got = TABLE_USERS[user](paper, tri, grid, h, table)
+    # the warning points at the line that handed the table over
+    assert [w.filename for w in record] == [__file__]
     want = TABLE_USERS[user](paper, tri, grid, h, None)
     for a, b in zip(_plain(got), _plain(want), strict=True):
         np.testing.assert_array_equal(a, b)
